@@ -8,7 +8,8 @@ The public surface, by layer:
 * `nolabel_algebra` -- calculus of unordered two-boson kets (expansion over
                        detectors, post-selection)
 * `fq_oracle`       -- dense two-slot tensors that re-derive everything by
-                       brute force
+                       brute force; a reference for `verification` and the
+                       tests, imported by no production route
 * `entanglement`    -- distinguishability trace, Wootters and closed-form
                        concurrence, occupation-weighted entanglement
 * `optics`          -- Gaussian wavepackets, Hong-Ou-Mandel dips, Poisson
@@ -39,12 +40,6 @@ from .nolabel_algebra import (
     project_single,
     symmetric_state,
     transition_two,
-)
-from .fq_oracle import (
-    LabeledState,
-    labeled_inner,
-    oracle_postselected_density,
-    symmetrize,
 )
 from .entanglement import (
     NumberDistribution,

@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .core_state import SingleParticleState, Spin
 from . import entanglement, optics, verification
-from .nolabel_algebra import expand_in_detector_basis, postselect_one_per_detector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,22 +59,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    theta_grid: tuple[float, ...]
-    delay_grid: tuple[float, ...]
-    sigma_um: float
-    convention: str
-    noisy: bool
-    shots: float
-    runs: int
-    seed: int
-    out: Optional[str]
-    fmt: str
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
 
 
 def _parse_grid(spec: str) -> tuple[float, ...]:
-    """Comma list '0,30,60' or linspace 'start:stop:count'."""
+    """Comma list '0,30,60' or linspace 'start:stop:count' of finite values."""
     spec = spec.strip()
     try:
         if ":" in spec:
@@ -83,9 +85,11 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
             n = int(count)
             if n < 1:
                 raise ValueError
-            return tuple(float(v) for v in np.linspace(float(start), float(stop), n))
-        values = tuple(float(tok) for tok in spec.split(",") if tok.strip())
-        if not values:
+            with np.errstate(all="ignore"):  # non-finite ends are rejected below
+                values = tuple(float(v) for v in np.linspace(float(start), float(stop), n))
+        else:
+            values = tuple(float(tok) for tok in spec.split(",") if tok.strip())
+        if not values or not all(math.isfinite(v) for v in values):
             raise ValueError
         return values
     except ValueError:
@@ -121,12 +125,8 @@ def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention
     phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
     p_a = SingleParticleState(alphas, Spin.UP, phi_a)
     p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
-    rho = entanglement.trace_out_distinguishability(
-        postselect_one_per_detector(expand_in_detector_basis(p_a, p_b))
-    )
-    e_p = entanglement.entanglement_of_particles(
-        entanglement.number_distribution(p_a, p_b)
-    )
+    nd = entanglement.number_distribution(p_a, p_b)
+    rho = nd.branches[1].state  # the (1, 1) branch
     return {
         "theta_deg": theta_deg,
         "delay_um": delay_um,
@@ -135,7 +135,7 @@ def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention
         "overlap_quadrature": optics.gaussian_overlap(delay_um, "quadrature", delta),
         "c_closed_form": entanglement.concurrence_closed_form(alphas, betas, ov),
         "c_wootters_normalized": entanglement.wootters_concurrence(rho, normalize=True),
-        "e_p": e_p,
+        "e_p": entanglement.entanglement_of_particles(nd),
     }, rho
 
 
@@ -185,30 +185,18 @@ def _write_table(handle, fmt: str, columns: Sequence[str], rows, metadata: dict)
 
 def cmd_sweep(args) -> int:
     sigma = _sigma_from_args(args)
-    config = SweepConfig(
-        theta_grid=args.theta_grid,
-        delay_grid=args.delay_grid,
-        sigma_um=sigma,
-        convention=args.overlap_convention,
-        noisy=args.noisy,
-        shots=args.shots,
-        runs=args.runs,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-    )
-    columns = SWEEP_NOISY_COLUMNS if config.noisy else SWEEP_COLUMNS
+    columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
     rows = []
     row_index = 0
-    for theta in config.theta_grid:
-        for delay in config.delay_grid:
-            values, rho = _point_values(theta, delay, sigma, config.convention)
-            if config.noisy:
+    for theta in args.theta_grid:
+        for delay in args.delay_grid:
+            values, rho = _point_values(theta, delay, sigma, args.overlap_convention)
+            if args.noisy:
                 # row-indexed generator so row order never couples the draws
-                rng = np.random.default_rng([config.seed, row_index])
+                rng = np.random.default_rng([args.seed, row_index])
                 draws = [
-                    optics.sample_xstate_concurrence(rho, config.shots, rng)
-                    for _ in range(config.runs)
+                    optics.sample_xstate_concurrence(rho, args.shots, rng)
+                    for _ in range(args.runs)
                 ]
                 values["c_mc_mean"] = float(np.mean(draws))
                 values["c_mc_stddev"] = float(np.std(draws, ddof=1))
@@ -217,18 +205,18 @@ def cmd_sweep(args) -> int:
     metadata = {
         "command": "sweep",
         "version": __version__,
-        "theta_grid": list(config.theta_grid),
-        "delay_grid": list(config.delay_grid),
-        "sigma_um": config.sigma_um,
-        "overlap_convention": config.convention,
-        "noisy": config.noisy,
-        "shots": config.shots,
-        "runs": config.runs,
-        "seed": config.seed,
+        "theta_grid": list(args.theta_grid),
+        "delay_grid": list(args.delay_grid),
+        "sigma_um": sigma,
+        "overlap_convention": args.overlap_convention,
+        "noisy": args.noisy,
+        "shots": args.shots,
+        "runs": args.runs,
+        "seed": args.seed,
     }
-    handle, owned = _open_out(config.out)
+    handle, owned = _open_out(args.out)
     try:
-        _write_table(handle, config.fmt, columns, rows, metadata)
+        _write_table(handle, args.format, columns, rows, metadata)
     finally:
         if owned:
             handle.close()
@@ -239,6 +227,9 @@ def cmd_hom(args) -> int:
     if not 0.0 <= args.visibility <= 1.0:
         print("error: visibility must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
+    if len(args.delay_grid) < 5:
+        print("error: a dip fit needs a delay grid of at least 5 points", file=sys.stderr)
+        return EXIT_USAGE
     w = args.fwhm_um / optics.GAUSSIAN_FWHM_FACTOR
 
     def truth(l: float) -> float:
@@ -247,12 +238,7 @@ def cmd_hom(args) -> int:
         )
 
     delays = args.delay_grid
-    params = optics.ExperimentParams(
-        sigma_um=args.fwhm_um / optics.GAUSSIAN_FWHM_FACTOR,
-        shots=1.0,
-        seed=args.seed,
-        runs=args.runs,
-    )
+    params = optics.ExperimentParams(seed=args.seed, runs=args.runs)
     if args.noisy:
         counts = optics.simulate_counts(params, truth, delays)
     else:
@@ -293,15 +279,14 @@ def cmd_hom(args) -> int:
     print(f"fit: residual    = {fit.residual:.6g}")
 
     if args.noisy:
-        def vis_estimator(c):
-            return optics.fit_gaussian_dip(list(zip(delays, c)), poisson_weights=True).visibility
-
-        def fwhm_estimator(c):
-            return optics.fit_gaussian_dip(list(zip(delays, c)), poisson_weights=True).fwhm_um
+        def estimator(c):
+            refit = optics.fit_gaussian_dip(list(zip(delays, c)), poisson_weights=True)
+            return refit.visibility, refit.fwhm_um
 
         try:
-            v_mean, v_std = optics.monte_carlo_errorbars(params, truth, delays, vis_estimator)
-            f_mean, f_std = optics.monte_carlo_errorbars(params, truth, delays, fwhm_estimator)
+            (v_mean, v_std), (f_mean, f_std) = optics.monte_carlo_errorbars(
+                params, truth, delays, estimator
+            )
         except (optics.FitError, optics.EstimatorError) as exc:
             print(f"monte carlo failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -349,18 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument(
             "--sigma-um",
-            type=float,
+            type=_positive_float,
             default=optics.DEFAULT_SIGMA_UM,
             help="Gaussian width of the concurrence-vs-delay curve (um)",
         )
         group.add_argument(
-            "--delta", type=float, default=None,
+            "--delta", type=_positive_float, default=None,
             help="spectral width (1/um); sigma = 1/(2 delta)",
         )
 
     p = sub.add_parser("concurrence", help="all concurrence readings at one point")
-    p.add_argument("--theta-deg", type=float, required=True, help="half-wave-plate angle")
-    p.add_argument("--delay-um", type=float, default=0.0, help="path delay (um)")
+    p.add_argument("--theta-deg", type=_finite_float, required=True, help="half-wave-plate angle")
+    p.add_argument("--delay-um", type=_finite_float, default=0.0, help="path delay (um)")
     add_sigma(p)
     p.add_argument(
         "--overlap-convention",
@@ -376,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sigma(p)
     p.add_argument("--overlap-convention", choices=PIPELINE_CONVENTIONS, default="fitted")
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
-    p.add_argument("--shots", type=float, default=1000.0, help="counts scale per channel")
+    p.add_argument("--shots", type=_positive_float, default=1000.0, help="counts scale per channel")
     p.add_argument("--runs", type=int, default=100, help="Monte Carlo resamples per row")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path ('-' = stdout)")
@@ -385,9 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hom", help="simulate and fit a Hong-Ou-Mandel dip")
     p.add_argument("--visibility", type=float, default=1.0, help="true dip visibility")
-    p.add_argument("--fwhm-um", type=float, default=132.0, help="true dip FWHM (um)")
-    p.add_argument("--baseline", type=float, default=1000.0, help="coincidence level far from the dip")
-    p.add_argument("--center-um", type=float, default=0.0, help="dip center")
+    p.add_argument("--fwhm-um", type=_positive_float, default=132.0, help="true dip FWHM (um)")
+    p.add_argument(
+        "--baseline", type=_positive_float, default=1000.0,
+        help="coincidence level far from the dip",
+    )
+    p.add_argument("--center-um", type=_finite_float, default=0.0, help="dip center")
     p.add_argument("--delay-grid", type=_parse_grid, default=_parse_grid("-300:300:61"))
     p.add_argument("--noisy", action="store_true", help="Poisson counts instead of exact rates")
     p.add_argument("--runs", type=int, default=100)
@@ -408,6 +396,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "noisy", False) and args.runs < 2:
+            parser.error("--noisy needs --runs >= 2 for an error bar")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,7 +9,8 @@ Wootters concurrence, the closed-form concurrence
     C = 4 |alpha_l alpha_r beta_l beta_r| |<phi_A|phi_B>|^2,
 
 and the superselection-respecting average over detector occupation numbers
-(bunched branches carry no accessible spin entanglement).
+(bunched branches carry no accessible spin entanglement), all from the
+unordered-ket algebra of `nolabel_algebra`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,13 @@ from .core_state import (
     SpatialAmplitudes,
     SpinDensityMatrix,
 )
-from . import fq_oracle
-from .nolabel_algebra import SymmetricTwoBosonState, detector_mode
+from .nolabel_algebra import (
+    SymmetricTwoBosonState,
+    detector_mode,
+    expand_in_detector_basis,
+    norm_sq,
+    postselect_one_per_detector,
+)
 
 
 class NotPostSelectedError(ValueError):
@@ -145,21 +151,28 @@ class NumberDistribution:
 def number_distribution(
     p_a: SingleParticleState, p_b: SingleParticleState
 ) -> NumberDistribution:
-    """Occupation-number branches of the symmetrized pair, oracle-derived.
+    """Occupation-number branches of the symmetrized (up, down) pair.
 
-    Probabilities come from the labeled-tensor norm decomposition, including
-    the 1 + |<Psi_A|Psi_B>|^2 bunching normalization; the (1,1) branch keeps
-    its unnormalized spin matrix.
+    One detector-basis expansion is split by occupation (n_L, n_R); each
+    branch's probability is the squared norm of its terms over the total,
+    which carries the 1 + |<Psi_A|Psi_B>|^2 bunching normalization.  The
+    (1,1) branch keeps its unnormalized spin matrix, the distinguishability
+    trace of the post-selected expansion.
     """
-    labeled = fq_oracle.symmetrize(p_a, p_b)
-    weights = fq_oracle.mode_pattern_weights(labeled)
+    expansion = expand_in_detector_basis(p_a, p_b)
+    groups = {(2, 0): [], (1, 1): [], (0, 2): []}
+    for coeff, pair in expansion.terms:
+        n_l = sum(detector_mode(s) == "L" for s in pair)
+        groups[(n_l, 2 - n_l)].append((coeff, pair))
+    # a subset of a canonical state's terms is canonical as it stands
+    weights = {key: norm_sq(SymmetricTwoBosonState(tuple(t))) for key, t in groups.items()}
     total = sum(weights.values())
-    rho = fq_oracle.oracle_postselected_density(labeled)
+    rho = trace_out_distinguishability(postselect_one_per_detector(expansion))
     return NumberDistribution(
         (
-            Branch(2, 0, float(weights[(2, 0)] / total), None),
-            Branch(1, 1, float(weights[(1, 1)] / total), rho),
-            Branch(0, 2, float(weights[(0, 2)] / total), None),
+            Branch(2, 0, weights[(2, 0)] / total, None),
+            Branch(1, 1, weights[(1, 1)] / total, rho),
+            Branch(0, 2, weights[(0, 2)] / total, None),
         )
     )
 

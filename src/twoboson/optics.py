@@ -23,7 +23,7 @@ exp(-l^2/(4 sigma^2)) -- that effective overlap is what the closed-form
 concurrence has to be fed to reproduce the optical law exactly.
 
 The rest of the module is desk-scale experiment plumbing: Hong-Ou-Mandel dip
-levels (visibility derived from the brute-force oracle, not hand-entered),
+levels (visibility in closed form from the two-photon merge amplitudes),
 Poisson count simulation, a damped Gauss-Newton Gaussian-dip fitter, and
 Monte Carlo error bars.  All randomness flows through one seeded generator
 per call; there is no hidden global state.
@@ -33,20 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core_state import (
-    ATOL_EXACT,
-    DistVector,
-    SingleParticleState,
-    SpatialAmplitudes,
-    SpinDensityMatrix,
-    Spin,
-)
-from . import fq_oracle
+from .core_state import ATOL_EXACT, DistVector, SpatialAmplitudes, SpinDensityMatrix
 
 #: FWHM of a Gaussian exp(-x^2/(2 w^2)) is this factor times w
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -90,18 +81,6 @@ def delta_to_sigma(delta: float) -> float:
     return 1.0 / (2.0 * delta)
 
 
-@dataclass(frozen=True)
-class GaussianMode:
-    """One wavepacket: arrival delay (um of path) and spectral width."""
-
-    arrival_um: float
-    spectral_width_delta: float
-
-    def __post_init__(self) -> None:
-        if not self.spectral_width_delta > 0.0:
-            raise ValueError("spectral width delta must be positive")
-
-
 def gaussian_overlap(l_um: float, convention: str, delta: float) -> float:
     """Scalar overlap of two identical Gaussian wavepackets delayed by l.
 
@@ -117,12 +96,6 @@ def gaussian_overlap(l_um: float, convention: str, delta: float) -> float:
         raise ValueError("delta must be positive")
     x = (delta * l_um) ** 2
     return math.exp(-2.0 * x) if convention == "paper" else math.exp(-0.5 * x)
-
-
-def mode_overlap(a: GaussianMode, b: GaussianMode, convention: str = "paper") -> float:
-    if abs(a.spectral_width_delta - b.spectral_width_delta) > ATOL_EXACT:
-        raise ValueError("overlap formula assumes equal spectral widths")
-    return gaussian_overlap(b.arrival_um - a.arrival_um, convention, a.spectral_width_delta)
 
 
 def effective_overlap(l_um: float, sigma_um: float) -> float:
@@ -180,29 +153,19 @@ def dist_vectors_for_overlap(
 # ---------------------------------------------------------------------------
 
 
-def _merge_coincidence_weight(theta_deg: float, dist_a: DistVector, dist_b: DistVector) -> float:
-    """(1,1) weight after the theta-parameterized two-mode merge, by oracle."""
-    t = math.radians(theta_deg)
-    s, c = math.sin(2.0 * t), math.cos(2.0 * t)
-    p_a = SingleParticleState(SpatialAmplitudes(s, c), Spin.UP, dist_a)
-    p_b = SingleParticleState(SpatialAmplitudes(c, -s), Spin.UP, dist_b)
-    labeled = fq_oracle.symmetrize(p_a, p_b)
-    return fq_oracle.mode_pattern_weights(labeled)[(1, 1)]
-
-
-@lru_cache(maxsize=None)
 def hom_visibility(theta_deg: float) -> float:
-    """Two-photon interference visibility of the merge, from the oracle.
+    """Two-photon interference visibility of the theta-parameterized merge.
 
-    Computed as the fractional drop of the coincidence weight between fully
-    distinguishable and fully indistinguishable photons; equals 1 for the
-    balanced merge at theta = 22.5 deg.
+    The merge sends photon A to (sin 2t, cos 2t) and photon B to
+    (cos 2t, -sin 2t) over the two outputs, so the coincidence weight is
+    s^4 + c^4 for fully distinguishable photons and (c^2 - s^2)^2 for
+    indistinguishable ones.  Its fractional drop is
+    V = 2 s^2 c^2 / (s^4 + c^4), which equals 1 for the balanced merge at
+    theta = 22.5 deg.
     """
-    orth_a, orth_b = DistVector((1.0, 0.0)), DistVector((0.0, 1.0))
-    same = DistVector((1.0, 0.0))
-    w_dist = _merge_coincidence_weight(theta_deg, orth_a, orth_b)
-    w_same = _merge_coincidence_weight(theta_deg, same, same)
-    return (w_dist - w_same) / w_dist
+    t = math.radians(theta_deg)
+    s2, c2 = math.sin(2.0 * t) ** 2, math.cos(2.0 * t) ** 2
+    return 2.0 * s2 * c2 / (s2**2 + c2**2)
 
 
 def hom_coincidence(theta_deg: float, overlap: float, baseline: float) -> float:
@@ -224,16 +187,11 @@ def hom_coincidence(theta_deg: float, overlap: float, baseline: float) -> float:
 class ExperimentParams:
     """Knobs of one simulated acquisition."""
 
-    theta_deg: float = 22.5
-    delay_um: float = 0.0
-    sigma_um: float = DEFAULT_SIGMA_UM
     shots: float = 1.0
     seed: int = 0
     runs: int = 100
 
     def __post_init__(self) -> None:
-        if not self.sigma_um > 0.0:
-            raise ValueError("sigma must be positive")
         if not self.shots > 0.0:
             raise ValueError("shots must be positive")
         if self.runs < 1:
@@ -471,25 +429,29 @@ def monte_carlo_errorbars(
     params: ExperimentParams,
     truth_curve: Callable[[float], float],
     delays_um: Sequence[float],
-    estimator: Callable[[np.ndarray], float],
-) -> tuple[float, float]:
+    estimator: Callable[[np.ndarray], float | tuple[float, ...]],
+):
     """Resample Poisson counts `runs` times, return (mean, stddev) of the
-    estimator over the runs.  Estimator exceptions propagate, tagged with the
-    failing run index."""
+    estimator over the runs.  An estimator that returns a tuple gets one
+    (mean, stddev) pair per entry, each taken over that entry's runs alone.
+    Estimator exceptions propagate, tagged with the failing run index."""
     if params.runs < 2:
         raise ValueError("need at least 2 runs for an error bar")
     rates = np.array([truth_curve(l) for l in delays_um], dtype=float)
     if np.any(rates < 0.0):
         raise ValueError("truth curve produced a negative count rate")
     rng = np.random.default_rng(params.seed)
-    values = np.empty(params.runs)
+    values = []
     for run in range(params.runs):
         counts = rng.poisson(rates * params.shots)
         try:
-            values[run] = float(estimator(counts))
+            values.append(estimator(counts))
         except Exception as exc:
             raise EstimatorError(f"estimator failed on run {run}: {exc}") from exc
-    return float(np.mean(values)), float(np.std(values, ddof=1))
+    columns = np.array(values, dtype=float).T.copy()  # one contiguous row per entry
+    if columns.ndim == 1:
+        return float(np.mean(columns)), float(np.std(columns, ddof=1))
+    return tuple((float(np.mean(c)), float(np.std(c, ddof=1))) for c in columns)
 
 
 def sample_xstate_concurrence(

@@ -5,6 +5,7 @@ stay simple; one subprocess smoke test exercises the installed script.
 """
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from twoboson import __version__
+from twoboson import __version__, fq_oracle
 from twoboson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from twoboson.optics import DEFAULT_SIGMA_UM, concurrence_optical
 
@@ -83,6 +84,55 @@ def test_bad_number_is_a_usage_error(capsys):
 
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["concurrence", "--theta-deg", "nan"], "finite"),
+        (["concurrence", "--theta-deg", "22.5", "--delay-um", "inf"], "finite"),
+        (["sweep", "--theta-grid", "0,nan"], "bad grid"),
+        (["sweep", "--delay-grid", "0:inf:3"], "bad grid"),
+        (["hom", "--delay-grid", "0,50,nan,150,200"], "bad grid"),
+        (["hom", "--center-um", "nan"], "finite"),
+        (["concurrence", "--theta-deg", "22.5", "--sigma-um", "0"], "positive"),
+        (["sweep", "--sigma-um", "nan"], "finite"),
+        (["concurrence", "--theta-deg", "22.5", "--delta", "-0.01"], "positive"),
+        (["sweep", "--delta", "inf"], "finite"),
+        (["hom", "--fwhm-um", "0"], "positive"),
+        (["hom", "--fwhm-um", "nan"], "finite"),
+        (["hom", "--baseline", "-1"], "positive"),
+        (["sweep", "--noisy", "--shots", "0"], "positive"),
+        (["sweep", "--noisy", "--shots", "-5"], "positive"),
+        (["sweep", "--noisy", "--shots", "inf"], "finite"),
+        (["sweep", "--noisy", "--runs", "1"], "--runs >= 2"),
+        (["hom", "--noisy", "--runs", "1"], "--runs >= 2"),
+        (["hom", "--delay-grid", "0,1,2"], "at least 5 points"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_bad_input_is_rejected_before_any_output(argv, reason, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
+
+
+def test_production_commands_never_call_the_oracle(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the labeled-tensor oracle is for verification only")
+
+    for name, value in vars(fq_oracle).items():
+        if inspect.isfunction(value) and value.__module__ == fq_oracle.__name__:
+            if not name.startswith("_"):
+                monkeypatch.setattr(fq_oracle, name, forbidden)
+    for argv in (
+        ["concurrence", "--theta-deg", "10", "--delay-um", "40"],
+        ["sweep", "--theta-grid", "0:45:4", "--delay-grid", "0,60"],
+        ["sweep", "--theta-grid", "22.5", "--delay-grid", "0", "--noisy", "--runs", "5"],
+        ["hom", "--visibility", "0.9", "--noisy", "--runs", "5"],
+    ):
+        assert main(argv) == EXIT_OK, argv
 
 
 def test_version_flag(capsys):
@@ -314,8 +364,8 @@ def test_hom_json_counts_table(tmp_path):
 def test_verify_passes_and_reports(capsys):
     assert main(["verify", "--trials", "20", "--seed", "1"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "verification: 13/13 checks passed" in out
-    assert "[report] occupation_weighted_vs_half_closed_form" in out
+    assert "verification: 14/14 checks passed" in out
+    assert "[check ] occupation_weighted_vs_half_closed_form" in out
     assert "[report] overlap_exponent_relation" in out
     assert "FAIL" not in out
 

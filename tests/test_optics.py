@@ -17,7 +17,6 @@ from twoboson.optics import (
     EstimatorError,
     ExperimentParams,
     FitConvergenceError,
-    GaussianMode,
     NoDipError,
     concurrence_optical,
     delta_to_sigma,
@@ -27,7 +26,6 @@ from twoboson.optics import (
     gaussian_overlap,
     hom_coincidence,
     hom_visibility,
-    mode_overlap,
     monte_carlo_errorbars,
     sample_xstate_concurrence,
     sigma_to_delta,
@@ -110,14 +108,6 @@ def test_quadrature_overlap_matches_adaptive_integration():
 def test_overlap_rejects_unknown_convention():
     with pytest.raises(ValueError, match="convention"):
         gaussian_overlap(10.0, "guess", 0.01)
-
-
-def test_mode_overlap_uses_the_arrival_difference():
-    a = GaussianMode(10.0, 0.01)
-    b = GaussianMode(40.0, 0.01)
-    assert mode_overlap(a, b) == pytest.approx(gaussian_overlap(30.0, "paper", 0.01))
-    with pytest.raises(ValueError, match="equal spectral widths"):
-        mode_overlap(a, GaussianMode(0.0, 0.02))
 
 
 def test_sigma_delta_conversion_round_trip():
@@ -247,8 +237,6 @@ def test_negative_rates_are_rejected():
 
 
 def test_experiment_params_validation():
-    with pytest.raises(ValueError):
-        ExperimentParams(sigma_um=0.0)
     with pytest.raises(ValueError):
         ExperimentParams(runs=0)
     with pytest.raises(ValueError):
@@ -411,6 +399,28 @@ def test_estimator_failures_carry_the_run_index():
 
     with pytest.raises(EstimatorError, match="run 0"):
         monte_carlo_errorbars(params, lambda l: 10.0, [0.0], boom)
+
+
+def test_tuple_estimator_matches_separate_scalar_runs():
+    params = ExperimentParams(seed=4, runs=30)
+    delays = [0.0, 10.0, 20.0]
+
+    def rate(l):
+        return 50.0 + l
+
+    def first(counts):
+        return float(counts[0]) / 3.0
+
+    def spread(counts):
+        return float(np.ptp(counts))
+
+    together = monte_carlo_errorbars(
+        params, rate, delays, lambda c: (first(c), spread(c))
+    )
+    assert together == (
+        monte_carlo_errorbars(params, rate, delays, first),
+        monte_carlo_errorbars(params, rate, delays, spread),
+    )
 
 
 def test_needs_at_least_two_runs():

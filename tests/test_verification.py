@@ -7,10 +7,7 @@ import pytest
 from twoboson.core_state import Spin
 from twoboson.verification import random_state, random_updown_pair, run_suites
 
-REPORT_NAMES = {
-    "occupation_weighted_vs_half_closed_form",
-    "overlap_exponent_relation",
-}
+REPORT_NAMES = {"overlap_exponent_relation"}
 
 
 def test_all_checks_pass_on_random_draws():
