@@ -50,7 +50,6 @@ from .entanglement import (
     wootters_concurrence,
 )
 from .optics import (
-    ExperimentParams,
     FitResult,
     concurrence_optical,
     fit_gaussian_dip,

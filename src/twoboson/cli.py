@@ -126,7 +126,6 @@ def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention
     p_a = SingleParticleState(alphas, Spin.UP, phi_a)
     p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
     nd = entanglement.number_distribution(p_a, p_b)
-    rho = nd.branches[1].state  # the (1, 1) branch
     return {
         "theta_deg": theta_deg,
         "delay_um": delay_um,
@@ -134,9 +133,9 @@ def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention
         "overlap_paper": optics.gaussian_overlap(delay_um, "paper", delta),
         "overlap_quadrature": optics.gaussian_overlap(delay_um, "quadrature", delta),
         "c_closed_form": entanglement.concurrence_closed_form(alphas, betas, ov),
-        "c_wootters_normalized": entanglement.wootters_concurrence(rho, normalize=True),
+        "c_wootters_normalized": nd.concurrence,
         "e_p": entanglement.entanglement_of_particles(nd),
-    }, rho
+    }, nd.state
 
 
 def cmd_concurrence(args) -> int:
@@ -238,11 +237,8 @@ def cmd_hom(args) -> int:
         )
 
     delays = args.delay_grid
-    params = optics.ExperimentParams(seed=args.seed, runs=args.runs)
-    if args.noisy:
-        counts = optics.simulate_counts(params, truth, delays)
-    else:
-        counts = np.array([truth(l) for l in delays])
+    rates = np.array([truth(l) for l in delays])
+    counts = optics.simulate_counts(rates, args.seed) if args.noisy else rates
 
     rows = [{"delay_um": l, "counts": c} for l, c in zip(delays, counts)]
     metadata = {
@@ -285,7 +281,7 @@ def cmd_hom(args) -> int:
 
         try:
             (v_mean, v_std), (f_mean, f_std) = optics.monte_carlo_errorbars(
-                params, truth, delays, estimator
+                rates, args.seed, args.runs, estimator
             )
         except (optics.FitError, optics.EstimatorError) as exc:
             print(f"monte carlo failed: {exc}", file=sys.stderr)
@@ -297,9 +293,7 @@ def cmd_hom(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        results = verification.run_suites(
-            trials=args.trials, seed=args.seed, tolerance_override=args.tolerance_override
-        )
+        results = verification.run_suites(trials=args.trials, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -356,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_concurrence)
 
     p = sub.add_parser("sweep", help="table of concurrence readings over grids")
-    p.add_argument("--theta-grid", type=_parse_grid, default=_parse_grid("0:45:19"))
-    p.add_argument("--delay-grid", type=_parse_grid, default=_parse_grid("0,30,60,300"))
+    p.add_argument("--theta-grid", type=_parse_grid, default="0:45:19")
+    p.add_argument("--delay-grid", type=_parse_grid, default="0,30,60,300")
     add_sigma(p)
     p.add_argument("--overlap-convention", choices=PIPELINE_CONVENTIONS, default="fitted")
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
@@ -376,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coincidence level far from the dip",
     )
     p.add_argument("--center-um", type=_finite_float, default=0.0, help="dip center")
-    p.add_argument("--delay-grid", type=_parse_grid, default=_parse_grid("-300:300:61"))
+    p.add_argument("--delay-grid", type=_parse_grid, default="-300:300:61")
     p.add_argument("--noisy", action="store_true", help="Poisson counts instead of exact rates")
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -387,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized cross-check suites")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance-override", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -9,14 +9,14 @@ Wootters concurrence, the closed-form concurrence
     C = 4 |alpha_l alpha_r beta_l beta_r| |<phi_A|phi_B>|^2,
 
 and the superselection-respecting average over detector occupation numbers
-(bunched branches carry no accessible spin entanglement), all from the
+(bunched sectors carry no accessible spin entanglement), all from the
 unordered-ket algebra of `nolabel_algebra`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -133,30 +133,34 @@ def concurrence_closed_form(
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One detector occupation sector: (n_L, n_R), its probability, and the
-    post-selected spin matrix for the (1,1) sector (None when bunched)."""
-
-    n_l: int
-    n_r: int
-    probability: float
-    state: Optional[SpinDensityMatrix]
-
-
-@dataclass(frozen=True)
 class NumberDistribution:
-    branches: tuple[Branch, ...]
+    """Detector occupation sectors of the symmetrized pair.
+
+    `probabilities` maps (n_L, n_R) to the sector's probability; `state` is
+    the unnormalized post-selected spin matrix of the (1,1) sector, whose
+    trace is that sector's weight before the bunching normalization.
+    """
+
+    probabilities: dict[tuple[int, int], float]
+    state: SpinDensityMatrix
+
+    @cached_property
+    def concurrence(self) -> float:
+        """Normalized Wootters concurrence of the (1,1) sector, computed on
+        first read; raises `NoPostSelectionSupportError` when it has no
+        weight."""
+        return wootters_concurrence(self.state, normalize=True)
 
 
 def number_distribution(
     p_a: SingleParticleState, p_b: SingleParticleState
 ) -> NumberDistribution:
-    """Occupation-number branches of the symmetrized (up, down) pair.
+    """Occupation-number sectors of the symmetrized (up, down) pair.
 
     One detector-basis expansion is split by occupation (n_L, n_R); each
-    branch's probability is the squared norm of its terms over the total,
+    sector's probability is the squared norm of its terms over the total,
     which carries the 1 + |<Psi_A|Psi_B>|^2 bunching normalization.  The
-    (1,1) branch keeps its unnormalized spin matrix, the distinguishability
+    (1,1) sector keeps its unnormalized spin matrix, the distinguishability
     trace of the post-selected expansion.
     """
     expansion = expand_in_detector_basis(p_a, p_b)
@@ -168,36 +172,27 @@ def number_distribution(
     weights = {key: norm_sq(SymmetricTwoBosonState(tuple(t))) for key, t in groups.items()}
     total = sum(weights.values())
     rho = trace_out_distinguishability(postselect_one_per_detector(expansion))
-    return NumberDistribution(
-        (
-            Branch(2, 0, weights[(2, 0)] / total, None),
-            Branch(1, 1, weights[(1, 1)] / total, rho),
-            Branch(0, 2, weights[(0, 2)] / total, None),
-        )
-    )
+    return NumberDistribution({key: w / total for key, w in weights.items()}, rho)
 
 
 def entanglement_of_particles(nd: NumberDistribution) -> float:
-    """Probability-weighted entanglement over occupation branches.
+    """Occupation-weighted entanglement E_P = P(1,1) C(1,1).
 
-    Bunched branches contribute zero (their spin state is not accessible to
-    local detectors); the (1,1) branch contributes its normalized Wootters
-    concurrence weighted by the branch probability.
+    Bunched sectors contribute zero (their spin state is not accessible to
+    local detectors); the (1,1) sector contributes its normalized Wootters
+    concurrence weighted by its probability.
     """
-    total = sum(b.probability for b in nd.branches)
+    probabilities = nd.probabilities.values()
+    total = sum(probabilities)
     if abs(total - 1.0) > ATOL_PIPELINE:
-        raise ValueError(f"branch probabilities sum to {total:.12g}, not 1")
-    if any(b.probability < -ATOL_EXACT for b in nd.branches):
-        raise ValueError("branch probabilities must be nonnegative")
-    value = 0.0
-    for b in nd.branches:
-        if (b.n_l, b.n_r) == (1, 1) and b.state is not None and b.probability > 0.0:
-            value += b.probability * wootters_concurrence(b.state, normalize=True)
-    return float(value)
+        raise ValueError(f"sector probabilities sum to {total:.12g}, not 1")
+    if any(p < -ATOL_EXACT for p in probabilities):
+        raise ValueError("sector probabilities must be nonnegative")
+    p11 = nd.probabilities[(1, 1)]
+    return float(p11 * nd.concurrence) if p11 > 0.0 else 0.0
 
 
 __all__ = [
-    "Branch",
     "NoPostSelectionSupportError",
     "NotPostSelectedError",
     "NumberDistribution",

@@ -63,10 +63,6 @@ def symmetrize(p1: SingleParticleState, p2: SingleParticleState) -> LabeledState
     return LabeledState((np.outer(v1, v2) + np.outer(v2, v1)) / np.sqrt(2.0), p1.dist.dim)
 
 
-def swap_slots(x: LabeledState) -> LabeledState:
-    return LabeledState(x.amps.T, x.dist_dim)
-
-
 def labeled_inner(x: LabeledState, y: LabeledState) -> complex:
     """Full contraction <x|y> (x conjugated)."""
     if x.dist_dim != y.dist_dim:

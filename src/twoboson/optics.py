@@ -183,36 +183,16 @@ def hom_coincidence(theta_deg: float, overlap: float, baseline: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentParams:
-    """Knobs of one simulated acquisition."""
+def simulate_counts(rates: np.ndarray, seed: int) -> np.ndarray:
+    """Poisson counts with mean `rates`, one draw per entry.
 
-    shots: float = 1.0
-    seed: int = 0
-    runs: int = 100
-
-    def __post_init__(self) -> None:
-        if not self.shots > 0.0:
-            raise ValueError("shots must be positive")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-
-
-def simulate_counts(
-    params: ExperimentParams,
-    truth_curve: Callable[[float], float],
-    delays_um: Sequence[float],
-) -> np.ndarray:
-    """Poisson counts with mean truth_curve(l) * shots at each delay.
-
-    Deterministic for a fixed params.seed; a fresh generator is created per
-    call so repeated calls reproduce the same table.
+    Deterministic for a fixed seed; a fresh generator is created per call so
+    repeated calls reproduce the same table.  It is the same table as run 0
+    of `monte_carlo_errorbars` with that seed.
     """
-    rates = np.array([truth_curve(l) for l in delays_um], dtype=float)
     if np.any(rates < 0.0):
-        raise ValueError("truth curve produced a negative count rate")
-    rng = np.random.default_rng(params.seed)
-    return rng.poisson(rates * params.shots)
+        raise ValueError("count rates must be nonnegative")
+    return np.random.default_rng(seed).poisson(rates)
 
 
 #: Margin applied to quoted 1-sigma uncertainties of counting-noise fits.
@@ -426,24 +406,25 @@ def fit_gaussian_dip(
 
 
 def monte_carlo_errorbars(
-    params: ExperimentParams,
-    truth_curve: Callable[[float], float],
-    delays_um: Sequence[float],
+    rates: np.ndarray,
+    seed: int,
+    runs: int,
     estimator: Callable[[np.ndarray], float | tuple[float, ...]],
 ):
-    """Resample Poisson counts `runs` times, return (mean, stddev) of the
-    estimator over the runs.  An estimator that returns a tuple gets one
-    (mean, stddev) pair per entry, each taken over that entry's runs alone.
-    Estimator exceptions propagate, tagged with the failing run index."""
-    if params.runs < 2:
+    """Resample Poisson counts with mean `rates` `runs` times, return (mean,
+    stddev) of the estimator over the runs.  An estimator that returns a
+    tuple gets one (mean, stddev) pair per entry, each taken over that
+    entry's runs alone.  Run 0 draws the table `simulate_counts(rates, seed)`
+    gives.  Estimator exceptions propagate, tagged with the failing run
+    index."""
+    if runs < 2:
         raise ValueError("need at least 2 runs for an error bar")
-    rates = np.array([truth_curve(l) for l in delays_um], dtype=float)
     if np.any(rates < 0.0):
-        raise ValueError("truth curve produced a negative count rate")
-    rng = np.random.default_rng(params.seed)
+        raise ValueError("count rates must be nonnegative")
+    rng = np.random.default_rng(seed)
     values = []
-    for run in range(params.runs):
-        counts = rng.poisson(rates * params.shots)
+    for run in range(runs):
+        counts = rng.poisson(rates)
         try:
             values.append(estimator(counts))
         except Exception as exc:

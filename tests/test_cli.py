@@ -15,7 +15,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from twoboson import __version__, fq_oracle
+from twoboson import __version__, entanglement, fq_oracle
 from twoboson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from twoboson.optics import DEFAULT_SIGMA_UM, concurrence_optical
 
@@ -200,6 +200,20 @@ def test_noisy_sweep_adds_monte_carlo_columns(capsys):
     assert 0.0 < float(row["c_mc_stddev"]) < 0.2
 
 
+def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
+    calls = []
+    original = entanglement.wootters_concurrence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "wootters_concurrence", counted)
+    argv = ["sweep", "--theta-grid", "10,22.5,40", "--delay-grid", "0,60"]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 6
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     args = [
         "sweep",
@@ -379,8 +393,8 @@ def test_verify_zero_trials_is_a_usage_error(capsys):
     assert "trials" in capsys.readouterr().err
 
 
-def test_corrupted_tolerance_makes_verification_fail(capsys):
-    code = main(["verify", "--trials", "5", "--tolerance-override", "1e-30"])
+def test_corrupted_tolerance_makes_verification_fail(capsys, failing_tolerances):
+    code = main(["verify", "--trials", "5"])
     assert code == EXIT_VERIFICATION
     assert "FAIL" in capsys.readouterr().out
 

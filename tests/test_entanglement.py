@@ -17,7 +17,6 @@ from twoboson.core_state import (
     SpinDensityMatrix,
 )
 from twoboson.entanglement import (
-    Branch,
     NoPostSelectionSupportError,
     NotPostSelectedError,
     NumberDistribution,
@@ -221,7 +220,7 @@ def test_number_distribution_at_the_balanced_point():
         SingleParticleState(alphas, Spin.UP, da),
         SingleParticleState(betas, Spin.DOWN, db),
     )
-    probs = {(b.n_l, b.n_r): b.probability for b in nd.branches}
+    probs = nd.probabilities
     assert probs[(2, 0)] == pytest.approx(0.25, abs=ATOL_EXACT)
     assert probs[(1, 1)] == pytest.approx(0.50, abs=ATOL_EXACT)
     assert probs[(0, 2)] == pytest.approx(0.25, abs=ATOL_EXACT)
@@ -230,33 +229,24 @@ def test_number_distribution_at_the_balanced_point():
 
 def test_pure_coincidence_bell_branch_gives_one():
     nd = NumberDistribution(
-        (
-            Branch(2, 0, 0.0, None),
-            Branch(1, 1, 1.0, SpinDensityMatrix(BELL, 1.0)),
-            Branch(0, 2, 0.0, None),
-        )
+        {(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}, SpinDensityMatrix(BELL, 1.0)
     )
     assert entanglement_of_particles(nd) == pytest.approx(1.0, abs=ATOL_EXACT)
 
 
 def test_pure_bunching_gives_zero():
     nd = NumberDistribution(
-        (
-            Branch(2, 0, 0.5, None),
-            Branch(1, 1, 0.0, SpinDensityMatrix(np.zeros((4, 4), dtype=complex), 0.0)),
-            Branch(0, 2, 0.5, None),
-        )
+        {(2, 0): 0.5, (1, 1): 0.0, (0, 2): 0.5},
+        SpinDensityMatrix(np.zeros((4, 4), dtype=complex), 0.0),
     )
     assert entanglement_of_particles(nd) == 0.0
+    with pytest.raises(NoPostSelectionSupportError):
+        nd.concurrence
 
 
 def test_branch_probabilities_must_sum_to_one():
     nd = NumberDistribution(
-        (
-            Branch(2, 0, 0.5, None),
-            Branch(1, 1, 0.2, SpinDensityMatrix(BELL, 1.0)),
-            Branch(0, 2, 0.5, None),
-        )
+        {(2, 0): 0.5, (1, 1): 0.2, (0, 2): 0.5}, SpinDensityMatrix(BELL, 1.0)
     )
     with pytest.raises(ValueError, match="sum"):
         entanglement_of_particles(nd)
@@ -278,5 +268,5 @@ def test_probabilities_are_plain_floats():
     rng = np.random.default_rng(56)
     pa, pb = random_updown_pair(rng, 2)
     nd = number_distribution(pa, pb)
-    assert all(type(b.probability) is float for b in nd.branches)
+    assert all(type(p) is float for p in nd.probabilities.values())
     assert type(entanglement_of_particles(nd)) is float

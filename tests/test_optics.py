@@ -15,7 +15,6 @@ from twoboson.optics import (
     DEFAULT_SIGMA_UM,
     GAUSSIAN_FWHM_FACTOR,
     EstimatorError,
-    ExperimentParams,
     FitConvergenceError,
     NoDipError,
     concurrence_optical,
@@ -212,35 +211,25 @@ def test_coincidence_is_monotone_in_overlap():
 
 
 def test_zero_rates_give_zero_counts():
-    params = ExperimentParams(seed=1)
-    counts = simulate_counts(params, lambda l: 0.0, [0.0, 10.0, 20.0])
+    counts = simulate_counts(np.zeros(3), seed=1)
     assert counts.tolist() == [0, 0, 0]
 
 
 def test_counts_are_reproducible_for_a_fixed_seed():
-    params = ExperimentParams(seed=9, shots=3.0)
-    delays = np.linspace(-100, 100, 11)
-    a = simulate_counts(params, lambda l: 50.0 + abs(l), delays)
-    b = simulate_counts(params, lambda l: 50.0 + abs(l), delays)
+    rates = 3.0 * (50.0 + np.abs(np.linspace(-100, 100, 11)))
+    a = simulate_counts(rates, seed=9)
+    b = simulate_counts(rates, seed=9)
     assert np.array_equal(a, b)
 
 
 def test_sample_mean_tracks_the_rate():
-    params = ExperimentParams(seed=0)
-    counts = simulate_counts(params, lambda l: 1000.0, np.zeros(10_000))
+    counts = simulate_counts(np.full(10_000, 1000.0), seed=0)
     assert abs(counts.mean() - 1000.0) <= 3.0 * math.sqrt(1000.0)
 
 
 def test_negative_rates_are_rejected():
     with pytest.raises(ValueError, match="negative"):
-        simulate_counts(ExperimentParams(), lambda l: -1.0, [0.0])
-
-
-def test_experiment_params_validation():
-    with pytest.raises(ValueError):
-        ExperimentParams(runs=0)
-    with pytest.raises(ValueError):
-        ExperimentParams(shots=0.0)
+        simulate_counts(np.array([-1.0]), seed=0)
 
 
 # --- dip fitting ----------------------------------------------------------------
@@ -376,37 +365,29 @@ def test_estimator_rejects_complex_coherence():
 
 
 def test_constant_estimator_has_zero_spread():
-    params = ExperimentParams(seed=2, runs=20)
-    mean, std = monte_carlo_errorbars(params, lambda l: 100.0, [0.0], lambda c: 7.5)
+    mean, std = monte_carlo_errorbars(np.array([100.0]), 2, 20, lambda c: 7.5)
     assert mean == 7.5
     assert std == 0.0
 
 
 def test_poisson_spread_matches_the_analytic_width():
-    params = ExperimentParams(seed=5, runs=100)
     mean, std = monte_carlo_errorbars(
-        params, lambda l: 100.0, [0.0], lambda counts: float(counts[0])
+        np.array([100.0]), 5, 100, lambda counts: float(counts[0])
     )
     assert abs(std - 10.0) / 10.0 <= 0.2  # sqrt(100), within 20%
     assert abs(mean - 100.0) <= 3.0
 
 
 def test_estimator_failures_carry_the_run_index():
-    params = ExperimentParams(seed=3, runs=4)
-
     def boom(counts):
         raise RuntimeError("bad batch")
 
     with pytest.raises(EstimatorError, match="run 0"):
-        monte_carlo_errorbars(params, lambda l: 10.0, [0.0], boom)
+        monte_carlo_errorbars(np.array([10.0]), 3, 4, boom)
 
 
 def test_tuple_estimator_matches_separate_scalar_runs():
-    params = ExperimentParams(seed=4, runs=30)
-    delays = [0.0, 10.0, 20.0]
-
-    def rate(l):
-        return 50.0 + l
+    rates = np.array([50.0, 60.0, 70.0])
 
     def first(counts):
         return float(counts[0]) / 3.0
@@ -414,17 +395,13 @@ def test_tuple_estimator_matches_separate_scalar_runs():
     def spread(counts):
         return float(np.ptp(counts))
 
-    together = monte_carlo_errorbars(
-        params, rate, delays, lambda c: (first(c), spread(c))
-    )
+    together = monte_carlo_errorbars(rates, 4, 30, lambda c: (first(c), spread(c)))
     assert together == (
-        monte_carlo_errorbars(params, rate, delays, first),
-        monte_carlo_errorbars(params, rate, delays, spread),
+        monte_carlo_errorbars(rates, 4, 30, first),
+        monte_carlo_errorbars(rates, 4, 30, spread),
     )
 
 
 def test_needs_at_least_two_runs():
     with pytest.raises(ValueError, match="2 runs"):
-        monte_carlo_errorbars(
-            ExperimentParams(runs=1), lambda l: 10.0, [0.0], lambda c: 0.0
-        )
+        monte_carlo_errorbars(np.array([10.0]), 0, 1, lambda c: 0.0)

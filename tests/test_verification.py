@@ -33,13 +33,13 @@ def test_every_suite_has_a_unique_name():
     assert len(names) == 15
 
 
-def test_tolerance_override_exposes_the_failure_path():
-    results = run_suites(trials=10, seed=2, tolerance_override=1e-30)
+def test_tolerance_override_exposes_the_failure_path(failing_tolerances):
+    results = run_suites(trials=10, seed=2)
     checks = [r for r in results if r.kind == "check"]
-    assert any(not r.passed for r in checks)
+    assert checks and not any(r.passed for r in checks)
     for r in checks:
-        assert r.tolerance == 1e-30
-    # reports ignore the override entirely
+        assert r.tolerance == -1.0
+    # reports carry no tolerance and never fail
     assert all(r.passed for r in results if r.kind == "report")
 
 
