@@ -44,12 +44,6 @@ SWEEP_COLUMNS = (
 )
 SWEEP_NOISY_COLUMNS = SWEEP_COLUMNS + ("c_mc_mean", "c_mc_stddev")
 
-#: delay -> |<phi_A|phi_B>| mappings selectable on the command line; 'fitted'
-#: is the optical law's own Gaussian factor and keeps every column consistent
-#: with C = sin^2(4 theta) exp(-l^2/(2 sigma^2))
-PIPELINE_CONVENTIONS = ("fitted", "paper", "quadrature")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse defaults to exit code 2 on usage problems; this project
     # reserves 2 for numerical failures
@@ -111,16 +105,9 @@ def _sigma_from_args(args) -> float:
     return args.sigma_um
 
 
-def _pipeline_overlap(convention: str, l_um: float, sigma_um: float) -> float:
-    if convention == "fitted":
-        return optics.effective_overlap(l_um, sigma_um)
-    return optics.gaussian_overlap(l_um, convention, optics.sigma_to_delta(sigma_um))
-
-
 def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention: str):
     """All derived quantities of one (theta, delay) grid point."""
-    delta = optics.sigma_to_delta(sigma_um)
-    ov = _pipeline_overlap(convention, delay_um, sigma_um)
+    ov = optics.gaussian_overlap(delay_um, convention, sigma_um)
     alphas, betas = optics.spatial_amplitudes_from_theta(theta_deg)
     phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
     p_a = SingleParticleState(alphas, Spin.UP, phi_a)
@@ -130,8 +117,8 @@ def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention
         "theta_deg": theta_deg,
         "delay_um": delay_um,
         "spatial_overlap": optics.spatial_overlap_factor(theta_deg),
-        "overlap_paper": optics.gaussian_overlap(delay_um, "paper", delta),
-        "overlap_quadrature": optics.gaussian_overlap(delay_um, "quadrature", delta),
+        "overlap_paper": optics.gaussian_overlap(delay_um, "paper", sigma_um),
+        "overlap_quadrature": optics.gaussian_overlap(delay_um, "quadrature", sigma_um),
         "c_closed_form": entanglement.concurrence_closed_form(alphas, betas, ov),
         "c_wootters_normalized": nd.concurrence,
         "e_p": entanglement.entanglement_of_particles(nd),
@@ -186,21 +173,18 @@ def cmd_sweep(args) -> int:
     sigma = _sigma_from_args(args)
     columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
     rows = []
-    row_index = 0
     for theta in args.theta_grid:
         for delay in args.delay_grid:
             values, rho = _point_values(theta, delay, sigma, args.overlap_convention)
             if args.noisy:
-                # row-indexed generator so row order never couples the draws
-                rng = np.random.default_rng([args.seed, row_index])
-                draws = [
-                    optics.sample_xstate_concurrence(rho, args.shots, rng)
-                    for _ in range(args.runs)
-                ]
-                values["c_mc_mean"] = float(np.mean(draws))
-                values["c_mc_stddev"] = float(np.std(draws, ddof=1))
+                # seed [seed, row_index] so row order never couples the draws
+                counts = optics.simulate_counts(
+                    optics.xstate_rates(rho, args.shots), [args.seed, len(rows)], args.runs
+                )
+                (values["c_mc_mean"], values["c_mc_stddev"]), _ = (
+                    optics.monte_carlo_errorbars(counts, optics.xstate_concurrence)
+                )
             rows.append(values)
-            row_index += 1
     metadata = {
         "command": "sweep",
         "version": __version__,
@@ -238,9 +222,10 @@ def cmd_hom(args) -> int:
 
     delays = args.delay_grid
     rates = np.array([truth(l) for l in delays])
-    counts = optics.simulate_counts(rates, args.seed) if args.noisy else rates
+    block = optics.simulate_counts(rates, args.seed, args.runs) if args.noisy else rates[None]
+    counts = block[0]  # the Monte Carlo below reduces this same block
 
-    rows = [{"delay_um": l, "counts": c} for l, c in zip(delays, counts)]
+    rows = [{"delay_um": l, "counts": float(c)} for l, c in zip(delays, counts)]
     metadata = {
         "command": "hom",
         "version": __version__,
@@ -280,12 +265,17 @@ def cmd_hom(args) -> int:
             return refit.visibility, refit.fwhm_um
 
         try:
-            (v_mean, v_std), (f_mean, f_std) = optics.monte_carlo_errorbars(
-                rates, args.seed, args.runs, estimator
+            ((v_mean, v_std), (f_mean, f_std)), failed = optics.monte_carlo_errorbars(
+                block, estimator
             )
-        except (optics.FitError, optics.EstimatorError) as exc:
+        except optics.EstimatorError as exc:
             print(f"monte carlo failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
+        if failed:
+            print(
+                f"monte carlo: left out {failed} of {args.runs} runs whose fit failed",
+                file=sys.stderr,
+            )
         print(f"mc ({args.runs} runs): visibility = {v_mean:.6f} +/- {v_std:.6f}")
         print(f"mc ({args.runs} runs): fwhm_um    = {f_mean:.6f} +/- {f_std:.6f}")
     return EXIT_OK
@@ -343,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sigma(p)
     p.add_argument(
         "--overlap-convention",
-        choices=PIPELINE_CONVENTIONS,
+        choices=optics.OVERLAP_CONVENTIONS,
         default="fitted",
         help="delay-to-overlap mapping used for the density-matrix pipeline",
     )
@@ -353,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-grid", type=_parse_grid, default="0:45:19")
     p.add_argument("--delay-grid", type=_parse_grid, default="0,30,60,300")
     add_sigma(p)
-    p.add_argument("--overlap-convention", choices=PIPELINE_CONVENTIONS, default="fitted")
+    p.add_argument("--overlap-convention", choices=optics.OVERLAP_CONVENTIONS, default="fitted")
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
     p.add_argument("--shots", type=_positive_float, default=1000.0, help="counts scale per channel")
     p.add_argument("--runs", type=int, default=100, help="Monte Carlo resamples per row")

@@ -6,27 +6,26 @@ plate at angle theta,
     alpha_L = beta_R = sin(2 theta),   alpha_R = beta_L = cos(2 theta),
 
 and tunes indistinguishability with a path delay l between two Gaussian
-wavepackets of spectral width delta (sigma = 1/(2 delta) in delay-length
-units).  Two overlap conventions for the same model circulate side by side:
+wavepackets of width sigma (spectral width delta = 1/(2 sigma)).
+`gaussian_overlap` maps a delay to an overlap under three conventions:
 
+    * 'fitted'      exp(-l^2 / (4 sigma^2)) -- squares to the optical law's
+                                              Gaussian factor
     * 'paper'       exp(-2 delta^2 l^2)    -- the printed closed form
     * 'quadrature'  exp(-delta^2 l^2 / 2)  -- direct Gaussian integration of
                                               the spectral amplitudes
 
-They disagree by a factor of 4 in the exponent; both are exposed, nothing is
-silently reconciled.  The optical concurrence law is implemented verbatim as
-
-    C(theta, l) = sin^2(4 theta) exp(-l^2 / (2 sigma^2)),
-
-whose Gaussian factor equals |<phi_A|phi_B>|^2 for an effective overlap
-exp(-l^2/(4 sigma^2)) -- that effective overlap is what the closed-form
-concurrence has to be fed to reproduce the optical law exactly.
+'paper' and 'quadrature' disagree by a factor of 4 in the exponent; all are
+exposed, nothing is silently reconciled.  The optical concurrence law
+C(theta, l) = sin^2(4 theta) exp(-l^2 / (2 sigma^2)) is implemented verbatim;
+the closed-form concurrence fed the 'fitted' overlap reproduces it exactly.
 
 The rest of the module is desk-scale experiment plumbing: Hong-Ou-Mandel dip
 levels (visibility in closed form from the two-photon merge amplitudes),
 Poisson count simulation, a damped Gauss-Newton Gaussian-dip fitter, and
-Monte Carlo error bars.  All randomness flows through one seeded generator
-per call; there is no hidden global state.
+Monte Carlo error bars.  A Monte Carlo draws one (runs, n) count block from
+`simulate_counts`, the only place a generator is created, and
+`monte_carlo_errorbars` reduces it row by row.  No hidden global state.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 #: width (um) whose 2*sqrt(2 ln 2)*sigma FWHM is 140 um
 DEFAULT_SIGMA_UM = 59.45
 
-OVERLAP_CONVENTIONS = ("paper", "quadrature")
+#: delay -> |<phi_A|phi_B>| mappings of `gaussian_overlap`
+OVERLAP_CONVENTIONS = ("fitted", "paper", "quadrature")
 
 
 class FitError(RuntimeError):
@@ -81,29 +81,21 @@ def delta_to_sigma(delta: float) -> float:
     return 1.0 / (2.0 * delta)
 
 
-def gaussian_overlap(l_um: float, convention: str, delta: float) -> float:
+def gaussian_overlap(l_um: float, convention: str, sigma_um: float) -> float:
     """Scalar overlap of two identical Gaussian wavepackets delayed by l.
 
-    convention 'paper' returns exp(-2 delta^2 l^2); 'quadrature' returns the
-    value of the overlap integral of the spectral amplitudes,
-    exp(-delta^2 l^2 / 2).  Both equal 1 at l = 0 and decay monotonically.
+    See the module docstring for the three conventions.  All equal 1 at
+    l = 0 and decay monotonically.
     """
     if convention not in OVERLAP_CONVENTIONS:
         raise ValueError(
             f"unknown overlap convention {convention!r}; pick one of {OVERLAP_CONVENTIONS}"
         )
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+    delta = sigma_to_delta(sigma_um)  # also rejects a non-positive sigma
+    if convention == "fitted":
+        return math.exp(-(l_um**2) / (4.0 * sigma_um**2))
     x = (delta * l_um) ** 2
     return math.exp(-2.0 * x) if convention == "paper" else math.exp(-0.5 * x)
-
-
-def effective_overlap(l_um: float, sigma_um: float) -> float:
-    """The |<phi_A|phi_B>| whose square is the optical law's Gaussian factor,
-    exp(-l^2/(4 sigma^2))."""
-    if not sigma_um > 0.0:
-        raise ValueError("sigma must be positive")
-    return math.exp(-(l_um**2) / (4.0 * sigma_um**2))
 
 
 def spatial_amplitudes_from_theta(
@@ -183,16 +175,15 @@ def hom_coincidence(theta_deg: float, overlap: float, baseline: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def simulate_counts(rates: np.ndarray, seed: int) -> np.ndarray:
-    """Poisson counts with mean `rates`, one draw per entry.
+def simulate_counts(rates: np.ndarray, seed, runs: int = 1) -> np.ndarray:
+    """A (runs, n) block of Poisson counts with mean `rates`, one row per run.
 
-    Deterministic for a fixed seed; a fresh generator is created per call so
-    repeated calls reproduce the same table.  It is the same table as run 0
-    of `monte_carlo_errorbars` with that seed.
-    """
+    `seed` is an int or a sequence such as [seed, row_index].  Row k equals
+    the k-th sequential draw of a fresh generator, so row 0 does not depend
+    on `runs`."""
     if np.any(rates < 0.0):
         raise ValueError("count rates must be nonnegative")
-    return np.random.default_rng(seed).poisson(rates)
+    return np.random.default_rng(seed).poisson(rates, size=(runs, len(rates)))
 
 
 #: Margin applied to quoted 1-sigma uncertainties of counting-noise fits.
@@ -405,46 +396,50 @@ def fit_gaussian_dip(
     return result
 
 
+#: largest share of Monte Carlo runs whose estimator may raise `FitError`
+#: and be left out of the error bar
+MAX_FAILED_FRACTION = 0.1
+
+
 def monte_carlo_errorbars(
-    rates: np.ndarray,
-    seed: int,
-    runs: int,
+    counts: np.ndarray,
     estimator: Callable[[np.ndarray], float | tuple[float, ...]],
 ):
-    """Resample Poisson counts with mean `rates` `runs` times, return (mean,
-    stddev) of the estimator over the runs.  An estimator that returns a
-    tuple gets one (mean, stddev) pair per entry, each taken over that
-    entry's runs alone.  Run 0 draws the table `simulate_counts(rates, seed)`
-    gives.  Estimator exceptions propagate, tagged with the failing run
-    index."""
+    """Apply `estimator` to each row of a `simulate_counts` block; return
+    ((mean, stddev), failed) over the runs.  A tuple-valued estimator gets
+    one (mean, stddev) pair per entry.  A run whose estimator raises
+    `FitError` is left out and counted in `failed`, up to
+    `MAX_FAILED_FRACTION` of the runs; any other estimator exception
+    propagates, tagged with the failing run index."""
+    runs = len(counts)
     if runs < 2:
         raise ValueError("need at least 2 runs for an error bar")
-    if np.any(rates < 0.0):
-        raise ValueError("count rates must be nonnegative")
-    rng = np.random.default_rng(seed)
     values = []
-    for run in range(runs):
-        counts = rng.poisson(rates)
+    failures = []
+    for run, row in enumerate(counts):
         try:
-            values.append(estimator(counts))
+            values.append(estimator(row))
+        except FitError as exc:
+            failures.append(f"run {run}: {exc}")
         except Exception as exc:
             raise EstimatorError(f"estimator failed on run {run}: {exc}") from exc
+    if len(failures) > MAX_FAILED_FRACTION * runs:
+        raise EstimatorError(
+            f"estimator failed on {len(failures)} of {runs} runs, more than "
+            f"{MAX_FAILED_FRACTION:.0%}; first on {failures[0]}"
+        )
     columns = np.array(values, dtype=float).T.copy()  # one contiguous row per entry
-    if columns.ndim == 1:
-        return float(np.mean(columns)), float(np.std(columns, ddof=1))
-    return tuple((float(np.mean(c)), float(np.std(c, ddof=1))) for c in columns)
+    stats = tuple((float(np.mean(c)), float(np.std(c, ddof=1))) for c in np.atleast_2d(columns))
+    return (stats[0] if columns.ndim == 1 else stats), len(failures)
 
 
-def sample_xstate_concurrence(
-    rho: SpinDensityMatrix, shots: float, rng: np.random.Generator
-) -> float:
-    """One Poisson-resampled concurrence estimate for a real-coherence state.
+def xstate_rates(rho: SpinDensityMatrix, shots: float) -> np.ndarray:
+    """Mean counts of the four coincidence channels of a real-coherence state.
 
     The post-selected family produced by the interferometer has support only
-    on the middle block with a real off-diagonal, so four coincidence
-    channels determine it: the two populations and the rates in the
-    (|ud> +/- |du>)/sqrt(2) superposition basis.  Counts are drawn around the
-    predicted rates and the concurrence 2|q| / (p + r) is rebuilt from them.
+    on the middle block with a real off-diagonal, so four channels determine
+    it: the two populations and the rates in the (|ud> +/- |du>)/sqrt(2)
+    superposition basis, in that order, clipped at 0.
     """
     p = float(rho.matrix[1, 1].real)
     r = float(rho.matrix[2, 2].real)
@@ -454,8 +449,13 @@ def sample_xstate_concurrence(
         raise ValueError("count-channel estimator requires a real coherence")
     plus = (p + r) / 2.0 + q.real
     minus = (p + r) / 2.0 - q.real
-    rates = np.array([p, r, plus, minus]) * shots
-    n_ud, n_du, n_plus, n_minus = rng.poisson(np.clip(rates, 0.0, None))
+    return np.clip(np.array([p, r, plus, minus]) * shots, 0.0, None)
+
+
+def xstate_concurrence(counts: np.ndarray) -> float:
+    """Concurrence 2|q| / (p + r) rebuilt from one row of `xstate_rates`
+    channel counts; 0 when no coincidences were observed."""
+    n_ud, n_du, n_plus, n_minus = counts
     total = n_ud + n_du
     if total == 0:
         return 0.0  # no coincidences observed, no entanglement evidence

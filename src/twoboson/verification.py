@@ -203,7 +203,7 @@ def _suite_optical_splice(rng, trials):
         l = rng.uniform(0.0, 400.0)
         alphas, betas = optics.spatial_amplitudes_from_theta(theta)
         closed = entanglement.concurrence_closed_form(
-            alphas, betas, optics.effective_overlap(l, sigma)
+            alphas, betas, optics.gaussian_overlap(l, "fitted", sigma)
         )
         dev = max(dev, abs(closed - optics.concurrence_optical(theta, l, sigma)))
     return dev
@@ -220,7 +220,8 @@ def _suite_quadrature_overlap(rng, trials):
         integral = float(
             np.sum(weights * np.cos(np.sqrt(2.0) * delta * l * nodes)) / np.sqrt(np.pi)
         )
-        dev = max(dev, abs(optics.gaussian_overlap(l, "quadrature", delta) - integral))
+        quad = optics.gaussian_overlap(l, "quadrature", optics.delta_to_sigma(delta))
+        dev = max(dev, abs(quad - integral))
     return dev
 
 
@@ -294,10 +295,9 @@ def _report_exponent_relation(rng, trials):
     for _ in range(trials):
         sigma = rng.uniform(20.0, 200.0)
         l = rng.uniform(0.0, 300.0)
-        delta = optics.sigma_to_delta(sigma)
         factor = np.exp(-(l**2) / (2.0 * sigma**2))  # optical law's Gaussian
-        paper = optics.gaussian_overlap(l, "paper", delta)
-        quad = optics.gaussian_overlap(l, "quadrature", delta)
+        paper = optics.gaussian_overlap(l, "paper", sigma)
+        quad = optics.gaussian_overlap(l, "quadrature", sigma)
         dev = max(dev, abs(paper - factor), abs(quad**4 - factor))
     return dev
 

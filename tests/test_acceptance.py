@@ -133,7 +133,7 @@ def test_criterion_3_closed_form_law(capsys):
         spatial = optics.spatial_overlap_factor(theta)
         alphas, betas = optics.spatial_amplitudes_from_theta(theta)
         for l in DELAY_GRID:
-            ov = optics.effective_overlap(l, SIGMA_UM)
+            ov = optics.gaussian_overlap(l, "fitted", SIGMA_UM)
             closed = entanglement.concurrence_closed_form(alphas, betas, ov)
             product = (
                 4.0

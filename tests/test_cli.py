@@ -15,7 +15,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from twoboson import __version__, entanglement, fq_oracle
+from twoboson import __version__, cli, entanglement, fq_oracle
 from twoboson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from twoboson.optics import DEFAULT_SIGMA_UM, concurrence_optical
 
@@ -200,6 +200,26 @@ def test_noisy_sweep_adds_monte_carlo_columns(capsys):
     assert 0.0 < float(row["c_mc_stddev"]) < 0.2
 
 
+def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
+    # the noisy columns are the mean and stddev of one X-state concurrence
+    # estimate per run, each from its own Poisson draw of the four channels,
+    # with the generator of row k seeded [seed, k]
+    argv = ["sweep", "--theta-grid", "10,22.5", "--delay-grid", "30", "--noisy"]
+    assert main(argv + ["--runs", "40", "--seed", "5", "--format", "json"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)["rows"][1]
+    _, rho = cli._point_values(22.5, 30.0, DEFAULT_SIGMA_UM, "fitted")
+    p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
+    rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * 1000.0
+    rng = np.random.default_rng([5, 1])
+    draws = []
+    for _ in range(40):
+        n_ud, n_du, n_plus, n_minus = rng.poisson(np.clip(rates, 0.0, None))
+        q_hat = (float(n_plus) - float(n_minus)) / 2.0
+        draws.append(float(min(1.0, 2.0 * abs(q_hat) / (n_ud + n_du))))
+    assert row["c_mc_mean"] == float(np.mean(draws))
+    assert row["c_mc_stddev"] == float(np.std(draws, ddof=1))
+
+
 def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
     calls = []
     original = entanglement.wootters_concurrence
@@ -370,6 +390,31 @@ def test_hom_json_counts_table(tmp_path):
     assert payload["metadata"]["fwhm_um"] == 132.0
     assert len(payload["rows"]) == 61
     assert set(payload["rows"][0]) == {"delay_um", "counts"}
+
+
+def test_noisy_hom_json_counts_table(tmp_path):
+    out = tmp_path / "noisy.json"
+    argv = ["hom", "--noisy", "--runs", "3", "--format", "json", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 61
+    assert all(r["counts"] == int(r["counts"]) >= 0 for r in rows)
+
+
+def test_hom_leaves_out_a_few_failed_resample_fits(capsys):
+    argv = ["hom", "--noisy", "--baseline", "5", "--seed", "0"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "monte carlo: left out 3 of 100 runs whose fit failed" in captured.err
+    assert "mc (100 runs): visibility" in captured.out
+
+
+def test_hom_fails_when_too_many_resample_fits_fail(capsys):
+    argv = ["hom", "--noisy", "--baseline", "3", "--seed", "0"]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "monte carlo failed: estimator failed on 24 of 100 runs" in captured.err
+    assert "mc (" not in captured.out
 
 
 # --- verify ------------------------------------------------------------------------

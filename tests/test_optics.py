@@ -14,23 +14,24 @@ from twoboson.entanglement import concurrence_closed_form
 from twoboson.optics import (
     DEFAULT_SIGMA_UM,
     GAUSSIAN_FWHM_FACTOR,
+    OVERLAP_CONVENTIONS,
     EstimatorError,
     FitConvergenceError,
     NoDipError,
     concurrence_optical,
     delta_to_sigma,
     dist_vectors_for_overlap,
-    effective_overlap,
     fit_gaussian_dip,
     gaussian_overlap,
     hom_coincidence,
     hom_visibility,
     monte_carlo_errorbars,
-    sample_xstate_concurrence,
     sigma_to_delta,
     simulate_counts,
     spatial_amplitudes_from_theta,
     spatial_overlap_factor,
+    xstate_concurrence,
+    xstate_rates,
 )
 
 RT2 = math.sqrt(0.5)
@@ -76,15 +77,16 @@ def test_theta_amplitudes_are_always_normalized(theta):
 
 
 def test_overlap_is_one_at_zero_delay():
-    for convention in ("paper", "quadrature"):
-        assert gaussian_overlap(0.0, convention, 0.01) == 1.0
+    for convention in OVERLAP_CONVENTIONS:
+        assert gaussian_overlap(0.0, convention, 50.0) == 1.0
 
 
 def test_paper_overlap_half_point():
     # exp(-2 delta^2 l^2) = 1/2 at delta*l = sqrt(ln2 / 2) / ... solved directly
     delta = 0.013
     l = math.sqrt(math.log(2.0) / 2.0) / delta
-    assert gaussian_overlap(l, "paper", delta) == pytest.approx(0.5, abs=1e-12)
+    sigma = delta_to_sigma(delta)
+    assert gaussian_overlap(l, "paper", sigma) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_quadrature_overlap_matches_adaptive_integration():
@@ -101,12 +103,19 @@ def test_quadrature_overlap_matches_adaptive_integration():
 
         expected, err = integrate.quad(integrand, -np.inf, np.inf)
         assert err < 1e-8  # estimate only; actual agreement is checked below
-        assert gaussian_overlap(l, "quadrature", delta) == pytest.approx(expected, abs=1e-9)
+        quad = gaussian_overlap(l, "quadrature", delta_to_sigma(delta))
+        assert quad == pytest.approx(expected, abs=1e-9)
 
 
 def test_overlap_rejects_unknown_convention():
     with pytest.raises(ValueError, match="convention"):
-        gaussian_overlap(10.0, "guess", 0.01)
+        gaussian_overlap(10.0, "guess", 50.0)
+
+
+def test_overlap_rejects_a_non_positive_width():
+    for convention in OVERLAP_CONVENTIONS:
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            gaussian_overlap(10.0, convention, 0.0)
 
 
 def test_sigma_delta_conversion_round_trip():
@@ -114,9 +123,9 @@ def test_sigma_delta_conversion_round_trip():
     assert sigma_to_delta(50.0) == pytest.approx(0.01, abs=1e-15)
 
 
-def test_effective_overlap_squares_to_the_optical_factor():
+def test_fitted_overlap_squares_to_the_optical_factor():
     for l in (0.0, 25.0, 140.0, 300.0):
-        assert effective_overlap(l, 59.45) ** 2 == pytest.approx(
+        assert gaussian_overlap(l, "fitted", 59.45) ** 2 == pytest.approx(
             math.exp(-(l**2) / (2.0 * 59.45**2)), abs=1e-15
         )
 
@@ -149,7 +158,7 @@ def test_optical_law_half_maximum_delay():
 def test_optical_law_equals_the_closed_form_splice(theta, l):
     sigma = DEFAULT_SIGMA_UM
     alphas, betas = spatial_amplitudes_from_theta(theta)
-    spliced = concurrence_closed_form(alphas, betas, effective_overlap(l, sigma))
+    spliced = concurrence_closed_form(alphas, betas, gaussian_overlap(l, "fitted", sigma))
     assert concurrence_optical(theta, l, sigma) == pytest.approx(spliced, abs=1e-12)
 
 
@@ -212,14 +221,26 @@ def test_coincidence_is_monotone_in_overlap():
 
 def test_zero_rates_give_zero_counts():
     counts = simulate_counts(np.zeros(3), seed=1)
-    assert counts.tolist() == [0, 0, 0]
+    assert counts.tolist() == [[0, 0, 0]]
 
 
 def test_counts_are_reproducible_for_a_fixed_seed():
     rates = 3.0 * (50.0 + np.abs(np.linspace(-100, 100, 11)))
-    a = simulate_counts(rates, seed=9)
-    b = simulate_counts(rates, seed=9)
+    a = simulate_counts(rates, seed=9, runs=4)
+    b = simulate_counts(rates, seed=9, runs=4)
+    assert a.shape == (4, 11)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, [7, 3], 1001])
+def test_block_rows_are_sequential_draws(seed):
+    _, rates = _dip_rates(0.91, 137.0)
+    for r in (rates, np.array([250.0, 250.0, 480.0, 20.0])):
+        rng = np.random.default_rng(seed)
+        sequential = np.array([rng.poisson(r) for _ in range(30)])
+        assert np.array_equal(simulate_counts(r, seed, 30), sequential)
+        assert np.array_equal(simulate_counts(r, seed, 2)[0], sequential[0])
+        assert np.array_equal(simulate_counts(r, seed)[0], sequential[0])
 
 
 def test_sample_mean_tracks_the_rate():
@@ -342,38 +363,46 @@ def _middle_block_state(q: complex) -> "SpinDensityMatrix":
 
 def test_concurrence_estimator_is_unbiased_within_its_spread():
     rho = _middle_block_state(0.25)  # maximally entangled after normalization
-    rng = np.random.default_rng(11)
-    draws = np.array(
-        [sample_xstate_concurrence(rho, 1000.0, rng) for _ in range(100)]
-    )
+    counts = simulate_counts(xstate_rates(rho, 1000.0), 11, 100)
+    draws = np.array([xstate_concurrence(row) for row in counts])
     assert abs(draws.mean() - 1.0) <= draws.std(ddof=1)
     assert draws.std(ddof=1) < 0.1  # at 1000 shots this is a tight channel
 
 
 def test_no_coincidences_means_no_entanglement_evidence():
     rho = _middle_block_state(0.25)
-    assert sample_xstate_concurrence(rho, 1e-4, np.random.default_rng(4)) == 0.0
+    counts = simulate_counts(xstate_rates(rho, 1e-4), 4)
+    assert counts[0, :2].tolist() == [0, 0]
+    assert xstate_concurrence(counts[0]) == 0.0
+    assert xstate_concurrence(np.array([0, 0, 3, 1])) == 0.0
+
+
+def test_channel_rates_of_the_middle_block():
+    # populations 0.25 and 0.25, coherence 0.1: plus/minus channels 0.35/0.15
+    rates = xstate_rates(_middle_block_state(0.1), 100.0)
+    assert rates == pytest.approx([25.0, 25.0, 35.0, 15.0], abs=1e-12)
+    assert xstate_concurrence(np.array([25, 25, 35, 15])) == pytest.approx(0.4)
 
 
 def test_estimator_rejects_complex_coherence():
     rho = _middle_block_state(0.25j)
     with pytest.raises(ValueError, match="real coherence"):
-        sample_xstate_concurrence(rho, 10.0, np.random.default_rng(0))
+        xstate_rates(rho, 10.0)
 
 
 # --- Monte Carlo error bars ------------------------------------------------------
 
 
 def test_constant_estimator_has_zero_spread():
-    mean, std = monte_carlo_errorbars(np.array([100.0]), 2, 20, lambda c: 7.5)
-    assert mean == 7.5
-    assert std == 0.0
+    counts = simulate_counts(np.array([100.0]), 2, 20)
+    assert monte_carlo_errorbars(counts, lambda c: 7.5) == ((7.5, 0.0), 0)
 
 
 def test_poisson_spread_matches_the_analytic_width():
-    mean, std = monte_carlo_errorbars(
-        np.array([100.0]), 5, 100, lambda counts: float(counts[0])
+    (mean, std), failed = monte_carlo_errorbars(
+        simulate_counts(np.array([100.0]), 5, 100), lambda counts: float(counts[0])
     )
+    assert failed == 0
     assert abs(std - 10.0) / 10.0 <= 0.2  # sqrt(100), within 20%
     assert abs(mean - 100.0) <= 3.0
 
@@ -383,11 +412,37 @@ def test_estimator_failures_carry_the_run_index():
         raise RuntimeError("bad batch")
 
     with pytest.raises(EstimatorError, match="run 0"):
-        monte_carlo_errorbars(np.array([10.0]), 3, 4, boom)
+        monte_carlo_errorbars(simulate_counts(np.array([10.0]), 3, 4), boom)
+
+
+def _fails_on_runs(bad_runs):
+    """Estimator over a block whose row k is [k]; its fit fails on `bad_runs`."""
+
+    def estimator(row):
+        if int(row[0]) in bad_runs:
+            raise NoDipError("no dip detected")
+        return float(row[0])
+
+    return estimator
+
+
+def test_failed_fits_are_left_out_and_counted():
+    counts = np.arange(20.0)[:, None]
+    (mean, std), failed = monte_carlo_errorbars(counts, _fails_on_runs({3, 11}))
+    kept = [v for v in range(20) if v not in (3, 11)]
+    assert failed == 2
+    assert mean == float(np.mean(kept))
+    assert std == float(np.std(kept, ddof=1))
+
+
+def test_too_many_failed_fits_abort_with_the_count_and_the_first_failure():
+    counts = np.arange(20.0)[:, None]
+    with pytest.raises(EstimatorError, match="3 of 20 runs.*first on run 4: no dip"):
+        monte_carlo_errorbars(counts, _fails_on_runs({4, 9, 15}))
 
 
 def test_tuple_estimator_matches_separate_scalar_runs():
-    rates = np.array([50.0, 60.0, 70.0])
+    counts = simulate_counts(np.array([50.0, 60.0, 70.0]), 4, 30)
 
     def first(counts):
         return float(counts[0]) / 3.0
@@ -395,13 +450,14 @@ def test_tuple_estimator_matches_separate_scalar_runs():
     def spread(counts):
         return float(np.ptp(counts))
 
-    together = monte_carlo_errorbars(rates, 4, 30, lambda c: (first(c), spread(c)))
+    together, failed = monte_carlo_errorbars(counts, lambda c: (first(c), spread(c)))
+    assert failed == 0
     assert together == (
-        monte_carlo_errorbars(rates, 4, 30, first),
-        monte_carlo_errorbars(rates, 4, 30, spread),
+        monte_carlo_errorbars(counts, first)[0],
+        monte_carlo_errorbars(counts, spread)[0],
     )
 
 
 def test_needs_at_least_two_runs():
     with pytest.raises(ValueError, match="2 runs"):
-        monte_carlo_errorbars(np.array([10.0]), 0, 1, lambda c: 0.0)
+        monte_carlo_errorbars(simulate_counts(np.array([10.0]), 0, 1), lambda c: 0.0)
