@@ -219,20 +219,36 @@ class FitResult:
     n_iter: int
 
 
-def _dip_model_and_jac(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    base, depth, center, w = p
+def _dip_terms(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, g, model) at parameters p: u = l - center, g = exp(-u^2 / (2 w^2))
+    and model = base - depth * g."""
+    base, depth, center, w = p[0], p[1], p[2], p[3]  # cheaper than unpacking p
     u = l - center
     g = np.exp(-(u**2) / (2.0 * w**2))
-    model = base - depth * g
-    jac = np.column_stack(
-        (
-            np.ones_like(l),
-            -g,
-            -depth * g * u / w**2,
-            -depth * g * u**2 / w**3,
-        )
-    )
-    return model, jac
+    return u, g, base - depth * g
+
+
+def _dip_model(p: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """count(l) = base - depth * exp(-(l - center)^2 / (2 w^2)) at parameters p."""
+    return _dip_terms(p, l)[2]
+
+
+def _dip_jac(p: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (n, 4) array `out` with d model / d (base, depth, center, w),
+    the columns 1, -g, -depth g u / w^2 and -depth g u^2 / w^3, from the `u`
+    and `g` of `_dip_terms` at the same p, and return it."""
+    depth, w = p[1], p[3]
+    dg = -depth * g
+    out[:, 0] = 1.0
+    np.negative(g, out=out[:, 1])
+    np.divide(dg * u, w**2, out=out[:, 2])
+    np.divide(dg * u**2, w**3, out=out[:, 3])
+    return out
+
+
+def _dip_model_and_jac(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u, g, model = _dip_terms(p, l)
+    return model, _dip_jac(p, u, g, np.empty((len(l), 4)))
 
 
 def fit_gaussian_dip(
@@ -248,7 +264,10 @@ def fit_gaussian_dip(
     width from the half-depth crossings.  Each Gauss-Newton step is halved
     until the residual decreases, so the objective is monotone; iteration
     stops when the relative step falls below `step_tol` and fails with the
-    best-so-far parameters after `max_iter` total iterations.
+    best-so-far parameters after `max_iter` total iterations.  The line
+    search evaluates only the model (`_dip_model`); the Jacobian is filled
+    into one preallocated array from the terms of the accepted point, so no
+    trial point builds a Jacobian and no iteration recomputes an exponential.
 
     With `poisson_weights` the fit is iteratively reweighted: a first pass
     uses 1/sqrt(max(count, 1)) weights, then the weights are rebuilt
@@ -286,20 +305,22 @@ def fit_gaussian_dip(
     ) -> tuple[np.ndarray, float, int, bool]:
         """Damped Gauss-Newton on the fixed-weight objective."""
 
-        def objective(q: np.ndarray) -> float:
-            model, _ = _dip_model_and_jac(q, l)
-            return float(np.sum(((model - y) / sig) ** 2))
+        def objective(q: np.ndarray) -> tuple[float, tuple]:
+            """Weighted sum of squares at q, with the (u, g, residual) the
+            Jacobian at q is built from."""
+            u, g, model = _dip_terms(q, l)
+            r = (model - y) / sig
+            return float((r**2).sum()), (u, g, r)
 
-        sse = objective(p)
+        sse, (u, g, r) = objective(p)
+        jac = np.empty((n, 4))
         used = 0
         converged = False
         while used < budget:
             used += 1
-            model, jac = _dip_model_and_jac(p, l)
-            r = (model - y) / sig
-            jw = jac / sig[:, None]
+            jw = _dip_jac(p, u, g, jac) / sig[:, None]
             step, *_ = np.linalg.lstsq(jw, -r, rcond=None)
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 break
             alpha = 1.0
             accepted = False
@@ -308,7 +329,7 @@ def fit_gaussian_dip(
                 if abs(cand[3]) < 1e-12:  # collapsed width, model undefined
                     alpha /= 2.0
                     continue
-                cand_sse = objective(cand)
+                cand_sse, cand_terms = objective(cand)
                 if cand_sse <= sse:
                     accepted = True
                     break
@@ -316,8 +337,10 @@ def fit_gaussian_dip(
             if not accepted:
                 converged = True  # no descent direction left: local minimum
                 break
-            rel_step = np.linalg.norm(alpha * step) / max(np.linalg.norm(p), 1.0)
-            p, sse = cand, cand_sse
+            # the 2-norm as np.linalg.norm computes it for a real vector
+            move = alpha * step
+            rel_step = math.sqrt(move.dot(move)) / max(math.sqrt(p.dot(p)), 1.0)
+            p, sse, (u, g, r) = cand, cand_sse, cand_terms
             if rel_step < step_tol:
                 converged = True
                 break
@@ -329,8 +352,7 @@ def fit_gaussian_dip(
         p, sse, it, converged = descend(p, sig, max_iter)
         if converged:
             for _ in range(2):  # reweight from the fitted model
-                model, _ = _dip_model_and_jac(p, l)
-                sig = np.sqrt(np.maximum(model, 1.0))
+                sig = np.sqrt(np.maximum(_dip_model(p, l), 1.0))
                 p, sse, used, converged = descend(p, sig, max(max_iter - it, 1))
                 it += used
                 if not converged:

@@ -15,7 +15,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from twoboson import __version__, cli, entanglement, fq_oracle
+from twoboson import __version__, cli, entanglement, fq_oracle, optics
 from twoboson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from twoboson.optics import DEFAULT_SIGMA_UM, concurrence_optical
 
@@ -415,6 +415,66 @@ def test_hom_fails_when_too_many_resample_fits_fail(capsys):
     captured = capsys.readouterr()
     assert "monte carlo failed: estimator failed on 24 of 100 runs" in captured.err
     assert "mc (" not in captured.out
+
+
+def _report_lines(out: str) -> list:
+    """The fit and Monte Carlo lines `hom` prints after its count table."""
+    return [line for line in out.splitlines() if line.startswith(("fit:", "mc ("))]
+
+
+def test_noisy_hom_golden_fit_and_error_bars(capsys):
+    argv = ["hom", "--visibility", "0.91", "--fwhm-um", "137", "--noisy", "--runs", "100"]
+    assert main(argv + ["--seed", "1"]) == EXIT_OK
+    lines = _report_lines(capsys.readouterr().out)
+    for want in (
+        "fit: visibility  = 0.908153 +/- 0.005620",
+        "fit: fwhm_um     = 135.775962 +/- 2.037147",
+        "fit: residual    = 34.4412",
+        "mc (100 runs): visibility = 0.910169 +/- 0.004607",
+        "mc (100 runs): fwhm_um    = 137.098296 +/- 1.720757",
+    ):
+        assert want in lines
+
+
+def test_noisy_hom_fits_the_printed_row_once(monkeypatch, capsys):
+    fits = []
+    fit_gaussian_dip = optics.fit_gaussian_dip
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return fit_gaussian_dip(*args, **kwargs)
+
+    monkeypatch.setattr(optics, "fit_gaussian_dip", counted)
+    assert main(["hom", "--noisy", "--runs", "5"]) == EXIT_OK
+    assert len(fits) == 5  # Monte Carlo run 0 reuses the printed fit
+    assert _report_lines(capsys.readouterr().out) == [
+        "fit: baseline    = 1011.261424 +/- 6.305269",
+        "fit: depth       = 1011.689103 +/- 6.538398",
+        "fit: center_um   = -0.659738 +/- 0.477315",
+        "fit: fwhm_um     = 132.856411 +/- 1.585447",
+        "fit: visibility  = 1.000423 +/- 0.002246",
+        "fit: residual    = 55.5011",
+        "mc (5 runs): visibility = 0.999891 +/- 0.000370",
+        "mc (5 runs): fwhm_um    = 132.802381 +/- 0.506112",
+    ]
+
+
+def test_cached_parser_gives_the_output_of_a_fresh_one(capsys):
+    argvs = (["hom", "--noisy", "--seed", "1"], ["sweep"], ["hom", "--noisy", "--runs", "1"])
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    in_sequence = [run(argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert in_sequence == fresh
+    assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_OK, EXIT_USAGE]
 
 
 # --- verify ------------------------------------------------------------------------

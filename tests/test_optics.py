@@ -33,6 +33,7 @@ from twoboson.optics import (
     xstate_concurrence,
     xstate_rates,
 )
+from twoboson.optics import _dip_jac, _dip_model, _dip_model_and_jac, _dip_terms
 
 RT2 = math.sqrt(0.5)
 
@@ -254,6 +255,25 @@ def test_negative_rates_are_rejected():
 
 
 # --- dip fitting ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p", ([1000.0, 900.0, 5.0, 58.0], [20.0, 15.0, -40.0, -30.0])
+)
+def test_dip_model_and_jacobian(p):
+    p = np.array(p)
+    l = np.linspace(-150.0, 150.0, 31)
+    model, jac = _dip_model_and_jac(p, l)
+    assert np.array_equal(_dip_model(p, l), model)
+    u, g, _ = _dip_terms(p, l)
+    stale = np.full((len(l), 4), np.nan)  # every entry is overwritten
+    assert np.array_equal(_dip_jac(p, u, g, stale), jac)
+    for k in range(4):
+        h = 1e-5 * max(abs(p[k]), 1.0)
+        dp = np.zeros(4)
+        dp[k] = h
+        central = (_dip_model(p + dp, l) - _dip_model(p - dp, l)) / (2.0 * h)
+        assert np.max(np.abs(central - jac[:, k])) <= 1e-6 * np.max(np.abs(jac[:, k]))
 
 
 def test_noiseless_dip_is_recovered_exactly():
