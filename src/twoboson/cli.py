@@ -261,12 +261,22 @@ def cmd_hom(args) -> int:
     print(f"fit: residual    = {fit.residual:.6g}")
 
     if args.noisy:
+        span = max(delays) - min(delays)
+
         def estimator(c):
             # a fit is a pure function of its row, so run 0, the printed
             # table, reuses the printed fit
             refit = fit if np.array_equal(c, counts) else optics.fit_gaussian_dip(
                 list(zip(delays, c)), poisson_weights=True
             )
+            # a resample that converges to a dip wider than the scan, or on a
+            # non-positive baseline, resolves no dip: it is left out like a
+            # failed fit, under the same 10% rule
+            if refit.baseline <= 0.0 or refit.fwhm_um > span:
+                raise optics.NoDipError(
+                    f"fitted FWHM {refit.fwhm_um:.6g} um and baseline "
+                    f"{refit.baseline:.6g} resolve no dip over a {span:.6g} um scan"
+                )
             return refit.visibility, refit.fwhm_um
 
         try:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -87,13 +88,25 @@ class DistVector:
         if len(self.amplitudes) == 0:
             raise ValidationError("distinguishability vector needs dimension >= 1")
 
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled vector rebuilds `array` read-only on first use
+        return {"amplitudes": self.amplitudes}
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The amplitudes as a read-only complex ndarray, built on first use
+        so that `overlap` converts no tuple per call."""
+        a = np.array(self.amplitudes, dtype=complex)
+        a.setflags(write=False)
+        return a
+
     @property
     def dim(self) -> int:
         return len(self.amplitudes)
 
     def overlap(self, other: "DistVector") -> complex:
         _check_dist_dims(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.vdot(self.array, other.array))
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes))
@@ -122,6 +135,7 @@ class SingleParticleState:
     spin: Spin
     dist: DistVector
 
+    @cached_property
     def sort_key(self) -> tuple[float, ...]:
         # deterministic total order on (mode amplitudes, spin, dist vector),
         # used to canonicalize unordered pairs
@@ -135,6 +149,23 @@ class SingleParticleState:
         for a in self.dist.amplitudes:
             flat.extend((a.real, a.imag))
         return tuple(flat)
+
+    @cached_property
+    def detector_mode(self) -> Optional[str]:
+        """'L' or 'R' if the state occupies exactly one detector mode within
+        `ATOL_EXACT`, else None."""
+        wl = abs(self.spatial.a_l) ** 2
+        wr = abs(self.spatial.a_r) ** 2
+        if abs(wl - 1.0) <= ATOL_EXACT and wr <= ATOL_EXACT:
+            return "L"
+        if abs(wr - 1.0) <= ATOL_EXACT and wl <= ATOL_EXACT:
+            return "R"
+        return None
+
+    def __hash__(self) -> int:
+        # equal states have equal keys (0.0 == -0.0 hash alike), and a float
+        # tuple hashes the same in every process, unlike the enum's str hash
+        return hash(self.sort_key)
 
 
 def inner_single(x: SingleParticleState, y: SingleParticleState) -> complex:

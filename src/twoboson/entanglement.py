@@ -29,9 +29,7 @@ from .core_state import (
 )
 from .nolabel_algebra import (
     SymmetricTwoBosonState,
-    detector_mode,
     expand_in_detector_basis,
-    norm_sq,
     postselect_one_per_detector,
 )
 
@@ -50,13 +48,15 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
     Every term must hold exactly one particle at L and one at R; accumulate
     rho[(sL,sR),(sL',sR')] from pairwise dist overlaps, which is equivalent
     to summing projections onto any orthonormal distinguishability basis but
-    never materializes one.  The result is unnormalized: its trace is the
+    never materializes one.  Each overlap between the distinct dist vectors
+    is taken once.  The result is unnormalized: its trace is the
     post-selection weight.
     """
-    # (row index, coefficient incl. mode phases, dist at L, dist at R)
+    # (row index, coefficient incl. mode phases, id of dist at L, at R)
     entries = []
+    dists = {}  # the distinct dist vectors, by identity
     for coeff, (x, y) in s.terms:
-        mx, my = detector_mode(x), detector_mode(y)
+        mx, my = x.detector_mode, y.detector_mode
         if {mx, my} != {"L", "R"}:
             raise NotPostSelectedError(
                 "state contains a double-occupancy term; apply "
@@ -64,13 +64,17 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
             )
         at_l, at_r = (x, y) if mx == "L" else (y, x)
         row = 2 * at_l.spin.value + at_r.spin.value
+        dists[id(at_l.dist)] = at_l.dist
+        dists[id(at_r.dist)] = at_r.dist
         entries.append(
-            (row, coeff * at_l.spatial.a_l * at_r.spatial.a_r, at_l.dist, at_r.dist)
+            (row, coeff * at_l.spatial.a_l * at_r.spatial.a_r, id(at_l.dist), id(at_r.dist))
         )
+    # ov[id(a), id(b)] = <a|b>
+    ov = {(ka, kb): a.overlap(b) for ka, a in dists.items() for kb, b in dists.items()}
     rho = np.zeros((4, 4), dtype=complex)
     for i, ci, li, ri in entries:
         for j, cj, lj, rj in entries:
-            rho[i, j] += ci * cj.conjugate() * lj.overlap(li) * rj.overlap(ri)
+            rho[i, j] += ci * cj.conjugate() * ov[lj, li] * ov[rj, ri]
     return SpinDensityMatrix(rho, float(np.trace(rho).real))
 
 
@@ -84,20 +88,19 @@ _SPIN_FLIP = np.array(
 )  # sigma_y (x) sigma_y, real in this basis
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh((m + m.conj().T) / 2)
-    evals = np.clip(evals, 0.0, None)  # clip tiny negatives from roundoff
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
-
-
 def wootters_concurrence(rho: SpinDensityMatrix, normalize: bool = False) -> float:
-    """max(0, l1 - l2 - l3 - l4) from the spin-flipped eigenvalue spectrum.
+    """max(0, l1 - l2 - l3 - l4) from the spin-flipped spectrum.
 
-    The l_i are the square roots of the eigenvalues of rho rho~ with
-    rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y), computed through the
-    Hermitian similar product sqrt(rho) rho~ sqrt(rho) so only `eigvalsh`
-    appears.  Without `normalize` the value scales linearly with the trace,
-    which is what the closed-form comparison below relies on.
+    The l_i are the square roots of the eigenvalues of rho rho~, with
+    rho~ = S rho* S and S = sigma_y x sigma_y (Wootters, PRL 80, 2245, 1998).
+    One `eigh` factors rho = r r^dagger with r = V sqrt(max(D, 0)); then
+    rho rho~ = r (r^dagger S r*) (r^T S), whose nonzero spectrum is that of
+    B^dagger B with B = r^T S r, so the l_i are the singular values of B.
+    They come out of the SVD directly, never as square roots of computed
+    eigenvalues, so no spectral cut is needed and a state near a pure one
+    keeps its small l_i to roundoff instead of losing them or reading
+    sqrt(eps)-sized noise.  Without `normalize` the value scales linearly
+    with the trace, which is what the closed-form comparison below relies on.
     """
     if normalize:
         if not rho.weight > 0.0:
@@ -105,15 +108,9 @@ def wootters_concurrence(rho: SpinDensityMatrix, normalize: bool = False) -> flo
         m = rho.normalized()
     else:
         m = np.asarray(rho.matrix, dtype=complex)
-    tilde = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    root = _psd_sqrt(m)
-    prod = root @ tilde @ root
-    evals = np.linalg.eigvalsh((prod + prod.conj().T) / 2)
-    # eigenvalues below ~1e-15 of the leading one are solver residue, not
-    # spectrum; taking their square root would inject sqrt(eps)-sized noise
-    # into the subtraction (pure states would read ~3e-9 instead of exact)
-    evals[evals < evals[-1] * 1e-14] = 0.0
-    lams = np.sqrt(np.clip(evals, 0.0, None))[::-1]
+    evals, evecs = np.linalg.eigh(m)
+    r = evecs * np.sqrt(np.clip(evals, 0.0, None))  # clip tiny negatives from roundoff
+    lams = np.linalg.svd(r.T @ _SPIN_FLIP @ r, compute_uv=False)  # descending
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
@@ -157,19 +154,21 @@ def number_distribution(
 ) -> NumberDistribution:
     """Occupation-number sectors of the symmetrized (up, down) pair.
 
-    One detector-basis expansion is split by occupation (n_L, n_R); each
-    sector's probability is the squared norm of its terms over the total,
-    which carries the 1 + |<Psi_A|Psi_B>|^2 bunching normalization.  The
-    (1,1) sector keeps its unnormalized spin matrix, the distinguishability
-    trace of the post-selected expansion.
+    One detector-basis expansion is split by occupation (n_L, n_R).  Its
+    kets are orthonormal: each puts the up particle (phi_A) and the down
+    particle (phi_B) on definite detectors, so two distinct kets differ in
+    where one of them sits, and `expand_in_detector_basis` builds no other
+    kind.  A sector's weight is therefore the sum of |c|^2 over its terms,
+    and its probability that weight over the total, which carries the
+    1 + |<Psi_A|Psi_B>|^2 bunching normalization.  The (1,1) sector keeps
+    its unnormalized spin matrix, the distinguishability trace of the
+    post-selected expansion.
     """
     expansion = expand_in_detector_basis(p_a, p_b)
-    groups = {(2, 0): [], (1, 1): [], (0, 2): []}
+    weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
     for coeff, pair in expansion.terms:
-        n_l = sum(detector_mode(s) == "L" for s in pair)
-        groups[(n_l, 2 - n_l)].append((coeff, pair))
-    # a subset of a canonical state's terms is canonical as it stands
-    weights = {key: norm_sq(SymmetricTwoBosonState(tuple(t))) for key, t in groups.items()}
+        n_l = sum(s.detector_mode == "L" for s in pair)
+        weights[(n_l, 2 - n_l)] += abs(coeff) ** 2
     total = sum(weights.values())
     rho = trace_out_distinguishability(postselect_one_per_detector(expansion))
     return NumberDistribution({key: w / total for key, w in weights.items()}, rho)

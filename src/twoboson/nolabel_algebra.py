@@ -25,7 +25,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core_state import (
-    ATOL_EXACT,
     SingleParticleState,
     SpatialAmplitudes,
     Spin,
@@ -50,7 +49,7 @@ class NotDetectorBasisError(ValueError):
 
 def _ordered(pair: Pair) -> Pair:
     a, b = pair
-    return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
+    return (a, b) if a.sort_key <= b.sort_key else (b, a)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def symmetric_state(
                 )
         merged[pair] = merged.get(pair, 0j) + complex(coeff)
     kept = [(c, p) for p, c in merged.items() if c != 0j]
-    kept.sort(key=lambda item: (item[1][0].sort_key(), item[1][1].sort_key()))
+    kept.sort(key=lambda item: (item[1][0].sort_key, item[1][1].sort_key))
     return SymmetricTwoBosonState(tuple(kept))
 
 
@@ -98,19 +97,6 @@ def transition_two(bra: Pair, ket: Pair) -> complex:
     c, d = bra
     a, b = ket
     return inner_single(c, a) * inner_single(d, b) + inner_single(c, b) * inner_single(d, a)
-
-
-def state_transition(bra: SymmetricTwoBosonState, ket: SymmetricTwoBosonState) -> complex:
-    """Sesquilinear extension of transition_two to term sums."""
-    total = 0j
-    for cb, pb in bra.terms:
-        for ck, pk in ket.terms:
-            total += cb.conjugate() * ck * transition_two(pb, pk)
-    return total
-
-
-def norm_sq(state: SymmetricTwoBosonState) -> float:
-    return float(state_transition(state, state).real)
 
 
 def project_single(bra: SingleParticleState, ket: Pair) -> Residual:
@@ -131,17 +117,6 @@ def project_single(bra: SingleParticleState, ket: Pair) -> Residual:
 def contract_residual(bra: SingleParticleState, residual: Residual) -> complex:
     """Apply a second single-particle bra to a projection residual."""
     return sum((c * inner_single(bra, st) for c, st in residual), 0j)
-
-
-def detector_mode(s: SingleParticleState, atol: float = ATOL_EXACT) -> Optional[str]:
-    """'L' or 'R' if the state occupies exactly one detector mode, else None."""
-    wl = abs(s.spatial.a_l) ** 2
-    wr = abs(s.spatial.a_r) ** 2
-    if abs(wl - 1.0) <= atol and wr <= atol:
-        return "L"
-    if abs(wr - 1.0) <= atol and wl <= atol:
-        return "R"
-    return None
 
 
 def expand_in_detector_basis(
@@ -189,7 +164,7 @@ def postselect_one_per_detector(s: SymmetricTwoBosonState) -> SymmetricTwoBosonS
     """
     kept = []
     for coeff, (x, y) in s.terms:
-        mx, my = detector_mode(x), detector_mode(y)
+        mx, my = x.detector_mode, y.detector_mode
         if mx is None or my is None:
             raise NotDetectorBasisError(
                 "state is not in detector-basis form; expand_in_detector_basis first"

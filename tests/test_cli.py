@@ -402,19 +402,34 @@ def test_noisy_hom_json_counts_table(tmp_path):
 
 
 def test_hom_leaves_out_a_few_failed_resample_fits(capsys):
+    # 3 resamples raise FitError and 1 converges to a FWHM of hundreds of scan
+    # widths; were that one kept, the error bar would read
+    # 28061.763341 +/- 275017.122038
     argv = ["hom", "--noisy", "--baseline", "5", "--seed", "0"]
     assert main(argv) == EXIT_OK
     captured = capsys.readouterr()
-    assert "monte carlo: left out 3 of 100 runs whose fit failed" in captured.err
+    assert "monte carlo: left out 4 of 100 runs whose fit failed" in captured.err
     assert "mc (100 runs): visibility" in captured.out
+    (line,) = [l for l in captured.out.splitlines() if "fwhm_um    =" in l]
+    mean, std = (float(v) for v in line.split("=")[1].split("+/-"))
+    assert 100.0 < mean < 200.0 and 0.0 < std < 50.0  # true FWHM 132 um, span 600 um
 
 
 def test_hom_fails_when_too_many_resample_fits_fail(capsys):
     argv = ["hom", "--noisy", "--baseline", "3", "--seed", "0"]
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
-    assert "monte carlo failed: estimator failed on 24 of 100 runs" in captured.err
+    assert "monte carlo failed: estimator failed on 40 of 100 runs" in captured.err
+    assert "resolve no dip over a 600 um scan" in captured.err
     assert "mc (" not in captured.out
+
+
+def test_noiseless_hom_fits_a_dip_wider_than_the_scan(capsys):
+    # the width rule only leaves out Monte Carlo resamples; exact data whose
+    # true FWHM exceeds the 600 um scan is still fitted and printed
+    assert main(["hom", "--fwhm-um", "650"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert abs(_fit_value(text, "fwhm_um") - 650.0) < 1e-4
 
 
 def _report_lines(out: str) -> list:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from twoboson.core_state import (
     validate,
 )
 from twoboson.fq_oracle import single_particle_vector
-from twoboson.verification import random_state
+from twoboson.nolabel_algebra import expand_in_detector_basis
+from twoboson.verification import random_state, random_updown_pair
 
 RT2 = math.sqrt(0.5)
 
@@ -163,3 +167,74 @@ def test_spin_density_matrix_is_read_only():
     rho = SpinDensityMatrix(np.eye(4, dtype=complex), 4.0)
     with pytest.raises((ValueError, RuntimeError)):
         rho.matrix[0, 0] = 9.0
+
+
+# --- keys cached on first use ------------------------------------------------
+
+
+def _fresh_key(s):
+    sp = s.spatial
+    flat = [sp.a_l.real, sp.a_l.imag, sp.a_r.real, sp.a_r.imag, float(s.spin.value)]
+    for a in s.dist.amplitudes:
+        flat += [a.real, a.imag]
+    return tuple(flat)
+
+
+def _fresh_mode(s):
+    wl, wr = abs(s.spatial.a_l) ** 2, abs(s.spatial.a_r) ** 2
+    if abs(wl - 1.0) <= ATOL_EXACT and wr <= ATOL_EXACT:
+        return "L"
+    if abs(wr - 1.0) <= ATOL_EXACT and wl <= ATOL_EXACT:
+        return "R"
+    return None
+
+
+def _states_with_keys():
+    """Random states, and the detector-definite states of their expansions."""
+    rng = np.random.default_rng(14)
+    out = [random_state(rng, d) for d in (1, 2, 3) for _ in range(10)]
+    for _ in range(10):
+        for _, pair in expand_in_detector_basis(*random_updown_pair(rng, 2)).terms:
+            out.extend(pair)
+    return out
+
+
+def _assert_read_only_amplitudes(d):
+    assert d.array.dtype == complex
+    assert d.array.tolist() == list(d.amplitudes)
+    with pytest.raises(ValueError):
+        d.array[0] = 2.0
+
+
+def test_equal_states_built_apart_hash_alike():
+    def build(zero):
+        return SingleParticleState(
+            SpatialAmplitudes(0.6, complex(zero, 0.8)), Spin.DOWN, DistVector((RT2, 1j * RT2))
+        )
+
+    for a, b in ((build(0.0), build(0.0)), (build(0.0), build(-0.0))):
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert len({build(0.0), build(-0.0)}) == 1
+
+
+def test_cached_keys_match_a_fresh_computation_and_survive_copies():
+    states = _states_with_keys()
+    assert {s.detector_mode for s in states} == {"L", "R", None}
+    for s in states:
+        s.dist.overlap(s.dist)  # fill every cache before copying
+        for t in (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
+            assert t == s
+            assert t.sort_key == _fresh_key(s)
+            assert hash(t) == hash(_fresh_key(s))
+            assert t.detector_mode == _fresh_mode(s)
+            _assert_read_only_amplitudes(t.dist)
+    moved = dataclasses.replace(states[0], spin=Spin.DOWN if states[0].spin is Spin.UP else Spin.UP)
+    assert moved.sort_key == _fresh_key(moved) != states[0].sort_key
+
+
+def test_dist_vector_array_is_a_read_only_copy_of_the_amplitudes():
+    d = DistVector((1, 1j, 0.5))
+    _assert_read_only_amplitudes(d)
+    for t in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        _assert_read_only_amplitudes(t)
+    assert DistVector((1, 1j, 0.5)) == d and hash(DistVector((1, 1j, 0.5))) == hash(d)

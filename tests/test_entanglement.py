@@ -198,6 +198,35 @@ def test_normalized_wootters_on_the_balanced_manifold(ov):
     )
 
 
+def _near_pure_overlaps(seed, n=200):
+    """Overlaps with 1 - |overlap| log-uniform in [1e-16, 1e-1] and random
+    phases, plus the 1 - |overlap| = 1e-7 point where a cut spectrum errs most."""
+    rng = np.random.default_rng(seed)
+    mags = np.concatenate(([1.0 - 1e-7], 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, n)))
+    return mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n + 1))
+
+
+def test_normalized_wootters_near_pure_states_on_the_balanced_manifold():
+    for ov in _near_pure_overlaps(31):
+        rho = _pipeline_rho(22.5, ov)
+        assert wootters_concurrence(rho, normalize=True) == pytest.approx(
+            abs(ov) ** 2, abs=ATOL_PIPELINE
+        )
+
+
+def test_normalized_wootters_near_pure_states_off_the_manifold():
+    # the (1,1) matrix is an X state with empty corners, so its concurrence
+    # is 2 |rho_12| / (rho_11 + rho_22) (Yu & Eberly, QIC 7, 459, 2007)
+    thetas = np.random.default_rng(32).uniform(0.0, 45.0, 201)
+    for theta, ov in zip(thetas, _near_pure_overlaps(33)):
+        rho = _pipeline_rho(float(theta), ov)
+        m = rho.matrix
+        x_state = 2.0 * abs(m[1, 2]) / (m[1, 1].real + m[2, 2].real)
+        assert wootters_concurrence(rho, normalize=True) == pytest.approx(
+            x_state, abs=ATOL_PIPELINE
+        )
+
+
 def test_closed_form_monotonicity():
     overlaps = np.linspace(0.0, 1.0, 21)
     thetas = np.linspace(0.0, 22.5, 16)  # sin^2(4 theta) increasing on this range
