@@ -207,6 +207,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _resolving_dip(fit: optics.FitResult, span: float) -> optics.FitResult:
+    """`fit`, if it resolves a dip over a scan `span` um wide.
+
+    A fit that converges to a dip wider than the scan, or on a non-positive
+    baseline, resolves no dip and raises `NoDipError`.
+    """
+    if fit.baseline <= 0.0 or fit.fwhm_um > span:
+        raise optics.NoDipError(
+            f"fitted FWHM {fit.fwhm_um:.6g} um and baseline "
+            f"{fit.baseline:.6g} resolve no dip over a {span:.6g} um scan"
+        )
+    return fit
+
+
 def cmd_hom(args) -> int:
     if not 0.0 <= args.visibility <= 1.0:
         print("error: visibility must lie in [0, 1]", file=sys.stderr)
@@ -245,10 +259,13 @@ def cmd_hom(args) -> int:
         if owned:
             handle.close()
 
+    span = max(delays) - min(delays)
     try:
         fit = optics.fit_gaussian_dip(
             list(zip(delays, counts)), poisson_weights=args.noisy
         )
+        if args.noisy:  # an exact fit is reported as it converged
+            _resolving_dip(fit, span)
     except optics.FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -261,22 +278,13 @@ def cmd_hom(args) -> int:
     print(f"fit: residual    = {fit.residual:.6g}")
 
     if args.noisy:
-        span = max(delays) - min(delays)
-
         def estimator(c):
             # a fit is a pure function of its row, so run 0, the printed
-            # table, reuses the printed fit
-            refit = fit if np.array_equal(c, counts) else optics.fit_gaussian_dip(
-                list(zip(delays, c)), poisson_weights=True
+            # table, reuses the printed fit; a resample that resolves no dip
+            # is left out like a failed fit, under the same 10% rule
+            refit = fit if np.array_equal(c, counts) else _resolving_dip(
+                optics.fit_gaussian_dip(list(zip(delays, c)), poisson_weights=True), span
             )
-            # a resample that converges to a dip wider than the scan, or on a
-            # non-positive baseline, resolves no dip: it is left out like a
-            # failed fit, under the same 10% rule
-            if refit.baseline <= 0.0 or refit.fwhm_um > span:
-                raise optics.NoDipError(
-                    f"fitted FWHM {refit.fwhm_um:.6g} um and baseline "
-                    f"{refit.baseline:.6g} resolve no dip over a {span:.6g} um scan"
-                )
             return refit.visibility, refit.fwhm_um
 
         try:

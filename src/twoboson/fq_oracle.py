@@ -7,10 +7,11 @@ are the slot-symmetrized tensors
     symmetrize(p1, p2) = (|p1>|p2> + |p2>|p1>) / sqrt(2).
 
 With d <= 4 the full two-slot space holds at most 256 amplitudes, so every
-quantity the unordered-ket calculus produces can be re-derived here by dumb
-enumeration: transition amplitudes become dense contractions and the
-post-selected spin density matrix becomes an index filter followed by a
-partial trace.  Nothing in this module is clever on purpose.
+quantity the unordered-ket calculus produces can be re-derived here densely:
+transition amplitudes become full contractions, and the occupation weights
+and the post-selected spin density matrix become index filters over the
+tensor reshaped to its (mode, spin, dist) axes, followed by a partial
+trace.  No ket algebra is used; nothing in this module is clever on purpose.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ def single_particle_vector(s: SingleParticleState) -> np.ndarray:
     """Dense single-slot vector, index layout (mode, spin, dist) row-major."""
     spatial = np.array([s.spatial.a_l, s.spatial.a_r], dtype=complex)
     dist = np.asarray(s.dist.amplitudes, dtype=complex)
-    return np.kron(np.kron(spatial, _SPIN_BASIS[s.spin.value]), dist)
-
-
-def _decode(index: int, d: int) -> tuple[int, int, int]:
-    # inverse of index = (mode*2 + spin)*d + dist
-    return index // (2 * d), (index // d) % 2, index % d
+    # the products np.kron(np.kron(spatial, spin), dist) forms, by broadcasting
+    return ((spatial[:, None] * _SPIN_BASIS[s.spin.value])[:, :, None] * dist).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,38 +95,31 @@ def mode_pattern_weights(x: LabeledState) -> dict[tuple[int, int], float]:
     product state is 1 + |<p1|p2>|^2 (bosonic bunching enhancement).
     """
     d = x.dist_dim
-    weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
-    for i in range(4 * d):
-        m1, _, _ = _decode(i, d)
-        for j in range(4 * d):
-            m2, _, _ = _decode(j, d)
-            n_l = (m1 == 0) + (m2 == 0)
-            weights[(n_l, 2 - n_l)] += abs(x.amps[i, j]) ** 2
-    return weights
+    # axes (mode1, spin and dist 1, mode2, spin and dist 2), mode 0 = L
+    sums = (np.abs(x.amps.reshape(2, 2 * d, 2, 2 * d)) ** 2).sum(axis=(1, 3))
+    return {
+        (2, 0): float(sums[0, 0]),
+        (1, 1): float(sums[0, 1] + sums[1, 0]),
+        (0, 2): float(sums[1, 1]),
+    }
 
 
 def oracle_postselected_density(x: LabeledState) -> SpinDensityMatrix:
     """Project onto one particle per detector, trace out distinguishability.
 
-    Enumerates every labeled basis component whose mode pattern is one L and
-    one R, accumulates amplitudes into (spin at L, spin at R, dist at L,
-    dist at R) regardless of which slot holds which detector, and contracts
-    the distinguishability indices.  Each orthonormal symmetrized (1,1)
-    basis vector shows up as two labeled components, hence the 1/sqrt(2).
+    Takes the labeled components whose mode pattern is one L and one R,
+    arranges them as (spin at L, spin at R, dist at L, dist at R) whichever
+    slot holds which detector, adds the two slot orders, and contracts the
+    distinguishability indices.  Each orthonormal symmetrized (1,1) basis
+    vector shows up as two labeled components, hence the 1/sqrt(2).
     """
     d = x.dist_dim
+    a = x.amps.reshape(2, 2, d, 2, 2, d)  # (mode1, spin1, dist1, mode2, ...)
+    # each block (s1, a1, s2, a2) goes to (spin L, spin R, dist L, dist R),
+    # added onto +0.0 as a cell-by-cell accumulation would
     w = np.zeros((2, 2, d, d), dtype=complex)
-    for i in range(4 * d):
-        m1, s1, a1 = _decode(i, d)
-        for j in range(4 * d):
-            amp = x.amps[i, j]
-            if amp == 0j:
-                continue
-            m2, s2, a2 = _decode(j, d)
-            if m1 == 0 and m2 == 1:
-                w[s1, s2, a1, a2] += amp
-            elif m1 == 1 and m2 == 0:
-                w[s2, s1, a2, a1] += amp
+    w += a[0, :, :, 1].transpose(0, 2, 1, 3)
+    w += a[1, :, :, 0].transpose(2, 0, 3, 1)
     coeffs = w.reshape(4, d * d) / np.sqrt(2.0)
     rho = coeffs @ coeffs.conj().T
     return SpinDensityMatrix(rho, float(np.trace(rho).real))

@@ -171,4 +171,5 @@ def postselect_one_per_detector(s: SymmetricTwoBosonState) -> SymmetricTwoBosonS
             )
         if {mx, my} == {"L", "R"}:
             kept.append((coeff, (x, y)))
-    return symmetric_state(kept)
+    # terms of a canonical state stay ordered, merged, nonzero and sorted
+    return SymmetricTwoBosonState(tuple(kept))

@@ -39,8 +39,10 @@ class SuiteResult:
 
 
 def _unit_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
+    re, im = rng.normal(size=(2, n))  # the same draws as two size-n calls
+    v = re + 1j * im
+    # the 2-norm as np.linalg.norm computes it for a complex vector
+    return v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def random_state(

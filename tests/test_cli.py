@@ -416,17 +416,33 @@ def test_hom_leaves_out_a_few_failed_resample_fits(capsys):
 
 
 def test_hom_fails_when_too_many_resample_fits_fail(capsys):
-    argv = ["hom", "--noisy", "--baseline", "3", "--seed", "0"]
+    # the printed fit resolves the dip (FWHM 144 um); 17 resamples do not
+    argv = ["hom", "--noisy", "--baseline", "4", "--seed", "1"]
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
-    assert "monte carlo failed: estimator failed on 40 of 100 runs" in captured.err
+    assert "fit: fwhm_um     = 144.174944" in captured.out
+    assert "monte carlo failed: estimator failed on 17 of 100 runs" in captured.err
     assert "resolve no dip over a 600 um scan" in captured.err
     assert "mc (" not in captured.out
 
 
+def test_noisy_hom_refuses_a_printed_fit_wider_than_the_scan(capsys):
+    # the count table's own fit converges to a FWHM of 781793 um over a
+    # 600 um scan: the command fails after the table, before any fit line
+    argv = ["hom", "--noisy", "--baseline", "5", "--seed", "70"]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "fit failed: fitted FWHM 781793 um and baseline 1327.05 resolve no dip "
+        "over a 600 um scan\n"
+    )
+    assert len(_read_csv(captured.out)) == 61  # the full count table
+    assert _report_lines(captured.out) == []
+
+
 def test_noiseless_hom_fits_a_dip_wider_than_the_scan(capsys):
-    # the width rule only leaves out Monte Carlo resamples; exact data whose
-    # true FWHM exceeds the 600 um scan is still fitted and printed
+    # the width rule applies to noisy data only; exact data whose true FWHM
+    # exceeds the 600 um scan is still fitted and printed
     assert main(["hom", "--fwhm-um", "650"]) == EXIT_OK
     text = capsys.readouterr().out
     assert abs(_fit_value(text, "fwhm_um") - 650.0) < 1e-4
@@ -502,6 +518,33 @@ def test_verify_passes_and_reports(capsys):
     assert "[check ] occupation_weighted_vs_half_closed_form" in out
     assert "[report] overlap_exponent_relation" in out
     assert "FAIL" not in out
+
+
+VERIFY_TRIALS_100_SEED_1 = """\
+[check ] transition_vs_labeled_oracle         max_dev=4.578e-16    tol=1e-12  PASS
+[check ] symmetrized_norm_bunching            max_dev=1.332e-15    tol=1e-12  PASS
+[check ] single_bra_projection                max_dev=1.570e-16    tol=1e-12  PASS
+[check ] detector_expansion_completeness      max_dev=6.661e-16    tol=1e-12  PASS
+[check ] postselected_density_vs_oracle       max_dev=6.661e-16    tol=1e-12  PASS
+[check ] postselect_idempotent                max_dev=0.000e+00    tol=5e-01  PASS
+[check ] density_matrix_validity              max_dev=1.388e-16    tol=1e-12  PASS
+[check ] closed_form_vs_wootters_raw          max_dev=3.331e-16    tol=1e-09  PASS
+[check ] balanced_manifold_concurrence        max_dev=6.661e-16    tol=1e-09  PASS
+[check ] optical_law_splice                   max_dev=3.331e-16    tol=1e-12  PASS
+[check ] quadrature_overlap_integral          max_dev=5.516e-16    tol=1e-09  PASS
+[check ] hom_level_vs_oracle                  max_dev=4.547e-13    tol=1e-12  PASS
+[check ] concurrence_monotonicity             max_dev=0.000e+00    tol=5e-01  PASS
+[check ] occupation_weighted_vs_half_closed_form max_dev=2.220e-16    tol=1e-09  PASS
+[report] overlap_exponent_relation            max_dev=2.220e-16    \
+(optical Gaussian factor = paper overlap = quadrature overlap^4)
+verification: 14/14 checks passed
+"""
+
+
+def test_verify_golden_output(capsys):
+    # every random draw, oracle route and tolerance feeds one of these bytes
+    assert main(["verify", "--trials", "100", "--seed", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == VERIFY_TRIALS_100_SEED_1
 
 
 def test_verify_single_trial(capsys):

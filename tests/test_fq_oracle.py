@@ -164,3 +164,76 @@ def test_postselected_density_is_hermitian_psd_for_random_input():
 def test_labeled_state_shape_checks():
     with pytest.raises(ValueError):
         LabeledState(np.zeros((3, 4), dtype=complex), 1)
+
+
+# --- the cell-by-cell definitions the dense routines must reproduce ----------------
+
+
+def _kron_vector(s):
+    spin = np.eye(2)[s.spin.value]
+    spatial = np.array([s.spatial.a_l, s.spatial.a_r], dtype=complex)
+    return np.kron(np.kron(spatial, spin), np.asarray(s.dist.amplitudes, dtype=complex))
+
+
+def _decode(index, d):
+    # inverse of index = (mode*2 + spin)*d + dist
+    return index // (2 * d), (index // d) % 2, index % d
+
+
+def _cell_weights(x):
+    d = x.dist_dim
+    weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
+    for i in range(4 * d):
+        for j in range(4 * d):
+            n_l = (_decode(i, d)[0] == 0) + (_decode(j, d)[0] == 0)
+            weights[(n_l, 2 - n_l)] += abs(x.amps[i, j]) ** 2
+    return weights
+
+
+def _cell_density(x):
+    d = x.dist_dim
+    w = np.zeros((2, 2, d, d), dtype=complex)
+    for i in range(4 * d):
+        m1, s1, a1 = _decode(i, d)
+        for j in range(4 * d):
+            amp = x.amps[i, j]
+            if amp == 0j:
+                continue
+            m2, s2, a2 = _decode(j, d)
+            if m1 == 0 and m2 == 1:
+                w[s1, s2, a1, a2] += amp
+            elif m1 == 1 and m2 == 0:
+                w[s2, s1, a2, a1] += amp
+    coeffs = w.reshape(4, d * d) / np.sqrt(2.0)
+    return coeffs @ coeffs.conj().T
+
+
+def _oracle_pairs():
+    rng = np.random.default_rng(26)
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            p1, p2 = random_state(rng, d), random_state(rng, d)
+            yield p1, p2
+            yield p1, p1
+        ortho = np.eye(d)
+        yield (
+            _state(RT2, RT2, Spin.UP, ortho[0]),
+            _state(RT2, -RT2, Spin.DOWN, ortho[-1]),
+        )
+        yield _state(1.0, 0.0, Spin.UP, ortho[0]), _state(0.0, 1.0, Spin.UP, ortho[0])
+
+
+def test_dense_oracle_matches_the_cell_by_cell_definitions():
+    for p1, p2 in _oracle_pairs():
+        for s in (p1, p2):
+            assert np.array_equal(single_particle_vector(s), _kron_vector(s))
+        x = symmetrize(p1, p2)
+        rho = oracle_postselected_density(x)
+        want = _cell_density(x)
+        assert np.array_equal(rho.matrix, want)
+        assert rho.weight == float(np.trace(want).real)
+        # the cells are added in another order: a few ulps of each weight
+        weights, cells = mode_pattern_weights(x), _cell_weights(x)
+        assert set(weights) == set(cells)
+        for key, value in cells.items():
+            assert abs(weights[key] - value) <= 1e-15 * value
