@@ -14,7 +14,8 @@ The public surface, by layer:
                        concurrence, occupation-weighted entanglement
 * `optics`          -- Gaussian wavepackets, Hong-Ou-Mandel dips, Poisson
                        counts, Gaussian dip fitting, Monte Carlo error bars
-* `verification`    -- randomized cross-check suites
+* `verification`    -- fifteen randomized cross-check suites, each with a
+                       tolerance that fails `twoboson verify`
 * `cli`             -- `twoboson` command-line front end
 """
 
@@ -31,7 +32,6 @@ from .core_state import (
     SpinDensityMatrix,
     ValidationError,
     inner_single,
-    validate,
 )
 from .nolabel_algebra import (
     SymmetricTwoBosonState,

@@ -16,9 +16,9 @@ here are immutable; operations never mutate their inputs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,16 +59,6 @@ class SpatialAmplitudes:
     def overlap(self, other: "SpatialAmplitudes") -> complex:
         return self.a_l.conjugate() * other.a_l + self.a_r.conjugate() * other.a_r
 
-    def norm_sq(self) -> float:
-        return abs(self.a_l) ** 2 + abs(self.a_r) ** 2
-
-    @classmethod
-    def normalized(cls, a_l: complex, a_r: complex) -> "SpatialAmplitudes":
-        n = np.hypot(abs(a_l), abs(a_r))
-        if n == 0.0:
-            raise ValidationError("cannot normalize a zero amplitude pair")
-        return cls(a_l / n, a_r / n)
-
 
 @dataclass(frozen=True)
 class DistVector:
@@ -107,17 +97,6 @@ class DistVector:
     def overlap(self, other: "DistVector") -> complex:
         _check_dist_dims(self, other)
         return complex(np.vdot(self.array, other.array))
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes))
-
-    @classmethod
-    def normalized(cls, amplitudes: Iterable[complex]) -> "DistVector":
-        amps = tuple(complex(a) for a in amplitudes)
-        n = np.linalg.norm(np.asarray(amps))
-        if n == 0.0:
-            raise ValidationError("cannot normalize a zero distinguishability vector")
-        return cls(tuple(a / n for a in amps))
 
 
 def _check_dist_dims(a: DistVector, b: DistVector) -> None:
@@ -177,26 +156,6 @@ def inner_single(x: SingleParticleState, y: SingleParticleState) -> complex:
     return x.spatial.overlap(y.spatial) * s * x.dist.overlap(y.dist)
 
 
-def validate(s: SingleParticleState) -> None:
-    """Accept iff all norm invariants hold within ATOL_EXACT, else raise.
-
-    The error message names the failing invariant and reports the measured
-    squared norm so callers can see by how much it is off.
-    """
-    nsq = s.spatial.norm_sq()
-    if abs(nsq - 1.0) > ATOL_EXACT:
-        raise ValidationError(
-            f"detector-mode amplitudes not unit norm: |a_L|^2 + |a_R|^2 = {nsq:.12g} "
-            f"(off by {abs(nsq - 1.0):.3g})"
-        )
-    nsq = s.dist.norm_sq()
-    if abs(nsq - 1.0) > ATOL_EXACT:
-        raise ValidationError(
-            f"distinguishability vector not unit norm: |phi|^2 = {nsq:.12g} "
-            f"(off by {abs(nsq - 1.0):.3g})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # two-qubit spin density matrix (shared by the oracle and the algebraic route)
 # ---------------------------------------------------------------------------
@@ -208,15 +167,16 @@ SPIN_BASIS_LABELS = ("L-up,R-up", "L-up,R-down", "L-down,R-up", "L-down,R-down")
 
 @dataclass(frozen=True, eq=False)
 class SpinDensityMatrix:
-    """Unnormalized 4x4 matrix over SPIN_BASIS_LABELS plus its weight.
+    """Unnormalized 4x4 matrix over SPIN_BASIS_LABELS and its weight.
 
-    `weight` is the post-selection probability mass (the trace); keeping the
-    matrix unnormalized preserves that information so callers can choose
-    between conditional (normalize) and raw readings.
+    `weight` is the post-selection probability mass, the real part of the
+    trace, set from the matrix on construction; keeping the matrix
+    unnormalized preserves that information so callers can choose between
+    conditional (normalize) and raw readings.
     """
 
     matrix: np.ndarray
-    weight: float
+    weight: float = field(init=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
@@ -224,20 +184,4 @@ class SpinDensityMatrix:
             raise ValidationError(f"spin density matrix must be 4x4, got {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weight", float(self.weight))
-
-    def normalized(self) -> np.ndarray:
-        if not self.weight > 0.0:
-            raise ValidationError("no post-selection support (weight = 0)")
-        return self.matrix / self.weight
-
-    def validate(self, atol: float = ATOL_EXACT) -> None:
-        dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if dev > atol:
-            raise ValidationError(f"matrix not Hermitian (max deviation {dev:.3g})")
-        low = float(np.min(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)))
-        if low < -atol:
-            raise ValidationError(f"matrix not positive semidefinite (eigenvalue {low:.3g})")
-        dev = abs(float(np.trace(self.matrix).real) - self.weight)
-        if dev > atol:
-            raise ValidationError(f"trace does not match weight (off by {dev:.3g})")
+        object.__setattr__(self, "weight", float(np.trace(m).real))

@@ -75,7 +75,7 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
     for i, ci, li, ri in entries:
         for j, cj, lj, rj in entries:
             rho[i, j] += ci * cj.conjugate() * ov[lj, li] * ov[rj, ri]
-    return SpinDensityMatrix(rho, float(np.trace(rho).real))
+    return SpinDensityMatrix(rho)
 
 
 _SPIN_FLIP = np.array(
@@ -105,7 +105,7 @@ def wootters_concurrence(rho: SpinDensityMatrix, normalize: bool = False) -> flo
     if normalize:
         if not rho.weight > 0.0:
             raise NoPostSelectionSupportError("no post-selection support (weight = 0)")
-        m = rho.normalized()
+        m = rho.matrix / rho.weight
     else:
         m = np.asarray(rho.matrix, dtype=complex)
     evals, evecs = np.linalg.eigh(m)

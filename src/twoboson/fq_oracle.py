@@ -17,7 +17,6 @@ trace.  No ket algebra is used; nothing in this module is clever on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -71,15 +70,10 @@ def labeled_norm_sq(x: LabeledState) -> float:
     return float(np.vdot(x.amps, x.amps).real)
 
 
-def to_labeled(
-    state: SymmetricTwoBosonState, dist_dim: Optional[int] = None
-) -> LabeledState:
-    """Linear extension of symmetrize to term sums of unordered kets."""
-    if state.num_terms == 0:
-        if dist_dim is None:
-            raise ValueError("dist_dim is required to embed an empty state")
-        n = 4 * dist_dim
-        return LabeledState(np.zeros((n, n), dtype=complex), dist_dim)
+def to_labeled(state: SymmetricTwoBosonState) -> LabeledState:
+    """Linear extension of symmetrize to term sums of unordered kets; the
+    state needs at least one term, which fixes the distinguishability
+    dimension."""
     d = state.terms[0][1][0].dist.dim
     n = 4 * d
     total = np.zeros((n, n), dtype=complex)
@@ -122,4 +116,4 @@ def oracle_postselected_density(x: LabeledState) -> SpinDensityMatrix:
     w += a[1, :, :, 0].transpose(2, 0, 3, 1)
     coeffs = w.reshape(4, d * d) / np.sqrt(2.0)
     rho = coeffs @ coeffs.conj().T
-    return SpinDensityMatrix(rho, float(np.trace(rho).real))
+    return SpinDensityMatrix(rho)

@@ -67,9 +67,6 @@ class SymmetricTwoBosonState:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.terms)
-
 
 def symmetric_state(
     terms: Iterable[tuple[complex, Pair]],

@@ -122,22 +122,14 @@ def concurrence_optical(theta_deg: float, l_um: float, sigma_um: float) -> float
     return math.sin(4.0 * t) ** 2 * math.exp(-(l_um**2) / (2.0 * sigma_um**2))
 
 
-def dist_vectors_for_overlap(
-    overlap: complex, dim: int = 2
-) -> tuple[DistVector, DistVector]:
-    """A concrete pair of unit vectors with <phi_A|phi_B> = overlap."""
+def dist_vectors_for_overlap(overlap: complex) -> tuple[DistVector, DistVector]:
+    """A concrete pair of two-dimensional unit vectors with
+    <phi_A|phi_B> = overlap."""
     mag = abs(overlap)
     if mag > 1.0 + ATOL_EXACT:
         raise ValueError(f"|overlap| = {mag:.12g} exceeds 1")
-    if dim < 2:
-        raise ValueError("need at least two basis states to dial an overlap")
     rest = math.sqrt(max(0.0, 1.0 - mag**2))
-    a = [0j] * dim
-    b = [0j] * dim
-    a[0] = 1.0 + 0j
-    b[0] = complex(overlap)
-    b[1] = rest + 0j
-    return DistVector(tuple(a)), DistVector(tuple(b))
+    return DistVector((1.0 + 0j, 0j)), DistVector((complex(overlap), rest + 0j))
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +220,6 @@ def _dip_terms(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return u, g, base - depth * g
 
 
-def _dip_model(p: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """count(l) = base - depth * exp(-(l - center)^2 / (2 w^2)) at parameters p."""
-    return _dip_terms(p, l)[2]
-
-
 def _dip_jac(p: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the (n, 4) array `out` with d model / d (base, depth, center, w),
     the columns 1, -g, -depth g u / w^2 and -depth g u^2 / w^3, from the `u`
@@ -246,16 +233,15 @@ def _dip_jac(p: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def _dip_model_and_jac(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, g, model = _dip_terms(p, l)
-    return model, _dip_jac(p, u, g, np.empty((len(l), 4)))
+#: Gauss-Newton iterations `fit_gaussian_dip` spends, over all its passes,
+#: before it gives up with `FitConvergenceError`
+FIT_MAX_ITER = 200
+#: relative step below which a Gauss-Newton pass has converged
+FIT_STEP_TOL = 1e-10
 
 
 def fit_gaussian_dip(
-    points: Sequence[tuple[float, float]],
-    poisson_weights: bool = False,
-    max_iter: int = 200,
-    step_tol: float = 1e-10,
+    points: Sequence[tuple[float, float]], poisson_weights: bool = False
 ) -> FitResult:
     """Least-squares Gaussian dip fit via damped Gauss-Newton.
 
@@ -263,9 +249,9 @@ def fit_gaussian_dip(
     of points, depth from baseline minus the minimum, center at the minimum,
     width from the half-depth crossings.  Each Gauss-Newton step is halved
     until the residual decreases, so the objective is monotone; iteration
-    stops when the relative step falls below `step_tol` and fails with the
-    best-so-far parameters after `max_iter` total iterations.  The line
-    search evaluates only the model (`_dip_model`); the Jacobian is filled
+    stops when the relative step falls below `FIT_STEP_TOL` and fails with
+    the best-so-far parameters after `FIT_MAX_ITER` total iterations.  The
+    line search evaluates only the model terms; the Jacobian is filled
     into one preallocated array from the terms of the accepted point, so no
     trial point builds a Jacobian and no iteration recomputes an exponential.
 
@@ -341,7 +327,7 @@ def fit_gaussian_dip(
             move = alpha * step
             rel_step = math.sqrt(move.dot(move)) / max(math.sqrt(p.dot(p)), 1.0)
             p, sse, (u, g, r) = cand, cand_sse, cand_terms
-            if rel_step < step_tol:
+            if rel_step < FIT_STEP_TOL:
                 converged = True
                 break
         return p, sse, used, converged
@@ -349,22 +335,24 @@ def fit_gaussian_dip(
     p = np.array([base0, depth0, center0, w0])
     if poisson_weights:
         sig = np.sqrt(np.maximum(y, 1.0))
-        p, sse, it, converged = descend(p, sig, max_iter)
+        p, sse, it, converged = descend(p, sig, FIT_MAX_ITER)
         if converged:
             for _ in range(2):  # reweight from the fitted model
-                sig = np.sqrt(np.maximum(_dip_model(p, l), 1.0))
-                p, sse, used, converged = descend(p, sig, max(max_iter - it, 1))
+                sig = np.sqrt(np.maximum(_dip_terms(p, l)[2], 1.0))
+                p, sse, used, converged = descend(p, sig, max(FIT_MAX_ITER - it, 1))
                 it += used
                 if not converged:
                     break
     else:
         sig = np.ones_like(y)
-        p, sse, it, converged = descend(p, sig, max_iter)
+        p, sse, it, converged = descend(p, sig, FIT_MAX_ITER)
 
     base, depth, center, w = p[0], p[1], p[2], abs(p[3])
 
     # parameter covariance at the solution
-    model, jac = _dip_model_and_jac(np.array([base, depth, center, w]), l)
+    p = np.array([base, depth, center, w])
+    u, g, model = _dip_terms(p, l)
+    jac = _dip_jac(p, u, g, np.empty((n, 4)))
     dof = max(n - 4, 1)
     if poisson_weights:
         m = np.maximum(model, 1.0)
@@ -409,7 +397,7 @@ def fit_gaussian_dip(
     )
     if not converged:
         raise FitConvergenceError(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {FIT_MAX_ITER} iterations "
             f"(best residual {sse:.6g})",
             best=result,
         )

@@ -118,6 +118,31 @@ def test_bad_input_is_rejected_before_any_output(argv, reason, capsys):
     assert reason in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["concurrence", "--theta-deg", "22.5", "--delay-um", "1e200"],
+        ["concurrence", "--theta-deg", "22.5", "--sigma-um", "1e-200"],
+        ["concurrence", "--theta-deg", "22.5", "--delta", "1e200"],
+        ["sweep", "--theta-grid", "10", "--delay-grid", "0,1e200"],
+        ["hom", "--fwhm-um", "1e-200"],
+        ["hom", "--center-um", "1e200"],
+    ],
+    ids=" ".join,
+)
+def test_finite_input_that_overflows_is_a_numerical_error(argv, tmp_path, capsys):
+    # finite, positive input whose arithmetic overflows or divides by zero
+    table = tmp_path / "table.csv"
+    if argv[0] != "concurrence":
+        argv = argv + ["--out", str(table)]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not table.exists()
+
+
 def test_production_commands_never_call_the_oracle(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise RuntimeError("the labeled-tensor oracle is for verification only")
@@ -514,9 +539,9 @@ def test_cached_parser_gives_the_output_of_a_fresh_one(capsys):
 def test_verify_passes_and_reports(capsys):
     assert main(["verify", "--trials", "20", "--seed", "1"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "verification: 14/14 checks passed" in out
+    assert "verification: 15/15 checks passed" in out
     assert "[check ] occupation_weighted_vs_half_closed_form" in out
-    assert "[report] overlap_exponent_relation" in out
+    assert "[check ] overlap_exponent_relation" in out
     assert "FAIL" not in out
 
 
@@ -535,9 +560,8 @@ VERIFY_TRIALS_100_SEED_1 = """\
 [check ] hom_level_vs_oracle                  max_dev=4.547e-13    tol=1e-12  PASS
 [check ] concurrence_monotonicity             max_dev=0.000e+00    tol=5e-01  PASS
 [check ] occupation_weighted_vs_half_closed_form max_dev=2.220e-16    tol=1e-09  PASS
-[report] overlap_exponent_relation            max_dev=2.220e-16    \
-(optical Gaussian factor = paper overlap = quadrature overlap^4)
-verification: 14/14 checks passed
+[check ] overlap_exponent_relation            max_dev=2.220e-16    tol=1e-12  PASS
+verification: 15/15 checks passed
 """
 
 

@@ -5,8 +5,6 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from twoboson.core_state import (
     ATOL_EXACT,
@@ -19,7 +17,6 @@ from twoboson.core_state import (
     ValidationError,
     inner_single,
     spin_overlap,
-    validate,
 )
 from twoboson.fq_oracle import single_particle_vector
 from twoboson.nolabel_algebra import expand_in_detector_basis
@@ -88,55 +85,10 @@ def test_mismatched_dist_dimensions_raise():
         inner_single(a, c)
 
 
-def test_validate_accepts_unit_state():
-    s = SingleParticleState(
-        SpatialAmplitudes(1.0, 0.0), Spin.UP, DistVector((1.0 + 0j,))
-    )
-    validate(s)  # must not raise
-
-
-def test_validate_rejects_unnormalized_spatial_with_measured_norm():
-    s = SingleParticleState(
-        SpatialAmplitudes(0.8, 0.8), Spin.UP, DistVector((1.0 + 0j,))
-    )
-    with pytest.raises(ValidationError, match="1.28"):
-        validate(s)
-
-
-def test_validate_tolerance_boundary():
-    a_l = math.cos(math.pi / 4.0) * (1.0 + 1e-13)
-    s = SingleParticleState(
-        SpatialAmplitudes(a_l, math.sin(math.pi / 4.0)),
-        Spin.DOWN,
-        DistVector((1.0 + 0j,)),
-    )
-    validate(s)  # 1e-13 sits inside the 1e-12 budget
-
-
-def test_validate_rejects_unnormalized_dist():
-    s = SingleParticleState(
-        SpatialAmplitudes(1.0, 0.0), Spin.UP, DistVector((0.5 + 0j, 0.5 + 0j))
-    )
-    with pytest.raises(ValidationError):
-        validate(s)
-
-
-@given(
-    t=st.floats(min_value=0.0, max_value=2.0 * math.pi),
-    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
-)
-def test_validate_accepts_any_normalized_construction(t, phase):
-    sp = SpatialAmplitudes(math.cos(t), math.sin(t) * complex(math.cos(phase), math.sin(phase)))
-    validate(SingleParticleState(sp, Spin.UP, DistVector((1.0 + 0j,))))
-
-
 def test_spatial_overlap_and_normalization_helpers():
     sp = SpatialAmplitudes(2.0, 0.0)
-    assert sp.norm_sq() == 4.0
-    assert SpatialAmplitudes.normalized(2.0, 0.0).a_l == pytest.approx(1.0)
+    assert sp.overlap(sp).real == 4.0
     assert SpatialAmplitudes(RT2, RT2).overlap(SpatialAmplitudes(RT2, -RT2)) == pytest.approx(0.0, abs=ATOL_EXACT)
-    with pytest.raises(ValidationError):
-        SpatialAmplitudes.normalized(0.0, 0.0)
 
 
 def test_dist_vector_overlap_orientation():
@@ -147,24 +99,21 @@ def test_dist_vector_overlap_orientation():
 
 
 def test_spin_density_matrix_validation():
-    bell = np.zeros((4, 4), dtype=complex)
-    v = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    bell[:] = np.outer(v, v)
-    rho = SpinDensityMatrix(bell, 1.0)
-    rho.validate()
-    assert np.trace(rho.normalized()).real == pytest.approx(1.0, abs=ATOL_EXACT)
+    for shape in ((2, 2), (4,), (4, 5), (16,)):
+        with pytest.raises(ValidationError, match="4x4"):
+            SpinDensityMatrix(np.zeros(shape, dtype=complex))
 
-    with pytest.raises(ValidationError):
-        SpinDensityMatrix(bell, 0.5).validate()  # trace != weight
 
-    lopsided = bell.copy()
-    lopsided[0, 3] = 0.3  # not Hermitian
-    with pytest.raises(ValidationError):
-        SpinDensityMatrix(lopsided, 1.0).validate()
+def test_spin_density_matrix_weight_is_its_trace():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert SpinDensityMatrix(m).weight == float(np.trace(m).real)
+    assert SpinDensityMatrix(np.zeros((4, 4))).weight == 0.0
 
 
 def test_spin_density_matrix_is_read_only():
-    rho = SpinDensityMatrix(np.eye(4, dtype=complex), 4.0)
+    rho = SpinDensityMatrix(np.eye(4, dtype=complex))
     with pytest.raises((ValueError, RuntimeError)):
         rho.matrix[0, 0] = 9.0
 

@@ -101,13 +101,13 @@ def test_trace_of_empty_state_is_zero():
 
 
 def test_bell_state_has_unit_concurrence():
-    assert wootters_concurrence(SpinDensityMatrix(BELL, 1.0), normalize=True) == pytest.approx(
+    assert wootters_concurrence(SpinDensityMatrix(BELL), normalize=True) == pytest.approx(
         1.0, abs=ATOL_EXACT
     )
 
 
 def test_maximally_mixed_state_is_separable():
-    rho = SpinDensityMatrix(np.eye(4, dtype=complex) / 4.0, 1.0)
+    rho = SpinDensityMatrix(np.eye(4, dtype=complex) / 4.0)
     assert wootters_concurrence(rho, normalize=True) == pytest.approx(0.0, abs=ATOL_EXACT)
 
 
@@ -123,14 +123,14 @@ def _brute_force_concurrence(m: np.ndarray) -> float:
 def test_werner_state_concurrence_against_brute_force():
     for p in (0.2, 1.0 / 3.0, 0.5, 0.8, 1.0):
         m = p * BELL + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
-        got = wootters_concurrence(SpinDensityMatrix(m, 1.0), normalize=True)
+        got = wootters_concurrence(SpinDensityMatrix(m), normalize=True)
         assert got == pytest.approx(_brute_force_concurrence(m), abs=1e-10)
         assert got == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-10)
 
 
 def test_werner_half_is_a_quarter():
     m = 0.5 * BELL + 0.5 * np.eye(4, dtype=complex) / 4.0
-    assert wootters_concurrence(SpinDensityMatrix(m, 1.0), normalize=True) == pytest.approx(
+    assert wootters_concurrence(SpinDensityMatrix(m), normalize=True) == pytest.approx(
         0.25, abs=1e-12
     )
 
@@ -139,12 +139,12 @@ def test_unnormalized_concurrence_scales_with_the_trace():
     rng = np.random.default_rng(53)
     rho = _pipeline_rho(float(rng.uniform(5.0, 40.0)), 0.8)
     raw = wootters_concurrence(rho)
-    scaled = wootters_concurrence(SpinDensityMatrix(3.0 * rho.matrix, 3.0 * rho.weight))
+    scaled = wootters_concurrence(SpinDensityMatrix(3.0 * rho.matrix))
     assert scaled == pytest.approx(3.0 * raw, abs=1e-12)
 
 
 def test_zero_weight_normalization_is_an_error():
-    rho = SpinDensityMatrix(np.zeros((4, 4), dtype=complex), 0.0)
+    rho = SpinDensityMatrix(np.zeros((4, 4), dtype=complex))
     with pytest.raises(NoPostSelectionSupportError, match="no post-selection support"):
         wootters_concurrence(rho, normalize=True)
     assert wootters_concurrence(rho) == 0.0  # raw reading stays defined
@@ -258,7 +258,7 @@ def test_number_distribution_at_the_balanced_point():
 
 def test_pure_coincidence_bell_branch_gives_one():
     nd = NumberDistribution(
-        {(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}, SpinDensityMatrix(BELL, 1.0)
+        {(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}, SpinDensityMatrix(BELL)
     )
     assert entanglement_of_particles(nd) == pytest.approx(1.0, abs=ATOL_EXACT)
 
@@ -266,7 +266,7 @@ def test_pure_coincidence_bell_branch_gives_one():
 def test_pure_bunching_gives_zero():
     nd = NumberDistribution(
         {(2, 0): 0.5, (1, 1): 0.0, (0, 2): 0.5},
-        SpinDensityMatrix(np.zeros((4, 4), dtype=complex), 0.0),
+        SpinDensityMatrix(np.zeros((4, 4), dtype=complex)),
     )
     assert entanglement_of_particles(nd) == 0.0
     with pytest.raises(NoPostSelectionSupportError):
@@ -275,7 +275,7 @@ def test_pure_bunching_gives_zero():
 
 def test_branch_probabilities_must_sum_to_one():
     nd = NumberDistribution(
-        {(2, 0): 0.5, (1, 1): 0.2, (0, 2): 0.5}, SpinDensityMatrix(BELL, 1.0)
+        {(2, 0): 0.5, (1, 1): 0.2, (0, 2): 0.5}, SpinDensityMatrix(BELL)
     )
     with pytest.raises(ValueError, match="sum"):
         entanglement_of_particles(nd)

@@ -167,7 +167,7 @@ def test_expansion_equals_symmetrized_tensor():
             pa, pb = random_updown_pair(rng, d)
             expansion = expand_in_detector_basis(pa, pb)
             dev = np.max(
-                np.abs(to_labeled(expansion, d).amps - symmetrize(pa, pb).amps)
+                np.abs(to_labeled(expansion).amps - symmetrize(pa, pb).amps)
             )
             assert dev == pytest.approx(0.0, abs=1e-12)
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from twoboson import optics
 from twoboson.core_state import ATOL_EXACT, SpinDensityMatrix
 from twoboson.entanglement import concurrence_closed_form
 from twoboson.optics import (
@@ -33,7 +34,7 @@ from twoboson.optics import (
     xstate_concurrence,
     xstate_rates,
 )
-from twoboson.optics import _dip_jac, _dip_model, _dip_model_and_jac, _dip_terms
+from twoboson.optics import _dip_jac, _dip_terms
 
 RT2 = math.sqrt(0.5)
 
@@ -70,8 +71,8 @@ def test_fifteen_degrees():
 @given(theta=st.floats(min_value=-90.0, max_value=90.0))
 def test_theta_amplitudes_are_always_normalized(theta):
     alphas, betas = spatial_amplitudes_from_theta(theta)
-    assert alphas.norm_sq() == pytest.approx(1.0, abs=ATOL_EXACT)
-    assert betas.norm_sq() == pytest.approx(1.0, abs=ATOL_EXACT)
+    assert alphas.overlap(alphas).real == pytest.approx(1.0, abs=ATOL_EXACT)
+    assert betas.overlap(betas).real == pytest.approx(1.0, abs=ATOL_EXACT)
 
 
 # --- wavepacket overlaps -----------------------------------------------------
@@ -179,8 +180,8 @@ def test_dist_vectors_realize_the_requested_overlap():
     for ov in (0.0, 0.3 + 0.4j, 1.0):
         da, db = dist_vectors_for_overlap(ov)
         assert da.overlap(db) == pytest.approx(complex(ov), abs=ATOL_EXACT)
-        assert da.norm_sq() == pytest.approx(1.0, abs=ATOL_EXACT)
-        assert db.norm_sq() == pytest.approx(1.0, abs=ATOL_EXACT)
+        assert da.overlap(da).real == pytest.approx(1.0, abs=ATOL_EXACT)
+        assert db.overlap(db).real == pytest.approx(1.0, abs=ATOL_EXACT)
     with pytest.raises(ValueError):
         dist_vectors_for_overlap(1.5)
 
@@ -263,16 +264,19 @@ def test_negative_rates_are_rejected():
 def test_dip_model_and_jacobian(p):
     p = np.array(p)
     l = np.linspace(-150.0, 150.0, 31)
-    model, jac = _dip_model_and_jac(p, l)
-    assert np.array_equal(_dip_model(p, l), model)
-    u, g, _ = _dip_terms(p, l)
+    u, g, model = _dip_terms(p, l)
+    base, depth, center, w = p
+    assert np.array_equal(u, l - center)
+    assert np.array_equal(g, np.exp(-(u**2) / (2.0 * w**2)))
+    assert np.array_equal(model, base - depth * g)
+    jac = _dip_jac(p, u, g, np.empty((len(l), 4)))
     stale = np.full((len(l), 4), np.nan)  # every entry is overwritten
     assert np.array_equal(_dip_jac(p, u, g, stale), jac)
     for k in range(4):
         h = 1e-5 * max(abs(p[k]), 1.0)
         dp = np.zeros(4)
         dp[k] = h
-        central = (_dip_model(p + dp, l) - _dip_model(p - dp, l)) / (2.0 * h)
+        central = (_dip_terms(p + dp, l)[2] - _dip_terms(p - dp, l)[2]) / (2.0 * h)
         assert np.max(np.abs(central - jac[:, k])) <= 1e-6 * np.max(np.abs(jac[:, k]))
 
 
@@ -308,11 +312,12 @@ def test_negative_counts_rejected():
         fit_gaussian_dip([(float(l), -1.0) for l in range(-10, 11)])
 
 
-def test_iteration_cap_raises_with_best_so_far():
+def test_iteration_cap_raises_with_best_so_far(monkeypatch):
+    monkeypatch.setattr(optics, "FIT_MAX_ITER", 1)
     delays, rates = _dip_rates(0.95, 130.0)
     counts = np.random.default_rng(3).poisson(rates)
-    with pytest.raises(FitConvergenceError) as excinfo:
-        fit_gaussian_dip(list(zip(delays, counts)), max_iter=1)
+    with pytest.raises(FitConvergenceError, match="after 1 iterations") as excinfo:
+        fit_gaussian_dip(list(zip(delays, counts)))
     best = excinfo.value.best
     assert best is not None
     assert best.n_iter == 1
@@ -378,7 +383,7 @@ def _middle_block_state(q: complex) -> "SpinDensityMatrix":
     m[1, 1] = m[2, 2] = 0.25
     m[1, 2] = q
     m[2, 1] = np.conj(q)
-    return SpinDensityMatrix(m, 0.5)
+    return SpinDensityMatrix(m)
 
 
 def test_concurrence_estimator_is_unbiased_within_its_spread():

@@ -1,29 +1,23 @@
-"""Self-check suites: randomized cross-layer consistency checks plus
-non-gating relation reports."""
+"""Self-check suites: randomized cross-layer consistency checks."""
 
 import numpy as np
 import pytest
 
-from twoboson.core_state import Spin
+from twoboson.core_state import ATOL_EXACT, Spin
 from twoboson.verification import random_state, random_updown_pair, run_suites
-
-REPORT_NAMES = {"overlap_exponent_relation"}
 
 
 def test_all_checks_pass_on_random_draws():
     results = run_suites(trials=20, seed=1)
-    failures = [r.name for r in results if r.kind == "check" and not r.passed]
+    failures = [r.name for r in results if not r.passed]
     assert failures == []
 
 
-def test_report_suites_are_present_and_never_gate():
-    results = run_suites(trials=10, seed=3)
-    reports = {r.name: r for r in results if r.kind == "report"}
-    assert set(reports) == REPORT_NAMES
-    for r in reports.values():
-        assert r.passed
-        assert r.tolerance is None
-        assert r.note  # a report explains what it measured
+def test_overlap_exponent_relation_is_an_exact_check():
+    results = {r.name: r for r in run_suites(trials=10, seed=3)}
+    r = results["overlap_exponent_relation"]
+    assert r.tolerance == ATOL_EXACT
+    assert r.passed and r.max_deviation <= ATOL_EXACT
 
 
 def test_every_suite_has_a_unique_name():
@@ -35,12 +29,9 @@ def test_every_suite_has_a_unique_name():
 
 def test_tolerance_override_exposes_the_failure_path(failing_tolerances):
     results = run_suites(trials=10, seed=2)
-    checks = [r for r in results if r.kind == "check"]
-    assert checks and not any(r.passed for r in checks)
-    for r in checks:
+    assert results and not any(r.passed for r in results)
+    for r in results:
         assert r.tolerance == -1.0
-    # reports carry no tolerance and never fail
-    assert all(r.passed for r in results if r.kind == "report")
 
 
 def test_suites_are_deterministic_for_a_fixed_seed():
