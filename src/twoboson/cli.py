@@ -21,12 +21,12 @@ import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .core_state import SingleParticleState, Spin
+from .core_state import DistVector, SingleParticleState, SpatialAmplitudes, Spin
 from . import entanglement, optics, verification
 
 EXIT_OK = 0
@@ -107,21 +107,58 @@ def _sigma_from_args(args) -> float:
     return args.sigma_um
 
 
-def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention: str):
-    """All derived quantities of one (theta, delay) grid point."""
-    ov = optics.gaussian_overlap(delay_um, convention, sigma_um)
+class _ThetaValues(NamedTuple):
+    """What one half-wave-plate angle gives every grid point it meets."""
+
+    theta_deg: float
+    alphas: SpatialAmplitudes
+    betas: SpatialAmplitudes
+    spatial_overlap: float
+
+
+def _theta_values(theta_deg: float) -> _ThetaValues:
     alphas, betas = optics.spatial_amplitudes_from_theta(theta_deg)
-    phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
-    p_a = SingleParticleState(alphas, Spin.UP, phi_a)
-    p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
+    return _ThetaValues(theta_deg, alphas, betas, optics.spatial_overlap_factor(theta_deg))
+
+
+class _DelayValues(NamedTuple):
+    """What one delay gives every grid point it meets: the overlap under the
+    chosen convention, which sets the dist vectors, and the two printed
+    overlaps."""
+
+    delay_um: float
+    overlap: float
+    overlap_paper: float
+    overlap_quadrature: float
+    phi_a: DistVector
+    phi_b: DistVector
+
+
+def _delay_values(delay_um: float, sigma_um: float, convention: str) -> _DelayValues:
+    ov = optics.gaussian_overlap(delay_um, convention, sigma_um)
+    return _DelayValues(
+        delay_um,
+        ov,
+        optics.gaussian_overlap(delay_um, "paper", sigma_um),
+        optics.gaussian_overlap(delay_um, "quadrature", sigma_um),
+        *optics.dist_vectors_for_overlap(ov),
+    )
+
+
+def _point_values(theta: _ThetaValues, delay: _DelayValues):
+    """All derived quantities of one (theta, delay) grid point."""
+    p_a = SingleParticleState(theta.alphas, Spin.UP, delay.phi_a)
+    p_b = SingleParticleState(theta.betas, Spin.DOWN, delay.phi_b)
     nd = entanglement.number_distribution(p_a, p_b)
     return {
-        "theta_deg": theta_deg,
-        "delay_um": delay_um,
-        "spatial_overlap": optics.spatial_overlap_factor(theta_deg),
-        "overlap_paper": optics.gaussian_overlap(delay_um, "paper", sigma_um),
-        "overlap_quadrature": optics.gaussian_overlap(delay_um, "quadrature", sigma_um),
-        "c_closed_form": entanglement.concurrence_closed_form(alphas, betas, ov),
+        "theta_deg": theta.theta_deg,
+        "delay_um": delay.delay_um,
+        "spatial_overlap": theta.spatial_overlap,
+        "overlap_paper": delay.overlap_paper,
+        "overlap_quadrature": delay.overlap_quadrature,
+        "c_closed_form": entanglement.concurrence_closed_form(
+            theta.alphas, theta.betas, delay.overlap
+        ),
         "c_wootters_normalized": nd.concurrence,
         "e_p": entanglement.entanglement_of_particles(nd),
     }, nd.state
@@ -129,7 +166,10 @@ def _point_values(theta_deg: float, delay_um: float, sigma_um: float, convention
 
 def cmd_concurrence(args) -> int:
     sigma = _sigma_from_args(args)
-    values, _ = _point_values(args.theta_deg, args.delay_um, sigma, args.overlap_convention)
+    values, _ = _point_values(
+        _theta_values(args.theta_deg),
+        _delay_values(args.delay_um, sigma, args.overlap_convention),
+    )
     lines = [
         ("theta_deg", args.theta_deg),
         ("delay_um", args.delay_um),
@@ -178,15 +218,20 @@ def _write_table(
 def cmd_sweep(args) -> int:
     sigma = _sigma_from_args(args)
     columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
+    # what depends on one axis only is computed once per grid value
+    thetas = [_theta_values(theta) for theta in args.theta_grid]
+    delays = [_delay_values(delay, sigma, args.overlap_convention) for delay in args.delay_grid]
     rows = []
-    for theta in args.theta_grid:
-        for delay in args.delay_grid:
-            values, rho = _point_values(theta, delay, sigma, args.overlap_convention)
+    for theta in thetas:
+        for delay in delays:
+            values, rho = _point_values(theta, delay)
             if args.noisy:
-                # seed [seed, row_index] so row order never couples the draws
-                counts = optics.simulate_counts(
-                    optics.xstate_rates(rho, args.shots), [args.seed, len(rows)], args.runs
-                )
+                rates = optics.xstate_rates(rho, args.shots)
+                try:
+                    # seed [seed, row_index] so row order never couples the draws
+                    counts = optics.simulate_counts(rates, [args.seed, len(rows)], args.runs)
+                except ValueError as exc:
+                    raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
                 (values["c_mc_mean"], values["c_mc_stddev"]), _ = (
                     optics.monte_carlo_errorbars(counts, optics.xstate_concurrence)
                 )
@@ -237,7 +282,10 @@ def cmd_hom(args) -> int:
 
     delays = args.delay_grid
     rates = np.array([truth(l) for l in delays])
-    block = optics.simulate_counts(rates, args.seed, args.runs) if args.noisy else rates[None]
+    try:
+        block = optics.simulate_counts(rates, args.seed, args.runs) if args.noisy else rates[None]
+    except ValueError as exc:
+        raise ValueError(f"--baseline {args.baseline:g} is too large: {exc}") from exc
     counts = block[0]  # the Monte Carlo below reduces this same block
 
     rows = [{"delay_um": l, "counts": float(c)} for l, c in zip(delays, counts)]

@@ -56,6 +56,24 @@ class SpatialAmplitudes:
         object.__setattr__(self, "a_l", complex(self.a_l))
         object.__setattr__(self, "a_r", complex(self.a_r))
 
+    @cached_property
+    def key(self) -> tuple[float, float, float, float]:
+        """(Re a_l, Im a_l, Re a_r, Im a_r), the spatial part of
+        `SingleParticleState.sort_key`."""
+        return (self.a_l.real, self.a_l.imag, self.a_r.real, self.a_r.imag)
+
+    @cached_property
+    def detector_mode(self) -> Optional[str]:
+        """'L' or 'R' if the amplitudes occupy exactly one detector mode
+        within `ATOL_EXACT`, else None."""
+        wl = abs(self.a_l) ** 2
+        wr = abs(self.a_r) ** 2
+        if abs(wl - 1.0) <= ATOL_EXACT and wr <= ATOL_EXACT:
+            return "L"
+        if abs(wr - 1.0) <= ATOL_EXACT and wl <= ATOL_EXACT:
+            return "R"
+        return None
+
     def overlap(self, other: "SpatialAmplitudes") -> complex:
         return self.a_l.conjugate() * other.a_l + self.a_r.conjugate() * other.a_r
 
@@ -79,7 +97,8 @@ class DistVector:
             raise ValidationError("distinguishability vector needs dimension >= 1")
 
     def __getstate__(self) -> dict:
-        # a copy or an unpickled vector rebuilds `array` read-only on first use
+        # a copy or an unpickled vector rebuilds `array` read-only, and
+        # `key`, on first use
         return {"amplitudes": self.amplitudes}
 
     @cached_property
@@ -89,6 +108,12 @@ class DistVector:
         a = np.array(self.amplitudes, dtype=complex)
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def key(self) -> tuple[float, ...]:
+        """(Re a_0, Im a_0, Re a_1, ...), the distinguishability part of
+        `SingleParticleState.sort_key`."""
+        return tuple(x for a in self.amplitudes for x in (a.real, a.imag))
 
     @property
     def dim(self) -> int:
@@ -117,29 +142,13 @@ class SingleParticleState:
     @cached_property
     def sort_key(self) -> tuple[float, ...]:
         # deterministic total order on (mode amplitudes, spin, dist vector),
-        # used to canonicalize unordered pairs
-        flat: list[float] = [
-            self.spatial.a_l.real,
-            self.spatial.a_l.imag,
-            self.spatial.a_r.real,
-            self.spatial.a_r.imag,
-            float(self.spin.value),
-        ]
-        for a in self.dist.amplitudes:
-            flat.extend((a.real, a.imag))
-        return tuple(flat)
+        # used to canonicalize unordered pairs; the parts cache their keys
+        return self.spatial.key + (float(self.spin.value),) + self.dist.key
 
-    @cached_property
+    @property
     def detector_mode(self) -> Optional[str]:
-        """'L' or 'R' if the state occupies exactly one detector mode within
-        `ATOL_EXACT`, else None."""
-        wl = abs(self.spatial.a_l) ** 2
-        wr = abs(self.spatial.a_r) ** 2
-        if abs(wl - 1.0) <= ATOL_EXACT and wr <= ATOL_EXACT:
-            return "L"
-        if abs(wr - 1.0) <= ATOL_EXACT and wl <= ATOL_EXACT:
-            return "R"
-        return None
+        """The detector mode of the spatial part: 'L', 'R' or None."""
+        return self.spatial.detector_mode
 
     def __hash__(self) -> int:
         # equal states have equal keys (0.0 == -0.0 hash alike), and a float

@@ -48,8 +48,9 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
     Every term must hold exactly one particle at L and one at R; accumulate
     rho[(sL,sR),(sL',sR')] from pairwise dist overlaps, which is equivalent
     to summing projections onto any orthonormal distinguishability basis but
-    never materializes one.  Each overlap between the distinct dist vectors
-    is taken once.  The result is unnormalized: its trace is the
+    never materializes one.  Each distinct dist vector is overlapped with
+    itself and with each other one once; the mirrored entry <b|a> is the
+    conjugate of <a|b>.  The result is unnormalized: its trace is the
     post-selection weight.
     """
     # (row index, coefficient incl. mode phases, id of dist at L, at R)
@@ -70,7 +71,13 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
             (row, coeff * at_l.spatial.a_l * at_r.spatial.a_r, id(at_l.dist), id(at_r.dist))
         )
     # ov[id(a), id(b)] = <a|b>
-    ov = {(ka, kb): a.overlap(b) for ka, a in dists.items() for kb, b in dists.items()}
+    ov = {}
+    items = list(dists.items())
+    for n, (ka, a) in enumerate(items):
+        ov[ka, ka] = a.overlap(a)
+        for kb, b in items[n + 1 :]:
+            ov[ka, kb] = a.overlap(b)
+            ov[kb, ka] = ov[ka, kb].conjugate()
     rho = np.zeros((4, 4), dtype=complex)
     for i, ci, li, ri in entries:
         for j, cj, lj, rj in entries:
@@ -166,8 +173,8 @@ def number_distribution(
     """
     expansion = expand_in_detector_basis(p_a, p_b)
     weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
-    for coeff, pair in expansion.terms:
-        n_l = sum(s.detector_mode == "L" for s in pair)
+    for coeff, (x, y) in expansion.terms:
+        n_l = (x.detector_mode == "L") + (y.detector_mode == "L")
         weights[(n_l, 2 - n_l)] += abs(coeff) ** 2
     total = sum(weights.values())
     rho = trace_out_distinguishability(postselect_one_per_detector(expansion))

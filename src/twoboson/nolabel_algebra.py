@@ -65,7 +65,19 @@ class SymmetricTwoBosonState:
 
     @property
     def num_terms(self) -> int:
+        # read by the post-selection counter of perfbench/spans.py
         return len(self.terms)
+
+
+def _basis_mismatch(dim: int, other: int) -> ValueError:
+    return ValueError(
+        "all terms of a two-boson state must share one "
+        f"distinguishability basis (dimension {dim} vs {other})"
+    )
+
+
+def _by_pair_key(item: tuple[complex, Pair]) -> tuple:
+    return (item[1][0].sort_key, item[1][1].sort_key)
 
 
 def symmetric_state(
@@ -79,13 +91,10 @@ def symmetric_state(
             if dim is None:
                 dim = st.dist.dim
             elif st.dist.dim != dim:
-                raise ValueError(
-                    "all terms of a two-boson state must share one "
-                    f"distinguishability basis (dimension {dim} vs {st.dist.dim})"
-                )
+                raise _basis_mismatch(dim, st.dist.dim)
         merged[pair] = merged.get(pair, 0j) + complex(coeff)
     kept = [(c, p) for p, c in merged.items() if c != 0j]
-    kept.sort(key=lambda item: (item[1][0].sort_key, item[1][1].sort_key))
+    kept.sort(key=_by_pair_key)
     return SymmetricTwoBosonState(tuple(kept))
 
 
@@ -139,18 +148,27 @@ def expand_in_detector_basis(
         )
     al, ar = p_a.spatial.a_l, p_a.spatial.a_r
     bl, br = p_b.spatial.a_l, p_b.spatial.a_r
+    if p_b.dist.dim != p_a.dist.dim:
+        raise _basis_mismatch(p_a.dist.dim, p_b.dist.dim)
     l_up_a = SingleParticleState(DETECTOR_L, Spin.UP, p_a.dist)
     r_up_a = SingleParticleState(DETECTOR_R, Spin.UP, p_a.dist)
     l_dn_b = SingleParticleState(DETECTOR_L, Spin.DOWN, p_b.dist)
     r_dn_b = SingleParticleState(DETECTOR_R, Spin.DOWN, p_b.dist)
-    return symmetric_state(
-        [
+    # the four kets are distinct, so the canonical form `symmetric_state`
+    # would build needs no merge: order each pair, drop exact zeros (0j + c
+    # turns a -0.0 part into +0.0 as the merge's sum does) and sort
+    kept = [
+        (0j + coeff, _ordered(pair))
+        for coeff, pair in (
             (al * bl, (l_up_a, l_dn_b)),
             (al * br, (l_up_a, r_dn_b)),
             (ar * bl, (l_dn_b, r_up_a)),
             (ar * br, (r_up_a, r_dn_b)),
-        ]
-    )
+        )
+        if coeff != 0j
+    ]
+    kept.sort(key=_by_pair_key)
+    return SymmetricTwoBosonState(tuple(kept))
 
 
 def postselect_one_per_detector(s: SymmetricTwoBosonState) -> SymmetricTwoBosonState:

@@ -172,10 +172,17 @@ def simulate_counts(rates: np.ndarray, seed, runs: int = 1) -> np.ndarray:
 
     `seed` is an int or a sequence such as [seed, row_index].  Row k equals
     the k-th sequential draw of a fresh generator, so row 0 does not depend
-    on `runs`."""
+    on `runs`.  A rate too large for numpy's Poisson sampler raises
+    `ValueError` naming the largest rate."""
     if np.any(rates < 0.0):
         raise ValueError("count rates must be nonnegative")
-    return np.random.default_rng(seed).poisson(rates, size=(runs, len(rates)))
+    try:
+        return np.random.default_rng(seed).poisson(rates, size=(runs, len(rates)))
+    except ValueError as exc:  # numpy's "lam value too large"
+        raise ValueError(
+            f"cannot draw Poisson counts at a largest rate of "
+            f"{float(np.max(rates)):.6g} ({exc})"
+        ) from exc
 
 
 #: Margin applied to quoted 1-sigma uncertainties of counting-noise fits.
@@ -264,6 +271,9 @@ def fit_gaussian_dip(
     (1 + sqrt(m + 0.75))^2 per point, the usual max(1, chi^2/dof) scale, and
     the Monte-Carlo-derived `ERRORBAR_CALIBRATION` margin.  They are meant
     for accept/reject decisions, so they err on the side of over-coverage.
+
+    A fit any of whose fields is not finite, as counts near the float range
+    give, raises `FitError`.
     """
     pts = sorted((float(l), float(y)) for l, y in points)
     if len(pts) < 5:
@@ -272,8 +282,30 @@ def fit_gaussian_dip(
     y = np.array([p[1] for p in pts])
     if np.any(y < 0.0):
         raise ValueError("counts must be nonnegative")
+    # an overflow to inf or nan ends in the finiteness check below, not in
+    # a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, converged = _fit_dip(l, y, poisson_weights)
+    if not converged:
+        raise FitConvergenceError(
+            f"no convergence after {FIT_MAX_ITER} iterations "
+            f"(best residual {result.residual:.6g})",
+            best=result,
+        )
+    if result.depth <= 0.0:
+        raise NoDipError("no dip detected")
+    not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
+    if not_finite:
+        raise FitError(f"fit is not finite: {', '.join(not_finite)}")
+    return result
 
-    n = len(pts)
+
+def _fit_dip(
+    l: np.ndarray, y: np.ndarray, poisson_weights: bool
+) -> tuple[FitResult, bool]:
+    """The Gauss-Newton fit of `fit_gaussian_dip` on sorted delays `l` and
+    counts `y`, and whether it converged."""
+    n = len(l)
     n_edge = max(1, int(round(0.1 * n)))
     base0 = float(np.mean(np.concatenate((y[:n_edge], y[-n_edge:]))))
     i_min = int(np.argmin(y))
@@ -376,10 +408,11 @@ def fit_gaussian_dip(
         cov = cov * (sse / dof)
     perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     vis = depth / base if base != 0.0 else math.inf
+    # delta-method variance of depth / base, divided by the baseline last so
+    # that no power of a large baseline (base**3 from about 6e102) overflows
+    # to inf and drops a term
     var_vis = (
-        (depth / base**2) ** 2 * cov[0, 0]
-        + (1.0 / base) ** 2 * cov[1, 1]
-        - 2.0 * (depth / base**3) * cov[0, 1]
+        (vis**2 * cov[0, 0] + cov[1, 1] - 2.0 * vis * cov[0, 1]) / base / base
     ) if base != 0.0 else math.inf
     result = FitResult(
         baseline=float(base),
@@ -395,15 +428,7 @@ def fit_gaussian_dip(
         visibility_err=float(math.sqrt(max(var_vis, 0.0))),
         n_iter=it,
     )
-    if not converged:
-        raise FitConvergenceError(
-            f"no convergence after {FIT_MAX_ITER} iterations "
-            f"(best residual {sse:.6g})",
-            best=result,
-        )
-    if depth <= 0.0:
-        raise NoDipError("no dip detected")
-    return result
+    return result, converged
 
 
 #: largest share of Monte Carlo runs whose estimator may raise `FitError`

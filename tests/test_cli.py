@@ -143,6 +143,25 @@ def test_finite_input_that_overflows_is_a_numerical_error(argv, tmp_path, capsys
     assert not table.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["hom", "--baseline", "1e300", "--noisy"], "--baseline 1e+300"),
+        (
+            ["sweep", "--noisy", "--shots", "1e300", "--theta-grid", "22.5", "--delay-grid", "0"],
+            "--shots 1e+300",
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_rates_beyond_the_poisson_sampler_name_the_option(argv, option, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} is too large: ")
+    assert "largest rate of" in captured.err and captured.err.count("\n") == 1
+
+
 def test_production_commands_never_call_the_oracle(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise RuntimeError("the labeled-tensor oracle is for verification only")
@@ -232,7 +251,9 @@ def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
     argv = ["sweep", "--theta-grid", "10,22.5", "--delay-grid", "30", "--noisy"]
     assert main(argv + ["--runs", "40", "--seed", "5", "--format", "json"]) == EXIT_OK
     row = json.loads(capsys.readouterr().out)["rows"][1]
-    _, rho = cli._point_values(22.5, 30.0, DEFAULT_SIGMA_UM, "fitted")
+    _, rho = cli._point_values(
+        cli._theta_values(22.5), cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")
+    )
     p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
     rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * 1000.0
     rng = np.random.default_rng([5, 1])
@@ -257,6 +278,22 @@ def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
     argv = ["sweep", "--theta-grid", "10,22.5,40", "--delay-grid", "0,60"]
     assert main(argv) == EXIT_OK
     assert len(calls) == 6
+
+
+def test_sweep_computes_each_axis_value_once(monkeypatch, capsys):
+    calls = {"gaussian_overlap": 0, "spatial_amplitudes_from_theta": 0}
+    for name in calls:
+        original = getattr(optics, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(optics, name, counted)
+    argv = ["sweep", "--theta-grid", "10,22.5,40", "--delay-grid", "0,60"]
+    assert main(argv) == EXIT_OK
+    # three overlaps per delay; the amplitudes and the spatial factor per angle
+    assert calls == {"gaussian_overlap": 6, "spatial_amplitudes_from_theta": 6}
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
@@ -463,6 +500,16 @@ def test_noisy_hom_refuses_a_printed_fit_wider_than_the_scan(capsys):
     )
     assert len(_read_csv(captured.out)) == 61  # the full count table
     assert _report_lines(captured.out) == []
+
+
+def test_hom_refuses_a_fit_that_is_not_finite(capsys):
+    # a baseline near the float range overflows the fit's sums of squares;
+    # RuntimeWarnings are errors under the test settings, so none escapes
+    assert main(["hom", "--baseline", "1e300"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out.startswith("delay_um,counts\n")
+    assert "fit:" not in captured.out and "nan" not in captured.out
+    assert captured.err.startswith("fit failed: fit is not finite: ")
 
 
 def test_noiseless_hom_fits_a_dip_wider_than_the_scan(capsys):

@@ -181,6 +181,24 @@ def test_cached_keys_match_a_fresh_computation_and_survive_copies():
     assert moved.sort_key == _fresh_key(moved) != states[0].sort_key
 
 
+def test_component_keys_match_a_fresh_computation_and_survive_copies():
+    states = _states_with_keys()
+    for s in states:
+        sp, d = s.spatial, s.dist
+        fresh = _fresh_key(s)
+        assert s.sort_key == sp.key + (float(s.spin.value),) + d.key  # fills the caches
+        assert s.detector_mode == sp.detector_mode
+        for t in (sp, copy.deepcopy(sp), pickle.loads(pickle.dumps(sp))):
+            assert t == sp and t.key == fresh[:4]
+            assert t.detector_mode == _fresh_mode(s)
+        for t in (d, copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert t == d and t.key == fresh[5:]
+    # every detector-definite state holds one of the two shared mode
+    # amplitudes, so their cached keys serve every expansion
+    keyed = {id(s.spatial) for s in states if s.detector_mode is not None}
+    assert len(keyed) == 2
+
+
 def test_dist_vector_array_is_a_read_only_copy_of_the_amplitudes():
     d = DistVector((1, 1j, 0.5))
     _assert_read_only_amplitudes(d)

@@ -17,6 +17,8 @@ from twoboson.core_state import (
 )
 from twoboson.fq_oracle import labeled_inner, symmetrize, to_labeled
 from twoboson.nolabel_algebra import (
+    DETECTOR_L,
+    DETECTOR_R,
     SpinConfigError,
     NotDetectorBasisError,
     contract_residual,
@@ -170,6 +172,65 @@ def test_expansion_equals_symmetrized_tensor():
                 np.abs(to_labeled(expansion).amps - symmetrize(pa, pb).amps)
             )
             assert dev == pytest.approx(0.0, abs=1e-12)
+
+
+def _raw_terms(pa, pb):
+    """The four terms of the expansion docstring, unordered and unmerged."""
+    (al, ar), (bl, br) = (pa.spatial.a_l, pa.spatial.a_r), (pb.spatial.a_l, pb.spatial.a_r)
+    l_up_a, r_up_a = (SingleParticleState(m, Spin.UP, pa.dist) for m in (DETECTOR_L, DETECTOR_R))
+    l_dn_b, r_dn_b = (SingleParticleState(m, Spin.DOWN, pb.dist) for m in (DETECTOR_L, DETECTOR_R))
+    return [
+        (al * bl, (l_up_a, l_dn_b)),
+        (al * br, (l_up_a, r_dn_b)),
+        (ar * bl, (l_dn_b, r_up_a)),
+        (ar * br, (r_up_a, r_dn_b)),
+    ]
+
+
+def _bits(c):
+    return (c.real.hex(), c.imag.hex())  # tells -0.0 from 0.0
+
+
+def _updown(alphas, betas, da, db):
+    return SingleParticleState(alphas, Spin.UP, da), SingleParticleState(betas, Spin.DOWN, db)
+
+
+def test_expansion_is_the_canonical_state_of_its_raw_terms():
+    rng = np.random.default_rng(41)
+    pairs = [random_updown_pair(rng, d) for d in (1, 2, 3) for _ in range(15)]
+    da, db = dist_vectors_for_overlap(0.4)
+    for theta in (0.0, 45.0, 22.5, -10.0, 100.0):
+        pairs.append(_updown(*spatial_amplitudes_from_theta(theta), da, db))
+    for pa, pb in list(pairs[:15]):  # flip signs, keeping the magnitudes
+        alphas = SpatialAmplitudes(-pa.spatial.a_l, pa.spatial.a_r)
+        betas = SpatialAmplitudes(pb.spatial.a_l, -pb.spatial.a_r)
+        pairs.append(_updown(alphas, betas, pa.dist, pb.dist))
+    # products with a -0.0 part, which the merge's 0j + c makes +0.0
+    neg_zero = SpatialAmplitudes(complex(-0.6, -0.0), complex(0.8, -0.0))
+    pairs.append(_updown(neg_zero, SpatialAmplitudes(0.8, -0.6), da, db))
+    pairs.append(_updown(SpatialAmplitudes(-0.0, 1.0), SpatialAmplitudes(1.0, -0.0), da, db))
+    for pa, pb in pairs:
+        got = expand_in_detector_basis(pa, pb).terms
+        want = symmetric_state(_raw_terms(pa, pb)).terms
+        assert len(got) == len(want)
+        for (c, (x, y)), (c_ref, (x_ref, y_ref)) in zip(got, want):
+            assert (x, y) == (x_ref, y_ref)
+            assert x.sort_key == x_ref.sort_key and y.sort_key == y_ref.sort_key
+            assert _bits(c) == _bits(c_ref)
+    # theta 0 sends A to R and B to L, so three of the terms are exact zeros
+    at_zero = _updown(*spatial_amplitudes_from_theta(0.0), da, db)
+    assert len(expand_in_detector_basis(*at_zero).terms) == 1
+
+
+def test_expansion_rejects_mixed_dimensions_as_the_merge_does():
+    rng = np.random.default_rng(42)
+    pa, _ = random_updown_pair(rng, 2)
+    _, pb = random_updown_pair(rng, 3)
+    with pytest.raises(ValueError) as merged:
+        symmetric_state(_raw_terms(pa, pb))
+    with pytest.raises(ValueError, match=r"\(dimension 2 vs 3\)") as direct:
+        expand_in_detector_basis(pa, pb)
+    assert str(direct.value) == str(merged.value)
 
 
 def test_dist_vector_rides_with_its_spin():

@@ -18,6 +18,7 @@ from twoboson.optics import (
     OVERLAP_CONVENTIONS,
     EstimatorError,
     FitConvergenceError,
+    FitError,
     NoDipError,
     concurrence_optical,
     delta_to_sigma,
@@ -255,6 +256,11 @@ def test_negative_rates_are_rejected():
         simulate_counts(np.array([-1.0]), seed=0)
 
 
+def test_rates_beyond_the_poisson_sampler_name_the_largest_rate():
+    with pytest.raises(ValueError, match=r"largest rate of 2e\+300 \(lam value too large\)"):
+        simulate_counts(np.array([5.0, 2e300, 1e300]), seed=0)
+
+
 # --- dip fitting ----------------------------------------------------------------
 
 
@@ -310,6 +316,43 @@ def test_too_few_points_rejected():
 def test_negative_counts_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         fit_gaussian_dip([(float(l), -1.0) for l in range(-10, 11)])
+
+
+def test_a_fit_that_is_not_finite_is_a_fit_error():
+    # counts near the float range overflow the sums of squares; any
+    # RuntimeWarning would fail the test under the test settings
+    delays, rates = _dip_rates(0.95, 130.0)
+    for poisson_weights in (False, True):
+        with pytest.raises(FitError, match="fit is not finite: .*_err") as excinfo:
+            fit_gaussian_dip(list(zip(delays, 1e300 * rates)), poisson_weights)
+        assert type(excinfo.value) is FitError
+
+
+def test_visibility_error_does_not_depend_on_a_large_count_scale():
+    # at these scales the fit takes the same steps; a power of the baseline
+    # that overflowed used to drop the covariance term of the visibility
+    # error from about 6e102 on
+    delays, rates = _dip_rates(0.9, 130.0)
+    counts = np.random.default_rng(8).poisson(rates).astype(float)
+    errs = [
+        fit_gaussian_dip(list(zip(delays, scale * counts))).visibility_err
+        for scale in (1e100, 1e104, 1e150)
+    ]
+    assert errs == pytest.approx([errs[0]] * 3, rel=1e-9)
+
+
+def test_a_resample_whose_fit_is_not_finite_is_left_out():
+    delays, rates = _dip_rates(0.95, 130.0)
+    block = simulate_counts(rates, 5, 20).astype(float)
+    block[7] *= 1e300
+
+    def estimator(row):
+        return fit_gaussian_dip(list(zip(delays, row)), poisson_weights=True).visibility
+
+    (mean, _), failed = monte_carlo_errorbars(block, estimator)
+    kept = [estimator(row) for i, row in enumerate(block) if i != 7]
+    assert failed == 1
+    assert mean == float(np.mean(kept))
 
 
 def test_iteration_cap_raises_with_best_so_far(monkeypatch):
