@@ -146,7 +146,8 @@ def _delay_values(delay_um: float, sigma_um: float, convention: str) -> _DelayVa
 
 
 def _point_values(theta: _ThetaValues, delay: _DelayValues):
-    """All derived quantities of one (theta, delay) grid point."""
+    """The row of one (theta, delay) grid point without its two Wootters
+    readings, which `_theta_rows` adds, and the point's number distribution."""
     p_a = SingleParticleState(theta.alphas, Spin.UP, delay.phi_a)
     p_b = SingleParticleState(theta.betas, Spin.DOWN, delay.phi_b)
     nd = entanglement.number_distribution(p_a, p_b)
@@ -159,16 +160,30 @@ def _point_values(theta: _ThetaValues, delay: _DelayValues):
         "c_closed_form": entanglement.concurrence_closed_form(
             theta.alphas, theta.betas, delay.overlap
         ),
-        "c_wootters_normalized": nd.concurrence,
-        "e_p": entanglement.entanglement_of_particles(nd),
-    }, nd.state
+    }, nd
+
+
+def _theta_rows(theta: _ThetaValues, delays: Sequence[_DelayValues]):
+    """The rows of one angle's grid points, in delay order, each with its
+    unnormalized (1,1) spin matrix.  One stacked Wootters call reads the
+    normalized concurrence of every point, and E_P is computed from it."""
+    points = [_point_values(theta, delay) for delay in delays]
+    nds = [nd for _, nd in points]
+    concurrence = entanglement.wootters_concurrence([nd.state for nd in nds], normalize=True)
+    e_p = entanglement.entanglement_of_particles(nds, concurrence)
+    rows = []
+    for (values, nd), c, e in zip(points, concurrence.tolist(), e_p.tolist()):
+        values["c_wootters_normalized"] = c
+        values["e_p"] = e
+        rows.append((values, nd.state))
+    return rows
 
 
 def cmd_concurrence(args) -> int:
     sigma = _sigma_from_args(args)
-    values, _ = _point_values(
+    ((values, _),) = _theta_rows(
         _theta_values(args.theta_deg),
-        _delay_values(args.delay_um, sigma, args.overlap_convention),
+        [_delay_values(args.delay_um, sigma, args.overlap_convention)],
     )
     lines = [
         ("theta_deg", args.theta_deg),
@@ -223,8 +238,7 @@ def cmd_sweep(args) -> int:
     delays = [_delay_values(delay, sigma, args.overlap_convention) for delay in args.delay_grid]
     rows = []
     for theta in thetas:
-        for delay in delays:
-            values, rho = _point_values(theta, delay)
+        for values, rho in _theta_rows(theta, delays):
             if args.noisy:
                 rates = optics.xstate_rates(rho, args.shots)
                 try:

@@ -41,6 +41,11 @@ class Spin(enum.Enum):
     DOWN = 1
 
 
+#: bound once, so that a spin's index is an identity test instead of a read of
+#: `Spin.value` through the enum's descriptor
+_UP = Spin.UP
+
+
 def spin_overlap(a: Spin, b: Spin) -> float:
     return 1.0 if a is b else 0.0
 
@@ -143,7 +148,7 @@ class SingleParticleState:
     def sort_key(self) -> tuple[float, ...]:
         # deterministic total order on (mode amplitudes, spin, dist vector),
         # used to canonicalize unordered pairs; the parts cache their keys
-        return self.spatial.key + (float(self.spin.value),) + self.dist.key
+        return self.spatial.key + (0.0 if self.spin is _UP else 1.0,) + self.dist.key
 
     @property
     def detector_mode(self) -> Optional[str]:

@@ -25,6 +25,7 @@ from .core_state import (
     ATOL_PIPELINE,
     SingleParticleState,
     SpatialAmplitudes,
+    Spin,
     SpinDensityMatrix,
 )
 from .nolabel_algebra import (
@@ -32,6 +33,11 @@ from .nolabel_algebra import (
     expand_in_detector_basis,
     postselect_one_per_detector,
 )
+
+
+#: bound once, so that a spin's index in SPIN_BASIS_LABELS is an identity
+#: test instead of a read of `Spin.value` through the enum's descriptor
+_UP = Spin.UP
 
 
 class NotPostSelectedError(ValueError):
@@ -64,7 +70,7 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
                 "postselect_one_per_detector before tracing"
             )
         at_l, at_r = (x, y) if mx == "L" else (y, x)
-        row = 2 * at_l.spin.value + at_r.spin.value
+        row = 2 * (at_l.spin is not _UP) + (at_r.spin is not _UP)
         dists[id(at_l.dist)] = at_l.dist
         dists[id(at_r.dist)] = at_r.dist
         entries.append(
@@ -95,8 +101,14 @@ _SPIN_FLIP = np.array(
 )  # sigma_y (x) sigma_y, real in this basis
 
 
-def wootters_concurrence(rho: SpinDensityMatrix, normalize: bool = False) -> float:
+def wootters_concurrence(rho, normalize: bool = False):
     """max(0, l1 - l2 - l3 - l4) from the spin-flipped spectrum.
+
+    `rho` is one `SpinDensityMatrix`, which gives a float, or a sequence of
+    them, which gives an array of their concurrences in order.  Every step
+    below broadcasts over the stack, and numpy's gufuncs run the same LAPACK
+    routine on each matrix, so a matrix reads the same bits alone or in a
+    stack.
 
     The l_i are the square roots of the eigenvalues of rho rho~, with
     rho~ = S rho* S and S = sigma_y x sigma_y (Wootters, PRL 80, 2245, 1998).
@@ -107,18 +119,24 @@ def wootters_concurrence(rho: SpinDensityMatrix, normalize: bool = False) -> flo
     eigenvalues, so no spectral cut is needed and a state near a pure one
     keeps its small l_i to roundoff instead of losing them or reading
     sqrt(eps)-sized noise.  Without `normalize` the value scales linearly
-    with the trace, which is what the closed-form comparison below relies on.
+    with the trace, which is what the closed-form comparison below relies on;
+    with it, any matrix of zero weight raises `NoPostSelectionSupportError`.
     """
+    single = isinstance(rho, SpinDensityMatrix)
+    rhos = (rho,) if single else rho
+    m = np.array([r.matrix for r in rhos], dtype=complex).reshape(-1, 4, 4)
     if normalize:
-        if not rho.weight > 0.0:
+        weights = np.array([r.weight for r in rhos])
+        if not np.all(weights > 0.0):
             raise NoPostSelectionSupportError("no post-selection support (weight = 0)")
-        m = rho.matrix / rho.weight
-    else:
-        m = np.asarray(rho.matrix, dtype=complex)
+        m /= weights[:, None, None]
     evals, evecs = np.linalg.eigh(m)
-    r = evecs * np.sqrt(np.clip(evals, 0.0, None))  # clip tiny negatives from roundoff
-    lams = np.linalg.svd(r.T @ _SPIN_FLIP @ r, compute_uv=False)  # descending
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    # clip tiny negatives from roundoff
+    r = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
+    lams = np.linalg.svd(r.transpose(0, 2, 1) @ _SPIN_FLIP @ r, compute_uv=False)  # descending
+    c = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
+    c = np.where(c > 0.0, c, 0.0)  # max(0.0, c), which also reads -0.0 as 0.0
+    return float(c[0]) if single else c
 
 
 def concurrence_closed_form(
@@ -181,21 +199,32 @@ def number_distribution(
     return NumberDistribution({key: w / total for key, w in weights.items()}, rho)
 
 
-def entanglement_of_particles(nd: NumberDistribution) -> float:
+def entanglement_of_particles(nd, concurrence=None):
     """Occupation-weighted entanglement E_P = P(1,1) C(1,1).
 
     Bunched sectors contribute zero (their spin state is not accessible to
     local detectors); the (1,1) sector contributes its normalized Wootters
-    concurrence weighted by its probability.
+    concurrence weighted by its probability.  `nd` is one
+    `NumberDistribution`, which gives a float, or a sequence of them, which
+    gives an array.  `concurrence` is C(1,1) of each, as
+    `wootters_concurrence` of their states with `normalize` returns it, for a
+    caller that has read it already; without it each distribution with
+    P(1,1) > 0 reads its own.  Every distribution's probabilities are checked.
     """
-    probabilities = nd.probabilities.values()
-    total = sum(probabilities)
-    if abs(total - 1.0) > ATOL_PIPELINE:
-        raise ValueError(f"sector probabilities sum to {total:.12g}, not 1")
-    if any(p < -ATOL_EXACT for p in probabilities):
-        raise ValueError("sector probabilities must be nonnegative")
-    p11 = nd.probabilities[(1, 1)]
-    return float(p11 * nd.concurrence) if p11 > 0.0 else 0.0
+    single = isinstance(nd, NumberDistribution)
+    nds = (nd,) if single else nd
+    for n in nds:
+        probabilities = n.probabilities.values()
+        total = sum(probabilities)
+        if abs(total - 1.0) > ATOL_PIPELINE:
+            raise ValueError(f"sector probabilities sum to {total:.12g}, not 1")
+        if any(p < -ATOL_EXACT for p in probabilities):
+            raise ValueError("sector probabilities must be nonnegative")
+    p11 = np.array([n.probabilities[(1, 1)] for n in nds])
+    if concurrence is None:
+        concurrence = [n.concurrence if p > 0.0 else 0.0 for n, p in zip(nds, p11)]
+    e_p = np.where(p11 > 0.0, p11 * np.asarray(concurrence), 0.0)
+    return float(e_p[0]) if single else e_p
 
 
 __all__ = [

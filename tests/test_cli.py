@@ -17,6 +17,7 @@ import pytest
 
 from twoboson import __version__, cli, entanglement, fq_oracle, optics
 from twoboson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from twoboson.core_state import SingleParticleState, Spin
 from twoboson.optics import DEFAULT_SIGMA_UM, concurrence_optical
 
 SWEEP_HEADER = (
@@ -251,8 +252,8 @@ def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
     argv = ["sweep", "--theta-grid", "10,22.5", "--delay-grid", "30", "--noisy"]
     assert main(argv + ["--runs", "40", "--seed", "5", "--format", "json"]) == EXIT_OK
     row = json.loads(capsys.readouterr().out)["rows"][1]
-    _, rho = cli._point_values(
-        cli._theta_values(22.5), cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")
+    ((_, rho),) = cli._theta_rows(
+        cli._theta_values(22.5), [cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")]
     )
     p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
     rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * 1000.0
@@ -277,7 +278,40 @@ def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
     monkeypatch.setattr(entanglement, "wootters_concurrence", counted)
     argv = ["sweep", "--theta-grid", "10,22.5,40", "--delay-grid", "0,60"]
     assert main(argv) == EXIT_OK
-    assert len(calls) == 6
+    # one stacked call per angle, over that angle's two delays
+    assert [len(args[0]) for args in calls] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
+def test_sweep_matches_a_per_point_reference_of_single_state_calls(convention, capsys):
+    thetas, delays = (0.0, 7.5, 22.5, 31.0, 45.0), (-40.0, 0.0, 30.0, 300.0)
+    argv = [
+        "sweep", "--theta-grid", ",".join(map(str, thetas)),
+        "--delay-grid=" + ",".join(map(str, delays)), "--overlap-convention", convention,
+    ]
+    assert main(argv) == EXIT_OK
+    lines = [SWEEP_HEADER]
+    for theta in thetas:
+        alphas, betas = optics.spatial_amplitudes_from_theta(theta)
+        for delay in delays:
+            ov = optics.gaussian_overlap(delay, convention, DEFAULT_SIGMA_UM)
+            phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
+            nd = entanglement.number_distribution(
+                SingleParticleState(alphas, Spin.UP, phi_a),
+                SingleParticleState(betas, Spin.DOWN, phi_b),
+            )
+            row = (
+                theta,
+                delay,
+                optics.spatial_overlap_factor(theta),
+                optics.gaussian_overlap(delay, "paper", DEFAULT_SIGMA_UM),
+                optics.gaussian_overlap(delay, "quadrature", DEFAULT_SIGMA_UM),
+                entanglement.concurrence_closed_form(alphas, betas, ov),
+                entanglement.wootters_concurrence(nd.state, normalize=True),
+                entanglement.entanglement_of_particles(nd),
+            )
+            lines.append(",".join(format(x + 0.0, ".12g") for x in row))  # -0.0 reads 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_sweep_computes_each_axis_value_once(monkeypatch, capsys):

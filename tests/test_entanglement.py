@@ -227,6 +227,74 @@ def test_normalized_wootters_near_pure_states_off_the_manifold():
         )
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _stack_densities():
+    """Pipeline matrices of random (up, down) pairs, random full-rank
+    densities of varied trace, and near-pure matrices on and off the
+    balanced manifold."""
+    rng = np.random.default_rng(57)
+    rhos = []
+    for k in range(60):
+        expansion = expand_in_detector_basis(*random_updown_pair(rng, 1 + k % 3))
+        rhos.append(trace_out_distinguishability(postselect_one_per_detector(expansion)))
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rhos.append(SpinDensityMatrix(rng.uniform(0.1, 3.0) * a @ a.conj().T))
+    thetas = np.concatenate((np.full(101, 22.5), rng.uniform(0.0, 45.0, 101)))
+    overlaps = np.concatenate((_near_pure_overlaps(34, 100), _near_pure_overlaps(35, 100)))
+    rhos += [_pipeline_rho(float(theta), ov) for theta, ov in zip(thetas, overlaps)]
+    return rhos
+
+
+@pytest.mark.parametrize("normalize", (False, True))
+def test_stacked_wootters_is_the_single_state_call_bit_for_bit(normalize):
+    rhos = _stack_densities()
+    stacked = wootters_concurrence(rhos, normalize=normalize)
+    assert stacked.shape == (len(rhos),)
+    singles = [wootters_concurrence(rho, normalize=normalize) for rho in rhos]
+    assert all(type(c) is float for c in singles)
+    assert _bits(stacked) == _bits(singles)
+
+
+@pytest.mark.parametrize("normalize", (False, True))
+def test_a_stack_of_one_is_the_single_state_call(normalize):
+    for rho in _stack_densities()[::23]:
+        stacked = wootters_concurrence([rho], normalize=normalize)
+        assert stacked.shape == (1,)
+        assert _bits(stacked) == _bits([wootters_concurrence(rho, normalize=normalize)])
+
+
+def test_a_zero_weight_member_fails_the_normalized_stack():
+    zero = SpinDensityMatrix(np.zeros((4, 4), dtype=complex))
+    rhos = [SpinDensityMatrix(BELL), zero, SpinDensityMatrix(np.eye(4) / 4.0)]
+    with pytest.raises(NoPostSelectionSupportError, match="no post-selection support"):
+        wootters_concurrence(rhos, normalize=True)
+    # the raw reading stays defined
+    assert wootters_concurrence(rhos) == pytest.approx([1.0, 0.0, 0.0], abs=ATOL_EXACT)
+
+
+def test_stacked_entanglement_of_particles_is_the_single_call_bit_for_bit():
+    rng = np.random.default_rng(58)
+    nds = [number_distribution(*random_updown_pair(rng, 1 + k % 3)) for k in range(40)]
+    nds.append(NumberDistribution(
+        {(2, 0): 0.5, (1, 1): 0.0, (0, 2): 0.5}, SpinDensityMatrix(np.zeros((4, 4)))
+    ))
+    singles = [entanglement_of_particles(nd) for nd in nds]
+    assert _bits(entanglement_of_particles(nds)) == _bits(singles)
+    # a caller's stacked concurrences give the same bits as each sector's own
+    concurrence = wootters_concurrence([nd.state for nd in nds[:-1]], normalize=True)
+    assert _bits(entanglement_of_particles(nds[:-1], concurrence)) == _bits(singles[:-1])
+
+
+def test_stacked_entanglement_of_particles_checks_every_distribution():
+    good = NumberDistribution({(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}, SpinDensityMatrix(BELL))
+    bad = NumberDistribution({(2, 0): 0.5, (1, 1): 0.2, (0, 2): 0.5}, SpinDensityMatrix(BELL))
+    with pytest.raises(ValueError, match="sum"):
+        entanglement_of_particles([good, bad, good], [1.0, 1.0, 1.0])
+
+
 def test_closed_form_monotonicity():
     overlaps = np.linspace(0.0, 1.0, 21)
     thetas = np.linspace(0.0, 22.5, 16)  # sin^2(4 theta) increasing on this range
