@@ -72,6 +72,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_grid(spec: str) -> tuple[float, ...]:
     """Comma list '0,30,60' or linspace 'start:stop:count' of finite values."""
     spec = spec.strip()
@@ -246,8 +256,9 @@ def cmd_sweep(args) -> int:
                     counts = optics.simulate_counts(rates, [args.seed, len(rows)], args.runs)
                 except ValueError as exc:
                     raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
-                (values["c_mc_mean"], values["c_mc_stddev"]), _ = (
-                    optics.monte_carlo_errorbars(counts, optics.xstate_concurrence)
+                c = optics.xstate_concurrence(counts)
+                values["c_mc_mean"], values["c_mc_stddev"] = (
+                    float(np.mean(c)), float(np.std(c, ddof=1))
                 )
             rows.append(values)
     metadata = {
@@ -318,9 +329,7 @@ def cmd_hom(args) -> int:
 
     span = max(delays) - min(delays)
     try:
-        fit = optics.fit_gaussian_dip(
-            list(zip(delays, counts)), poisson_weights=args.noisy
-        )
+        fit = optics.fit_gaussian_dip(delays, counts, poisson_weights=args.noisy)
         if args.noisy:  # an exact fit is reported as it converged
             _resolving_dip(fit, span)
     except optics.FitError as exc:
@@ -340,7 +349,7 @@ def cmd_hom(args) -> int:
             # table, reuses the printed fit; a resample that resolves no dip
             # is left out like a failed fit, under the same 10% rule
             refit = fit if np.array_equal(c, counts) else _resolving_dip(
-                optics.fit_gaussian_dip(list(zip(delays, c)), poisson_weights=True), span
+                optics.fit_gaussian_dip(delays, c, poisson_weights=True), span
             )
             return refit.visibility, refit.fwhm_um
 
@@ -421,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
     p.add_argument("--shots", type=_positive_float, default=1000.0, help="counts scale per channel")
     p.add_argument("--runs", type=int, default=100, help="Monte Carlo resamples per row")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
@@ -437,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay-grid", type=_parse_grid, default="-300:300:61")
     p.add_argument("--noisy", action="store_true", help="Poisson counts instead of exact rates")
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="count table path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("verify", help="run the randomized cross-check suites")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -463,6 +472,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a count block too large to allocate, as a huge --runs asks for,
+        # which is drawn before any output
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         # finite input whose arithmetic overflows or divides by zero, which

@@ -16,7 +16,6 @@ unordered-ket algebra of `nolabel_algebra`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -101,14 +100,13 @@ _SPIN_FLIP = np.array(
 )  # sigma_y (x) sigma_y, real in this basis
 
 
-def wootters_concurrence(rho, normalize: bool = False):
+def wootters_concurrence(rhos, normalize: bool = False) -> np.ndarray:
     """max(0, l1 - l2 - l3 - l4) from the spin-flipped spectrum.
 
-    `rho` is one `SpinDensityMatrix`, which gives a float, or a sequence of
-    them, which gives an array of their concurrences in order.  Every step
-    below broadcasts over the stack, and numpy's gufuncs run the same LAPACK
-    routine on each matrix, so a matrix reads the same bits alone or in a
-    stack.
+    `rhos` is a sequence of `SpinDensityMatrix`; the result is the array of
+    their concurrences in order.  Every step below broadcasts over the stack,
+    and numpy's gufuncs run the same LAPACK routine on each matrix, so a
+    matrix reads the same bits alone or in a stack.
 
     The l_i are the square roots of the eigenvalues of rho rho~, with
     rho~ = S rho* S and S = sigma_y x sigma_y (Wootters, PRL 80, 2245, 1998).
@@ -122,8 +120,6 @@ def wootters_concurrence(rho, normalize: bool = False):
     with the trace, which is what the closed-form comparison below relies on;
     with it, any matrix of zero weight raises `NoPostSelectionSupportError`.
     """
-    single = isinstance(rho, SpinDensityMatrix)
-    rhos = (rho,) if single else rho
     m = np.array([r.matrix for r in rhos], dtype=complex).reshape(-1, 4, 4)
     if normalize:
         weights = np.array([r.weight for r in rhos])
@@ -135,8 +131,7 @@ def wootters_concurrence(rho, normalize: bool = False):
     r = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
     lams = np.linalg.svd(r.transpose(0, 2, 1) @ _SPIN_FLIP @ r, compute_uv=False)  # descending
     c = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
-    c = np.where(c > 0.0, c, 0.0)  # max(0.0, c), which also reads -0.0 as 0.0
-    return float(c[0]) if single else c
+    return np.where(c > 0.0, c, 0.0)  # max(0.0, c), which also reads -0.0 as 0.0
 
 
 def concurrence_closed_form(
@@ -166,13 +161,6 @@ class NumberDistribution:
     probabilities: dict[tuple[int, int], float]
     state: SpinDensityMatrix
 
-    @cached_property
-    def concurrence(self) -> float:
-        """Normalized Wootters concurrence of the (1,1) sector, computed on
-        first read; raises `NoPostSelectionSupportError` when it has no
-        weight."""
-        return wootters_concurrence(self.state, normalize=True)
-
 
 def number_distribution(
     p_a: SingleParticleState, p_b: SingleParticleState
@@ -199,20 +187,17 @@ def number_distribution(
     return NumberDistribution({key: w / total for key, w in weights.items()}, rho)
 
 
-def entanglement_of_particles(nd, concurrence=None):
-    """Occupation-weighted entanglement E_P = P(1,1) C(1,1).
+def entanglement_of_particles(nds, concurrence) -> np.ndarray:
+    """Occupation-weighted entanglement E_P = P(1,1) C(1,1) of each
+    `NumberDistribution` in the sequence `nds`, as an array.
 
     Bunched sectors contribute zero (their spin state is not accessible to
     local detectors); the (1,1) sector contributes its normalized Wootters
-    concurrence weighted by its probability.  `nd` is one
-    `NumberDistribution`, which gives a float, or a sequence of them, which
-    gives an array.  `concurrence` is C(1,1) of each, as
-    `wootters_concurrence` of their states with `normalize` returns it, for a
-    caller that has read it already; without it each distribution with
-    P(1,1) > 0 reads its own.  Every distribution's probabilities are checked.
+    concurrence, `concurrence`, as `wootters_concurrence` of the
+    distributions' states with `normalize` returns it, weighted by its
+    probability.  A distribution with P(1,1) = 0 reads 0 whatever its
+    concurrence.  Every distribution's probabilities are checked.
     """
-    single = isinstance(nd, NumberDistribution)
-    nds = (nd,) if single else nd
     for n in nds:
         probabilities = n.probabilities.values()
         total = sum(probabilities)
@@ -221,10 +206,7 @@ def entanglement_of_particles(nd, concurrence=None):
         if any(p < -ATOL_EXACT for p in probabilities):
             raise ValueError("sector probabilities must be nonnegative")
     p11 = np.array([n.probabilities[(1, 1)] for n in nds])
-    if concurrence is None:
-        concurrence = [n.concurrence if p > 0.0 else 0.0 for n, p in zip(nds, p11)]
-    e_p = np.where(p11 > 0.0, p11 * np.asarray(concurrence), 0.0)
-    return float(e_p[0]) if single else e_p
+    return np.where(p11 > 0.0, p11 * np.asarray(concurrence), 0.0)
 
 
 __all__ = [

@@ -24,15 +24,17 @@ The rest of the module is desk-scale experiment plumbing: Hong-Ou-Mandel dip
 levels (visibility in closed form from the two-photon merge amplitudes),
 Poisson count simulation, a damped Gauss-Newton Gaussian-dip fitter, and
 Monte Carlo error bars.  A Monte Carlo draws one (runs, n) count block from
-`simulate_counts`, the only place a generator is created, and
-`monte_carlo_errorbars` reduces it row by row.  No hidden global state.
+`simulate_counts`, the only place a generator is created; a block estimator
+such as `xstate_concurrence` maps it to one value per run, and
+`monte_carlo_errorbars` reduces it row by row through a per-run fit.  No
+hidden global state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -176,8 +178,9 @@ def simulate_counts(rates: np.ndarray, seed, runs: int = 1) -> np.ndarray:
     `ValueError` naming the largest rate."""
     if np.any(rates < 0.0):
         raise ValueError("count rates must be nonnegative")
+    rng = np.random.default_rng(seed)  # a bad seed's error is not the sampler's
     try:
-        return np.random.default_rng(seed).poisson(rates, size=(runs, len(rates)))
+        return rng.poisson(rates, size=(runs, len(rates)))
     except ValueError as exc:  # numpy's "lam value too large"
         raise ValueError(
             f"cannot draw Poisson counts at a largest rate of "
@@ -247,10 +250,11 @@ FIT_MAX_ITER = 200
 FIT_STEP_TOL = 1e-10
 
 
-def fit_gaussian_dip(
-    points: Sequence[tuple[float, float]], poisson_weights: bool = False
-) -> FitResult:
+def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> FitResult:
     """Least-squares Gaussian dip fit via damped Gauss-Newton.
+
+    `delays` and `counts` are equal-length arrays in any order; the points
+    are sorted by delay, and by count among equal delays.
 
     Initialization is data-driven: baseline from the mean of the outer 20%
     of points, depth from baseline minus the minimum, center at the minimum,
@@ -275,11 +279,12 @@ def fit_gaussian_dip(
     A fit any of whose fields is not finite, as counts near the float range
     give, raises `FitError`.
     """
-    pts = sorted((float(l), float(y)) for l, y in points)
-    if len(pts) < 5:
-        raise ValueError(f"need at least 5 points to fit a dip, got {len(pts)}")
-    l = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
+    l = np.asarray(delays, dtype=float)
+    y = np.asarray(counts, dtype=float)
+    order = np.lexsort((y, l))
+    if len(order) < 5:
+        raise ValueError(f"need at least 5 points to fit a dip, got {len(order)}")
+    l, y = l[order], y[order]
     if np.any(y < 0.0):
         raise ValueError("counts must be nonnegative")
     # an overflow to inf or nan ends in the finiteness check below, not in
@@ -437,12 +442,11 @@ MAX_FAILED_FRACTION = 0.1
 
 
 def monte_carlo_errorbars(
-    counts: np.ndarray,
-    estimator: Callable[[np.ndarray], float | tuple[float, ...]],
-):
+    counts: np.ndarray, estimator: Callable[[np.ndarray], tuple[float, ...]]
+) -> tuple[tuple[tuple[float, float], ...], int]:
     """Apply `estimator` to each row of a `simulate_counts` block; return
-    ((mean, stddev), failed) over the runs.  A tuple-valued estimator gets
-    one (mean, stddev) pair per entry.  A run whose estimator raises
+    (stats, failed), with one (mean, stddev) pair over the runs in `stats`
+    per entry of the estimator's tuple.  A run whose estimator raises
     `FitError` is left out and counted in `failed`, up to
     `MAX_FAILED_FRACTION` of the runs; any other estimator exception
     propagates, tagged with the failing run index."""
@@ -464,8 +468,8 @@ def monte_carlo_errorbars(
             f"{MAX_FAILED_FRACTION:.0%}; first on {failures[0]}"
         )
     columns = np.array(values, dtype=float).T.copy()  # one contiguous row per entry
-    stats = tuple((float(np.mean(c)), float(np.std(c, ddof=1))) for c in np.atleast_2d(columns))
-    return (stats[0] if columns.ndim == 1 else stats), len(failures)
+    stats = tuple((float(np.mean(c)), float(np.std(c, ddof=1))) for c in columns)
+    return stats, len(failures)
 
 
 def xstate_rates(rho: SpinDensityMatrix, shots: float) -> np.ndarray:
@@ -487,12 +491,13 @@ def xstate_rates(rho: SpinDensityMatrix, shots: float) -> np.ndarray:
     return np.clip(np.array([p, r, plus, minus]) * shots, 0.0, None)
 
 
-def xstate_concurrence(counts: np.ndarray) -> float:
-    """Concurrence 2|q| / (p + r) rebuilt from one row of `xstate_rates`
-    channel counts; 0 when no coincidences were observed."""
-    n_ud, n_du, n_plus, n_minus = counts
+def xstate_concurrence(counts: np.ndarray) -> np.ndarray:
+    """Concurrence min(1, 2|q| / (p + r)) of each run of a (runs, 4) block of
+    `xstate_rates` channel counts, as a (runs,) column; 0 for a run that
+    observed no coincidences, which gives no entanglement evidence."""
+    n_ud, n_du, n_plus, n_minus = counts.T
     total = n_ud + n_du
-    if total == 0:
-        return 0.0  # no coincidences observed, no entanglement evidence
-    q_hat = (float(n_plus) - float(n_minus)) / 2.0
-    return float(min(1.0, 2.0 * abs(q_hat) / total))
+    none = total == 0
+    q_hat = (n_plus.astype(float) - n_minus.astype(float)) / 2.0
+    c = 2.0 * np.abs(q_hat) / np.where(none, 1, total)  # no 0/0 warning
+    return np.where(none, 0.0, np.minimum(1.0, c))

@@ -58,12 +58,6 @@ def random_updown_pair(
     return random_state(rng, d, Spin.UP), random_state(rng, d, Spin.DOWN)
 
 
-def _pipeline_density(p_a, p_b):
-    expansion = nolabel_algebra.expand_in_detector_basis(p_a, p_b)
-    kept = nolabel_algebra.postselect_one_per_detector(expansion)
-    return entanglement.trace_out_distinguishability(kept)
-
-
 # ---------------------------------------------------------------------------
 # check suites
 # ---------------------------------------------------------------------------
@@ -154,7 +148,7 @@ def _suite_density_validity(rng, trials):
     for k in range(trials):
         d = 1 + k % 3
         p_a, p_b = random_updown_pair(rng, d)
-        rho = _pipeline_density(p_a, p_b)
+        rho = entanglement.number_distribution(p_a, p_b).state
         m = rho.matrix
         dev = max(dev, float(np.max(np.abs(m - m.conj().T))))
         dev = max(dev, max(0.0, -float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))))
@@ -170,7 +164,7 @@ def _suite_wootters_vs_closed_form(rng, trials):
         phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
         p_a = SingleParticleState(alphas, Spin.UP, phi_a)
         p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
-        rhos.append(_pipeline_density(p_a, p_b))
+        rhos.append(entanglement.number_distribution(p_a, p_b).state)
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
     raw = entanglement.wootters_concurrence(rhos)  # one stacked call
     return float(np.max(np.abs(np.array(closed) - 2.0 * raw)))
@@ -187,7 +181,7 @@ def _suite_balanced_manifold(rng, trials):
         phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
         p_a = SingleParticleState(alphas, Spin.UP, phi_a)
         p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
-        rhos.append(_pipeline_density(p_a, p_b))
+        rhos.append(entanglement.number_distribution(p_a, p_b).state)
         expected.append(ov**2)
     normalized = entanglement.wootters_concurrence(rhos, normalize=True)  # one stacked call
     return float(np.max(np.abs(normalized - np.array(expected))))
@@ -267,7 +261,7 @@ def _suite_monotonicity(rng, trials):
 
 
 def _suite_ep_relation(rng, trials):
-    dev = 0.0
+    nds, closed = [], []
     for _ in range(trials):
         theta = rng.uniform(0.0, 45.0)
         ov = rng.uniform(0.0, 1.0)
@@ -275,12 +269,13 @@ def _suite_ep_relation(rng, trials):
         phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
         p_a = SingleParticleState(alphas, Spin.UP, phi_a)
         p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
-        e_p = entanglement.entanglement_of_particles(
-            entanglement.number_distribution(p_a, p_b)
-        )
-        closed = entanglement.concurrence_closed_form(alphas, betas, ov)
-        dev = max(dev, abs(e_p - closed / 2.0))
-    return dev
+        nds.append(entanglement.number_distribution(p_a, p_b))
+        closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
+    # one stacked call each; P(1,1) = s^4 + c^4 >= 1/2 on this family, so
+    # every (1,1) sector has weight
+    concurrence = entanglement.wootters_concurrence([nd.state for nd in nds], normalize=True)
+    e_p = entanglement.entanglement_of_particles(nds, concurrence)
+    return float(np.max(np.abs(e_p - np.array(closed) / 2.0)))
 
 
 def _suite_exponent_relation(rng, trials):

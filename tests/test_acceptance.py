@@ -64,7 +64,7 @@ def _pipeline_rho(theta_deg: float, overlap: float):
 def test_criterion_1_maximal_entanglement_point(capsys):
     start = time.perf_counter()
     rho = _pipeline_rho(22.5, 1.0)
-    c = entanglement.wootters_concurrence(rho, normalize=True)
+    (c,) = entanglement.wootters_concurrence([rho], normalize=True)
     elapsed = time.perf_counter() - start
     dev = abs(c - 1.0)
     ok = dev <= TOL_MAXIMAL and elapsed < RUNTIME_1
@@ -142,8 +142,8 @@ def test_criterion_3_closed_form_law(capsys):
             )
             worst_product = max(worst_product, abs(closed - product))
             worst_theta_law = max(worst_theta_law, abs(closed - spatial * ov**2))
-            raw = entanglement.wootters_concurrence(
-                _pipeline_rho(theta, ov), normalize=False
+            (raw,) = entanglement.wootters_concurrence(
+                [_pipeline_rho(theta, ov)], normalize=False
             )
             worst_wootters = max(worst_wootters, abs(closed - 2.0 * raw))
     ok = (
@@ -166,7 +166,7 @@ def test_criterion_4_gaussian_sections(capsys):
     # delay section at the balanced angle: C(l) is Gaussian with FWHM 140 um
     delays = np.linspace(-300.0, 300.0, 61)
     section = np.array([optics.concurrence_optical(22.5, l, SIGMA_UM) for l in delays])
-    fit = optics.fit_gaussian_dip(list(zip(delays, 1.0 - section)))
+    fit = optics.fit_gaussian_dip(delays, 1.0 - section)
     fwhm_rel = abs(fit.fwhm_um - FWHM_TARGET_UM) / FWHM_TARGET_UM
 
     # angle section at fixed delay: C = C0 sin^2(4 theta)
@@ -198,7 +198,7 @@ def test_criterion_5_dip_recovery_and_coverage(capsys):
     for vis, fwhm, _ in COVERAGE_CONFIGS:
         w = fwhm / GAUSSIAN_FWHM_FACTOR
         rates = 1000.0 * (1.0 - vis * np.exp(-(delays**2) / (2.0 * w**2)))
-        fit = optics.fit_gaussian_dip(list(zip(delays, rates)))
+        fit = optics.fit_gaussian_dip(delays, rates)
         rel = max(abs(fit.visibility - vis) / vis, abs(fit.fwhm_um - fwhm) / fwhm)
         noiseless_ok = noiseless_ok and rel <= TOL_FIT_REL
         details.append(f"noiseless rel dev {rel:.1e}")
@@ -211,9 +211,7 @@ def test_criterion_5_dip_recovery_and_coverage(capsys):
         v1 = v2 = f1 = f2 = 0
         for _ in range(100):
             counts = rng.poisson(rates)
-            fit = optics.fit_gaussian_dip(
-                list(zip(delays, counts)), poisson_weights=True
-            )
+            fit = optics.fit_gaussian_dip(delays, counts, poisson_weights=True)
             v1 += abs(fit.visibility - vis) <= fit.visibility_err
             v2 += abs(fit.visibility - vis) <= 2.0 * fit.visibility_err
             f1 += abs(fit.fwhm_um - fwhm) <= fit.fwhm_err
@@ -244,7 +242,7 @@ def test_criterion_6_degenerate_cases(capsys):
     cases = []
     # fully distinguishable particles
     rho = _pipeline_rho(22.5, 0.0)
-    cases.append(("overlap=0", entanglement.wootters_concurrence(rho)))
+    cases.append(("overlap=0", entanglement.wootters_concurrence([rho])[0]))
     alphas, betas = optics.spatial_amplitudes_from_theta(22.5)
     cases.append(("overlap=0 closed", entanglement.concurrence_closed_form(alphas, betas, 0.0)))
     # one particle pinned to a single side (each amplitude in turn)
@@ -259,7 +257,7 @@ def test_criterion_6_degenerate_cases(capsys):
             (
                 f"amplitudes ({theta_a}, {theta_b}) deg",
                 max(
-                    entanglement.wootters_concurrence(rho),
+                    entanglement.wootters_concurrence([rho])[0],
                     entanglement.concurrence_closed_form(alphas, betas, 1.0),
                 ),
             )

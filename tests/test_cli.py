@@ -163,6 +163,50 @@ def test_rates_beyond_the_poisson_sampler_name_the_option(argv, option, capsys):
     assert "largest rate of" in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--theta-grid", "10", "--delay-grid", "0", "--noisy"],
+        ["hom", "--noisy"],
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_a_negative_seed_is_a_usage_error_that_names_the_seed(argv, capsys):
+    assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --seed: expected a non-negative integer, got '-1'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--theta-grid", "10", "--delay-grid", "0", "--noisy"],
+        ["hom", "--noisy"],
+    ],
+    ids=" ".join,
+)
+def test_a_count_block_too_large_to_allocate_is_one_error_line(
+    argv, monkeypatch, tmp_path, capsys
+):
+    # stands in for numpy's allocation failure at --runs 100000000000
+    def too_large(rates, seed, runs=1):
+        raise MemoryError(f"Unable to allocate a ({runs}, {len(rates)}) count block")
+
+    monkeypatch.setattr(optics, "simulate_counts", too_large)
+    table = tmp_path / "table.csv"
+    argv = argv + ["--runs", "100000000000", "--out", str(table)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+    assert captured.err.count("\n") == 1
+    assert not table.exists()
+
+
 def test_production_commands_never_call_the_oracle(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise RuntimeError("the labeled-tensor oracle is for verification only")
@@ -245,24 +289,31 @@ def test_noisy_sweep_adds_monte_carlo_columns(capsys):
     assert 0.0 < float(row["c_mc_stddev"]) < 0.2
 
 
-def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
+@pytest.mark.parametrize("shots", (1000.0, 3.0))
+def test_noisy_sweep_row_matches_a_per_run_resampling_loop(shots, capsys):
     # the noisy columns are the mean and stddev of one X-state concurrence
     # estimate per run, each from its own Poisson draw of the four channels,
-    # with the generator of row k seeded [seed, k]
+    # with the generator of row k seeded [seed, k]; at 3 shots some runs
+    # observe no coincidence and read 0
     argv = ["sweep", "--theta-grid", "10,22.5", "--delay-grid", "30", "--noisy"]
-    assert main(argv + ["--runs", "40", "--seed", "5", "--format", "json"]) == EXIT_OK
+    argv += ["--shots", f"{shots:g}", "--runs", "40", "--seed", "5", "--format", "json"]
+    assert main(argv) == EXIT_OK
     row = json.loads(capsys.readouterr().out)["rows"][1]
     ((_, rho),) = cli._theta_rows(
         cli._theta_values(22.5), [cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")]
     )
     p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
-    rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * 1000.0
+    rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * shots
     rng = np.random.default_rng([5, 1])
     draws = []
     for _ in range(40):
         n_ud, n_du, n_plus, n_minus = rng.poisson(np.clip(rates, 0.0, None))
+        if n_ud + n_du == 0:
+            draws.append(0.0)
+            continue
         q_hat = (float(n_plus) - float(n_minus)) / 2.0
         draws.append(float(min(1.0, 2.0 * abs(q_hat) / (n_ud + n_du))))
+    assert (0.0 in draws) == (shots == 3.0)
     assert row["c_mc_mean"] == float(np.mean(draws))
     assert row["c_mc_stddev"] == float(np.std(draws, ddof=1))
 
@@ -300,6 +351,7 @@ def test_sweep_matches_a_per_point_reference_of_single_state_calls(convention, c
                 SingleParticleState(alphas, Spin.UP, phi_a),
                 SingleParticleState(betas, Spin.DOWN, phi_b),
             )
+            c = entanglement.wootters_concurrence([nd.state], normalize=True)  # a stack of one
             row = (
                 theta,
                 delay,
@@ -307,8 +359,8 @@ def test_sweep_matches_a_per_point_reference_of_single_state_calls(convention, c
                 optics.gaussian_overlap(delay, "paper", DEFAULT_SIGMA_UM),
                 optics.gaussian_overlap(delay, "quadrature", DEFAULT_SIGMA_UM),
                 entanglement.concurrence_closed_form(alphas, betas, ov),
-                entanglement.wootters_concurrence(nd.state, normalize=True),
-                entanglement.entanglement_of_particles(nd),
+                *c,
+                *entanglement.entanglement_of_particles([nd], c),
             )
             lines.append(",".join(format(x + 0.0, ".12g") for x in row))  # -0.0 reads 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
@@ -650,6 +702,21 @@ def test_verify_golden_output(capsys):
     # every random draw, oracle route and tolerance feeds one of these bytes
     assert main(["verify", "--trials", "100", "--seed", "1"]) == EXIT_OK
     assert capsys.readouterr().out == VERIFY_TRIALS_100_SEED_1
+
+
+def test_verify_makes_one_stacked_wootters_call_per_concurrence_suite(monkeypatch, capsys):
+    stacks = []
+    original = entanglement.wootters_concurrence
+
+    def counted(rhos, *args, **kwargs):
+        stacks.append(len(rhos))
+        return original(rhos, *args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "wootters_concurrence", counted)
+    assert main(["verify", "--trials", "100"]) == EXIT_OK
+    # closed_form_vs_wootters_raw, balanced_manifold_concurrence and
+    # occupation_weighted_vs_half_closed_form, one stacked call each
+    assert stacks == [100, 100, 100]
 
 
 def test_verify_single_trial(capsys):

@@ -101,14 +101,14 @@ def test_trace_of_empty_state_is_zero():
 
 
 def test_bell_state_has_unit_concurrence():
-    assert wootters_concurrence(SpinDensityMatrix(BELL), normalize=True) == pytest.approx(
+    assert wootters_concurrence([SpinDensityMatrix(BELL)], normalize=True)[0] == pytest.approx(
         1.0, abs=ATOL_EXACT
     )
 
 
 def test_maximally_mixed_state_is_separable():
     rho = SpinDensityMatrix(np.eye(4, dtype=complex) / 4.0)
-    assert wootters_concurrence(rho, normalize=True) == pytest.approx(0.0, abs=ATOL_EXACT)
+    assert wootters_concurrence([rho], normalize=True)[0] == pytest.approx(0.0, abs=ATOL_EXACT)
 
 
 def _brute_force_concurrence(m: np.ndarray) -> float:
@@ -123,14 +123,14 @@ def _brute_force_concurrence(m: np.ndarray) -> float:
 def test_werner_state_concurrence_against_brute_force():
     for p in (0.2, 1.0 / 3.0, 0.5, 0.8, 1.0):
         m = p * BELL + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
-        got = wootters_concurrence(SpinDensityMatrix(m), normalize=True)
+        (got,) = wootters_concurrence([SpinDensityMatrix(m)], normalize=True)
         assert got == pytest.approx(_brute_force_concurrence(m), abs=1e-10)
         assert got == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-10)
 
 
 def test_werner_half_is_a_quarter():
     m = 0.5 * BELL + 0.5 * np.eye(4, dtype=complex) / 4.0
-    assert wootters_concurrence(SpinDensityMatrix(m), normalize=True) == pytest.approx(
+    assert wootters_concurrence([SpinDensityMatrix(m)], normalize=True)[0] == pytest.approx(
         0.25, abs=1e-12
     )
 
@@ -138,16 +138,16 @@ def test_werner_half_is_a_quarter():
 def test_unnormalized_concurrence_scales_with_the_trace():
     rng = np.random.default_rng(53)
     rho = _pipeline_rho(float(rng.uniform(5.0, 40.0)), 0.8)
-    raw = wootters_concurrence(rho)
-    scaled = wootters_concurrence(SpinDensityMatrix(3.0 * rho.matrix))
+    (raw,) = wootters_concurrence([rho])
+    (scaled,) = wootters_concurrence([SpinDensityMatrix(3.0 * rho.matrix)])
     assert scaled == pytest.approx(3.0 * raw, abs=1e-12)
 
 
 def test_zero_weight_normalization_is_an_error():
     rho = SpinDensityMatrix(np.zeros((4, 4), dtype=complex))
     with pytest.raises(NoPostSelectionSupportError, match="no post-selection support"):
-        wootters_concurrence(rho, normalize=True)
-    assert wootters_concurrence(rho) == 0.0  # raw reading stays defined
+        wootters_concurrence([rho], normalize=True)
+    assert wootters_concurrence([rho])[0] == 0.0  # raw reading stays defined
 
 
 # --- closed form --------------------------------------------------------------
@@ -187,13 +187,13 @@ def test_closed_form_is_twice_the_raw_wootters_value(theta, ov, phase):
     rho = _pipeline_rho(theta, overlap)
     alphas, betas = spatial_amplitudes_from_theta(theta)
     closed = concurrence_closed_form(alphas, betas, overlap)
-    assert closed == pytest.approx(2.0 * wootters_concurrence(rho), abs=ATOL_PIPELINE)
+    assert closed == pytest.approx(2.0 * wootters_concurrence([rho])[0], abs=ATOL_PIPELINE)
 
 
 @given(ov=st.floats(min_value=0.0, max_value=1.0))
 def test_normalized_wootters_on_the_balanced_manifold(ov):
     rho = _pipeline_rho(22.5, ov)
-    assert wootters_concurrence(rho, normalize=True) == pytest.approx(
+    assert wootters_concurrence([rho], normalize=True)[0] == pytest.approx(
         ov**2, abs=ATOL_PIPELINE
     )
 
@@ -209,7 +209,7 @@ def _near_pure_overlaps(seed, n=200):
 def test_normalized_wootters_near_pure_states_on_the_balanced_manifold():
     for ov in _near_pure_overlaps(31):
         rho = _pipeline_rho(22.5, ov)
-        assert wootters_concurrence(rho, normalize=True) == pytest.approx(
+        assert wootters_concurrence([rho], normalize=True)[0] == pytest.approx(
             abs(ov) ** 2, abs=ATOL_PIPELINE
         )
 
@@ -222,7 +222,7 @@ def test_normalized_wootters_near_pure_states_off_the_manifold():
         rho = _pipeline_rho(float(theta), ov)
         m = rho.matrix
         x_state = 2.0 * abs(m[1, 2]) / (m[1, 1].real + m[2, 2].real)
-        assert wootters_concurrence(rho, normalize=True) == pytest.approx(
+        assert wootters_concurrence([rho], normalize=True)[0] == pytest.approx(
             x_state, abs=ATOL_PIPELINE
         )
 
@@ -253,17 +253,19 @@ def test_stacked_wootters_is_the_single_state_call_bit_for_bit(normalize):
     rhos = _stack_densities()
     stacked = wootters_concurrence(rhos, normalize=normalize)
     assert stacked.shape == (len(rhos),)
-    singles = [wootters_concurrence(rho, normalize=normalize) for rho in rhos]
-    assert all(type(c) is float for c in singles)
-    assert _bits(stacked) == _bits(singles)
+    singles = [wootters_concurrence([rho], normalize=normalize) for rho in rhos]
+    assert all(c.shape == (1,) and c.dtype == np.float64 for c in singles)
+    assert _bits(stacked) == _bits(np.concatenate(singles))
 
 
 @pytest.mark.parametrize("normalize", (False, True))
 def test_a_stack_of_one_is_the_single_state_call(normalize):
-    for rho in _stack_densities()[::23]:
-        stacked = wootters_concurrence([rho], normalize=normalize)
-        assert stacked.shape == (1,)
-        assert _bits(stacked) == _bits([wootters_concurrence(rho, normalize=normalize)])
+    rhos = _stack_densities()
+    stacked = wootters_concurrence(rhos, normalize=normalize)
+    for k in range(0, len(rhos), 23):
+        alone = wootters_concurrence([rhos[k]], normalize=normalize)
+        assert alone.shape == (1,)
+        assert _bits(alone) == _bits(stacked[k : k + 1])
 
 
 def test_a_zero_weight_member_fails_the_normalized_stack():
@@ -275,17 +277,23 @@ def test_a_zero_weight_member_fails_the_normalized_stack():
     assert wootters_concurrence(rhos) == pytest.approx([1.0, 0.0, 0.0], abs=ATOL_EXACT)
 
 
+def _e_p(nd):
+    """E_P of one distribution, from its own stack-of-one concurrence."""
+    return entanglement_of_particles([nd], wootters_concurrence([nd.state], normalize=True))
+
+
 def test_stacked_entanglement_of_particles_is_the_single_call_bit_for_bit():
     rng = np.random.default_rng(58)
     nds = [number_distribution(*random_updown_pair(rng, 1 + k % 3)) for k in range(40)]
-    nds.append(NumberDistribution(
+    bunched = NumberDistribution(
         {(2, 0): 0.5, (1, 1): 0.0, (0, 2): 0.5}, SpinDensityMatrix(np.zeros((4, 4)))
-    ))
-    singles = [entanglement_of_particles(nd) for nd in nds]
-    assert _bits(entanglement_of_particles(nds)) == _bits(singles)
-    # a caller's stacked concurrences give the same bits as each sector's own
-    concurrence = wootters_concurrence([nd.state for nd in nds[:-1]], normalize=True)
-    assert _bits(entanglement_of_particles(nds[:-1], concurrence)) == _bits(singles[:-1])
+    )
+    singles = [_e_p(nd) for nd in nds] + [entanglement_of_particles([bunched], [0.0])]
+    # stacked concurrences give the same bits as each sector's own
+    concurrence = wootters_concurrence([nd.state for nd in nds], normalize=True)
+    stacked = entanglement_of_particles(nds + [bunched], np.append(concurrence, 0.0))
+    assert _bits(stacked) == _bits(np.concatenate(singles))
+    assert _bits(entanglement_of_particles(nds, concurrence)) == _bits(stacked[:-1])
 
 
 def test_stacked_entanglement_of_particles_checks_every_distribution():
@@ -321,14 +329,14 @@ def test_number_distribution_at_the_balanced_point():
     assert probs[(2, 0)] == pytest.approx(0.25, abs=ATOL_EXACT)
     assert probs[(1, 1)] == pytest.approx(0.50, abs=ATOL_EXACT)
     assert probs[(0, 2)] == pytest.approx(0.25, abs=ATOL_EXACT)
-    assert entanglement_of_particles(nd) == pytest.approx(0.5, abs=ATOL_PIPELINE)
+    assert _e_p(nd)[0] == pytest.approx(0.5, abs=ATOL_PIPELINE)
 
 
 def test_pure_coincidence_bell_branch_gives_one():
     nd = NumberDistribution(
         {(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}, SpinDensityMatrix(BELL)
     )
-    assert entanglement_of_particles(nd) == pytest.approx(1.0, abs=ATOL_EXACT)
+    assert _e_p(nd)[0] == pytest.approx(1.0, abs=ATOL_EXACT)
 
 
 def test_pure_bunching_gives_zero():
@@ -336,9 +344,11 @@ def test_pure_bunching_gives_zero():
         {(2, 0): 0.5, (1, 1): 0.0, (0, 2): 0.5},
         SpinDensityMatrix(np.zeros((4, 4), dtype=complex)),
     )
-    assert entanglement_of_particles(nd) == 0.0
+    # the sector without weight reads 0 whatever concurrence is passed
+    assert entanglement_of_particles([nd], wootters_concurrence([nd.state]))[0] == 0.0
+    assert entanglement_of_particles([nd], [1.0])[0] == 0.0
     with pytest.raises(NoPostSelectionSupportError):
-        nd.concurrence
+        wootters_concurrence([nd.state], normalize=True)
 
 
 def test_branch_probabilities_must_sum_to_one():
@@ -346,7 +356,7 @@ def test_branch_probabilities_must_sum_to_one():
         {(2, 0): 0.5, (1, 1): 0.2, (0, 2): 0.5}, SpinDensityMatrix(BELL)
     )
     with pytest.raises(ValueError, match="sum"):
-        entanglement_of_particles(nd)
+        _e_p(nd)
 
 
 def test_occupation_average_is_zero_for_distinguishable_particles():
@@ -357,7 +367,7 @@ def test_occupation_average_is_zero_for_distinguishable_particles():
         SingleParticleState(alphas, Spin.UP, da),
         SingleParticleState(betas, Spin.DOWN, db),
     )
-    assert entanglement_of_particles(nd) == pytest.approx(0.0, abs=ATOL_PIPELINE)
+    assert _e_p(nd)[0] == pytest.approx(0.0, abs=ATOL_PIPELINE)
 
 
 def test_probabilities_are_plain_floats():
@@ -366,4 +376,4 @@ def test_probabilities_are_plain_floats():
     pa, pb = random_updown_pair(rng, 2)
     nd = number_distribution(pa, pb)
     assert all(type(p) is float for p in nd.probabilities.values())
-    assert type(entanglement_of_particles(nd)) is float
+    assert all(type(e) is float for e in _e_p(nd).tolist())

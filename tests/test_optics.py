@@ -1,6 +1,7 @@
 """Wavepacket overlaps, the optical concurrence law, simulated interference
 dips, Poisson counts, the dip fitter, and Monte Carlo error bars."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -290,7 +291,7 @@ def test_noiseless_dip_is_recovered_exactly():
     for vis, fwhm in ((0.99, 132.0), (0.91, 137.0)):
         delays, rates = _dip_rates(vis, fwhm)
         for weighted in (False, True):
-            fit = fit_gaussian_dip(list(zip(delays, rates)), poisson_weights=weighted)
+            fit = fit_gaussian_dip(delays, rates, poisson_weights=weighted)
             assert fit.visibility == pytest.approx(vis, rel=1e-9)
             assert fit.fwhm_um == pytest.approx(fwhm, rel=1e-9)
             assert fit.baseline == pytest.approx(1000.0, rel=1e-9)
@@ -299,23 +300,41 @@ def test_noiseless_dip_is_recovered_exactly():
 
 def test_offcenter_dip_center_is_found():
     delays, rates = _dip_rates(0.8, 120.0, center=42.0)
-    fit = fit_gaussian_dip(list(zip(delays, rates)))
+    fit = fit_gaussian_dip(delays, rates)
     assert fit.center_um == pytest.approx(42.0, abs=1e-6)
 
 
 def test_flat_data_raises_no_dip():
     with pytest.raises(NoDipError, match="no dip detected"):
-        fit_gaussian_dip([(float(l), 100.0) for l in range(-30, 31)])
+        fit_gaussian_dip(np.arange(-30.0, 31.0), np.full(61, 100.0))
 
 
 def test_too_few_points_rejected():
     with pytest.raises(ValueError, match="at least 5"):
-        fit_gaussian_dip([(0.0, 1.0), (1.0, 2.0)])
+        fit_gaussian_dip([0.0, 1.0], [1.0, 2.0])
 
 
 def test_negative_counts_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        fit_gaussian_dip([(float(l), -1.0) for l in range(-10, 11)])
+        fit_gaussian_dip(np.arange(-10.0, 11.0), np.full(21, -1.0))
+
+
+def _fit_bits(fit) -> bytes:
+    return np.array(dataclasses.astuple(fit), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("poisson_weights", (False, True))
+def test_fit_does_not_depend_on_the_order_of_its_points(poisson_weights):
+    delays, rates = _dip_rates(0.91, 137.0)
+    counts = np.random.default_rng(12).poisson(rates)
+    # the same grid with delay 0 repeated, each copy with its own count
+    repeated = (np.append(delays, delays[30]), np.append(counts, counts[30] + 40))
+    for l, y in ((delays, counts), repeated):
+        # sorted as tuples of (delay, count) are, ties included
+        sorted_l, sorted_y = (np.array(v) for v in zip(*sorted(zip(l.tolist(), y.tolist()))))
+        want = _fit_bits(fit_gaussian_dip(sorted_l, sorted_y, poisson_weights))
+        for order in (np.random.default_rng(4).permutation(len(l)), np.arange(len(l))[::-1]):
+            assert _fit_bits(fit_gaussian_dip(l[order], y[order], poisson_weights)) == want
 
 
 def test_a_fit_that_is_not_finite_is_a_fit_error():
@@ -324,7 +343,7 @@ def test_a_fit_that_is_not_finite_is_a_fit_error():
     delays, rates = _dip_rates(0.95, 130.0)
     for poisson_weights in (False, True):
         with pytest.raises(FitError, match="fit is not finite: .*_err") as excinfo:
-            fit_gaussian_dip(list(zip(delays, 1e300 * rates)), poisson_weights)
+            fit_gaussian_dip(delays, 1e300 * rates, poisson_weights)
         assert type(excinfo.value) is FitError
 
 
@@ -335,7 +354,7 @@ def test_visibility_error_does_not_depend_on_a_large_count_scale():
     delays, rates = _dip_rates(0.9, 130.0)
     counts = np.random.default_rng(8).poisson(rates).astype(float)
     errs = [
-        fit_gaussian_dip(list(zip(delays, scale * counts))).visibility_err
+        fit_gaussian_dip(delays, scale * counts).visibility_err
         for scale in (1e100, 1e104, 1e150)
     ]
     assert errs == pytest.approx([errs[0]] * 3, rel=1e-9)
@@ -347,10 +366,10 @@ def test_a_resample_whose_fit_is_not_finite_is_left_out():
     block[7] *= 1e300
 
     def estimator(row):
-        return fit_gaussian_dip(list(zip(delays, row)), poisson_weights=True).visibility
+        return (fit_gaussian_dip(delays, row, poisson_weights=True).visibility,)
 
-    (mean, _), failed = monte_carlo_errorbars(block, estimator)
-    kept = [estimator(row) for i, row in enumerate(block) if i != 7]
+    ((mean, _),), failed = monte_carlo_errorbars(block, estimator)
+    kept = [estimator(row)[0] for i, row in enumerate(block) if i != 7]
     assert failed == 1
     assert mean == float(np.mean(kept))
 
@@ -360,7 +379,7 @@ def test_iteration_cap_raises_with_best_so_far(monkeypatch):
     delays, rates = _dip_rates(0.95, 130.0)
     counts = np.random.default_rng(3).poisson(rates)
     with pytest.raises(FitConvergenceError, match="after 1 iterations") as excinfo:
-        fit_gaussian_dip(list(zip(delays, counts)))
+        fit_gaussian_dip(delays, counts)
     best = excinfo.value.best
     assert best is not None
     assert best.n_iter == 1
@@ -374,7 +393,7 @@ def test_noised_width_recovery_rate():
     good = 0
     for s in range(100):
         counts = np.random.default_rng([77, s]).poisson(rates)
-        fit = fit_gaussian_dip(list(zip(delays, counts)), poisson_weights=True)
+        fit = fit_gaussian_dip(delays, counts, poisson_weights=True)
         good += abs(fit.fwhm_um - 132.0) / 132.0 <= 0.05
     assert good >= 95
 
@@ -383,7 +402,7 @@ def test_fit_agrees_with_reference_optimizer():
     # same unweighted least-squares problem handed to an independent solver
     delays, rates = _dip_rates(0.9, 140.0)
     counts = np.random.default_rng(8).poisson(rates).astype(float)
-    fit = fit_gaussian_dip(list(zip(delays, counts)))
+    fit = fit_gaussian_dip(delays, counts)
 
     def model(l, base, depth, center, w):
         return base - depth * np.exp(-((l - center) ** 2) / (2.0 * w**2))
@@ -411,7 +430,7 @@ def test_quoted_errors_cover_the_truth_at_nominal_rates():
     rng = np.random.default_rng(1234)
     for _ in range(runs):
         counts = rng.poisson(rates)
-        fit = fit_gaussian_dip(list(zip(delays, counts)), poisson_weights=True)
+        fit = fit_gaussian_dip(delays, counts, poisson_weights=True)
         inside_v += abs(fit.visibility - 0.91) <= fit.visibility_err
         inside_f += abs(fit.fwhm_um - 137.0) <= fit.fwhm_err
     assert inside_v / runs >= 0.68
@@ -432,7 +451,8 @@ def _middle_block_state(q: complex) -> "SpinDensityMatrix":
 def test_concurrence_estimator_is_unbiased_within_its_spread():
     rho = _middle_block_state(0.25)  # maximally entangled after normalization
     counts = simulate_counts(xstate_rates(rho, 1000.0), 11, 100)
-    draws = np.array([xstate_concurrence(row) for row in counts])
+    draws = xstate_concurrence(counts)
+    assert draws.shape == (100,)
     assert abs(draws.mean() - 1.0) <= draws.std(ddof=1)
     assert draws.std(ddof=1) < 0.1  # at 1000 shots this is a tight channel
 
@@ -441,15 +461,15 @@ def test_no_coincidences_means_no_entanglement_evidence():
     rho = _middle_block_state(0.25)
     counts = simulate_counts(xstate_rates(rho, 1e-4), 4)
     assert counts[0, :2].tolist() == [0, 0]
-    assert xstate_concurrence(counts[0]) == 0.0
-    assert xstate_concurrence(np.array([0, 0, 3, 1])) == 0.0
+    assert xstate_concurrence(counts).tolist() == [0.0]
+    assert xstate_concurrence(np.array([[0, 0, 3, 1]])).tolist() == [0.0]
 
 
 def test_channel_rates_of_the_middle_block():
     # populations 0.25 and 0.25, coherence 0.1: plus/minus channels 0.35/0.15
     rates = xstate_rates(_middle_block_state(0.1), 100.0)
     assert rates == pytest.approx([25.0, 25.0, 35.0, 15.0], abs=1e-12)
-    assert xstate_concurrence(np.array([25, 25, 35, 15])) == pytest.approx(0.4)
+    assert xstate_concurrence(np.array([[25, 25, 35, 15]])) == pytest.approx([0.4])
 
 
 def test_estimator_rejects_complex_coherence():
@@ -463,12 +483,12 @@ def test_estimator_rejects_complex_coherence():
 
 def test_constant_estimator_has_zero_spread():
     counts = simulate_counts(np.array([100.0]), 2, 20)
-    assert monte_carlo_errorbars(counts, lambda c: 7.5) == ((7.5, 0.0), 0)
+    assert monte_carlo_errorbars(counts, lambda c: (7.5,)) == (((7.5, 0.0),), 0)
 
 
 def test_poisson_spread_matches_the_analytic_width():
-    (mean, std), failed = monte_carlo_errorbars(
-        simulate_counts(np.array([100.0]), 5, 100), lambda counts: float(counts[0])
+    ((mean, std),), failed = monte_carlo_errorbars(
+        simulate_counts(np.array([100.0]), 5, 100), lambda counts: (float(counts[0]),)
     )
     assert failed == 0
     assert abs(std - 10.0) / 10.0 <= 0.2  # sqrt(100), within 20%
@@ -489,14 +509,14 @@ def _fails_on_runs(bad_runs):
     def estimator(row):
         if int(row[0]) in bad_runs:
             raise NoDipError("no dip detected")
-        return float(row[0])
+        return (float(row[0]),)
 
     return estimator
 
 
 def test_failed_fits_are_left_out_and_counted():
     counts = np.arange(20.0)[:, None]
-    (mean, std), failed = monte_carlo_errorbars(counts, _fails_on_runs({3, 11}))
+    ((mean, std),), failed = monte_carlo_errorbars(counts, _fails_on_runs({3, 11}))
     kept = [v for v in range(20) if v not in (3, 11)]
     assert failed == 2
     assert mean == float(np.mean(kept))
@@ -513,19 +533,19 @@ def test_tuple_estimator_matches_separate_scalar_runs():
     counts = simulate_counts(np.array([50.0, 60.0, 70.0]), 4, 30)
 
     def first(counts):
-        return float(counts[0]) / 3.0
+        return (float(counts[0]) / 3.0,)
 
     def spread(counts):
-        return float(np.ptp(counts))
+        return (float(np.ptp(counts)),)
 
-    together, failed = monte_carlo_errorbars(counts, lambda c: (first(c), spread(c)))
+    together, failed = monte_carlo_errorbars(counts, lambda c: first(c) + spread(c))
     assert failed == 0
     assert together == (
-        monte_carlo_errorbars(counts, first)[0],
-        monte_carlo_errorbars(counts, spread)[0],
+        *monte_carlo_errorbars(counts, first)[0],
+        *monte_carlo_errorbars(counts, spread)[0],
     )
 
 
 def test_needs_at_least_two_runs():
     with pytest.raises(ValueError, match="2 runs"):
-        monte_carlo_errorbars(simulate_counts(np.array([10.0]), 0, 1), lambda c: 0.0)
+        monte_carlo_errorbars(simulate_counts(np.array([10.0]), 0, 1), lambda c: (0.0,))
