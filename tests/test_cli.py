@@ -289,14 +289,13 @@ def test_noisy_sweep_adds_monte_carlo_columns(capsys):
     assert 0.0 < float(row["c_mc_stddev"]) < 0.2
 
 
-@pytest.mark.parametrize("shots", (1000.0, 3.0))
-def test_noisy_sweep_row_matches_a_per_run_resampling_loop(shots, capsys):
+def _assert_noisy_sweep_row_matches_a_per_run_loop(extra_argv, shots, capsys):
     # the noisy columns are the mean and stddev of one X-state concurrence
     # estimate per run, each from its own Poisson draw of the four channels,
-    # with the generator of row k seeded [seed, k]; at 3 shots some runs
-    # observe no coincidence and read 0
+    # with the generator of row k seeded [seed, k]; a run that observes no
+    # coincidence reads 0
     argv = ["sweep", "--theta-grid", "10,22.5", "--delay-grid", "30", "--noisy"]
-    argv += ["--shots", f"{shots:g}", "--runs", "40", "--seed", "5", "--format", "json"]
+    argv += extra_argv + ["--runs", "40", "--seed", "5", "--format", "json"]
     assert main(argv) == EXIT_OK
     row = json.loads(capsys.readouterr().out)["rows"][1]
     ((_, rho),) = cli._theta_rows(
@@ -316,6 +315,15 @@ def test_noisy_sweep_row_matches_a_per_run_resampling_loop(shots, capsys):
     assert (0.0 in draws) == (shots == 3.0)
     assert row["c_mc_mean"] == float(np.mean(draws))
     assert row["c_mc_stddev"] == float(np.std(draws, ddof=1))
+
+
+def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
+    # the default of 1000 shots per channel
+    _assert_noisy_sweep_row_matches_a_per_run_loop([], 1000.0, capsys)
+
+
+def test_noisy_sweep_row_at_three_shots_reads_zero_for_empty_runs(capsys):
+    _assert_noisy_sweep_row_matches_a_per_run_loop(["--shots", "3"], 3.0, capsys)
 
 
 def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
