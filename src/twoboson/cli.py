@@ -311,9 +311,11 @@ def cmd_hom(args) -> int:
         block = optics.simulate_counts(rates, args.seed, args.runs) if args.noisy else rates[None]
     except ValueError as exc:
         raise ValueError(f"--baseline {args.baseline:g} is too large: {exc}") from exc
-    counts = block[0]  # the Monte Carlo below reduces this same block
+    # the fit's working arrays grow with the block, so it runs before any
+    # output: a block too large to fit leaves no half-written table
+    fits = optics.fit_gaussian_dip(delays, block, poisson_weights=args.noisy)
 
-    rows = [{"delay_um": l, "counts": float(c)} for l, c in zip(delays, counts)]
+    rows = [{"delay_um": l, "counts": float(c)} for l, c in zip(delays, block[0])]
     metadata = {
         "command": "hom",
         "version": __version__,
@@ -328,8 +330,10 @@ def cmd_hom(args) -> int:
     _write_table(args.out, args.format, ("delay_um", "counts"), rows, metadata)
 
     span = max(delays) - min(delays)
+    fit = fits.outcomes[0]  # the printed table's
     try:
-        fit = optics.fit_gaussian_dip(delays, counts, poisson_weights=args.noisy)
+        if isinstance(fit, optics.FitError):
+            raise fit
         if args.noisy:  # an exact fit is reported as it converged
             _resolving_dip(fit, span)
     except optics.FitError as exc:
@@ -344,18 +348,15 @@ def cmd_hom(args) -> int:
     print(f"fit: residual    = {fit.residual:.6g}")
 
     if args.noisy:
-        def estimator(c):
-            # a fit is a pure function of its row, so run 0, the printed
-            # table, reuses the printed fit; a resample that resolves no dip
-            # is left out like a failed fit, under the same 10% rule
-            refit = fit if np.array_equal(c, counts) else _resolving_dip(
-                optics.fit_gaussian_dip(delays, c, poisson_weights=True), span
-            )
+        def estimator(refit):
+            # a resample that resolves no dip is left out like a failed fit,
+            # under the same 10% rule
+            _resolving_dip(refit, span)
             return refit.visibility, refit.fwhm_um
 
         try:
             ((v_mean, v_std), (f_mean, f_std)), failed = optics.monte_carlo_errorbars(
-                block, estimator
+                fits.outcomes, estimator
             )
         except optics.EstimatorError as exc:
             print(f"monte carlo failed: {exc}", file=sys.stderr)

@@ -24,17 +24,19 @@ The rest of the module is desk-scale experiment plumbing: Hong-Ou-Mandel dip
 levels (visibility in closed form from the two-photon merge amplitudes),
 Poisson count simulation, a damped Gauss-Newton Gaussian-dip fitter, and
 Monte Carlo error bars.  A Monte Carlo draws one (runs, n) count block from
-`simulate_counts`, the only place a generator is created; a block estimator
-such as `xstate_concurrence` maps it to one value per run, and
-`monte_carlo_errorbars` reduces it row by row through a per-run fit.  No
-hidden global state.
+`simulate_counts`, the only place a generator is created.  A block
+estimator maps it to one value per run at once: `xstate_concurrence` in
+closed form, and `fit_gaussian_dip`, which fits every row in one lockstep
+Gauss-Newton loop and gives each row the bits of its own fit.
+`monte_carlo_errorbars` reduces the per-run fits, failed ones included, to
+error bars.  No hidden global state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -221,40 +223,72 @@ class FitResult:
     n_iter: int
 
 
+def _powers(w: np.ndarray, k: int) -> np.ndarray:
+    """w**k of each entry, taken as a numpy scalar: a one-row fit's bits,
+    which an array power does not always give."""
+    return np.array([v**k for v in w])
+
+
 def _dip_terms(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, g, model) at parameters p: u = l - center, g = exp(-u^2 / (2 w^2))
-    and model = base - depth * g."""
-    base, depth, center, w = p[0], p[1], p[2], p[3]  # cheaper than unpacking p
-    u = l - center
-    g = np.exp(-(u**2) / (2.0 * w**2))
-    return u, g, base - depth * g
+    """(u, g, model) at each row of the (k, 4) parameters p over the delays
+    l, as (k, n) arrays: u = l - center, g = exp(-u^2 / (2 w^2)) and
+    model = base - depth * g."""
+    u = l - p[:, 2:3]
+    g = np.exp(-(u**2) / (2.0 * _powers(p[:, 3], 2))[:, None])
+    return u, g, p[:, :1] - p[:, 1:2] * g
 
 
-def _dip_jac(p: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (n, 4) array `out` with d model / d (base, depth, center, w),
+def _dip_jac(p: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (k, n, 4) d model / d (base, depth, center, w) at each row of p,
     the columns 1, -g, -depth g u / w^2 and -depth g u^2 / w^3, from the `u`
-    and `g` of `_dip_terms` at the same p, and return it."""
-    depth, w = p[1], p[3]
-    dg = -depth * g
-    out[:, 0] = 1.0
-    np.negative(g, out=out[:, 1])
-    np.divide(dg * u, w**2, out=out[:, 2])
-    np.divide(dg * u**2, w**3, out=out[:, 3])
+    and `g` of `_dip_terms` at the same p."""
+    w = p[:, 3]
+    dg = -p[:, 1:2] * g
+    out = np.empty(u.shape + (4,))
+    out[:, :, 0] = 1.0
+    np.negative(g, out=out[:, :, 1])
+    np.divide(dg * u, _powers(w, 2)[:, None], out=out[:, :, 2])
+    np.divide(dg * u**2, _powers(w, 3)[:, None], out=out[:, :, 3])
     return out
 
 
-#: Gauss-Newton iterations `fit_gaussian_dip` spends, over all its passes,
-#: before it gives up with `FitConvergenceError`
+def _objective(p, l, y, sig):
+    """Weighted sum of squares at each row of p, with the (u, g, residual)
+    the Jacobian there is built from."""
+    u, g, model = _dip_terms(p, l)
+    r = (model - y) / sig
+    return (r**2).sum(axis=1), u, g, r
+
+
+#: the line search's step lengths 1, 1/2, ..., 2**-30, in the chunks it
+#: tries them in
+_STEP_CHUNKS = np.split(np.ldexp(1.0, -np.arange(31)), [1, 3, 7, 15, 23])
+#: Gauss-Newton iterations `fit_gaussian_dip` spends on a row, over all its
+#: passes, before the row fails with `FitConvergenceError`
 FIT_MAX_ITER = 200
 #: relative step below which a Gauss-Newton pass has converged
 FIT_STEP_TOL = 1e-10
 
 
-def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> FitResult:
-    """Least-squares Gaussian dip fit via damped Gauss-Newton.
+class DipFits(NamedTuple):
+    """What `fit_gaussian_dip` gives for a block of count rows."""
 
-    `delays` and `counts` are equal-length arrays in any order; the points
-    are sorted by delay, and by count among equal delays.
+    #: per row, its `FitResult` or the `FitError` its fit ends in
+    outcomes: list
+    #: Gauss-Newton iterations of the rows that converged, plus the
+    #: `best.n_iter` of the rows that hit the iteration cap
+    n_iter: int
+
+
+def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
+    """Least-squares Gaussian dip fit via damped Gauss-Newton of each row of
+    a (runs, n) count block over the n `delays`.
+
+    Each row's points are sorted by delay, and by count among equal delays,
+    so they may come in any order.  The rows are fitted in lockstep, with
+    array operations over the rows still iterating, and each row gets the
+    bits a block of that row alone gives: a row's outcome never depends on
+    the other rows.
 
     Initialization is data-driven: baseline from the mean of the outer 20%
     of points, depth from baseline minus the minimum, center at the minimum,
@@ -262,9 +296,10 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> FitResult
     until the residual decreases, so the objective is monotone; iteration
     stops when the relative step falls below `FIT_STEP_TOL` and fails with
     the best-so-far parameters after `FIT_MAX_ITER` total iterations.  The
-    line search evaluates only the model terms; the Jacobian is filled
-    into one preallocated array from the terms of the accepted point, so no
-    trial point builds a Jacobian and no iteration recomputes an exponential.
+    line search evaluates only the model terms; the Jacobian is built from
+    the terms of the accepted point, so no trial point builds a Jacobian
+    and no iteration recomputes an exponential.  The step itself is one
+    `np.linalg.lstsq` call per row.
 
     With `poisson_weights` the fit is iteratively reweighted: a first pass
     uses 1/sqrt(max(count, 1)) weights, then the weights are rebuilt
@@ -276,120 +311,186 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> FitResult
     the Monte-Carlo-derived `ERRORBAR_CALIBRATION` margin.  They are meant
     for accept/reject decisions, so they err on the side of over-coverage.
 
-    A fit any of whose fields is not finite, as counts near the float range
-    give, raises `FitError`.
+    A row's outcome is its `FitResult`, or the `FitError` its fit ends in:
+    `NoDipError` for data with no dip, `FitConvergenceError` at the
+    iteration cap, and a plain `FitError` for a fit any of whose fields is
+    not finite, as counts near the float range give.  Bad input (too few
+    points, negative counts, a block of the wrong shape) raises
+    `ValueError` for the whole block.
     """
     l = np.asarray(delays, dtype=float)
     y = np.asarray(counts, dtype=float)
-    order = np.lexsort((y, l))
-    if len(order) < 5:
-        raise ValueError(f"need at least 5 points to fit a dip, got {len(order)}")
-    l, y = l[order], y[order]
+    if len(l) < 5:
+        raise ValueError(f"need at least 5 points to fit a dip, got {len(l)}")
+    if y.ndim != 2 or y.shape[1] != len(l):
+        raise ValueError(f"counts must be a (runs, {len(l)}) block, got shape {y.shape}")
     if np.any(y < 0.0):
         raise ValueError("counts must be nonnegative")
+    order = np.lexsort((y, np.broadcast_to(l, y.shape)))
+    l, y = l[order], np.take_along_axis(y, order, axis=1)
+    del order
     # an overflow to inf or nan ends in the finiteness check below, not in
     # a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        result, converged = _fit_dip(l, y, poisson_weights)
-    if not converged:
-        raise FitConvergenceError(
-            f"no convergence after {FIT_MAX_ITER} iterations "
-            f"(best residual {result.residual:.6g})",
-            best=result,
-        )
-    if result.depth <= 0.0:
-        raise NoDipError("no dip detected")
-    not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
-    if not_finite:
-        raise FitError(f"fit is not finite: {', '.join(not_finite)}")
-    return result
+        outcomes = _fit_rows(l, y, poisson_weights)
+    n_iter = 0
+    for outcome in outcomes:
+        if isinstance(outcome, FitConvergenceError):
+            n_iter += outcome.best.n_iter
+        elif isinstance(outcome, FitResult):
+            n_iter += outcome.n_iter
+    return DipFits(outcomes, n_iter)
 
 
-def _fit_dip(
-    l: np.ndarray, y: np.ndarray, poisson_weights: bool
-) -> tuple[FitResult, bool]:
-    """The Gauss-Newton fit of `fit_gaussian_dip` on sorted delays `l` and
-    counts `y`, and whether it converged."""
-    n = len(l)
+def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> list:
+    """The outcome of `fit_gaussian_dip` on each row of the sorted (runs, n)
+    delays `l` and counts `y`."""
+    p, sse, n_iter, converged, no_dip = _descend(l, y, poisson_weights)
+    outcomes = []
+    for i in range(len(y)):
+        if no_dip[i]:
+            outcomes.append(NoDipError("no dip detected"))
+            continue
+        result = _fit_result(p[i], l[i], y[i], sse[i], int(n_iter[i]), poisson_weights)
+        if not converged[i]:
+            outcomes.append(
+                FitConvergenceError(
+                    f"no convergence after {FIT_MAX_ITER} iterations "
+                    f"(best residual {result.residual:.6g})",
+                    best=result,
+                )
+            )
+            continue
+        if result.depth <= 0.0:
+            outcomes.append(NoDipError("no dip detected"))
+            continue
+        not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
+        if not_finite:
+            outcomes.append(FitError(f"fit is not finite: {', '.join(not_finite)}"))
+        else:
+            outcomes.append(result)
+    return outcomes
+
+
+def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
+    """Damped Gauss-Newton on every row of the sorted (runs, n) delays `l`
+    and counts `y`, in lockstep.
+
+    Returns, per row, the final parameters, sum of squares, iterations and
+    whether the fit converged, and whether the data-driven start found no
+    dip, which leaves the row unfitted.  Each round takes one step on every
+    row still iterating, and the rows that end a pass leave the working
+    arrays or start their next pass.
+    """
+    runs, n = y.shape
+    rows = np.arange(runs)
     n_edge = max(1, int(round(0.1 * n)))
-    base0 = float(np.mean(np.concatenate((y[:n_edge], y[-n_edge:]))))
-    i_min = int(np.argmin(y))
-    depth0 = base0 - float(y[i_min])
-    if depth0 <= 0.0 or float(np.ptp(y)) == 0.0:
-        raise NoDipError("no dip detected")
-    center0 = float(l[i_min])
-    half_level = base0 - depth0 / 2.0
-    below = l[y < half_level]
-    span = float(below.max() - below.min()) if below.size >= 2 else 0.0
-    w0 = span / GAUSSIAN_FWHM_FACTOR if span > 0.0 else (l[-1] - l[0]) / 6.0
+    base0 = np.mean(np.concatenate((y[:, :n_edge], y[:, -n_edge:]), axis=1), axis=1)
+    i_min = np.argmin(y, axis=1)
+    depth0 = base0 - y[rows, i_min]
+    no_dip = (depth0 <= 0.0) | (np.ptp(y, axis=1) == 0.0)
+    below = y < (base0 - depth0 / 2.0)[:, None]
+    # l is sorted along each row, so the first and last delay below the
+    # half level are the smallest and largest
+    first = np.argmax(below, axis=1)
+    last = n - 1 - np.argmax(below[:, ::-1], axis=1)
+    span = np.where(below.sum(axis=1) >= 2, l[rows, last] - l[rows, first], 0.0)
+    w0 = np.where(span > 0.0, span / GAUSSIAN_FWHM_FACTOR, (l[:, -1] - l[:, 0]) / 6.0)
+    final_p = np.stack((base0, depth0, l[rows, i_min], w0), axis=1)
+    final_sse = np.zeros(runs)
+    final_it = np.zeros(runs, dtype=int)
+    final_conv = np.zeros(runs, dtype=bool)
 
-    def descend(
-        p: np.ndarray, sig: np.ndarray, budget: int
-    ) -> tuple[np.ndarray, float, int, bool]:
-        """Damped Gauss-Newton on the fixed-weight objective."""
+    # the working arrays: entry k of each belongs to block row row[k]
+    row = np.flatnonzero(~no_dip)
+    p, l, y = final_p[row], l[row], y[row]
+    sig = np.sqrt(np.maximum(y, 1.0)) if poisson_weights else np.ones_like(y)
+    sse, u, g, r = _objective(p, l, y, sig)
+    used = np.zeros(len(row), dtype=int)  # iterations of the current pass
+    budget = np.full(len(row), FIT_MAX_ITER)  # of the current pass
+    it = np.zeros(len(row), dtype=int)  # of the passes before it
+    reweights = np.full(len(row), 2 if poisson_weights else 0)  # passes still to come
 
-        def objective(q: np.ndarray) -> tuple[float, tuple]:
-            """Weighted sum of squares at q, with the (u, g, residual) the
-            Jacobian at q is built from."""
-            u, g, model = _dip_terms(q, l)
-            r = (model - y) / sig
-            return float((r**2).sum()), (u, g, r)
-
-        sse, (u, g, r) = objective(p)
-        jac = np.empty((n, 4))
-        used = 0
-        converged = False
-        while used < budget:
-            used += 1
-            jw = _dip_jac(p, u, g, jac) / sig[:, None]
-            step, *_ = np.linalg.lstsq(jw, -r, rcond=None)
-            if not np.isfinite(step).all():
+    while row.size:
+        used += 1
+        jw = _dip_jac(p, u, g)
+        jw /= sig[:, :, None]
+        step = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(jw, -r)])
+        del jw  # freed before the line search allocates its candidates
+        # per row: does its pass end this round, and has it converged
+        ends = ~np.isfinite(step).all(axis=1)
+        conv = np.zeros(len(row), dtype=bool)
+        # line search: a row takes the first step length that does not raise
+        # its sum of squares; the lengths are tried in chunks, each row's in
+        # order, so a row that halves its step many times takes few rounds
+        search = np.flatnonzero(~ends)
+        for lengths in _STEP_CHUNKS:
+            if not search.size:
                 break
-            alpha = 1.0
-            accepted = False
-            while alpha >= 2.0**-30:
-                cand = p + alpha * step
-                if abs(cand[3]) < 1e-12:  # collapsed width, model undefined
-                    alpha /= 2.0
-                    continue
-                cand_sse, cand_terms = objective(cand)
-                if cand_sse <= sse:
-                    accepted = True
-                    break
-                alpha /= 2.0
-            if not accepted:
-                converged = True  # no descent direction left: local minimum
-                break
-            # the 2-norm as np.linalg.norm computes it for a real vector
-            move = alpha * step
-            rel_step = math.sqrt(move.dot(move)) / max(math.sqrt(p.dot(p)), 1.0)
-            p, sse, (u, g, r) = cand, cand_sse, cand_terms
-            if rel_step < FIT_STEP_TOL:
-                converged = True
-                break
-        return p, sse, used, converged
+            k = len(lengths)
+            # the working arrays themselves where every row searches, else a copy
+            # of the searching rows'
+            rows_in = slice(None) if search.size == len(row) else search
+            at = rows_in if k == 1 else np.repeat(search, k)
+            cand = (p[rows_in, None] + lengths[:, None] * step[rows_in, None]).reshape(-1, 4)
+            # a collapsed width leaves the model undefined: such a candidate
+            # is never taken, and is evaluated at harmless parameters instead
+            collapsed = np.abs(cand[:, 3]) < 1e-12
+            cand_sse, cand_u, cand_g, cand_r = _objective(
+                np.where(collapsed[:, None], 1.0, cand), l[at], y[at], sig[at]
+            )
+            accept = ((cand_sse <= sse[at]) & ~collapsed).reshape(-1, k)
+            hit = accept.any(axis=1)
+            nth = np.argmax(accept, axis=1)[hit]  # the length each row takes
+            took = search[hit]
+            # per row, the 2-norm as np.linalg.norm computes it for a real vector
+            rel_step = [
+                math.sqrt(move.dot(move)) / max(math.sqrt(q.dot(q)), 1.0)
+                for move, q in zip(lengths[nth, None] * step[took], p[took])
+            ]
+            conv[took] = ends[took] = np.less(rel_step, FIT_STEP_TOL)
+            pick = np.flatnonzero(hit) * k + nth  # into the candidates
+            p[took] = cand[pick]
+            sse[took], u[took], g[took], r[took] = (
+                cand_sse[pick], cand_u[pick], cand_g[pick], cand_r[pick]
+            )
+            search = search[~hit]
+        conv[search] = ends[search] = True  # no descent direction left: local minimum
+        ends |= used >= budget
+        if not ends.any():
+            continue
+        it[ends] += used[ends]
+        again = ends & conv & (reweights > 0)
+        if again.any():  # reweight from the fitted model and descend again
+            reweights[again] -= 1
+            used[again] = 0
+            budget[again] = np.maximum(FIT_MAX_ITER - it[again], 1)
+            sig[again] = np.sqrt(np.maximum(_dip_terms(p[again], l[again])[2], 1.0))
+            sse[again], u[again], g[again], r[again] = _objective(
+                p[again], l[again], y[again], sig[again]
+            )
+        out = ends & ~again
+        if out.any():
+            done = row[out]
+            final_p[done], final_sse[done] = p[out], sse[out]
+            final_it[done], final_conv[done] = it[out], conv[out]
+            keep = ~out
+            row, p, l, y, sig, sse, u, g, r, used, budget, it, reweights = (
+                a[keep] for a in (row, p, l, y, sig, sse, u, g, r, used, budget, it, reweights)
+            )
+    return final_p, final_sse, final_it, final_conv, no_dip
 
-    p = np.array([base0, depth0, center0, w0])
-    if poisson_weights:
-        sig = np.sqrt(np.maximum(y, 1.0))
-        p, sse, it, converged = descend(p, sig, FIT_MAX_ITER)
-        if converged:
-            for _ in range(2):  # reweight from the fitted model
-                sig = np.sqrt(np.maximum(_dip_terms(p, l)[2], 1.0))
-                p, sse, used, converged = descend(p, sig, max(FIT_MAX_ITER - it, 1))
-                it += used
-                if not converged:
-                    break
-    else:
-        sig = np.ones_like(y)
-        p, sse, it, converged = descend(p, sig, FIT_MAX_ITER)
 
+def _fit_result(
+    p: np.ndarray, l: np.ndarray, y: np.ndarray, sse: float, n_iter: int, poisson_weights: bool
+) -> FitResult:
+    """The `FitResult` of one row at its final parameters p, with the
+    parameter covariance there."""
+    n = len(l)
     base, depth, center, w = p[0], p[1], p[2], abs(p[3])
-
-    # parameter covariance at the solution
-    p = np.array([base, depth, center, w])
+    p = np.array([[base, depth, center, w]])
     u, g, model = _dip_terms(p, l)
-    jac = _dip_jac(p, u, g, np.empty((n, 4)))
+    jac, model = _dip_jac(p, u, g)[0], model[0]
     dof = max(n - 4, 1)
     if poisson_weights:
         m = np.maximum(model, 1.0)
@@ -404,12 +505,11 @@ def _fit_dip(
         chi2 = float(np.sum(w_inv_var * (model - y) ** 2))
         cov = bread @ meat @ bread
         cov = cov * max(1.0, chi2 / dof) * ERRORBAR_CALIBRATION**2
-    else:
-        jw = jac / sig[:, None]
+    else:  # unit weights
         try:
-            cov = np.linalg.inv(jw.T @ jw)
+            cov = np.linalg.inv(jac.T @ jac)
         except np.linalg.LinAlgError:
-            cov = np.linalg.pinv(jw.T @ jw)
+            cov = np.linalg.pinv(jac.T @ jac)
         cov = cov * (sse / dof)
     perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     vis = depth / base if base != 0.0 else math.inf
@@ -419,7 +519,7 @@ def _fit_dip(
     var_vis = (
         (vis**2 * cov[0, 0] + cov[1, 1] - 2.0 * vis * cov[0, 1]) / base / base
     ) if base != 0.0 else math.inf
-    result = FitResult(
+    return FitResult(
         baseline=float(base),
         depth=float(depth),
         center_um=float(center),
@@ -431,9 +531,8 @@ def _fit_dip(
         center_err=float(perr[2]),
         fwhm_err=float(GAUSSIAN_FWHM_FACTOR * perr[3]),
         visibility_err=float(math.sqrt(max(var_vis, 0.0))),
-        n_iter=it,
+        n_iter=n_iter,
     )
-    return result, converged
 
 
 #: largest share of Monte Carlo runs whose estimator may raise `FitError`
@@ -442,29 +541,33 @@ MAX_FAILED_FRACTION = 0.1
 
 
 def monte_carlo_errorbars(
-    counts: np.ndarray, estimator: Callable[[np.ndarray], tuple[float, ...]]
+    runs: Sequence, estimator: Callable[..., tuple[float, ...]]
 ) -> tuple[tuple[tuple[float, float], ...], int]:
-    """Apply `estimator` to each row of a `simulate_counts` block; return
-    (stats, failed), with one (mean, stddev) pair over the runs in `stats`
-    per entry of the estimator's tuple.  A run whose estimator raises
-    `FitError` is left out and counted in `failed`, up to
-    `MAX_FAILED_FRACTION` of the runs; any other estimator exception
-    propagates, tagged with the failing run index."""
-    runs = len(counts)
-    if runs < 2:
+    """Apply `estimator` to each per-run entry of `runs`, such as the rows
+    of a `simulate_counts` block or the outcomes of one `fit_gaussian_dip`
+    call over it; return (stats, failed), with one (mean, stddev) pair over
+    the runs in `stats` per entry of the estimator's tuple.  A run that is
+    a `FitError`, or whose estimator raises one, is left out and counted in
+    `failed`, up to `MAX_FAILED_FRACTION` of the runs; any other estimator
+    exception propagates, tagged with the failing run index."""
+    n_runs = len(runs)
+    if n_runs < 2:
         raise ValueError("need at least 2 runs for an error bar")
     values = []
     failures = []
-    for run, row in enumerate(counts):
+    for run, entry in enumerate(runs):
+        if isinstance(entry, FitError):
+            failures.append(f"run {run}: {entry}")
+            continue
         try:
-            values.append(estimator(row))
+            values.append(estimator(entry))
         except FitError as exc:
             failures.append(f"run {run}: {exc}")
         except Exception as exc:
             raise EstimatorError(f"estimator failed on run {run}: {exc}") from exc
-    if len(failures) > MAX_FAILED_FRACTION * runs:
+    if len(failures) > MAX_FAILED_FRACTION * n_runs:
         raise EstimatorError(
-            f"estimator failed on {len(failures)} of {runs} runs, more than "
+            f"estimator failed on {len(failures)} of {n_runs} runs, more than "
             f"{MAX_FAILED_FRACTION:.0%}; first on {failures[0]}"
         )
     columns = np.array(values, dtype=float).T.copy()  # one contiguous row per entry

@@ -162,11 +162,11 @@ def test_criterion_3_closed_form_law(capsys):
     assert ok
 
 
-def test_criterion_4_gaussian_sections(capsys):
+def test_criterion_4_gaussian_sections(capsys, fit_row):
     # delay section at the balanced angle: C(l) is Gaussian with FWHM 140 um
     delays = np.linspace(-300.0, 300.0, 61)
     section = np.array([optics.concurrence_optical(22.5, l, SIGMA_UM) for l in delays])
-    fit = optics.fit_gaussian_dip(delays, 1.0 - section)
+    fit = fit_row(delays, 1.0 - section)
     fwhm_rel = abs(fit.fwhm_um - FWHM_TARGET_UM) / FWHM_TARGET_UM
 
     # angle section at fixed delay: C = C0 sin^2(4 theta)
@@ -190,7 +190,7 @@ def test_criterion_4_gaussian_sections(capsys):
     assert ok
 
 
-def test_criterion_5_dip_recovery_and_coverage(capsys):
+def test_criterion_5_dip_recovery_and_coverage(capsys, fit_row):
     start = time.perf_counter()
     delays = np.linspace(-300.0, 300.0, 61)
     noiseless_ok = True
@@ -198,7 +198,7 @@ def test_criterion_5_dip_recovery_and_coverage(capsys):
     for vis, fwhm, _ in COVERAGE_CONFIGS:
         w = fwhm / GAUSSIAN_FWHM_FACTOR
         rates = 1000.0 * (1.0 - vis * np.exp(-(delays**2) / (2.0 * w**2)))
-        fit = optics.fit_gaussian_dip(delays, rates)
+        fit = fit_row(delays, rates)
         rel = max(abs(fit.visibility - vis) / vis, abs(fit.fwhm_um - fwhm) / fwhm)
         noiseless_ok = noiseless_ok and rel <= TOL_FIT_REL
         details.append(f"noiseless rel dev {rel:.1e}")
@@ -209,9 +209,8 @@ def test_criterion_5_dip_recovery_and_coverage(capsys):
         rates = 1000.0 * (1.0 - vis * np.exp(-(delays**2) / (2.0 * w**2)))
         rng = np.random.default_rng(seed)
         v1 = v2 = f1 = f2 = 0
-        for _ in range(100):
-            counts = rng.poisson(rates)
-            fit = optics.fit_gaussian_dip(delays, counts, poisson_weights=True)
+        block = np.array([rng.poisson(rates) for _ in range(100)])  # the draws in order
+        for fit in optics.fit_gaussian_dip(delays, block, poisson_weights=True).outcomes:
             v1 += abs(fit.visibility - vis) <= fit.visibility_err
             v2 += abs(fit.visibility - vis) <= 2.0 * fit.visibility_err
             f1 += abs(fit.fwhm_um - fwhm) <= fit.fwhm_err

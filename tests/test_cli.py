@@ -5,6 +5,8 @@ stay simple; one subprocess smoke test exercises the installed script.
 """
 
 import csv
+import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -192,19 +194,35 @@ def test_a_negative_seed_is_a_usage_error_that_names_the_seed(argv, capsys):
 def test_a_count_block_too_large_to_allocate_is_one_error_line(
     argv, monkeypatch, tmp_path, capsys
 ):
-    # stands in for numpy's allocation failure at --runs 100000000000
+    # stand in for numpy's allocation failure at --runs 100000000000, first
+    # when the block is drawn, then, for `hom`, when the drawn block is fitted
     def too_large(rates, seed, runs=1):
         raise MemoryError(f"Unable to allocate a ({runs}, {len(rates)}) count block")
 
-    monkeypatch.setattr(optics, "simulate_counts", too_large)
-    table = tmp_path / "table.csv"
-    argv = argv + ["--runs", "100000000000", "--out", str(table)]
-    assert main(argv) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: out of memory: Unable to allocate")
-    assert captured.err.count("\n") == 1
-    assert not table.exists()
+    def drawn(rates, seed, runs=1):
+        return np.broadcast_to(np.round(rates), (runs, len(rates)))  # allocates no block
+
+    def too_large_to_fit(delays, counts, poisson_weights=False):
+        raise MemoryError(f"Unable to allocate the {counts.shape} working arrays of the fit")
+
+    failures = [{"simulate_counts": too_large}]
+    if argv[0] == "hom":
+        failures.append({"simulate_counts": drawn, "fit_gaussian_dip": too_large_to_fit})
+    for patches in failures:
+        for name, stand_in in patches.items():
+            monkeypatch.setattr(optics, name, stand_in)
+        table = tmp_path / "table.csv"
+        assert main(argv + ["--runs", "100000000000", "--out", str(table)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: Unable to allocate")
+        assert captured.err.count("\n") == 1
+        assert not table.exists()
+        # and with the table on stdout
+        assert main(argv + ["--runs", "100000000000"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
 
 
 def test_production_commands_never_call_the_oracle(monkeypatch, capsys):
@@ -633,6 +651,33 @@ def test_noisy_hom_golden_fit_and_error_bars(capsys):
         assert want in lines
 
 
+#: SHA-256 of the fields of all 100 resample fits of `hom --visibility 0.91
+#: --fwhm-um 137 --noisy --runs 100 --seed 1`, as each row's own Gauss-Newton
+#: fit gave them before the rows were fitted as one block
+HOM_SEED_1_FITS_SHA256 = "7edf196060a869a87ae3305052fbc8a9f2f59b47622613e89ac7d7170cd7eae0"
+
+
+def test_noisy_hom_resample_fits_keep_their_bits(monkeypatch, capsys):
+    fits = []
+    fit_gaussian_dip = optics.fit_gaussian_dip
+
+    def recorded(*args, **kwargs):
+        fits.append(fit_gaussian_dip(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(optics, "fit_gaussian_dip", recorded)
+    argv = ["hom", "--visibility", "0.91", "--fwhm-um", "137", "--noisy", "--runs", "100"]
+    assert main(argv + ["--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    ((outcomes, _),) = fits
+    assert len(outcomes) == 100
+    digest = hashlib.sha256()
+    for fit in outcomes:
+        assert isinstance(fit, optics.FitResult)
+        digest.update(np.array(dataclasses.astuple(fit), dtype=float).tobytes())
+    assert digest.hexdigest() == HOM_SEED_1_FITS_SHA256
+
+
 def test_noisy_hom_fits_the_printed_row_once(monkeypatch, capsys):
     fits = []
     fit_gaussian_dip = optics.fit_gaussian_dip
@@ -643,7 +688,9 @@ def test_noisy_hom_fits_the_printed_row_once(monkeypatch, capsys):
 
     monkeypatch.setattr(optics, "fit_gaussian_dip", counted)
     assert main(["hom", "--noisy", "--runs", "5"]) == EXIT_OK
-    assert len(fits) == 5  # Monte Carlo run 0 reuses the printed fit
+    # one call fits the whole block; its row 0 is the printed table's
+    ((delays, block),) = fits
+    assert block.shape == (5, len(delays))
     assert _report_lines(capsys.readouterr().out) == [
         "fit: baseline    = 1011.261424 +/- 6.305269",
         "fit: depth       = 1011.689103 +/- 6.538398",

@@ -20,6 +20,7 @@ from twoboson.optics import (
     EstimatorError,
     FitConvergenceError,
     FitError,
+    FitResult,
     NoDipError,
     concurrence_optical,
     delta_to_sigma,
@@ -271,52 +272,69 @@ def test_rates_beyond_the_poisson_sampler_name_the_largest_rate():
 def test_dip_model_and_jacobian(p):
     p = np.array(p)
     l = np.linspace(-150.0, 150.0, 31)
-    u, g, model = _dip_terms(p, l)
-    base, depth, center, w = p
+    (u,), (g,), (model,) = _dip_terms(p[None], l)
+    base, depth, center, w = p  # numpy scalars, whose powers the fit takes
     assert np.array_equal(u, l - center)
     assert np.array_equal(g, np.exp(-(u**2) / (2.0 * w**2)))
     assert np.array_equal(model, base - depth * g)
-    jac = _dip_jac(p, u, g, np.empty((len(l), 4)))
-    stale = np.full((len(l), 4), np.nan)  # every entry is overwritten
-    assert np.array_equal(_dip_jac(p, u, g, stale), jac)
+    (jac,) = _dip_jac(p[None], u[None], g[None])
+    # every entry, bit for bit
+    assert np.array_equal(jac[:, 0], np.ones(len(l)))
+    assert np.array_equal(jac[:, 1], -g)
+    assert np.array_equal(jac[:, 2], -depth * g * u / w**2)
+    assert np.array_equal(jac[:, 3], -depth * g * u**2 / w**3)
     for k in range(4):
         h = 1e-5 * max(abs(p[k]), 1.0)
         dp = np.zeros(4)
         dp[k] = h
-        central = (_dip_terms(p + dp, l)[2] - _dip_terms(p - dp, l)[2]) / (2.0 * h)
+        central = (_dip_terms((p + dp)[None], l)[2] - _dip_terms((p - dp)[None], l)[2])[0] / (
+            2.0 * h
+        )
         assert np.max(np.abs(central - jac[:, k])) <= 1e-6 * np.max(np.abs(jac[:, k]))
 
 
-def test_noiseless_dip_is_recovered_exactly():
+def test_stacked_dip_terms_match_each_row_alone():
+    ps = np.array([[1000.0, 900.0, 5.0, 58.0], [20.0, 15.0, -40.0, -30.0], [3.0, 2.5, 0.1, 1e-3]])
+    l = np.linspace(-150.0, 150.0, 31)
+    stacked = _dip_terms(ps, l)
+    jac = _dip_jac(ps, stacked[0], stacked[1])
+    for i, p in enumerate(ps):
+        alone = _dip_terms(p[None], l)
+        for got, want in zip(stacked, alone):
+            assert got[i].tobytes() == want[0].tobytes()
+        assert jac[i].tobytes() == _dip_jac(p[None], alone[0], alone[1])[0].tobytes()
+
+
+def test_noiseless_dip_is_recovered_exactly(fit_row):
     for vis, fwhm in ((0.99, 132.0), (0.91, 137.0)):
         delays, rates = _dip_rates(vis, fwhm)
         for weighted in (False, True):
-            fit = fit_gaussian_dip(delays, rates, poisson_weights=weighted)
+            fit = fit_row(delays, rates, poisson_weights=weighted)
             assert fit.visibility == pytest.approx(vis, rel=1e-9)
             assert fit.fwhm_um == pytest.approx(fwhm, rel=1e-9)
             assert fit.baseline == pytest.approx(1000.0, rel=1e-9)
             assert abs(fit.center_um) < 1e-6
 
 
-def test_offcenter_dip_center_is_found():
+def test_offcenter_dip_center_is_found(fit_row):
     delays, rates = _dip_rates(0.8, 120.0, center=42.0)
-    fit = fit_gaussian_dip(delays, rates)
+    fit = fit_row(delays, rates)
     assert fit.center_um == pytest.approx(42.0, abs=1e-6)
 
 
-def test_flat_data_raises_no_dip():
+def test_flat_data_raises_no_dip(fit_row):
     with pytest.raises(NoDipError, match="no dip detected"):
-        fit_gaussian_dip(np.arange(-30.0, 31.0), np.full(61, 100.0))
+        fit_row(np.arange(-30.0, 31.0), np.full(61, 100.0))
 
 
-def test_too_few_points_rejected():
+def test_too_few_points_rejected(fit_row):
     with pytest.raises(ValueError, match="at least 5"):
-        fit_gaussian_dip([0.0, 1.0], [1.0, 2.0])
+        fit_row([0.0, 1.0], [1.0, 2.0])
 
 
-def test_negative_counts_rejected():
+def test_negative_counts_rejected(fit_row):
     with pytest.raises(ValueError, match="nonnegative"):
-        fit_gaussian_dip(np.arange(-10.0, 11.0), np.full(21, -1.0))
+        fit_row(np.arange(-10.0, 11.0), np.full(21, -1.0))
 
 
 def _fit_bits(fit) -> bytes:
@@ -324,7 +342,7 @@ def _fit_bits(fit) -> bytes:
 
 
 @pytest.mark.parametrize("poisson_weights", (False, True))
-def test_fit_does_not_depend_on_the_order_of_its_points(poisson_weights):
+def test_fit_does_not_depend_on_the_order_of_its_points(poisson_weights, fit_row):
     delays, rates = _dip_rates(0.91, 137.0)
     counts = np.random.default_rng(12).poisson(rates)
     # the same grid with delay 0 repeated, each copy with its own count
@@ -332,77 +350,134 @@ def test_fit_does_not_depend_on_the_order_of_its_points(poisson_weights):
     for l, y in ((delays, counts), repeated):
         # sorted as tuples of (delay, count) are, ties included
         sorted_l, sorted_y = (np.array(v) for v in zip(*sorted(zip(l.tolist(), y.tolist()))))
-        want = _fit_bits(fit_gaussian_dip(sorted_l, sorted_y, poisson_weights))
+        want = _fit_bits(fit_row(sorted_l, sorted_y, poisson_weights))
         for order in (np.random.default_rng(4).permutation(len(l)), np.arange(len(l))[::-1]):
-            assert _fit_bits(fit_gaussian_dip(l[order], y[order], poisson_weights)) == want
+            assert _fit_bits(fit_row(l[order], y[order], poisson_weights)) == want
 
 
-def test_a_fit_that_is_not_finite_is_a_fit_error():
+def _outcome_bits(outcome):
+    """A fit outcome as comparable values: a result's bytes, or an error's
+    type and message with the bytes of its best fit, if it keeps one."""
+    if isinstance(outcome, FitError):
+        best = getattr(outcome, "best", None)
+        return type(outcome), str(outcome), None if best is None else _fit_bits(best)
+    return _fit_bits(outcome)
+
+
+@pytest.mark.parametrize("max_iter", (optics.FIT_MAX_ITER, 3))
+@pytest.mark.parametrize("poisson_weights", (False, True))
+def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, monkeypatch):
+    monkeypatch.setattr(optics, "FIT_MAX_ITER", max_iter)
+    delays, rates = _dip_rates(0.95, 130.0)
+    rng = np.random.default_rng(5)
+    block = np.vstack(
+        [
+            rng.poisson(rates, (3, 61)),  # about 1000 counts
+            rng.poisson(0.004 * rates, (4, 61)),  # 4 and 5 counts: some fits fail
+            rng.poisson(0.005 * rates, (4, 61)),
+            np.full((1, 61), 100.0),  # flat: no dip
+            1e300 * rates[None],  # overflows: not finite
+        ]
+    )
+    fits = fit_gaussian_dip(delays, block, poisson_weights)
+    alone = [fit_gaussian_dip(delays, row[None], poisson_weights) for row in block]
+    assert [_outcome_bits(o) for o in fits.outcomes] == [
+        _outcome_bits(one.outcomes[0]) for one in alone
+    ]
+    # the iterations of the converged rows and of the rows at the cap
+    assert fits.n_iter == sum(one.n_iter for one in alone)
+    assert fits.n_iter == sum(
+        o.best.n_iter if isinstance(o, FitConvergenceError) else o.n_iter
+        for o in fits.outcomes
+        if isinstance(o, (FitResult, FitConvergenceError))
+    )
+    kinds = {type(o) for o in fits.outcomes}
+    if max_iter == 3:
+        assert kinds == {FitConvergenceError, NoDipError, FitError}
+    else:
+        assert kinds == {FitResult, FitConvergenceError, NoDipError, FitError}
+        assert any(isinstance(o, FitResult) for o in fits.outcomes[3:11])
+    assert str(fits.outcomes[-2]) == "no dip detected"
+    assert str(fits.outcomes[-1]).startswith("fit is not finite: ")
+
+
+def test_a_block_of_no_rows_has_no_outcomes():
+    delays, _ = _dip_rates(0.95, 130.0)
+    assert fit_gaussian_dip(delays, np.empty((0, 61))) == ([], 0)
+
+
+def test_a_block_must_match_its_delays():
+    delays, rates = _dip_rates(0.95, 130.0)
+    with pytest.raises(ValueError, match=r"\(runs, 61\) block, got shape \(61,\)"):
+        fit_gaussian_dip(delays, rates)
+    with pytest.raises(ValueError, match=r"got shape \(1, 60\)"):
+        fit_gaussian_dip(delays, rates[None, :60])
+
+
+def test_a_fit_that_is_not_finite_is_a_fit_error(fit_row):
     # counts near the float range overflow the sums of squares; any
     # RuntimeWarning would fail the test under the test settings
     delays, rates = _dip_rates(0.95, 130.0)
     for poisson_weights in (False, True):
         with pytest.raises(FitError, match="fit is not finite: .*_err") as excinfo:
-            fit_gaussian_dip(delays, 1e300 * rates, poisson_weights)
+            fit_row(delays, 1e300 * rates, poisson_weights)
         assert type(excinfo.value) is FitError
 
 
-def test_visibility_error_does_not_depend_on_a_large_count_scale():
+def test_visibility_error_does_not_depend_on_a_large_count_scale(fit_row):
     # at these scales the fit takes the same steps; a power of the baseline
     # that overflowed used to drop the covariance term of the visibility
     # error from about 6e102 on
     delays, rates = _dip_rates(0.9, 130.0)
     counts = np.random.default_rng(8).poisson(rates).astype(float)
     errs = [
-        fit_gaussian_dip(delays, scale * counts).visibility_err
+        fit_row(delays, scale * counts).visibility_err
         for scale in (1e100, 1e104, 1e150)
     ]
     assert errs == pytest.approx([errs[0]] * 3, rel=1e-9)
 
 
-def test_a_resample_whose_fit_is_not_finite_is_left_out():
+def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
     delays, rates = _dip_rates(0.95, 130.0)
     block = simulate_counts(rates, 5, 20).astype(float)
     block[7] *= 1e300
+    fits = fit_gaussian_dip(delays, block, poisson_weights=True)
 
-    def estimator(row):
-        return (fit_gaussian_dip(delays, row, poisson_weights=True).visibility,)
-
-    ((mean, _),), failed = monte_carlo_errorbars(block, estimator)
-    kept = [estimator(row)[0] for i, row in enumerate(block) if i != 7]
+    ((mean, _),), failed = monte_carlo_errorbars(fits.outcomes, lambda fit: (fit.visibility,))
+    kept = [fit_row(delays, row, True).visibility for i, row in enumerate(block) if i != 7]
     assert failed == 1
     assert mean == float(np.mean(kept))
 
 
-def test_iteration_cap_raises_with_best_so_far(monkeypatch):
+def test_iteration_cap_raises_with_best_so_far(monkeypatch, fit_row):
     monkeypatch.setattr(optics, "FIT_MAX_ITER", 1)
     delays, rates = _dip_rates(0.95, 130.0)
     counts = np.random.default_rng(3).poisson(rates)
     with pytest.raises(FitConvergenceError, match="after 1 iterations") as excinfo:
-        fit_gaussian_dip(delays, counts)
+        fit_row(delays, counts)
     best = excinfo.value.best
     assert best is not None
     assert best.n_iter == 1
     assert 0.5 < best.visibility < 1.5  # the partial answer is still sane
 
 
-def test_noised_width_recovery_rate():
+def test_noised_width_recovery_rate(fit_row):
     # Poisson noise at the usual count scale: the width lands within 5% of
     # truth essentially always; demand it in at least 95 of 100 trials
     delays, rates = _dip_rates(0.99, 132.0)
     good = 0
     for s in range(100):
         counts = np.random.default_rng([77, s]).poisson(rates)
-        fit = fit_gaussian_dip(delays, counts, poisson_weights=True)
+        fit = fit_row(delays, counts, poisson_weights=True)
         good += abs(fit.fwhm_um - 132.0) / 132.0 <= 0.05
     assert good >= 95
 
 
-def test_fit_agrees_with_reference_optimizer():
+def test_fit_agrees_with_reference_optimizer(fit_row):
     # same unweighted least-squares problem handed to an independent solver
     delays, rates = _dip_rates(0.9, 140.0)
     counts = np.random.default_rng(8).poisson(rates).astype(float)
-    fit = fit_gaussian_dip(delays, counts)
+    fit = fit_row(delays, counts)
 
     def model(l, base, depth, center, w):
         return base - depth * np.exp(-((l - center) ** 2) / (2.0 * w**2))
@@ -428,9 +503,8 @@ def test_quoted_errors_cover_the_truth_at_nominal_rates():
     inside_v = inside_f = 0
     runs = 150
     rng = np.random.default_rng(1234)
-    for _ in range(runs):
-        counts = rng.poisson(rates)
-        fit = fit_gaussian_dip(delays, counts, poisson_weights=True)
+    block = np.array([rng.poisson(rates) for _ in range(runs)])  # the draws in order
+    for fit in fit_gaussian_dip(delays, block, poisson_weights=True).outcomes:
         inside_v += abs(fit.visibility - 0.91) <= fit.visibility_err
         inside_f += abs(fit.fwhm_um - 137.0) <= fit.fwhm_err
     assert inside_v / runs >= 0.68
@@ -521,6 +595,19 @@ def test_failed_fits_are_left_out_and_counted():
     assert failed == 2
     assert mean == float(np.mean(kept))
     assert std == float(np.std(kept, ddof=1))
+
+
+def test_failed_fit_outcomes_count_as_failed_runs():
+    # the outcomes of one block fit: a run that is a FitError is left out
+    # under the same rule, with the same message, as one whose estimator raises
+    counts = np.arange(20.0)[:, None]
+    outcomes = [NoDipError("no dip detected") if v in (3, 11) else v for v in range(20)]
+    assert monte_carlo_errorbars(outcomes, lambda v: (float(v),)) == monte_carlo_errorbars(
+        counts, _fails_on_runs({3, 11})
+    )
+    outcomes = [NoDipError("no dip detected") if v in (4, 9, 15) else v for v in range(20)]
+    with pytest.raises(EstimatorError, match="3 of 20 runs.*first on run 4: no dip"):
+        monte_carlo_errorbars(outcomes, lambda v: (float(v),))
 
 
 def test_too_many_failed_fits_abort_with_the_count_and_the_first_failure():
