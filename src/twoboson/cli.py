@@ -277,20 +277,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _resolving_dip(fit: optics.FitResult, span: float) -> optics.FitResult:
-    """`fit`, if it resolves a dip over a scan `span` um wide.
-
-    A fit that converges to a dip wider than the scan, or on a non-positive
-    baseline, resolves no dip and raises `NoDipError`.
-    """
-    if fit.baseline <= 0.0 or fit.fwhm_um > span:
-        raise optics.NoDipError(
-            f"fitted FWHM {fit.fwhm_um:.6g} um and baseline "
-            f"{fit.baseline:.6g} resolve no dip over a {span:.6g} um scan"
-        )
-    return fit
-
-
 def cmd_hom(args) -> int:
     if not 0.0 <= args.visibility <= 1.0:
         print("error: visibility must lie in [0, 1]", file=sys.stderr)
@@ -329,15 +315,9 @@ def cmd_hom(args) -> int:
     }
     _write_table(args.out, args.format, ("delay_um", "counts"), rows, metadata)
 
-    span = max(delays) - min(delays)
     fit = fits.outcomes[0]  # the printed table's
-    try:
-        if isinstance(fit, optics.FitError):
-            raise fit
-        if args.noisy:  # an exact fit is reported as it converged
-            _resolving_dip(fit, span)
-    except optics.FitError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
+    if isinstance(fit, optics.FitError):
+        print(f"fit failed: {fit}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     print(f"fit: baseline    = {fit.baseline:.6f} +/- {fit.baseline_err:.6f}")
@@ -348,15 +328,9 @@ def cmd_hom(args) -> int:
     print(f"fit: residual    = {fit.residual:.6g}")
 
     if args.noisy:
-        def estimator(refit):
-            # a resample that resolves no dip is left out like a failed fit,
-            # under the same 10% rule
-            _resolving_dip(refit, span)
-            return refit.visibility, refit.fwhm_um
-
         try:
             ((v_mean, v_std), (f_mean, f_std)), failed = optics.monte_carlo_errorbars(
-                fits.outcomes, estimator
+                fits.outcomes, lambda f: (f.visibility, f.fwhm_um)
             )
         except optics.EstimatorError as exc:
             print(f"monte carlo failed: {exc}", file=sys.stderr)

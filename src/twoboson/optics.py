@@ -27,9 +27,11 @@ Monte Carlo error bars.  A Monte Carlo draws one (runs, n) count block from
 `simulate_counts`, the only place a generator is created.  A block
 estimator maps it to one value per run at once: `xstate_concurrence` in
 closed form, and `fit_gaussian_dip`, which fits every row in one lockstep
-Gauss-Newton loop and gives each row the bits of its own fit.
-`monte_carlo_errorbars` reduces the per-run fits, failed ones included, to
-error bars.  No hidden global state.
+Gauss-Newton loop and gives each row the bits of its own fit.  The fitter is
+the one place that decides each row's outcome, a `FitResult` or a
+`FitError`, the rule for a dip the scan does not resolve included.
+`monte_carlo_errorbars` reduces the per-run outcomes to error bars, leaving
+out the runs that are a `FitError`.  No hidden global state.
 """
 
 from __future__ import annotations
@@ -275,8 +277,9 @@ class DipFits(NamedTuple):
 
     #: per row, its `FitResult` or the `FitError` its fit ends in
     outcomes: list
-    #: Gauss-Newton iterations of the rows that converged, plus the
-    #: `best.n_iter` of the rows that hit the iteration cap
+    #: Gauss-Newton iterations of the rows that converged to a finite dip,
+    #: resolved or not, plus the `best.n_iter` of the rows that hit the
+    #: iteration cap
     n_iter: int
 
 
@@ -311,12 +314,19 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     the Monte-Carlo-derived `ERRORBAR_CALIBRATION` margin.  They are meant
     for accept/reject decisions, so they err on the side of over-coverage.
 
-    A row's outcome is its `FitResult`, or the `FitError` its fit ends in:
-    `NoDipError` for data with no dip, `FitConvergenceError` at the
-    iteration cap, and a plain `FitError` for a fit any of whose fields is
-    not finite, as counts near the float range give.  Bad input (too few
-    points, negative counts, a block of the wrong shape) raises
-    `ValueError` for the whole block.
+    A row's outcome is its `FitResult`, or the `FitError` its fit ends in,
+    checked in this order: `NoDipError` for data with no dip; a plain
+    `FitError` naming the `LinAlgError` of a `lstsq` step, which ends that
+    row's fit and no other; `FitConvergenceError` at the iteration cap;
+    `NoDipError` for a converged depth <= 0; a plain `FitError` for a fit
+    any of whose fields is not finite, as counts near the float range give;
+    and, with `poisson_weights` only, `NoDipError` for a converged fit whose
+    FWHM is wider than the span of `delays` or whose baseline is <= 0, which
+    resolves no dip.  An unweighted (exact) fit is reported as it converged.
+    `n_iter` counts the iterations of every row that converged to a finite
+    dip, resolved or not, and the `best.n_iter` of every row at the cap.
+    Bad input (too few points, negative counts, a block of the wrong shape)
+    raises `ValueError` for the whole block.
     """
     l = np.asarray(delays, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -332,44 +342,47 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     # an overflow to inf or nan ends in the finiteness check below, not in
     # a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = _fit_rows(l, y, poisson_weights)
-    n_iter = 0
-    for outcome in outcomes:
-        if isinstance(outcome, FitConvergenceError):
-            n_iter += outcome.best.n_iter
-        elif isinstance(outcome, FitResult):
-            n_iter += outcome.n_iter
-    return DipFits(outcomes, n_iter)
+        return _fit_rows(l, y, poisson_weights)
 
 
-def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> list:
-    """The outcome of `fit_gaussian_dip` on each row of the sorted (runs, n)
-    delays `l` and counts `y`."""
-    p, sse, n_iter, converged, no_dip = _descend(l, y, poisson_weights)
+def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
+    """`fit_gaussian_dip` of the sorted (runs, n) delays `l` and counts `y`."""
+    p, sse, n_iter, converged, no_dip, step_errors = _descend(l, y, poisson_weights)
     outcomes = []
+    total_iter = 0
     for i in range(len(y)):
         if no_dip[i]:
             outcomes.append(NoDipError("no dip detected"))
             continue
-        result = _fit_result(p[i], l[i], y[i], sse[i], int(n_iter[i]), poisson_weights)
-        if not converged[i]:
-            outcomes.append(
-                FitConvergenceError(
-                    f"no convergence after {FIT_MAX_ITER} iterations "
-                    f"(best residual {result.residual:.6g})",
-                    best=result,
-                )
-            )
+        if i in step_errors:
+            outcomes.append(FitError(f"least-squares step failed: {step_errors[i]}"))
             continue
-        if result.depth <= 0.0:
+        result = _fit_result(p[i], l[i], y[i], sse[i], int(n_iter[i]), poisson_weights)
+        not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
+        span = l[i, -1] - l[i, 0]
+        if not converged[i]:
+            outcome = FitConvergenceError(
+                f"no convergence after {FIT_MAX_ITER} iterations "
+                f"(best residual {result.residual:.6g})",
+                best=result,
+            )
+        elif result.depth <= 0.0:
             outcomes.append(NoDipError("no dip detected"))
             continue
-        not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
-        if not_finite:
+        elif not_finite:
             outcomes.append(FitError(f"fit is not finite: {', '.join(not_finite)}"))
+            continue
+        elif poisson_weights and (result.baseline <= 0.0 or result.fwhm_um > span):
+            outcome = NoDipError(
+                f"fitted FWHM {result.fwhm_um:.6g} um and baseline "
+                f"{result.baseline:.6g} resolve no dip over a {span:.6g} um scan"
+            )
         else:
-            outcomes.append(result)
-    return outcomes
+            outcome = result
+        outcomes.append(outcome)
+        # a row at the cap, or one that converged to a finite dip, resolved or not
+        total_iter += result.n_iter
+    return DipFits(outcomes, total_iter)
 
 
 def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
@@ -378,9 +391,10 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
 
     Returns, per row, the final parameters, sum of squares, iterations and
     whether the fit converged, and whether the data-driven start found no
-    dip, which leaves the row unfitted.  Each round takes one step on every
-    row still iterating, and the rows that end a pass leave the working
-    arrays or start their next pass.
+    dip, which leaves the row unfitted; and, by block row, the `LinAlgError`
+    of each row whose `lstsq` step raised one, which ends that row's fit.
+    Each round takes one step on every row still iterating, and the rows
+    that end a pass leave the working arrays or start their next pass.
     """
     runs, n = y.shape
     rows = np.arange(runs)
@@ -400,6 +414,7 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     final_sse = np.zeros(runs)
     final_it = np.zeros(runs, dtype=int)
     final_conv = np.zeros(runs, dtype=bool)
+    step_errors = {}
 
     # the working arrays: entry k of each belongs to block row row[k]
     row = np.flatnonzero(~no_dip)
@@ -415,7 +430,13 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         used += 1
         jw = _dip_jac(p, u, g)
         jw /= sig[:, :, None]
-        step = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(jw, -r)])
+        step = np.empty((len(row), 4))
+        for k, (a, b) in enumerate(zip(jw, -r)):
+            try:
+                step[k] = np.linalg.lstsq(a, b, rcond=None)[0]
+            except np.linalg.LinAlgError as exc:  # ends this row's fit only
+                step[k] = np.nan
+                step_errors[row[k]] = exc
         del jw  # freed before the line search allocates its candidates
         # per row: does its pass end this round, and has it converged
         ends = ~np.isfinite(step).all(axis=1)
@@ -478,7 +499,7 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             row, p, l, y, sig, sse, u, g, r, used, budget, it, reweights = (
                 a[keep] for a in (row, p, l, y, sig, sse, u, g, r, used, budget, it, reweights)
             )
-    return final_p, final_sse, final_it, final_conv, no_dip
+    return final_p, final_sse, final_it, final_conv, no_dip, step_errors
 
 
 def _fit_result(
@@ -535,8 +556,8 @@ def _fit_result(
     )
 
 
-#: largest share of Monte Carlo runs whose estimator may raise `FitError`
-#: and be left out of the error bar
+#: largest share of Monte Carlo runs that may be a `FitError` and be left
+#: out of the error bar
 MAX_FAILED_FRACTION = 0.1
 
 
@@ -547,9 +568,10 @@ def monte_carlo_errorbars(
     of a `simulate_counts` block or the outcomes of one `fit_gaussian_dip`
     call over it; return (stats, failed), with one (mean, stddev) pair over
     the runs in `stats` per entry of the estimator's tuple.  A run that is
-    a `FitError`, or whose estimator raises one, is left out and counted in
-    `failed`, up to `MAX_FAILED_FRACTION` of the runs; any other estimator
-    exception propagates, tagged with the failing run index."""
+    a `FitError` is left out and counted in `failed`, up to
+    `MAX_FAILED_FRACTION` of the runs.  An exception the estimator raises,
+    a `FitError` included, aborts as `EstimatorError`, tagged with the
+    failing run index."""
     n_runs = len(runs)
     if n_runs < 2:
         raise ValueError("need at least 2 runs for an error bar")
@@ -561,8 +583,6 @@ def monte_carlo_errorbars(
             continue
         try:
             values.append(estimator(entry))
-        except FitError as exc:
-            failures.append(f"run {run}: {exc}")
         except Exception as exc:
             raise EstimatorError(f"estimator failed on run {run}: {exc}") from exc
     if len(failures) > MAX_FAILED_FRACTION * n_runs:

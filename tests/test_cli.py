@@ -576,8 +576,8 @@ def test_noisy_hom_json_counts_table(tmp_path):
 
 
 def test_hom_leaves_out_a_few_failed_resample_fits(capsys):
-    # 3 resamples raise FitError and 1 converges to a FWHM of hundreds of scan
-    # widths; were that one kept, the error bar would read
+    # 3 resample fits fail and 1 converges to a FWHM of hundreds of scan
+    # widths, which resolves no dip; were that one kept, the error bar would read
     # 28061.763341 +/- 275017.122038
     argv = ["hom", "--noisy", "--baseline", "5", "--seed", "0"]
     assert main(argv) == EXIT_OK
@@ -615,13 +615,19 @@ def test_noisy_hom_refuses_a_printed_fit_wider_than_the_scan(capsys):
 
 
 def test_hom_refuses_a_fit_that_is_not_finite(capsys):
-    # a baseline near the float range overflows the fit's sums of squares;
-    # RuntimeWarnings are errors under the test settings, so none escapes
-    assert main(["hom", "--baseline", "1e300"]) == EXIT_NUMERICAL
-    captured = capsys.readouterr()
-    assert captured.out.startswith("delay_um,counts\n")
-    assert "fit:" not in captured.out and "nan" not in captured.out
-    assert captured.err.startswith("fit failed: fit is not finite: ")
+    # a baseline near the float range overflows the fit's sums of squares, or
+    # makes its least-squares step raise LinAlgError; RuntimeWarnings are
+    # errors under the test settings, so none escapes
+    for baseline, error in (
+        ("1e300", "fit is not finite: "),
+        ("1e305", "least-squares step failed: SVD did not converge"),
+    ):
+        assert main(["hom", "--baseline", baseline]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert len(_read_csv(captured.out)) == 61  # the full count table
+        assert "fit:" not in captured.out and "nan" not in captured.out
+        assert captured.err.startswith("fit failed: " + error)
+        assert captured.err.count("\n") == 1
 
 
 def test_noiseless_hom_fits_a_dip_wider_than_the_scan(capsys):

@@ -376,6 +376,7 @@ def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, m
             rng.poisson(0.004 * rates, (4, 61)),  # 4 and 5 counts: some fits fail
             rng.poisson(0.005 * rates, (4, 61)),
             np.full((1, 61), 100.0),  # flat: no dip
+            1e305 * rates[None],  # the least-squares step raises LinAlgError
             1e300 * rates[None],  # overflows: not finite
         ]
     )
@@ -384,20 +385,28 @@ def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, m
     assert [_outcome_bits(o) for o in fits.outcomes] == [
         _outcome_bits(one.outcomes[0]) for one in alone
     ]
-    # the iterations of the converged rows and of the rows at the cap
+    # the iterations of the converged rows, resolved or not, and of the rows
+    # at the cap
     assert fits.n_iter == sum(one.n_iter for one in alone)
-    assert fits.n_iter == sum(
-        o.best.n_iter if isinstance(o, FitConvergenceError) else o.n_iter
-        for o in fits.outcomes
-        if isinstance(o, (FitResult, FitConvergenceError))
-    )
+    for o, one in zip(fits.outcomes, alone):
+        if isinstance(o, FitConvergenceError):
+            assert one.n_iter == o.best.n_iter
+        elif isinstance(o, FitResult):
+            assert one.n_iter == o.n_iter
+        elif str(o).startswith("fitted FWHM "):  # converged to no resolved dip
+            assert poisson_weights and one.n_iter > 0
+        else:
+            assert one.n_iter == 0
     kinds = {type(o) for o in fits.outcomes}
     if max_iter == 3:
         assert kinds == {FitConvergenceError, NoDipError, FitError}
     else:
         assert kinds == {FitResult, FitConvergenceError, NoDipError, FitError}
         assert any(isinstance(o, FitResult) for o in fits.outcomes[3:11])
-    assert str(fits.outcomes[-2]) == "no dip detected"
+    assert str(fits.outcomes[-3]) == "no dip detected"
+    assert str(fits.outcomes[-2]) == (
+        "least-squares step failed: SVD did not converge in Linear Least Squares"
+    )
     assert str(fits.outcomes[-1]).startswith("fit is not finite: ")
 
 
@@ -447,6 +456,19 @@ def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
     kept = [fit_row(delays, row, True).visibility for i, row in enumerate(block) if i != 7]
     assert failed == 1
     assert mean == float(np.mean(kept))
+
+
+def test_a_counting_noise_fit_wider_than_the_scan_resolves_no_dip(fit_row):
+    # the count table of `hom --fwhm-um 2000 --noisy --seed 3`
+    delays, rates = _dip_rates(1.0, 2000.0)
+    counts = simulate_counts(rates, 3)[0]
+    with pytest.raises(NoDipError) as excinfo:
+        fit_row(delays, counts, poisson_weights=True)
+    assert str(excinfo.value) == (
+        "fitted FWHM 1389.19 um and baseline 498.949 resolve no dip over a 600 um scan"
+    )
+    # an unweighted fit is reported as it converged
+    assert isinstance(fit_row(delays, counts), FitResult)
 
 
 def test_iteration_cap_raises_with_best_so_far(monkeypatch, fit_row):
@@ -577,43 +599,36 @@ def test_estimator_failures_carry_the_run_index():
         monte_carlo_errorbars(simulate_counts(np.array([10.0]), 3, 4), boom)
 
 
-def _fails_on_runs(bad_runs):
-    """Estimator over a block whose row k is [k]; its fit fails on `bad_runs`."""
-
-    def estimator(row):
-        if int(row[0]) in bad_runs:
-            raise NoDipError("no dip detected")
-        return (float(row[0]),)
-
-    return estimator
+def _outcomes_failing_on(bad_runs):
+    """Per-run outcomes whose run k is k, or a `NoDipError` for `bad_runs`."""
+    return [NoDipError("no dip detected") if v in bad_runs else v for v in range(20)]
 
 
 def test_failed_fits_are_left_out_and_counted():
-    counts = np.arange(20.0)[:, None]
-    ((mean, std),), failed = monte_carlo_errorbars(counts, _fails_on_runs({3, 11}))
+    ((mean, std),), failed = monte_carlo_errorbars(
+        _outcomes_failing_on({3, 11}), lambda v: (float(v),)
+    )
     kept = [v for v in range(20) if v not in (3, 11)]
     assert failed == 2
     assert mean == float(np.mean(kept))
     assert std == float(np.std(kept, ddof=1))
 
 
-def test_failed_fit_outcomes_count_as_failed_runs():
-    # the outcomes of one block fit: a run that is a FitError is left out
-    # under the same rule, with the same message, as one whose estimator raises
-    counts = np.arange(20.0)[:, None]
-    outcomes = [NoDipError("no dip detected") if v in (3, 11) else v for v in range(20)]
-    assert monte_carlo_errorbars(outcomes, lambda v: (float(v),)) == monte_carlo_errorbars(
-        counts, _fails_on_runs({3, 11})
-    )
-    outcomes = [NoDipError("no dip detected") if v in (4, 9, 15) else v for v in range(20)]
-    with pytest.raises(EstimatorError, match="3 of 20 runs.*first on run 4: no dip"):
-        monte_carlo_errorbars(outcomes, lambda v: (float(v),))
-
-
 def test_too_many_failed_fits_abort_with_the_count_and_the_first_failure():
-    counts = np.arange(20.0)[:, None]
     with pytest.raises(EstimatorError, match="3 of 20 runs.*first on run 4: no dip"):
-        monte_carlo_errorbars(counts, _fails_on_runs({4, 9, 15}))
+        monte_carlo_errorbars(_outcomes_failing_on({4, 9, 15}), lambda v: (float(v),))
+
+
+def test_a_fit_error_raised_by_the_estimator_aborts():
+    # only a run that is a FitError is left out; an estimator that raises one
+    # fails like any other estimator
+    def estimator(row):
+        if int(row[0]) == 3:
+            raise NoDipError("no dip detected")
+        return (float(row[0]),)
+
+    with pytest.raises(EstimatorError, match="estimator failed on run 3: no dip detected"):
+        monte_carlo_errorbars(np.arange(20.0)[:, None], estimator)
 
 
 def test_tuple_estimator_matches_separate_scalar_runs():
