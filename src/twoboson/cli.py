@@ -9,7 +9,8 @@ Subcommands:
 
 Angles are degrees at this boundary (radians never leak out), lengths are
 micrometers.  Exit codes: 0 success, 1 usage error, 2 numerical/fit failure,
-3 verification failure.
+3 verification failure.  A command refuses by raising; `main` alone turns
+the failure into one line on stderr and its exit code.
 """
 
 from __future__ import annotations
@@ -215,16 +216,15 @@ def _write_table(
     path: Optional[str], fmt: str, columns: Sequence[str], rows, metadata: dict
 ) -> None:
     """Write `rows` as CSV or JSON to `path`, or to stdout for None or '-'.
-    A path that cannot be opened is a usage error, reported before any
-    byte is written."""
+    A path that cannot be opened raises `ValueError`, a usage error, before
+    any byte is written."""
     if path is None or path == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
         try:
             target = open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:
-            print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE) from exc
+            raise ValueError(f"cannot write {path!r}: {exc}") from exc
     with target as handle:
         if fmt == "csv":
             writer = csv.writer(handle, lineterminator="\n")
@@ -279,11 +279,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_hom(args) -> int:
     if not 0.0 <= args.visibility <= 1.0:
-        print("error: visibility must lie in [0, 1]", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("visibility must lie in [0, 1]")
     if len(args.delay_grid) < 5:
-        print("error: a dip fit needs a delay grid of at least 5 points", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("a dip fit needs a delay grid of at least 5 points")
     w = args.fwhm_um / optics.GAUSSIAN_FWHM_FACTOR
 
     def truth(l: float) -> float:
@@ -317,8 +315,7 @@ def cmd_hom(args) -> int:
 
     fit = fits.outcomes[0]  # the printed table's
     if isinstance(fit, optics.FitError):
-        print(f"fit failed: {fit}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise fit
 
     print(f"fit: baseline    = {fit.baseline:.6f} +/- {fit.baseline_err:.6f}")
     print(f"fit: depth       = {fit.depth:.6f} +/- {fit.depth_err:.6f}")
@@ -328,13 +325,7 @@ def cmd_hom(args) -> int:
     print(f"fit: residual    = {fit.residual:.6g}")
 
     if args.noisy:
-        try:
-            ((v_mean, v_std), (f_mean, f_std)), failed = optics.monte_carlo_errorbars(
-                fits.outcomes, lambda f: (f.visibility, f.fwhm_um)
-            )
-        except optics.EstimatorError as exc:
-            print(f"monte carlo failed: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        ((v_mean, v_std), (f_mean, f_std)), failed = optics.monte_carlo_errorbars(fits.outcomes)
         if failed:
             print(
                 f"monte carlo: left out {failed} of {args.runs} runs whose fit failed",
@@ -346,11 +337,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verification.run_suites(trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = verification.run_suites(trials=args.trials, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -441,10 +428,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--noisy needs --runs >= 2 for an error bar")
     except SystemExit as exc:
         return int(exc.code or 0)
+    # every command refuses by raising; this is the one place that turns a
+    # failure into its stderr line and exit code
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -457,6 +444,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # finite input whose arithmetic overflows or divides by zero, which
         # happens while a point or table is computed, before it is written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except optics.FitError as exc:  # the printed table's fit, after the table
+        print(f"fit failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except optics.EstimatorError as exc:
+        print(f"monte carlo failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

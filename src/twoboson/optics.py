@@ -30,15 +30,16 @@ closed form, and `fit_gaussian_dip`, which fits every row in one lockstep
 Gauss-Newton loop and gives each row the bits of its own fit.  The fitter is
 the one place that decides each row's outcome, a `FitResult` or a
 `FitError`, the rule for a dip the scan does not resolve included.
-`monte_carlo_errorbars` reduces the per-run outcomes to error bars, leaving
-out the runs that are a `FitError`.  No hidden global state.
+`monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
+error bars, leaving out the runs that are a `FitError`.  No hidden global
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class FitConvergenceError(FitError):
 
 
 class EstimatorError(RuntimeError):
-    """An estimator failed during Monte Carlo resampling."""
+    """More than `MAX_FAILED_FRACTION` of the runs of a Monte Carlo failed."""
 
 
 def sigma_to_delta(sigma_um: float) -> float:
@@ -316,8 +317,10 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
 
     A row's outcome is its `FitResult`, or the `FitError` its fit ends in,
     checked in this order: `NoDipError` for data with no dip; a plain
-    `FitError` naming the `LinAlgError` of a `lstsq` step, which ends that
-    row's fit and no other; `FitConvergenceError` at the iteration cap;
+    `FitError` for a least-squares step whose weighted Jacobian or residual
+    is not finite, as counts near the float range give, or whose `lstsq`
+    call raises `LinAlgError`, which ends that row's fit and no other;
+    `FitConvergenceError` at the iteration cap;
     `NoDipError` for a converged depth <= 0; a plain `FitError` for a fit
     any of whose fields is not finite, as counts near the float range give;
     and, with `poisson_weights` only, `NoDipError` for a converged fit whose
@@ -391,8 +394,9 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
 
     Returns, per row, the final parameters, sum of squares, iterations and
     whether the fit converged, and whether the data-driven start found no
-    dip, which leaves the row unfitted; and, by block row, the `LinAlgError`
-    of each row whose `lstsq` step raised one, which ends that row's fit.
+    dip, which leaves the row unfitted; and, by block row, why each failed
+    step failed, which ends that row's fit: its Jacobian or residual was
+    not finite, or its `lstsq` call raised this `LinAlgError`.
     Each round takes one step on every row still iterating, and the rows
     that end a pass leave the working arrays or start their next pass.
     """
@@ -430,12 +434,18 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         used += 1
         jw = _dip_jac(p, u, g)
         jw /= sig[:, :, None]
-        step = np.empty((len(row), 4))
+        # a row whose Jacobian or residual is not finite, as counts near the
+        # float range give, never reaches LAPACK, which would print its
+        # complaint to stdout ahead of the table
+        finite = np.isfinite(jw).all(axis=(1, 2)) & np.isfinite(r).all(axis=1)
+        step = np.full((len(row), 4), np.nan)
         for k, (a, b) in enumerate(zip(jw, -r)):
+            if not finite[k]:
+                step_errors[row[k]] = "the Jacobian or residual is not finite"
+                continue
             try:
                 step[k] = np.linalg.lstsq(a, b, rcond=None)[0]
             except np.linalg.LinAlgError as exc:  # ends this row's fit only
-                step[k] = np.nan
                 step_errors[row[k]] = exc
         del jw  # freed before the line search allocates its candidates
         # per row: does its pass end this round, and has it converged
@@ -562,35 +572,24 @@ MAX_FAILED_FRACTION = 0.1
 
 
 def monte_carlo_errorbars(
-    runs: Sequence, estimator: Callable[..., tuple[float, ...]]
-) -> tuple[tuple[tuple[float, float], ...], int]:
-    """Apply `estimator` to each per-run entry of `runs`, such as the rows
-    of a `simulate_counts` block or the outcomes of one `fit_gaussian_dip`
-    call over it; return (stats, failed), with one (mean, stddev) pair over
-    the runs in `stats` per entry of the estimator's tuple.  A run that is
-    a `FitError` is left out and counted in `failed`, up to
-    `MAX_FAILED_FRACTION` of the runs.  An exception the estimator raises,
-    a `FitError` included, aborts as `EstimatorError`, tagged with the
-    failing run index."""
-    n_runs = len(runs)
+    outcomes: Sequence,
+) -> tuple[tuple[tuple[float, float], tuple[float, float]], int]:
+    """Error bars over the per-run `outcomes` of one `fit_gaussian_dip`
+    call: ((visibility mean, stddev), (fwhm_um mean, stddev)) and the count
+    of runs left out.  A run that is a `FitError` is left out, up to
+    `MAX_FAILED_FRACTION` of the runs; more raise `EstimatorError` naming
+    the count and the first failed run."""
+    n_runs = len(outcomes)
     if n_runs < 2:
         raise ValueError("need at least 2 runs for an error bar")
-    values = []
-    failures = []
-    for run, entry in enumerate(runs):
-        if isinstance(entry, FitError):
-            failures.append(f"run {run}: {entry}")
-            continue
-        try:
-            values.append(estimator(entry))
-        except Exception as exc:
-            raise EstimatorError(f"estimator failed on run {run}: {exc}") from exc
+    failures = [f"run {run}: {o}" for run, o in enumerate(outcomes) if isinstance(o, FitError)]
+    values = [(o.visibility, o.fwhm_um) for o in outcomes if not isinstance(o, FitError)]
     if len(failures) > MAX_FAILED_FRACTION * n_runs:
         raise EstimatorError(
             f"estimator failed on {len(failures)} of {n_runs} runs, more than "
             f"{MAX_FAILED_FRACTION:.0%}; first on {failures[0]}"
         )
-    columns = np.array(values, dtype=float).T.copy()  # one contiguous row per entry
+    columns = np.array(values, dtype=float).T.copy()  # one contiguous row per quantity
     stats = tuple((float(np.mean(c)), float(np.std(c, ddof=1))) for c in columns)
     return stats, len(failures)
 

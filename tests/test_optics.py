@@ -376,7 +376,7 @@ def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, m
             rng.poisson(0.004 * rates, (4, 61)),  # 4 and 5 counts: some fits fail
             rng.poisson(0.005 * rates, (4, 61)),
             np.full((1, 61), 100.0),  # flat: no dip
-            1e305 * rates[None],  # the least-squares step raises LinAlgError
+            1e305 * rates[None],  # its weighted Jacobian is not finite
             1e300 * rates[None],  # overflows: not finite
         ]
     )
@@ -405,9 +405,35 @@ def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, m
         assert any(isinstance(o, FitResult) for o in fits.outcomes[3:11])
     assert str(fits.outcomes[-3]) == "no dip detected"
     assert str(fits.outcomes[-2]) == (
-        "least-squares step failed: SVD did not converge in Linear Least Squares"
+        "least-squares step failed: the Jacobian or residual is not finite"
     )
     assert str(fits.outcomes[-1]).startswith("fit is not finite: ")
+
+
+@pytest.mark.parametrize("poisson_weights", (False, True))
+def test_a_least_squares_step_that_raises_ends_that_row_only(poisson_weights, monkeypatch):
+    delays, rates = _dip_rates(0.95, 130.0)
+    block = np.random.default_rng(6).poisson(rates, (4, 61))
+    alone = [fit_gaussian_dip(delays, row[None], poisson_weights).outcomes[0] for row in block]
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def failing_on_the_sixth_call(a, b, rcond=None):
+        # each round solves one step per row in row order, so the sixth step
+        # solved is row 1's second
+        calls.append(b)
+        if len(calls) == 6:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing_on_the_sixth_call)
+    fits = fit_gaussian_dip(delays, block, poisson_weights)
+    assert type(fits.outcomes[1]) is FitError
+    assert str(fits.outcomes[1]) == (
+        "least-squares step failed: SVD did not converge in Linear Least Squares"
+    )
+    for i in (0, 2, 3):
+        assert _fit_bits(fits.outcomes[i]) == _fit_bits(alone[i])
 
 
 def test_a_block_of_no_rows_has_no_outcomes():
@@ -452,7 +478,7 @@ def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
     block[7] *= 1e300
     fits = fit_gaussian_dip(delays, block, poisson_weights=True)
 
-    ((mean, _),), failed = monte_carlo_errorbars(fits.outcomes, lambda fit: (fit.visibility,))
+    ((mean, _), _), failed = monte_carlo_errorbars(fits.outcomes)
     kept = [fit_row(delays, row, True).visibility for i, row in enumerate(block) if i != 7]
     assert failed == 1
     assert mean == float(np.mean(kept))
@@ -577,77 +603,54 @@ def test_estimator_rejects_complex_coherence():
 # --- Monte Carlo error bars ------------------------------------------------------
 
 
+def _a_fit(visibility: float, fwhm_um: float) -> FitResult:
+    """A real `FitResult` that reads `visibility` and `fwhm_um`."""
+    delays, rates = _dip_rates(0.95, 130.0)
+    (fit,), _ = fit_gaussian_dip(delays, rates[None])
+    return dataclasses.replace(fit, visibility=visibility, fwhm_um=fwhm_um)
+
+
 def test_constant_estimator_has_zero_spread():
-    counts = simulate_counts(np.array([100.0]), 2, 20)
-    assert monte_carlo_errorbars(counts, lambda c: (7.5,)) == (((7.5, 0.0),), 0)
+    outcomes = [_a_fit(0.75, 132.0)] * 20
+    assert monte_carlo_errorbars(outcomes) == (((0.75, 0.0), (132.0, 0.0)), 0)
 
 
 def test_poisson_spread_matches_the_analytic_width():
-    ((mean, std),), failed = monte_carlo_errorbars(
-        simulate_counts(np.array([100.0]), 5, 100), lambda counts: (float(counts[0]),)
-    )
-    assert failed == 0
+    counts = simulate_counts(np.array([100.0]), 5, 100)[:, 0]
+    mean, std = float(np.mean(counts)), float(np.std(counts, ddof=1))
     assert abs(std - 10.0) / 10.0 <= 0.2  # sqrt(100), within 20%
     assert abs(mean - 100.0) <= 3.0
 
 
-def test_estimator_failures_carry_the_run_index():
-    def boom(counts):
-        raise RuntimeError("bad batch")
-
-    with pytest.raises(EstimatorError, match="run 0"):
-        monte_carlo_errorbars(simulate_counts(np.array([10.0]), 3, 4), boom)
-
-
 def _outcomes_failing_on(bad_runs):
-    """Per-run outcomes whose run k is k, or a `NoDipError` for `bad_runs`."""
-    return [NoDipError("no dip detected") if v in bad_runs else v for v in range(20)]
+    """20 per-run outcomes: run k reads visibility k and FWHM 100 + k, or
+    is a `NoDipError` for `bad_runs`."""
+    return [
+        NoDipError("no dip detected") if v in bad_runs else _a_fit(float(v), 100.0 + v)
+        for v in range(20)
+    ]
 
 
 def test_failed_fits_are_left_out_and_counted():
-    ((mean, std),), failed = monte_carlo_errorbars(
-        _outcomes_failing_on({3, 11}), lambda v: (float(v),)
+    ((vis_mean, vis_std), (fwhm_mean, fwhm_std)), failed = monte_carlo_errorbars(
+        _outcomes_failing_on({3, 11})
     )
-    kept = [v for v in range(20) if v not in (3, 11)]
+    kept = [float(v) for v in range(20) if v not in (3, 11)]
     assert failed == 2
-    assert mean == float(np.mean(kept))
-    assert std == float(np.std(kept, ddof=1))
+    assert vis_mean == float(np.mean(kept))
+    assert vis_std == float(np.std(kept, ddof=1))
+    assert fwhm_mean == float(np.mean([100.0 + v for v in kept]))
+    assert fwhm_std == float(np.std([100.0 + v for v in kept], ddof=1))
 
 
 def test_too_many_failed_fits_abort_with_the_count_and_the_first_failure():
-    with pytest.raises(EstimatorError, match="3 of 20 runs.*first on run 4: no dip"):
-        monte_carlo_errorbars(_outcomes_failing_on({4, 9, 15}), lambda v: (float(v),))
-
-
-def test_a_fit_error_raised_by_the_estimator_aborts():
-    # only a run that is a FitError is left out; an estimator that raises one
-    # fails like any other estimator
-    def estimator(row):
-        if int(row[0]) == 3:
-            raise NoDipError("no dip detected")
-        return (float(row[0]),)
-
-    with pytest.raises(EstimatorError, match="estimator failed on run 3: no dip detected"):
-        monte_carlo_errorbars(np.arange(20.0)[:, None], estimator)
-
-
-def test_tuple_estimator_matches_separate_scalar_runs():
-    counts = simulate_counts(np.array([50.0, 60.0, 70.0]), 4, 30)
-
-    def first(counts):
-        return (float(counts[0]) / 3.0,)
-
-    def spread(counts):
-        return (float(np.ptp(counts)),)
-
-    together, failed = monte_carlo_errorbars(counts, lambda c: first(c) + spread(c))
-    assert failed == 0
-    assert together == (
-        *monte_carlo_errorbars(counts, first)[0],
-        *monte_carlo_errorbars(counts, spread)[0],
+    with pytest.raises(EstimatorError) as excinfo:
+        monte_carlo_errorbars(_outcomes_failing_on({4, 9, 15}))
+    assert str(excinfo.value) == (
+        "estimator failed on 3 of 20 runs, more than 10%; first on run 4: no dip detected"
     )
 
 
 def test_needs_at_least_two_runs():
     with pytest.raises(ValueError, match="2 runs"):
-        monte_carlo_errorbars(simulate_counts(np.array([10.0]), 0, 1), lambda c: (0.0,))
+        monte_carlo_errorbars([_a_fit(0.75, 132.0)])
