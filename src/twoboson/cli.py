@@ -280,8 +280,8 @@ def cmd_sweep(args) -> int:
 def cmd_hom(args) -> int:
     if not 0.0 <= args.visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    if len(args.delay_grid) < 5:
-        raise ValueError("a dip fit needs a delay grid of at least 5 points")
+    if len(set(args.delay_grid)) < 5:
+        raise ValueError("a dip fit needs a delay grid of at least 5 distinct delays")
     w = args.fwhm_um / optics.GAUSSIAN_FWHM_FACTOR
 
     def truth(l: float) -> float:

@@ -41,11 +41,6 @@ class Spin(enum.Enum):
     DOWN = 1
 
 
-#: bound once, so that a spin's index is an identity test instead of a read of
-#: `Spin.value` through the enum's descriptor
-_UP = Spin.UP
-
-
 def spin_overlap(a: Spin, b: Spin) -> float:
     return 1.0 if a is b else 0.0
 
@@ -60,12 +55,6 @@ class SpatialAmplitudes:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_l", complex(self.a_l))
         object.__setattr__(self, "a_r", complex(self.a_r))
-
-    @cached_property
-    def key(self) -> tuple[float, float, float, float]:
-        """(Re a_l, Im a_l, Re a_r, Im a_r), the spatial part of
-        `SingleParticleState.sort_key`."""
-        return (self.a_l.real, self.a_l.imag, self.a_r.real, self.a_r.imag)
 
     @cached_property
     def detector_mode(self) -> Optional[str]:
@@ -102,8 +91,7 @@ class DistVector:
             raise ValidationError("distinguishability vector needs dimension >= 1")
 
     def __getstate__(self) -> dict:
-        # a copy or an unpickled vector rebuilds `array` read-only, and
-        # `key`, on first use
+        # a copy or an unpickled vector rebuilds `array` read-only on first use
         return {"amplitudes": self.amplitudes}
 
     @cached_property
@@ -113,12 +101,6 @@ class DistVector:
         a = np.array(self.amplitudes, dtype=complex)
         a.setflags(write=False)
         return a
-
-    @cached_property
-    def key(self) -> tuple[float, ...]:
-        """(Re a_0, Im a_0, Re a_1, ...), the distinguishability part of
-        `SingleParticleState.sort_key`."""
-        return tuple(x for a in self.amplitudes for x in (a.real, a.imag))
 
     @property
     def dim(self) -> int:
@@ -144,11 +126,16 @@ class SingleParticleState:
     spin: Spin
     dist: DistVector
 
-    @cached_property
+    @property
     def sort_key(self) -> tuple[float, ...]:
         # deterministic total order on (mode amplitudes, spin, dist vector),
-        # used to canonicalize unordered pairs; the parts cache their keys
-        return self.spatial.key + (0.0 if self.spin is _UP else 1.0,) + self.dist.key
+        # used to canonicalize unordered pairs
+        sp = self.spatial
+        return (
+            sp.a_l.real, sp.a_l.imag, sp.a_r.real, sp.a_r.imag,
+            float(self.spin.value),
+            *(x for a in self.dist.amplitudes for x in (a.real, a.imag)),
+        )
 
     @property
     def detector_mode(self) -> Optional[str]:

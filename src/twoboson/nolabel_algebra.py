@@ -47,18 +47,15 @@ class NotDetectorBasisError(ValueError):
     """A state was expected to be expanded over detector-definite modes."""
 
 
-def _ordered(pair: Pair) -> Pair:
-    a, b = pair
-    return (a, b) if a.sort_key <= b.sort_key else (b, a)
-
-
 @dataclass(frozen=True)
 class SymmetricTwoBosonState:
     """Linear combination of unordered two-boson kets.
 
-    Build instances through :func:`symmetric_state`, which canonicalizes pair
+    :func:`symmetric_state` builds one from any terms: it canonicalizes pair
     order, merges duplicate kets, and drops exact-zero coefficients, making
     the bosonic symmetry |A,B> = |B,A> structural rather than asserted.
+    :func:`expand_in_detector_basis` and :func:`postselect_one_per_detector`
+    build their canonical states directly.
     """
 
     terms: tuple[tuple[complex, Pair], ...]
@@ -76,17 +73,13 @@ def _basis_mismatch(dim: int, other: int) -> ValueError:
     )
 
 
-def _by_pair_key(item: tuple[complex, Pair]) -> tuple:
-    return (item[1][0].sort_key, item[1][1].sort_key)
-
-
 def symmetric_state(
     terms: Iterable[tuple[complex, Pair]],
 ) -> SymmetricTwoBosonState:
     merged: dict[Pair, complex] = {}
     dim: Optional[int] = None
-    for coeff, pair in terms:
-        pair = _ordered(pair)
+    for coeff, (a, b) in terms:
+        pair = (a, b) if a.sort_key <= b.sort_key else (b, a)
         for st in pair:
             if dim is None:
                 dim = st.dist.dim
@@ -94,7 +87,7 @@ def symmetric_state(
                 raise _basis_mismatch(dim, st.dist.dim)
         merged[pair] = merged.get(pair, 0j) + complex(coeff)
     kept = [(c, p) for p, c in merged.items() if c != 0j]
-    kept.sort(key=_by_pair_key)
+    kept.sort(key=lambda item: (item[1][0].sort_key, item[1][1].sort_key))
     return SymmetricTwoBosonState(tuple(kept))
 
 
@@ -131,12 +124,13 @@ def expand_in_detector_basis(
     """Expand |Psi_A, Psi_B> over detector-definite unordered kets.
 
     For Psi_A = (alpha_l |L> + alpha_r |R>) x |up> x |phi_A> and
-    Psi_B = (beta_l |L> + beta_r |R>) x |down> x |phi_B> the four terms are
+    Psi_B = (beta_l |L> + beta_r |R>) x |down> x |phi_B> the four terms, in
+    canonical order, are
 
-        alpha_l beta_l |(L,up,phi_A),(L,down,phi_B)>
-      + alpha_l beta_r |(L,up,phi_A),(R,down,phi_B)>
-      + alpha_r beta_l |(L,down,phi_B),(R,up,phi_A)>
-      + alpha_r beta_r |(R,up,phi_A),(R,down,phi_B)>.
+        alpha_r beta_r |(R,up,phi_A),(R,down,phi_B)>
+      + alpha_r beta_l |(R,up,phi_A),(L,down,phi_B)>
+      + alpha_l beta_r |(R,down,phi_B),(L,up,phi_A)>
+      + alpha_l beta_l |(L,up,phi_A),(L,down,phi_B)>.
 
     Each distinguishability vector travels with its own spin: phi_A stays
     attached to the up component wherever it lands, phi_B to the down one.
@@ -155,19 +149,20 @@ def expand_in_detector_basis(
     l_dn_b = SingleParticleState(DETECTOR_L, Spin.DOWN, p_b.dist)
     r_dn_b = SingleParticleState(DETECTOR_R, Spin.DOWN, p_b.dist)
     # the four kets are distinct, so the canonical form `symmetric_state`
-    # would build needs no merge: order each pair, drop exact zeros (0j + c
-    # turns a -0.0 part into +0.0 as the merge's sum does) and sort
+    # would build needs no merge, only the exact zeros dropped (0j + c turns a
+    # -0.0 part into +0.0 as the merge's sum does); its order is fixed, since
+    # DETECTOR_R sorts before DETECTOR_L and up before down, so no
+    # distinguishability vector is ever compared
     kept = [
-        (0j + coeff, _ordered(pair))
+        (0j + coeff, pair)
         for coeff, pair in (
-            (al * bl, (l_up_a, l_dn_b)),
-            (al * br, (l_up_a, r_dn_b)),
-            (ar * bl, (l_dn_b, r_up_a)),
             (ar * br, (r_up_a, r_dn_b)),
+            (ar * bl, (r_up_a, l_dn_b)),
+            (al * br, (r_dn_b, l_up_a)),
+            (al * bl, (l_up_a, l_dn_b)),
         )
         if coeff != 0j
     ]
-    kept.sort(key=_by_pair_key)
     return SymmetricTwoBosonState(tuple(kept))
 
 

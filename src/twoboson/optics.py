@@ -328,13 +328,14 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     resolves no dip.  An unweighted (exact) fit is reported as it converged.
     `n_iter` counts the iterations of every row that converged to a finite
     dip, resolved or not, and the `best.n_iter` of every row at the cap.
-    Bad input (too few points, negative counts, a block of the wrong shape)
-    raises `ValueError` for the whole block.
+    Bad input (fewer than 5 distinct delays, negative counts, a block of the
+    wrong shape) raises `ValueError` for the whole block.
     """
     l = np.asarray(delays, dtype=float)
     y = np.asarray(counts, dtype=float)
-    if len(l) < 5:
-        raise ValueError(f"need at least 5 points to fit a dip, got {len(l)}")
+    n_distinct = len(set(l.tolist()))  # np.unique would import numpy.ma
+    if n_distinct < 5:
+        raise ValueError(f"need at least 5 distinct delays to fit a dip, got {n_distinct}")
     if y.ndim != 2 or y.shape[1] != len(l):
         raise ValueError(f"counts must be a (runs, {len(l)}) block, got shape {y.shape}")
     if np.any(y < 0.0):
@@ -586,7 +587,7 @@ def monte_carlo_errorbars(
     values = [(o.visibility, o.fwhm_um) for o in outcomes if not isinstance(o, FitError)]
     if len(failures) > MAX_FAILED_FRACTION * n_runs:
         raise EstimatorError(
-            f"estimator failed on {len(failures)} of {n_runs} runs, more than "
+            f"{len(failures)} of {n_runs} resample fits failed, more than "
             f"{MAX_FAILED_FRACTION:.0%}; first on {failures[0]}"
         )
     columns = np.array(values, dtype=float).T.copy()  # one contiguous row per quantity

@@ -110,7 +110,8 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         (["sweep", "--noisy", "--shots", "inf"], "finite"),
         (["sweep", "--noisy", "--runs", "1"], "--runs >= 2"),
         (["hom", "--noisy", "--runs", "1"], "--runs >= 2"),
-        (["hom", "--delay-grid", "0,1,2"], "at least 5 points"),
+        (["hom", "--delay-grid", "0,1,2"], "at least 5 distinct delays"),
+        (["hom", "--delay-grid", "0,0,0,0,300"], "at least 5 distinct delays"),
         (["hom", "--visibility", "1.5"], "error: visibility must lie in [0, 1]"),
         (["verify", "--trials", "0"], "error: trials must be >= 1"),
         (
@@ -594,7 +595,7 @@ def test_hom_fails_when_too_many_resample_fits_fail(capsys):
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert "fit: fwhm_um     = 144.174944" in captured.out
-    assert "monte carlo failed: estimator failed on 17 of 100 runs" in captured.err
+    assert "monte carlo failed: 17 of 100 resample fits failed" in captured.err
     assert "resolve no dip over a 600 um scan" in captured.err
     assert "mc (" not in captured.out
 

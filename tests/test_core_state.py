@@ -19,7 +19,7 @@ from twoboson.core_state import (
     spin_overlap,
 )
 from twoboson.fq_oracle import single_particle_vector
-from twoboson.nolabel_algebra import expand_in_detector_basis
+from twoboson.nolabel_algebra import DETECTOR_L, DETECTOR_R, expand_in_detector_basis
 from twoboson.verification import random_state, random_updown_pair
 
 RT2 = math.sqrt(0.5)
@@ -118,7 +118,7 @@ def test_spin_density_matrix_is_read_only():
         rho.matrix[0, 0] = 9.0
 
 
-# --- keys cached on first use ------------------------------------------------
+# --- keys and detector modes, fresh and copied --------------------------------
 
 
 def _fresh_key(s):
@@ -166,11 +166,11 @@ def test_equal_states_built_apart_hash_alike():
     assert len({build(0.0), build(-0.0)}) == 1
 
 
-def test_cached_keys_match_a_fresh_computation_and_survive_copies():
+def test_keys_and_modes_match_a_fresh_computation_and_survive_copies():
     states = _states_with_keys()
     assert {s.detector_mode for s in states} == {"L", "R", None}
     for s in states:
-        s.dist.overlap(s.dist)  # fill every cache before copying
+        s.dist.overlap(s.dist)  # `detector_mode` is filled above; fill `array` before copying
         for t in (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
             assert t == s
             assert t.sort_key == _fresh_key(s)
@@ -179,24 +179,9 @@ def test_cached_keys_match_a_fresh_computation_and_survive_copies():
             _assert_read_only_amplitudes(t.dist)
     moved = dataclasses.replace(states[0], spin=Spin.DOWN if states[0].spin is Spin.UP else Spin.UP)
     assert moved.sort_key == _fresh_key(moved) != states[0].sort_key
-
-
-def test_component_keys_match_a_fresh_computation_and_survive_copies():
-    states = _states_with_keys()
-    for s in states:
-        sp, d = s.spatial, s.dist
-        fresh = _fresh_key(s)
-        assert s.sort_key == sp.key + (float(s.spin.value),) + d.key  # fills the caches
-        assert s.detector_mode == sp.detector_mode
-        for t in (sp, copy.deepcopy(sp), pickle.loads(pickle.dumps(sp))):
-            assert t == sp and t.key == fresh[:4]
-            assert t.detector_mode == _fresh_mode(s)
-        for t in (d, copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
-            assert t == d and t.key == fresh[5:]
-    # every detector-definite state holds one of the two shared mode
-    # amplitudes, so their cached keys serve every expansion
-    keyed = {id(s.spatial) for s in states if s.detector_mode is not None}
-    assert len(keyed) == 2
+    # every detector-definite state holds one of the two shared mode amplitudes
+    shared = {id(s.spatial) for s in states if s.detector_mode is not None}
+    assert shared == {id(DETECTOR_L), id(DETECTOR_R)}
 
 
 def test_dist_vector_array_is_a_read_only_copy_of_the_amplitudes():

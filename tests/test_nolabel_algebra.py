@@ -175,7 +175,7 @@ def test_expansion_equals_symmetrized_tensor():
 
 
 def _raw_terms(pa, pb):
-    """The four terms of the expansion docstring, unordered and unmerged."""
+    """The four terms of the expansion docstring, out of canonical order."""
     (al, ar), (bl, br) = (pa.spatial.a_l, pa.spatial.a_r), (pb.spatial.a_l, pb.spatial.a_r)
     l_up_a, r_up_a = (SingleParticleState(m, Spin.UP, pa.dist) for m in (DETECTOR_L, DETECTOR_R))
     l_dn_b, r_dn_b = (SingleParticleState(m, Spin.DOWN, pb.dist) for m in (DETECTOR_L, DETECTOR_R))
@@ -191,16 +191,24 @@ def _bits(c):
     return (c.real.hex(), c.imag.hex())  # tells -0.0 from 0.0
 
 
+def _dist_key(d):
+    return [x for a in d.amplitudes for x in (a.real, a.imag)]
+
+
 def _updown(alphas, betas, da, db):
     return SingleParticleState(alphas, Spin.UP, da), SingleParticleState(betas, Spin.DOWN, db)
 
 
 def test_expansion_is_the_canonical_state_of_its_raw_terms():
     rng = np.random.default_rng(41)
-    pairs = [random_updown_pair(rng, d) for d in (1, 2, 3) for _ in range(15)]
+    pairs = [random_updown_pair(rng, d) for d in (1, 2, 3, 4) for _ in range(15)]
     da, db = dist_vectors_for_overlap(0.4)
     for theta in (0.0, 45.0, 22.5, -10.0, 100.0):
         pairs.append(_updown(*spatial_amplitudes_from_theta(theta), da, db))
+        pairs.append(_updown(*spatial_amplitudes_from_theta(theta), db, da))
+    for pa, pb in list(pairs[:60]):  # swap the vectors so that A's sorts after B's
+        lo, hi = sorted((pa.dist, pb.dist), key=_dist_key)
+        pairs.append(_updown(pa.spatial, pb.spatial, hi, lo))
     for pa, pb in list(pairs[:15]):  # flip signs, keeping the magnitudes
         alphas = SpatialAmplitudes(-pa.spatial.a_l, pa.spatial.a_r)
         betas = SpatialAmplitudes(pb.spatial.a_l, -pb.spatial.a_r)

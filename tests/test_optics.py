@@ -328,8 +328,10 @@ def test_flat_data_raises_no_dip(fit_row):
 
 
 def test_too_few_points_rejected(fit_row):
-    with pytest.raises(ValueError, match="at least 5"):
+    with pytest.raises(ValueError, match="at least 5 distinct delays to fit a dip, got 2"):
         fit_row([0.0, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="at least 5 distinct delays to fit a dip, got 2"):
+        fit_row([0.0, 0.0, 0.0, 0.0, 300.0], [1.0, 1.0, 1.0, 1.0, 2.0])
 
 
 def test_negative_counts_rejected(fit_row):
@@ -647,7 +649,7 @@ def test_too_many_failed_fits_abort_with_the_count_and_the_first_failure():
     with pytest.raises(EstimatorError) as excinfo:
         monte_carlo_errorbars(_outcomes_failing_on({4, 9, 15}))
     assert str(excinfo.value) == (
-        "estimator failed on 3 of 20 runs, more than 10%; first on run 4: no dip detected"
+        "3 of 20 resample fits failed, more than 10%; first on run 4: no dip detected"
     )
 
 
