@@ -27,7 +27,10 @@ Monte Carlo error bars.  A Monte Carlo draws one (runs, n) count block from
 `simulate_counts`, the only place a generator is created.  A block
 estimator maps it to one value per run at once: `xstate_concurrence` in
 closed form, and `fit_gaussian_dip`, which fits every row in one lockstep
-Gauss-Newton loop and gives each row the bits of its own fit.  The fitter is
+Gauss-Newton loop, one stacked least-squares step per round, and gives each
+row the bits of its own fit.  An unweighted row is fitted in units of a
+power of two near its largest count, so an exact dip is recovered at any
+count scale the float range holds.  The fitter is
 the one place that decides each row's outcome, a `FitResult` or a
 `FitError`, the rule for a dip the scan does not resolve included.
 `monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
@@ -226,18 +229,12 @@ class FitResult:
     n_iter: int
 
 
-def _powers(w: np.ndarray, k: int) -> np.ndarray:
-    """w**k of each entry, taken as a numpy scalar: a one-row fit's bits,
-    which an array power does not always give."""
-    return np.array([v**k for v in w])
-
-
 def _dip_terms(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, g, model) at each row of the (k, 4) parameters p over the delays
     l, as (k, n) arrays: u = l - center, g = exp(-u^2 / (2 w^2)) and
     model = base - depth * g."""
     u = l - p[:, 2:3]
-    g = np.exp(-(u**2) / (2.0 * _powers(p[:, 3], 2))[:, None])
+    g = np.exp(-(u**2) / (2.0 * p[:, 3:4] ** 2))
     return u, g, p[:, :1] - p[:, 1:2] * g
 
 
@@ -245,13 +242,13 @@ def _dip_jac(p: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The (k, n, 4) d model / d (base, depth, center, w) at each row of p,
     the columns 1, -g, -depth g u / w^2 and -depth g u^2 / w^3, from the `u`
     and `g` of `_dip_terms` at the same p."""
-    w = p[:, 3]
+    w = p[:, 3:4]
     dg = -p[:, 1:2] * g
     out = np.empty(u.shape + (4,))
     out[:, :, 0] = 1.0
     np.negative(g, out=out[:, :, 1])
-    np.divide(dg * u, _powers(w, 2)[:, None], out=out[:, :, 2])
-    np.divide(dg * u**2, _powers(w, 3)[:, None], out=out[:, :, 3])
+    np.divide(dg * u, w**2, out=out[:, :, 2])
+    np.divide(dg * u**2, w**3, out=out[:, :, 3])
     return out
 
 
@@ -261,6 +258,19 @@ def _objective(p, l, y, sig):
     u, g, model = _dip_terms(p, l)
     r = (model - y) / sig
     return (r**2).sum(axis=1), u, g, r
+
+
+def _gn_steps(jw: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (k, 4) minimum-norm least-squares steps of the (k, n, 4) weighted
+    Jacobians and (k, n) residuals, from one stacked SVD.  Singular values
+    up to eps * max(n, 4) times the largest are dropped, the default cutoff
+    of numpy's least-squares solver.  LAPACK works on each matrix alone, so
+    a row's step does not depend on the other rows.  Raises `LinAlgError`
+    if any row's SVD does not converge."""
+    rcond = np.finfo(float).eps * max(jw.shape[1], 4)
+    # rcond by position: numpy 1.x has no rtol keyword, and numpy 2 means to
+    # deprecate the rcond one
+    return (np.linalg.pinv(jw, rcond) @ -r[:, :, None])[:, :, 0]
 
 
 #: the line search's step lengths 1, 1/2, ..., 2**-30, in the chunks it
@@ -302,8 +312,15 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     the best-so-far parameters after `FIT_MAX_ITER` total iterations.  The
     line search evaluates only the model terms; the Jacobian is built from
     the terms of the accepted point, so no trial point builds a Jacobian
-    and no iteration recomputes an exponential.  The step itself is one
-    `np.linalg.lstsq` call per row.
+    and no iteration recomputes an exponential.  Each round takes every
+    row's step in one stacked minimum-norm least-squares solve
+    (`np.linalg.pinv`, SVD-based).
+
+    An unweighted row is fitted in units of the power of two just above its
+    largest count, and its baseline, depth and residual are scaled back to
+    counts; the scaling is exact, so an exact dip is recovered at any count
+    scale whose residual and covariance fit in a float.  A Poisson-weighted
+    row is fitted in counts, the unit of its weights' floor.
 
     With `poisson_weights` the fit is iteratively reweighted: a first pass
     uses 1/sqrt(max(count, 1)) weights, then the weights are rebuilt
@@ -318,8 +335,8 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     A row's outcome is its `FitResult`, or the `FitError` its fit ends in,
     checked in this order: `NoDipError` for data with no dip; a plain
     `FitError` for a least-squares step whose weighted Jacobian or residual
-    is not finite, as counts near the float range give, or whose `lstsq`
-    call raises `LinAlgError`, which ends that row's fit and no other;
+    is not finite, as weighted counts near the float range give, or whose
+    SVD raises `LinAlgError`, which ends that row's fit and no other;
     `FitConvergenceError` at the iteration cap;
     `NoDipError` for a converged depth <= 0; a plain `FitError` for a fit
     any of whose fields is not finite, as counts near the float range give;
@@ -351,7 +368,16 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
 
 def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
     """`fit_gaussian_dip` of the sorted (runs, n) delays `l` and counts `y`."""
-    p, sse, n_iter, converged, no_dip, step_errors = _descend(l, y, poisson_weights)
+    # an unweighted row is fitted in units of 2**e, with 2**(e-1) <= its
+    # largest count < 2**e, so its fit does not depend on the count scale;
+    # ldexp scales exactly.  A weighted row stays in counts, the unit of its
+    # weights' floor sqrt(max(count, 1)).
+    e = np.zeros(len(y), dtype=int) if poisson_weights else np.frexp(y.max(axis=1))[1]
+    p, sse, n_iter, converged, no_dip, step_errors = _descend(
+        l, np.ldexp(y, -e[:, None]), poisson_weights
+    )
+    p[:, :2] = np.ldexp(p[:, :2], e[:, None])  # baseline and depth in counts
+    sse = np.ldexp(sse, 2 * e)
     outcomes = []
     total_iter = 0
     for i in range(len(y)):
@@ -397,7 +423,7 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     whether the fit converged, and whether the data-driven start found no
     dip, which leaves the row unfitted; and, by block row, why each failed
     step failed, which ends that row's fit: its Jacobian or residual was
-    not finite, or its `lstsq` call raised this `LinAlgError`.
+    not finite, or its SVD raised this `LinAlgError`.
     Each round takes one step on every row still iterating, and the rows
     that end a pass leave the working arrays or start their next pass.
     """
@@ -439,15 +465,19 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         # float range give, never reaches LAPACK, which would print its
         # complaint to stdout ahead of the table
         finite = np.isfinite(jw).all(axis=(1, 2)) & np.isfinite(r).all(axis=1)
+        for k in np.flatnonzero(~finite):
+            step_errors[row[k]] = "the Jacobian or residual is not finite"
         step = np.full((len(row), 4), np.nan)
-        for k, (a, b) in enumerate(zip(jw, -r)):
-            if not finite[k]:
-                step_errors[row[k]] = "the Jacobian or residual is not finite"
-                continue
-            try:
-                step[k] = np.linalg.lstsq(a, b, rcond=None)[0]
-            except np.linalg.LinAlgError as exc:  # ends this row's fit only
-                step_errors[row[k]] = exc
+        try:
+            step[finite] = _gn_steps(jw[finite], r[finite])
+        except np.linalg.LinAlgError:
+            # find the rows that raised: a stack of one row gives that row
+            # the bits the whole stack gives it
+            for k in np.flatnonzero(finite):
+                try:
+                    step[k] = _gn_steps(jw[k : k + 1], r[k : k + 1])
+                except np.linalg.LinAlgError as exc:  # ends this row's fit only
+                    step_errors[row[k]] = exc
         del jw  # freed before the line search allocates its candidates
         # per row: does its pass end this round, and has it converged
         ends = ~np.isfinite(step).all(axis=1)
@@ -475,12 +505,11 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             hit = accept.any(axis=1)
             nth = np.argmax(accept, axis=1)[hit]  # the length each row takes
             took = search[hit]
-            # per row, the 2-norm as np.linalg.norm computes it for a real vector
-            rel_step = [
-                math.sqrt(move.dot(move)) / max(math.sqrt(q.dot(q)), 1.0)
-                for move, q in zip(lengths[nth, None] * step[took], p[took])
-            ]
-            conv[took] = ends[took] = np.less(rel_step, FIT_STEP_TOL)
+            move = lengths[nth, None] * step[took]
+            rel_step = np.linalg.norm(move, axis=1) / np.maximum(
+                np.linalg.norm(p[took], axis=1), 1.0
+            )
+            conv[took] = ends[took] = rel_step < FIT_STEP_TOL
             pick = np.flatnonzero(hit) * k + nth  # into the candidates
             p[took] = cand[pick]
             sse[took], u[took], g[took], r[took] = (

@@ -615,12 +615,16 @@ def test_noisy_hom_refuses_a_printed_fit_wider_than_the_scan(capsys):
 
 
 def test_hom_refuses_a_fit_that_is_not_finite(capsys):
-    # a baseline near the float range overflows the fit's sums of squares, or
-    # the weighted Jacobian of its least-squares step; RuntimeWarnings are
-    # errors under the test settings, so none escapes
+    # a baseline near the float range is fitted in units of a power of two,
+    # and the residual and covariance in counts overflow; RuntimeWarnings
+    # are errors under the test settings, so none escapes
     for baseline, error in (
         ("1e300", "fit is not finite: "),
-        ("1e305", "least-squares step failed: the Jacobian or residual is not finite\n"),
+        (
+            "1e305",
+            "fit is not finite: residual, baseline_err, depth_err, center_err, "
+            "fwhm_err, visibility_err\n",
+        ),
     ):
         assert main(["hom", "--baseline", baseline]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
@@ -654,6 +658,15 @@ def _report_lines(out: str) -> list:
     return [line for line in out.splitlines() if line.startswith(("fit:", "mc ("))]
 
 
+def test_hom_recovers_an_exact_dip_at_a_tiny_baseline(capsys):
+    # the unweighted fit runs in units of a power of two near the largest
+    # count, so a baseline of 1e-20 fits like the default one
+    assert main(["hom", "--baseline", "1e-20"]) == EXIT_OK
+    lines = _report_lines(capsys.readouterr().out)
+    assert any(line.startswith("fit: fwhm_um     = 132.000000 ") for line in lines)
+    assert any(line.startswith("fit: visibility  = 1.000000 ") for line in lines)
+
+
 def test_noisy_hom_golden_fit_and_error_bars(capsys):
     argv = ["hom", "--visibility", "0.91", "--fwhm-um", "137", "--noisy", "--runs", "100"]
     assert main(argv + ["--seed", "1"]) == EXIT_OK
@@ -669,9 +682,9 @@ def test_noisy_hom_golden_fit_and_error_bars(capsys):
 
 
 #: SHA-256 of the fields of all 100 resample fits of `hom --visibility 0.91
-#: --fwhm-um 137 --noisy --runs 100 --seed 1`, as each row's own Gauss-Newton
-#: fit gave them before the rows were fitted as one block
-HOM_SEED_1_FITS_SHA256 = "7edf196060a869a87ae3305052fbc8a9f2f59b47622613e89ac7d7170cd7eae0"
+#: --fwhm-um 137 --noisy --runs 100 --seed 1`, as the block fit gives them
+#: with one stacked least-squares step per Gauss-Newton round
+HOM_SEED_1_FITS_SHA256 = "c421cd9757c3b1d3a69cf70cb6b067c8be3ba49cac59d8b6470d770e0efc9092"
 
 
 def test_noisy_hom_resample_fits_keep_their_bits(monkeypatch, capsys):
