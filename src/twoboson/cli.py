@@ -73,6 +73,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _delta(text: str) -> float:
+    value = _positive_float(text)
+    sigma = optics.delta_to_sigma(value)
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a spectral width whose sigma = 1/(2 delta) is a finite "
+            f"positive number, got {text!r}"
+        )
+    return value
+
+
 def _seed(text: str) -> int:
     try:
         value = int(text)
@@ -103,6 +114,8 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"bad grid {spec!r}; use 'a,b,c' or 'start:stop:count'"
         ) from None
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"grid {spec!r} is too large to allocate") from None
 
 
 def _fmt(x: float) -> str:
@@ -368,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="Gaussian width of the concurrence-vs-delay curve (um)",
         )
         group.add_argument(
-            "--delta", type=_positive_float, default=None,
+            "--delta", type=_delta, default=None,
             help="spectral width (1/um); sigma = 1/(2 delta)",
         )
 

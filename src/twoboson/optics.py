@@ -26,11 +26,15 @@ Poisson count simulation, a damped Gauss-Newton Gaussian-dip fitter, and
 Monte Carlo error bars.  A Monte Carlo draws one (runs, n) count block from
 `simulate_counts`, the only place a generator is created.  A block
 estimator maps it to one value per run at once: `xstate_concurrence` in
-closed form, and `fit_gaussian_dip`, which fits every row in one lockstep
-Gauss-Newton loop, one stacked least-squares step per round, and gives each
-row the bits of its own fit.  An unweighted row is fitted in units of a
-power of two near its largest count, so an exact dip is recovered at any
-count scale the float range holds.  The fitter is
+closed form, and `fit_gaussian_dip`.  The fitter takes the whole block at
+every stage: the delays are sorted once into one axis that every row
+shares, every row is fitted in one lockstep Gauss-Newton loop with one
+stacked least-squares step per round and one iteration count over all its
+passes, and one stacked pass builds every fitted row's result and
+covariance.  Each row gets the bits of its own fit.  An unweighted row is
+fitted, and its covariance worked, in units of a power of two near its
+largest count, so an exact dip is recovered at any count scale the float
+range holds.  The fitter is
 the one place that decides each row's outcome, a `FitResult` or a
 `FitError`, the rule for a dip the scan does not resolve included.
 `monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
@@ -288,9 +292,8 @@ class DipFits(NamedTuple):
 
     #: per row, its `FitResult` or the `FitError` its fit ends in
     outcomes: list
-    #: Gauss-Newton iterations of the rows that converged to a finite dip,
-    #: resolved or not, plus the `best.n_iter` of the rows that hit the
-    #: iteration cap
+    #: Gauss-Newton iterations the block ran: every iteration of every row,
+    #: whatever its outcome
     n_iter: int
 
 
@@ -298,8 +301,9 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     """Least-squares Gaussian dip fit via damped Gauss-Newton of each row of
     a (runs, n) count block over the n `delays`.
 
-    Each row's points are sorted by delay, and by count among equal delays,
-    so they may come in any order.  The rows are fitted in lockstep, with
+    The delays are sorted once, and each row's counts with them, by count
+    among equal delays, so the points may come in any order and every row
+    shares the one sorted delay axis.  The rows are fitted in lockstep, with
     array operations over the rows still iterating, and each row gets the
     bits a block of that row alone gives: a row's outcome never depends on
     the other rows.
@@ -307,19 +311,22 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     Initialization is data-driven: baseline from the mean of the outer 20%
     of points, depth from baseline minus the minimum, center at the minimum,
     width from the half-depth crossings.  Each Gauss-Newton step is halved
-    until the residual decreases, so the objective is monotone; iteration
-    stops when the relative step falls below `FIT_STEP_TOL` and fails with
-    the best-so-far parameters after `FIT_MAX_ITER` total iterations.  The
+    until the residual decreases, so the objective is monotone; a pass
+    stops when the relative step falls below `FIT_STEP_TOL`.  A row keeps
+    one iteration count over all its passes and fails with the best-so-far
+    parameters once it reaches `FIT_MAX_ITER`.  The
     line search evaluates only the model terms; the Jacobian is built from
     the terms of the accepted point, so no trial point builds a Jacobian
     and no iteration recomputes an exponential.  Each round takes every
     row's step in one stacked minimum-norm least-squares solve
-    (`np.linalg.pinv`, SVD-based).
+    (`np.linalg.pinv`, SVD-based), and one stacked pass builds every fitted
+    row's result and covariance, with one stacked matrix inverse.
 
-    An unweighted row is fitted in units of the power of two just above its
-    largest count, and its baseline, depth and residual are scaled back to
-    counts; the scaling is exact, so an exact dip is recovered at any count
-    scale whose residual and covariance fit in a float.  A Poisson-weighted
+    An unweighted row is fitted, and its covariance worked, in units of the
+    power of two just above its largest count, and only its count-valued
+    fields (baseline, depth, their errors and the residual) are scaled back
+    to counts; the scaling is exact, so an exact dip is recovered at any
+    count scale whose residual fits in a float.  A Poisson-weighted
     row is fitted in counts, the unit of its weights' floor.
 
     With `poisson_weights` the fit is iteratively reweighted: a first pass
@@ -343,8 +350,7 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     and, with `poisson_weights` only, `NoDipError` for a converged fit whose
     FWHM is wider than the span of `delays` or whose baseline is <= 0, which
     resolves no dip.  An unweighted (exact) fit is reported as it converged.
-    `n_iter` counts the iterations of every row that converged to a finite
-    dip, resolved or not, and the `best.n_iter` of every row at the cap.
+    `n_iter` is every iteration the block ran, whatever each row's outcome.
     Bad input (fewer than 5 distinct delays, negative counts, a block of the
     wrong shape) raises `ValueError` for the whole block.
     """
@@ -357,108 +363,73 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
         raise ValueError(f"counts must be a (runs, {len(l)}) block, got shape {y.shape}")
     if np.any(y < 0.0):
         raise ValueError("counts must be nonnegative")
-    order = np.lexsort((y, np.broadcast_to(l, y.shape)))
-    l, y = l[order], np.take_along_axis(y, order, axis=1)
-    del order
-    # an overflow to inf or nan ends in the finiteness check below, not in
-    # a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _fit_rows(l, y, poisson_weights)
+    y = np.take_along_axis(y, np.lexsort((y, np.broadcast_to(l, y.shape))), axis=1)
+    # an overflow to inf or nan, or a zero baseline, ends in the finiteness
+    # check of `_outcome`, not in a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _fit_rows(np.sort(l), y, poisson_weights)
 
 
 def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
-    """`fit_gaussian_dip` of the sorted (runs, n) delays `l` and counts `y`."""
+    """`fit_gaussian_dip` of the (runs, n) counts `y` over the sorted delay
+    axis `l`, each row in that order."""
     # an unweighted row is fitted in units of 2**e, with 2**(e-1) <= its
     # largest count < 2**e, so its fit does not depend on the count scale;
     # ldexp scales exactly.  A weighted row stays in counts, the unit of its
     # weights' floor sqrt(max(count, 1)).
     e = np.zeros(len(y), dtype=int) if poisson_weights else np.frexp(y.max(axis=1))[1]
-    p, sse, n_iter, converged, no_dip, step_errors = _descend(
-        l, np.ldexp(y, -e[:, None]), poisson_weights
+    y = np.ldexp(y, -e[:, None])
+    p, sse, n_iter, converged, outcomes = _descend(l, y, poisson_weights)
+    fitted = [i for i, o in enumerate(outcomes) if o is None]
+    results = _fit_results(
+        p[fitted], l, y[fitted], sse[fitted], n_iter[fitted], e[fitted], poisson_weights
     )
-    p[:, :2] = np.ldexp(p[:, :2], e[:, None])  # baseline and depth in counts
-    sse = np.ldexp(sse, 2 * e)
-    outcomes = []
-    total_iter = 0
-    for i in range(len(y)):
-        if no_dip[i]:
-            outcomes.append(NoDipError("no dip detected"))
-            continue
-        if i in step_errors:
-            outcomes.append(FitError(f"least-squares step failed: {step_errors[i]}"))
-            continue
-        result = _fit_result(p[i], l[i], y[i], sse[i], int(n_iter[i]), poisson_weights)
-        not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
-        span = l[i, -1] - l[i, 0]
-        if not converged[i]:
-            outcome = FitConvergenceError(
-                f"no convergence after {FIT_MAX_ITER} iterations "
-                f"(best residual {result.residual:.6g})",
-                best=result,
-            )
-        elif result.depth <= 0.0:
-            outcomes.append(NoDipError("no dip detected"))
-            continue
-        elif not_finite:
-            outcomes.append(FitError(f"fit is not finite: {', '.join(not_finite)}"))
-            continue
-        elif poisson_weights and (result.baseline <= 0.0 or result.fwhm_um > span):
-            outcome = NoDipError(
-                f"fitted FWHM {result.fwhm_um:.6g} um and baseline "
-                f"{result.baseline:.6g} resolve no dip over a {span:.6g} um scan"
-            )
-        else:
-            outcome = result
-        outcomes.append(outcome)
-        # a row at the cap, or one that converged to a finite dip, resolved or not
-        total_iter += result.n_iter
-    return DipFits(outcomes, total_iter)
+    for i, result in zip(fitted, results):
+        outcomes[i] = _outcome(result, converged[i], l[-1] - l[0], poisson_weights)
+    return DipFits(outcomes, int(n_iter.sum()))
 
 
 def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
-    """Damped Gauss-Newton on every row of the sorted (runs, n) delays `l`
-    and counts `y`, in lockstep.
+    """Damped Gauss-Newton on every row of the (runs, n) counts `y` over the
+    sorted delay axis `l`, in lockstep.
 
     Returns, per row, the final parameters, sum of squares, iterations and
-    whether the fit converged, and whether the data-driven start found no
-    dip, which leaves the row unfitted; and, by block row, why each failed
-    step failed, which ends that row's fit: its Jacobian or residual was
-    not finite, or its SVD raised this `LinAlgError`.
+    whether the fit converged, and the `FitError` that ended it before any
+    result, or None: the data-driven start found no dip, which leaves the
+    row unfitted, or a step failed, because the row's Jacobian or residual
+    was not finite or its SVD raised `LinAlgError`.
     Each round takes one step on every row still iterating, and the rows
     that end a pass leave the working arrays or start their next pass.
     """
     runs, n = y.shape
-    rows = np.arange(runs)
     n_edge = max(1, int(round(0.1 * n)))
     base0 = np.mean(np.concatenate((y[:, :n_edge], y[:, -n_edge:]), axis=1), axis=1)
     i_min = np.argmin(y, axis=1)
-    depth0 = base0 - y[rows, i_min]
+    depth0 = base0 - y.min(axis=1)
     no_dip = (depth0 <= 0.0) | (np.ptp(y, axis=1) == 0.0)
     below = y < (base0 - depth0 / 2.0)[:, None]
-    # l is sorted along each row, so the first and last delay below the
-    # half level are the smallest and largest
+    # l is sorted, so the first and last delay below the half level are the
+    # smallest and largest
     first = np.argmax(below, axis=1)
     last = n - 1 - np.argmax(below[:, ::-1], axis=1)
-    span = np.where(below.sum(axis=1) >= 2, l[rows, last] - l[rows, first], 0.0)
-    w0 = np.where(span > 0.0, span / GAUSSIAN_FWHM_FACTOR, (l[:, -1] - l[:, 0]) / 6.0)
-    final_p = np.stack((base0, depth0, l[rows, i_min], w0), axis=1)
+    span = np.where(below.sum(axis=1) >= 2, l[last] - l[first], 0.0)
+    w0 = np.where(span > 0.0, span / GAUSSIAN_FWHM_FACTOR, (l[-1] - l[0]) / 6.0)
+    final_p = np.stack((base0, depth0, l[i_min], w0), axis=1)
     final_sse = np.zeros(runs)
     final_it = np.zeros(runs, dtype=int)
     final_conv = np.zeros(runs, dtype=bool)
-    step_errors = {}
+    ended = [NoDipError("no dip detected") if nd else None for nd in no_dip.tolist()]
 
     # the working arrays: entry k of each belongs to block row row[k]
     row = np.flatnonzero(~no_dip)
-    p, l, y = final_p[row], l[row], y[row]
+    p, y = final_p[row], y[row]
     sig = np.sqrt(np.maximum(y, 1.0)) if poisson_weights else np.ones_like(y)
     sse, u, g, r = _objective(p, l, y, sig)
-    used = np.zeros(len(row), dtype=int)  # iterations of the current pass
-    budget = np.full(len(row), FIT_MAX_ITER)  # of the current pass
-    it = np.zeros(len(row), dtype=int)  # of the passes before it
+    it = np.zeros(len(row), dtype=int)  # over all of the row's passes
     reweights = np.full(len(row), 2 if poisson_weights else 0)  # passes still to come
 
     while row.size:
-        used += 1
+        it += 1
         jw = _dip_jac(p, u, g)
         jw /= sig[:, :, None]
         # a row whose Jacobian or residual is not finite, as counts near the
@@ -466,7 +437,9 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         # complaint to stdout ahead of the table
         finite = np.isfinite(jw).all(axis=(1, 2)) & np.isfinite(r).all(axis=1)
         for k in np.flatnonzero(~finite):
-            step_errors[row[k]] = "the Jacobian or residual is not finite"
+            ended[row[k]] = FitError(
+                "least-squares step failed: the Jacobian or residual is not finite"
+            )
         step = np.full((len(row), 4), np.nan)
         try:
             step[finite] = _gn_steps(jw[finite], r[finite])
@@ -477,7 +450,7 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
                 try:
                     step[k] = _gn_steps(jw[k : k + 1], r[k : k + 1])
                 except np.linalg.LinAlgError as exc:  # ends this row's fit only
-                    step_errors[row[k]] = exc
+                    ended[row[k]] = FitError(f"least-squares step failed: {exc}")
         del jw  # freed before the line search allocates its candidates
         # per row: does its pass end this round, and has it converged
         ends = ~np.isfinite(step).all(axis=1)
@@ -499,7 +472,7 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             # is never taken, and is evaluated at harmless parameters instead
             collapsed = np.abs(cand[:, 3]) < 1e-12
             cand_sse, cand_u, cand_g, cand_r = _objective(
-                np.where(collapsed[:, None], 1.0, cand), l[at], y[at], sig[at]
+                np.where(collapsed[:, None], 1.0, cand), l, y[at], sig[at]
             )
             accept = ((cand_sse <= sse[at]) & ~collapsed).reshape(-1, k)
             hit = accept.any(axis=1)
@@ -517,18 +490,13 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             )
             search = search[~hit]
         conv[search] = ends[search] = True  # no descent direction left: local minimum
-        ends |= used >= budget
-        if not ends.any():
-            continue
-        it[ends] += used[ends]
+        ends |= it >= FIT_MAX_ITER
         again = ends & conv & (reweights > 0)
         if again.any():  # reweight from the fitted model and descend again
             reweights[again] -= 1
-            used[again] = 0
-            budget[again] = np.maximum(FIT_MAX_ITER - it[again], 1)
-            sig[again] = np.sqrt(np.maximum(_dip_terms(p[again], l[again])[2], 1.0))
+            sig[again] = np.sqrt(np.maximum(_dip_terms(p[again], l)[2], 1.0))
             sse[again], u[again], g[again], r[again] = _objective(
-                p[again], l[again], y[again], sig[again]
+                p[again], l, y[again], sig[again]
             )
         out = ends & ~again
         if out.any():
@@ -536,64 +504,90 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             final_p[done], final_sse[done] = p[out], sse[out]
             final_it[done], final_conv[done] = it[out], conv[out]
             keep = ~out
-            row, p, l, y, sig, sse, u, g, r, used, budget, it, reweights = (
-                a[keep] for a in (row, p, l, y, sig, sse, u, g, r, used, budget, it, reweights)
+            row, p, y, sig, sse, u, g, r, it, reweights = (
+                a[keep] for a in (row, p, y, sig, sse, u, g, r, it, reweights)
             )
-    return final_p, final_sse, final_it, final_conv, no_dip, step_errors
+    return final_p, final_sse, final_it, final_conv, ended
 
 
-def _fit_result(
-    p: np.ndarray, l: np.ndarray, y: np.ndarray, sse: float, n_iter: int, poisson_weights: bool
-) -> FitResult:
-    """The `FitResult` of one row at its final parameters p, with the
-    parameter covariance there."""
-    n = len(l)
-    base, depth, center, w = p[0], p[1], p[2], abs(p[3])
-    p = np.array([[base, depth, center, w]])
+def _inverses(a: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of the stack `a`.  Only if the stack
+    raises `LinAlgError` is each matrix inverted alone, with the
+    pseudo-inverse for one that is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(a)
+        for k, m in enumerate(a):
+            try:
+                out[k] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                out[k] = np.linalg.pinv(m)
+        return out
+
+
+def _fit_results(
+    p: np.ndarray, l: np.ndarray, y: np.ndarray, sse: np.ndarray, n_iter: np.ndarray,
+    e: np.ndarray, poisson_weights: bool,
+) -> list:
+    """The `FitResult` of each row of the (k, 4) final parameters p, with
+    the parameter covariance there, from one stacked pass over the rows.
+    Each row is worked in the units of 2**e it was fitted in, and only its
+    count-valued fields are scaled back to counts."""
+    p = np.column_stack((p[:, :3], np.abs(p[:, 3])))
+    base, depth, center, w = p.T
     u, g, model = _dip_terms(p, l)
-    jac, model = _dip_jac(p, u, g)[0], model[0]
-    dof = max(n - 4, 1)
+    jac = _dip_jac(p, u, g)
+    dof = max(len(l) - 4, 1)
     if poisson_weights:
         m = np.maximum(model, 1.0)
         w_inv_var = 1.0 / m
         var_pt = (1.0 + np.sqrt(m + 0.75)) ** 2
-        normal = (jac * w_inv_var[:, None]).T @ jac
-        try:
-            bread = np.linalg.inv(normal)
-        except np.linalg.LinAlgError:
-            bread = np.linalg.pinv(normal)
-        meat = (jac * (w_inv_var * var_pt * w_inv_var)[:, None]).T @ jac
-        chi2 = float(np.sum(w_inv_var * (model - y) ** 2))
+        bread = _inverses((jac * w_inv_var[..., None]).transpose(0, 2, 1) @ jac)
+        meat = (jac * (w_inv_var * var_pt * w_inv_var)[..., None]).transpose(0, 2, 1) @ jac
+        chi2 = np.sum(w_inv_var * (model - y) ** 2, axis=1)
         cov = bread @ meat @ bread
-        cov = cov * max(1.0, chi2 / dof) * ERRORBAR_CALIBRATION**2
+        cov = cov * np.maximum(1.0, chi2 / dof)[:, None, None] * ERRORBAR_CALIBRATION**2
     else:  # unit weights
-        try:
-            cov = np.linalg.inv(jac.T @ jac)
-        except np.linalg.LinAlgError:
-            cov = np.linalg.pinv(jac.T @ jac)
-        cov = cov * (sse / dof)
-    perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    vis = depth / base if base != 0.0 else math.inf
+        cov = _inverses(jac.transpose(0, 2, 1) @ jac) * (sse / dof)[:, None, None]
+    perr = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
+    vis = np.where(base != 0.0, depth / base, np.inf)
     # delta-method variance of depth / base, divided by the baseline last so
     # that no power of a large baseline (base**3 from about 6e102) overflows
     # to inf and drops a term
-    var_vis = (
-        (vis**2 * cov[0, 0] + cov[1, 1] - 2.0 * vis * cov[0, 1]) / base / base
-    ) if base != 0.0 else math.inf
-    return FitResult(
-        baseline=float(base),
-        depth=float(depth),
-        center_um=float(center),
-        fwhm_um=float(GAUSSIAN_FWHM_FACTOR * w),
-        visibility=float(vis),
-        residual=float(sse),
-        baseline_err=float(perr[0]),
-        depth_err=float(perr[1]),
-        center_err=float(perr[2]),
-        fwhm_err=float(GAUSSIAN_FWHM_FACTOR * perr[3]),
-        visibility_err=float(math.sqrt(max(var_vis, 0.0))),
-        n_iter=n_iter,
+    var_vis = np.where(
+        base != 0.0,
+        (vis**2 * cov[:, 0, 0] + cov[:, 1, 1] - 2.0 * vis * cov[:, 0, 1]) / base / base,
+        np.inf,
     )
+    fields = np.column_stack((
+        np.ldexp(base, e), np.ldexp(depth, e), center, GAUSSIAN_FWHM_FACTOR * w, vis,
+        np.ldexp(sse, 2 * e), np.ldexp(perr[:, 0], e), np.ldexp(perr[:, 1], e), perr[:, 2],
+        GAUSSIAN_FWHM_FACTOR * perr[:, 3], np.sqrt(np.maximum(var_vis, 0.0)),
+    ))
+    return [FitResult(*f, n) for f, n in zip(fields.tolist(), n_iter.tolist())]
+
+
+def _outcome(result: FitResult, converged: bool, span: float, poisson_weights: bool):
+    """A fitted row's outcome: its `result`, or the `FitError` the result
+    ends in, checked in the order `fit_gaussian_dip` lists."""
+    if not converged:
+        return FitConvergenceError(
+            f"no convergence after {FIT_MAX_ITER} iterations "
+            f"(best residual {result.residual:.6g})",
+            best=result,
+        )
+    if result.depth <= 0.0:
+        return NoDipError("no dip detected")
+    not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
+    if not_finite:
+        return FitError(f"fit is not finite: {', '.join(not_finite)}")
+    if poisson_weights and (result.baseline <= 0.0 or result.fwhm_um > span):
+        return NoDipError(
+            f"fitted FWHM {result.fwhm_um:.6g} um and baseline "
+            f"{result.baseline:.6g} resolve no dip over a {span:.6g} um scan"
+        )
+    return result
 
 
 #: largest share of Monte Carlo runs that may be a `FitError` and be left

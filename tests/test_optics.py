@@ -393,18 +393,19 @@ def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, m
     assert [_outcome_bits(o) for o in fits.outcomes] == [
         _outcome_bits(one.outcomes[0]) for one in alone
     ]
-    # the iterations of the converged rows, resolved or not, and of the rows
-    # at the cap
+    # the block's iterations are every iteration of every row, whatever its
+    # outcome
     assert fits.n_iter == sum(one.n_iter for one in alone)
     for o, one in zip(fits.outcomes, alone):
         if isinstance(o, FitConvergenceError):
-            assert one.n_iter == o.best.n_iter
+            assert one.n_iter == o.best.n_iter >= max_iter
         elif isinstance(o, FitResult):
             assert one.n_iter == o.n_iter
-        elif str(o).startswith("fitted FWHM "):  # converged to no resolved dip
-            assert poisson_weights and one.n_iter > 0
-        else:
-            assert one.n_iter == 0
+        elif str(o).startswith("fitted FWHM "):  # the scan rule is for weighted fits
+            assert poisson_weights
+    # the flat row never takes a step; every other row does, whatever its
+    # outcome
+    assert [one.n_iter == 0 for one in alone] == [i == len(block) - 3 for i in range(len(block))]
     kinds = {type(o) for o in fits.outcomes}
     # unweighted, the two rows near the float range are fitted in units of a
     # power of two like any other row, so at a cap of 3 they hit it too
@@ -423,8 +424,7 @@ def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, m
         assert str(fits.outcomes[-2]) == (
             "least-squares step failed: the Jacobian or residual is not finite"
             if poisson_weights
-            else "fit is not finite: residual, baseline_err, depth_err, center_err, "
-            "fwhm_err, visibility_err"
+            else "fit is not finite: residual"
         )
         assert str(fits.outcomes[-1]).startswith("fit is not finite: ")
 
@@ -465,6 +465,48 @@ def test_a_least_squares_step_that_raises_ends_that_row_only(poisson_weights, mo
         assert _fit_bits(fits.outcomes[i]) == _fit_bits(alone[i])
 
 
+@pytest.mark.parametrize("alone_too", (False, True))
+@pytest.mark.parametrize("poisson_weights", (False, True))
+def test_a_stacked_inverse_that_raises_inverts_each_row_alone(
+    poisson_weights, alone_too, monkeypatch
+):
+    delays, rates = _dip_rates(0.95, 130.0)
+    block = np.random.default_rng(6).poisson(rates, (4, 61))
+    alone = [fit_gaussian_dip(delays, row[None], poisson_weights).outcomes[0] for row in block]
+    inv = np.linalg.inv
+    normals = []
+
+    def recorded(a):
+        normals.append(a.copy())
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    fit_gaussian_dip(delays, block[2:3], poisson_weights)
+    # row 2's normal matrix, which its fit alone inverts as a stack of one
+    ((failing,),) = normals
+    shapes = []
+
+    def failing_on_row_2(a):
+        shapes.append(a.shape)
+        # a stack that holds row 2's matrix raises; with `alone_too`, so
+        # does that matrix alone, which leaves it the pseudo-inverse
+        if any(m.tobytes() == failing.tobytes() for m in a.reshape(-1, 4, 4)) and (
+            a.ndim == 3 or alone_too
+        ):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", failing_on_row_2)
+    fits = fit_gaussian_dip(delays, block, poisson_weights)
+    # the stack of 4 raises, so each row's matrix is inverted alone
+    assert shapes == [(4, 4, 4)] + [(4, 4)] * 4
+    if alone_too:  # as row 2's fit alone, from the pseudo-inverse
+        want = fit_gaussian_dip(delays, block[2:3], poisson_weights).outcomes[0]
+        assert _fit_bits(want) != _fit_bits(alone[2])
+        alone[2] = want
+    assert [_fit_bits(o) for o in fits.outcomes] == [_fit_bits(o) for o in alone]
+
+
 def test_a_block_of_no_rows_has_no_outcomes():
     delays, _ = _dip_rates(0.95, 130.0)
     assert fit_gaussian_dip(delays, np.empty((0, 61))) == ([], 0)
@@ -480,10 +522,12 @@ def test_a_block_must_match_its_delays():
 
 def test_a_fit_that_is_not_finite_is_a_fit_error(fit_row):
     # counts near the float range overflow the sums of squares; any
-    # RuntimeWarning would fail the test under the test settings
+    # RuntimeWarning would fail the test under the test settings.  An
+    # unweighted fit's errors are worked in its units of a power of two, so
+    # only its residual in counts overflows
     delays, rates = _dip_rates(0.95, 130.0)
-    for poisson_weights in (False, True):
-        with pytest.raises(FitError, match="fit is not finite: .*_err") as excinfo:
+    for poisson_weights, match in ((False, "fit is not finite: residual$"), (True, "_err")):
+        with pytest.raises(FitError, match=match) as excinfo:
             fit_row(delays, 1e300 * rates, poisson_weights)
         assert type(excinfo.value) is FitError
 
@@ -499,6 +543,26 @@ def test_visibility_error_does_not_depend_on_a_large_count_scale(fit_row):
         for scale in (1e100, 1e104, 1e150)
     ]
     assert errs == pytest.approx([errs[0]] * 3, rel=1e-9)
+
+
+def test_an_unweighted_fit_and_its_errors_scale_with_a_power_of_two(fit_row):
+    # the fit and its covariance are worked in units of a power of two near
+    # the largest count, so only the count-valued fields scale, exactly, and
+    # at 2**-1000 no error underflows to 0
+    delays, rates = _dip_rates(0.9, 130.0)
+    counts = np.random.default_rng(8).poisson(rates).astype(float)
+    want = fit_row(delays, counts)
+    assert want.visibility_err > 0.0
+    for k in (-1000, -300, 300):
+        scaled = dataclasses.replace(
+            want,
+            residual=np.ldexp(want.residual, 2 * k),
+            **{
+                f: np.ldexp(getattr(want, f), k)
+                for f in ("baseline", "depth", "baseline_err", "depth_err")
+            },
+        )
+        assert _fit_bits(fit_row(delays, np.ldexp(counts, k))) == _fit_bits(scaled)
 
 
 def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
