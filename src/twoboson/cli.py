@@ -296,14 +296,11 @@ def cmd_hom(args) -> int:
     if len(set(args.delay_grid)) < 5:
         raise ValueError("a dip fit needs a delay grid of at least 5 distinct delays")
     w = args.fwhm_um / optics.GAUSSIAN_FWHM_FACTOR
-
-    def truth(l: float) -> float:
-        return args.baseline * (
-            1.0 - args.visibility * np.exp(-((l - args.center_um) ** 2) / (2.0 * w**2))
-        )
-
     delays = args.delay_grid
-    rates = np.array([truth(l) for l in delays])
+    # each exponent in float arithmetic, which raises for a square that
+    # overflows or a zero width, as the README says; np.exp takes them at once
+    exponents = [-((l - args.center_um) ** 2) / (2.0 * w**2) for l in delays]
+    rates = args.baseline * (1.0 - args.visibility * np.exp(exponents))
     try:
         block = optics.simulate_counts(rates, args.seed, args.runs) if args.noisy else rates[None]
     except ValueError as exc:

@@ -29,14 +29,15 @@ estimator maps it to one value per run at once: `xstate_concurrence` in
 closed form, and `fit_gaussian_dip`.  The fitter takes the whole block at
 every stage: the delays are sorted once into one axis that every row
 shares, every row is fitted in one lockstep Gauss-Newton loop with one
-stacked least-squares step per round and one iteration count over all its
-passes, and one stacked pass builds every fitted row's result and
-covariance.  Each row gets the bits of its own fit.  An unweighted row is
+stacked least-squares step per round, from one stacked Householder QR, and
+one iteration count over all its passes, and one stacked pass builds every
+fitted row's result and its covariance from the QR triangle of its
+Jacobian.  Each row gets the bits of its own fit.  An unweighted row is
 fitted, and its covariance worked, in units of a power of two near its
 largest count, so an exact dip is recovered at any count scale the float
-range holds.  The fitter is
-the one place that decides each row's outcome, a `FitResult` or a
-`FitError`, the rule for a dip the scan does not resolve included.
+range holds.  The fitter is the one place that decides each row's
+outcome, a `FitResult` or a `FitError`, the rule for a dip the scan does
+not resolve included.
 `monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
 error bars, leaving out the runs that are a `FitError`.  No hidden global
 state.
@@ -266,15 +267,42 @@ def _objective(p, l, y, sig):
 
 def _gn_steps(jw: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The (k, 4) minimum-norm least-squares steps of the (k, n, 4) weighted
-    Jacobians and (k, n) residuals, from one stacked SVD.  Singular values
-    up to eps * max(n, 4) times the largest are dropped, the default cutoff
-    of numpy's least-squares solver.  LAPACK works on each matrix alone, so
-    a row's step does not depend on the other rows.  Raises `LinAlgError`
-    if any row's SVD does not converge."""
+    Jacobians and (k, n) residuals.
+
+    One stacked Householder QR of each [jw, -r] gives the 4x4 triangle R of
+    jw and Q^T (-r), and one stacked solve gives the step R^-1 Q^T (-r) and
+    R^-1.  Like an SVD, this is backward stable and does not square the
+    condition number, as the normal equations do.  A row whose R is
+    singular, or whose 2-norm condition number may reach 1 / rcond, with
+    rcond = eps * max(n, 4), takes its step from the pseudo-inverse
+    instead (`np.linalg.pinv`, SVD-based), which drops the singular values
+    up to rcond times the largest, the default cutoff of numpy's
+    least-squares solver; the condition number is judged by a bound that
+    never understates it.  LAPACK works on each matrix alone, so a row's
+    step does not depend on the other rows.  Raises `LinAlgError` if any
+    row's SVD on that route does not converge."""
     rcond = np.finfo(float).eps * max(jw.shape[1], 4)
-    # rcond by position: numpy 1.x has no rtol keyword, and numpy 2 means to
-    # deprecate the rcond one
-    return (np.linalg.pinv(jw, rcond) @ -r[:, :, None])[:, :, 0]
+    tri = np.linalg.qr(np.concatenate((jw, -r[:, :, None]), axis=2), mode="r")
+    r_tri, eye = tri[:, :4, :4], np.broadcast_to(np.eye(4), (len(jw), 4, 4))
+    # a zero on the diagonal makes R singular: such an R is solved as the
+    # identity, and its row takes the pseudo-inverse route below
+    singular = (np.diagonal(r_tri, axis1=1, axis2=2) == 0.0).any(axis=1)
+    # [step | R^-1] at once
+    x = np.linalg.solve(
+        np.where(singular[:, None, None], eye, r_tri), np.concatenate((tri[:, :4, 4:], eye), axis=2)
+    )
+    # cond_2(R) <= |R|_F |R^-1|_F <= 16 max|R| max|R^-1|, the products of
+    # largest entries, which neither underflow nor overflow where the squares
+    # of the Frobenius norms would; the factor 2 covers the rounding of R^-1,
+    # and a bound that is not finite fails the test
+    bound = 32.0 * np.abs(r_tri).max(axis=(1, 2)) * np.abs(x[:, :, 1:]).max(axis=(1, 2))
+    near = singular | ~(bound < 1.0 / rcond)
+    step = x[:, :, 0]
+    if near.any():
+        # rcond by position: numpy 1.x has no rtol keyword, and numpy 2 means
+        # to deprecate the rcond one
+        step[near] = (np.linalg.pinv(jw[near], rcond) @ -r[near][:, :, None])[:, :, 0]
+    return step
 
 
 #: the line search's step lengths 1, 1/2, ..., 2**-30, in the chunks it
@@ -318,9 +346,13 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     line search evaluates only the model terms; the Jacobian is built from
     the terms of the accepted point, so no trial point builds a Jacobian
     and no iteration recomputes an exponential.  Each round takes every
-    row's step in one stacked minimum-norm least-squares solve
-    (`np.linalg.pinv`, SVD-based), and one stacked pass builds every fitted
-    row's result and covariance, with one stacked matrix inverse.
+    row's step from one stacked Householder QR of its weighted Jacobian and
+    residual; only a row whose Jacobian is singular or near it takes the
+    minimum-norm step of the SVD-based pseudo-inverse (see `_gn_steps`).
+    One stacked pass builds every fitted row's result and covariance, the
+    covariance from the QR triangle R of the (weighted) Jacobian as
+    R^-1 R^-T, which does not square the Jacobian's condition number as the
+    inverse of J^T J does.
 
     An unweighted row is fitted, and its covariance worked, in units of the
     power of two just above its largest count, and only its count-valued
@@ -343,7 +375,7 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     checked in this order: `NoDipError` for data with no dip; a plain
     `FitError` for a least-squares step whose weighted Jacobian or residual
     is not finite, as weighted counts near the float range give, or whose
-    SVD raises `LinAlgError`, which ends that row's fit and no other;
+    solve raises `LinAlgError`, which ends that row's fit and no other;
     `FitConvergenceError` at the iteration cap;
     `NoDipError` for a converged depth <= 0; a plain `FitError` for a fit
     any of whose fields is not finite, as counts near the float range give;
@@ -397,7 +429,7 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     whether the fit converged, and the `FitError` that ended it before any
     result, or None: the data-driven start found no dip, which leaves the
     row unfitted, or a step failed, because the row's Jacobian or residual
-    was not finite or its SVD raised `LinAlgError`.
+    was not finite or its solve raised `LinAlgError`.
     Each round takes one step on every row still iterating, and the rows
     that end a pass leave the working arrays or start their next pass.
     """
@@ -539,31 +571,40 @@ def _fit_results(
     u, g, model = _dip_terms(p, l)
     jac = _dip_jac(p, u, g)
     dof = max(len(l) - 4, 1)
+    # each row's covariance is F^T F, and only the factor F is formed.
+    # (J^T J)^-1 is R^-1 R^-T, R the QR triangle of J, without forming J^T J,
+    # which squares the condition number of J; a singular R gives its
+    # pseudo-inverse R^+ (see `_inverses`), and R^+ R^+T is that of J^T J
     if poisson_weights:
         m = np.maximum(model, 1.0)
         w_inv_var = 1.0 / m
-        var_pt = (1.0 + np.sqrt(m + 0.75)) ** 2
-        bread = _inverses((jac * w_inv_var[..., None]).transpose(0, 2, 1) @ jac)
-        meat = (jac * (w_inv_var * var_pt * w_inv_var)[..., None]).transpose(0, 2, 1) @ jac
         chi2 = np.sum(w_inv_var * (model - y) ** 2, axis=1)
-        cov = bread @ meat @ bread
-        cov = cov * np.maximum(1.0, chi2 / dof)[:, None, None] * ERRORBAR_CALIBRATION**2
-    else:  # unit weights
-        cov = _inverses(jac.transpose(0, 2, 1) @ jac) * (sse / dof)[:, None, None]
-    perr = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
+        # the sandwich bread J^T M J bread, M = W^2 (1 + sqrt(m + 0.75))^2,
+        # bread = (J^T W J)^-1, times max(1, chi2 / dof) and the calibration
+        # margin squared: F = M^(1/2) J bread times the square roots
+        r_inv = _inverses(np.linalg.qr(jac * np.sqrt(w_inv_var)[..., None], mode="r"))
+        factor = (jac * ((1.0 + np.sqrt(m + 0.75)) * w_inv_var)[..., None]) @ (
+            r_inv @ r_inv.transpose(0, 2, 1)
+        )
+        factor *= (np.sqrt(np.maximum(1.0, chi2 / dof)) * ERRORBAR_CALIBRATION)[:, None, None]
+    else:  # unit weights: (J^T J)^-1 sse / dof, F = R^-T sqrt(sse / dof)
+        r_inv = _inverses(np.linalg.qr(jac, mode="r"))
+        factor = r_inv.transpose(0, 2, 1) * np.sqrt(sse / dof)[:, None, None]
+    # the variances as sums of squares, which lose no digits to cancellation:
+    # the diagonal of F^T F, and the delta-method variance |F g|^2 of
+    # depth / base, g = (-vis, 1, 0, 0) / base, divided by the baseline last
+    # so that no power of a large baseline overflows to inf
+    perr = np.sqrt((factor**2).sum(axis=1))
     vis = np.where(base != 0.0, depth / base, np.inf)
-    # delta-method variance of depth / base, divided by the baseline last so
-    # that no power of a large baseline (base**3 from about 6e102) overflows
-    # to inf and drops a term
     var_vis = np.where(
         base != 0.0,
-        (vis**2 * cov[:, 0, 0] + cov[:, 1, 1] - 2.0 * vis * cov[:, 0, 1]) / base / base,
+        ((factor[:, :, 1] - vis[:, None] * factor[:, :, 0]) ** 2).sum(axis=1) / base / base,
         np.inf,
     )
     fields = np.column_stack((
         np.ldexp(base, e), np.ldexp(depth, e), center, GAUSSIAN_FWHM_FACTOR * w, vis,
         np.ldexp(sse, 2 * e), np.ldexp(perr[:, 0], e), np.ldexp(perr[:, 1], e), perr[:, 2],
-        GAUSSIAN_FWHM_FACTOR * perr[:, 3], np.sqrt(np.maximum(var_vis, 0.0)),
+        GAUSSIAN_FWHM_FACTOR * perr[:, 3], np.sqrt(var_vis),
     ))
     return [FitResult(*f, n) for f, n in zip(fields.tolist(), n_iter.tolist())]
 

@@ -705,10 +705,14 @@ def test_noisy_hom_golden_fit_and_error_bars(capsys):
 
 #: SHA-256 of the fields of all 100 resample fits of `hom --visibility 0.91
 #: --fwhm-um 137 --noisy --runs 100 --seed 1`, as the block fit gives them
-#: with one stacked least-squares step per Gauss-Newton round and one
-#: stacked result pass.  That pass squares the visibilities as an array, not
-#: as a scalar power, which moved the last bit of run 51's visibility_err
-HOM_SEED_1_FITS_SHA256 = "f4f3aa95328f36664e12f7e6304457f629e3082ff605b426cc91096225d96da3"
+#: with one stacked Householder QR least-squares step per Gauss-Newton round
+#: and one stacked result pass, whose covariance comes from the QR triangle
+#: of the weighted Jacobian.  The QR steps replaced SVD pseudo-inverse ones,
+#: which moved every run's converged parameters within the fit's step
+#: tolerance (by at most 2.2e-9 relative; center_um, near 0, by at most
+#: 3.2e-8 um) and the iterations of 18 runs; the errors moved by at most
+#: 2.0e-9 relative
+HOM_SEED_1_FITS_SHA256 = "a5c73b3f4b9a0e99ed77cd01ae6c8b6dd0e5658b6e65b52164965916ac23814b"
 
 
 def test_noisy_hom_resample_fits_keep_their_bits(monkeypatch, capsys):

@@ -37,7 +37,7 @@ from twoboson.optics import (
     xstate_concurrence,
     xstate_rates,
 )
-from twoboson.optics import _dip_jac, _dip_terms
+from twoboson.optics import _dip_jac, _dip_terms, _gn_steps
 
 RT2 = math.sqrt(0.5)
 
@@ -434,27 +434,28 @@ def test_a_least_squares_step_that_raises_ends_that_row_only(poisson_weights, mo
     delays, rates = _dip_rates(0.95, 130.0)
     block = np.random.default_rng(6).poisson(rates, (4, 61))
     alone = [fit_gaussian_dip(delays, row[None], poisson_weights).outcomes[0] for row in block]
-    pinv = np.linalg.pinv
+    qr = np.linalg.qr
     stacks = []
 
-    def recorded(a, rcond):
+    def recorded(a, mode):
         stacks.append(a.copy())
-        return pinv(a, rcond)
+        return qr(a, mode)
 
-    monkeypatch.setattr(np.linalg, "pinv", recorded)
+    monkeypatch.setattr(np.linalg, "qr", recorded)
     fit_gaussian_dip(delays, block[1:2], poisson_weights)
-    # row 1's weighted Jacobian at its second step, which its fit alone meets
-    # and, with the same bits, the block's fit too
+    # row 1's weighted Jacobian and residual [jw, -r] at its second step,
+    # which its fit alone meets and, with the same bits, the block's fit too
     failing = stacks[1][0].tobytes()
     sizes = []
 
-    def failing_on_row_1s_second_step(a, rcond):
+    def failing_on_row_1s_second_step(a, mode):
         sizes.append(len(a))
         if any(m.tobytes() == failing for m in a):
+            # as the SVD of a row on the pseudo-inverse route can raise
             raise np.linalg.LinAlgError("SVD did not converge")
-        return pinv(a, rcond)
+        return qr(a, mode)
 
-    monkeypatch.setattr(np.linalg, "pinv", failing_on_row_1s_second_step)
+    monkeypatch.setattr(np.linalg, "qr", failing_on_row_1s_second_step)
     fits = fit_gaussian_dip(delays, block, poisson_weights)
     # the second round's stack of 4 raises, so that round's rows are solved
     # one at a time; row 1's fit ends there and 3 rows go on
@@ -474,22 +475,23 @@ def test_a_stacked_inverse_that_raises_inverts_each_row_alone(
     block = np.random.default_rng(6).poisson(rates, (4, 61))
     alone = [fit_gaussian_dip(delays, row[None], poisson_weights).outcomes[0] for row in block]
     inv = np.linalg.inv
-    normals = []
+    triangles = []
 
     def recorded(a):
-        normals.append(a.copy())
+        triangles.append(a.copy())
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", recorded)
     fit_gaussian_dip(delays, block[2:3], poisson_weights)
-    # row 2's normal matrix, which its fit alone inverts as a stack of one
-    ((failing,),) = normals
+    # the QR triangle of row 2's (weighted) Jacobian, which its fit alone
+    # inverts as a stack of one for its covariance; the steps solve theirs
+    ((failing,),) = triangles
     shapes = []
 
     def failing_on_row_2(a):
         shapes.append(a.shape)
-        # a stack that holds row 2's matrix raises; with `alone_too`, so
-        # does that matrix alone, which leaves it the pseudo-inverse
+        # a stack that holds row 2's triangle raises; with `alone_too`, so
+        # does that triangle alone, which leaves it the pseudo-inverse
         if any(m.tobytes() == failing.tobytes() for m in a.reshape(-1, 4, 4)) and (
             a.ndim == 3 or alone_too
         ):
@@ -498,13 +500,42 @@ def test_a_stacked_inverse_that_raises_inverts_each_row_alone(
 
     monkeypatch.setattr(np.linalg, "inv", failing_on_row_2)
     fits = fit_gaussian_dip(delays, block, poisson_weights)
-    # the stack of 4 raises, so each row's matrix is inverted alone
+    # the stack of 4 raises, so each row's triangle is inverted alone
     assert shapes == [(4, 4, 4)] + [(4, 4)] * 4
     if alone_too:  # as row 2's fit alone, from the pseudo-inverse
         want = fit_gaussian_dip(delays, block[2:3], poisson_weights).outcomes[0]
         assert _fit_bits(want) != _fit_bits(alone[2])
         alone[2] = want
     assert [_fit_bits(o) for o in fits.outcomes] == [_fit_bits(o) for o in alone]
+
+
+def test_gauss_newton_steps_are_least_squares_steps():
+    rng = np.random.default_rng(11)
+    for k in (1, 3, 8):
+        jw, r = rng.normal(size=(k, 61, 4)), rng.normal(size=(k, 61))
+        jw[:, :, 2] *= 1e3  # columns of unequal scale, still well conditioned
+        steps = _gn_steps(jw, r)
+        for step, a, b in zip(steps, jw, r):
+            want = np.linalg.lstsq(a, -b, rcond=None)[0]
+            assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_near_singular_steps_are_the_pseudo_inverses_and_no_row_sees_another():
+    rng = np.random.default_rng(12)
+    jw, r = rng.normal(size=(5, 61, 4)), rng.normal(size=(5, 61))
+    jw[1, :, 3] = 0.0  # R singular: a zero on its diagonal
+    # a condition number of about 1e15, above 1 / rcond
+    u, _, vt = np.linalg.svd(jw[3], full_matrices=False)
+    jw[3] = (u * [1.0, 1e-3, 1e-8, 1e-15]) @ vt
+    assert np.linalg.cond(jw[3]) > 1e14
+    steps = _gn_steps(jw, r)
+    rcond = np.finfo(float).eps * 61
+    for i in (1, 3):
+        assert steps[i].tobytes() == (np.linalg.pinv(jw[i], rcond) @ -r[i]).tobytes()
+    for i in range(5):
+        assert steps[i].tobytes() == _gn_steps(jw[i : i + 1], r[i : i + 1])[0].tobytes()
+    # the pseudo-inverse drops the singular direction: a minimum-norm step
+    assert abs(steps[1][3]) <= 1e-12 * np.abs(steps[1]).max()
 
 
 def test_a_block_of_no_rows_has_no_outcomes():
@@ -563,6 +594,69 @@ def test_an_unweighted_fit_and_its_errors_scale_with_a_power_of_two(fit_row):
             },
         )
         assert _fit_bits(fit_row(delays, np.ldexp(counts, k))) == _fit_bits(scaled)
+
+
+def _result_pass(delays, block, poisson_weights, monkeypatch):
+    """Fit `block` and return what the result pass took and gave: the final
+    parameters (width made positive), the fitted counts and sums of squares
+    in their units of 2**e, e, and the results."""
+    seen = []
+    fit_results = optics._fit_results
+
+    def recorded(p, l, y, sse, n_iter, e, pw):
+        seen.append((p, y, sse, e, fit_results(p, l, y, sse, n_iter, e, pw)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(optics, "_fit_results", recorded)
+    fit_gaussian_dip(delays, block, poisson_weights)
+    ((p, y, sse, e, results),) = seen
+    return np.column_stack((p[:, :3], np.abs(p[:, 3]))), y, sse, e, results
+
+
+def _errors(result) -> np.ndarray:
+    return np.array([
+        result.baseline_err, result.depth_err, result.center_err, result.fwhm_err,
+        result.visibility_err,
+    ])
+
+
+def test_unweighted_fit_errors_match_an_svd_of_the_jacobian(monkeypatch):
+    # visibility 1 and a dip wider than the scan: the Jacobians reach
+    # condition numbers of about 1e9, where inverting J^T J lost up to every
+    # digit of the errors
+    delays, rates = _dip_rates(1.0, 2000.0, baseline=500.0)
+    p, _, sse, e, results = _result_pass(delays, simulate_counts(rates, 0, 100), False, monkeypatch)
+    u, g, _ = _dip_terms(p, delays)
+    for jac, (base, depth, _, _), s2, k, result in zip(
+        _dip_jac(p, u, g), p, sse / (len(delays) - 4), e, results
+    ):
+        # the covariance V S^-2 V^T s2; the visibility variance |S^-1 V^T g|^2 s2,
+        # g = (-vis, 1, 0, 0) / base, as a sum of squares
+        _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        perr = np.sqrt(s2 * ((vt / sv[:, None]) ** 2).sum(axis=0))
+        a = vt @ [-depth / base, 1.0, 0.0, 0.0] / sv
+        want = [
+            np.ldexp(perr[0], k), np.ldexp(perr[1], k), perr[2], GAUSSIAN_FWHM_FACTOR * perr[3],
+            np.sqrt(s2 * (a @ a)) / base,
+        ]
+        assert _errors(result) == pytest.approx(want, rel=1e-6)
+
+
+def test_weighted_fit_errors_are_the_sandwich_covariance(monkeypatch):
+    delays, rates = _dip_rates(0.91, 137.0)
+    p, y, _, _, results = _result_pass(delays, simulate_counts(rates, 1, 20), True, monkeypatch)
+    u, g, model = _dip_terms(p, delays)
+    for jac, m, y_row, (base, depth, _, _), result in zip(
+        _dip_jac(p, u, g), np.maximum(model, 1.0), y, p, results
+    ):
+        bread = np.linalg.inv(jac.T @ (jac / m[:, None]))
+        meat = jac.T @ (jac * ((1.0 + np.sqrt(m + 0.75)) ** 2 / m**2)[:, None])
+        chi2 = np.sum((m - y_row) ** 2 / m)
+        cov = bread @ meat @ bread * max(1.0, chi2 / (len(delays) - 4)) * optics.ERRORBAR_CALIBRATION**2
+        perr = np.sqrt(np.diag(cov))
+        grad = np.array([-depth / base**2, 1.0 / base, 0.0, 0.0])
+        want = [*perr[:3], GAUSSIAN_FWHM_FACTOR * perr[3], np.sqrt(grad @ cov @ grad)]
+        assert _errors(result) == pytest.approx(want, rel=1e-9)
 
 
 def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
