@@ -125,6 +125,13 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _fixed(x: float) -> str:
+    """x to 6 decimals, unsigned where it rounds to zero, as `_fmt` leaves
+    -0.0: a tiny negative rounding residue prints as 0.000000."""
+    text = format(x, ".6f")
+    return "0.000000" if text == "-0.000000" else text
+
+
 def _sigma_from_args(args) -> float:
     if getattr(args, "delta", None) is not None:
         return optics.delta_to_sigma(args.delta)
@@ -327,11 +334,11 @@ def cmd_hom(args) -> int:
     if isinstance(fit, optics.FitError):
         raise fit
 
-    print(f"fit: baseline    = {fit.baseline:.6f} +/- {fit.baseline_err:.6f}")
-    print(f"fit: depth       = {fit.depth:.6f} +/- {fit.depth_err:.6f}")
-    print(f"fit: center_um   = {fit.center_um:.6f} +/- {fit.center_err:.6f}")
-    print(f"fit: fwhm_um     = {fit.fwhm_um:.6f} +/- {fit.fwhm_err:.6f}")
-    print(f"fit: visibility  = {fit.visibility:.6f} +/- {fit.visibility_err:.6f}")
+    print(f"fit: baseline    = {_fixed(fit.baseline)} +/- {_fixed(fit.baseline_err)}")
+    print(f"fit: depth       = {_fixed(fit.depth)} +/- {_fixed(fit.depth_err)}")
+    print(f"fit: center_um   = {_fixed(fit.center_um)} +/- {_fixed(fit.center_err)}")
+    print(f"fit: fwhm_um     = {_fixed(fit.fwhm_um)} +/- {_fixed(fit.fwhm_err)}")
+    print(f"fit: visibility  = {_fixed(fit.visibility)} +/- {_fixed(fit.visibility_err)}")
     print(f"fit: residual    = {fit.residual:.6g}")
 
     if args.noisy:
@@ -341,8 +348,8 @@ def cmd_hom(args) -> int:
                 f"monte carlo: left out {failed} of {args.runs} runs whose fit failed",
                 file=sys.stderr,
             )
-        print(f"mc ({args.runs} runs): visibility = {v_mean:.6f} +/- {v_std:.6f}")
-        print(f"mc ({args.runs} runs): fwhm_um    = {f_mean:.6f} +/- {f_std:.6f}")
+        print(f"mc ({args.runs} runs): visibility = {_fixed(v_mean)} +/- {_fixed(v_std)}")
+        print(f"mc ({args.runs} runs): fwhm_um    = {_fixed(f_mean)} +/- {_fixed(f_std)}")
     return EXIT_OK
 
 

@@ -32,10 +32,12 @@ shares, every row is fitted in one lockstep Gauss-Newton loop with one
 stacked least-squares step per round, from one stacked Householder QR, and
 one iteration count over all its passes, and one stacked pass builds every
 fitted row's result and its covariance from the QR triangle of its
-Jacobian.  Each row gets the bits of its own fit.  An unweighted row is
-fitted, and its covariance worked, in units of a power of two near its
-largest count, so an exact dip is recovered at any count scale the float
-range holds.  The fitter is the one place that decides each row's
+Jacobian.  A Poisson-weighted row ends at the fixed point of reweighting
+from its own model, which solves the Poisson score equation wherever the
+model is at least 1.  Each row gets the bits of its own fit.  An unweighted
+row is fitted, and its covariance worked, in units of a power of two near
+its largest count, so an exact dip is recovered at any count scale the
+float range holds.  The fitter is the one place that decides each row's
 outcome, a `FitResult` or a `FitError`, the rule for a dip the scan does
 not resolve included.
 `monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
@@ -362,14 +364,19 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     row is fitted in counts, the unit of its weights' floor.
 
     With `poisson_weights` the fit is iteratively reweighted: a first pass
-    uses 1/sqrt(max(count, 1)) weights, then the weights are rebuilt
-    from the fitted model and the fit repeated.  Observed-count weights pull
-    the curve toward downward count fluctuations; model-based weights remove
-    that bias.  Quoted uncertainties for this mode are deliberately
-    conservative: a robust covariance built on the small-count variance
-    (1 + sqrt(m + 0.75))^2 per point, the usual max(1, chi^2/dof) scale, and
-    the Monte-Carlo-derived `ERRORBAR_CALIBRATION` margin.  They are meant
-    for accept/reject decisions, so they err on the side of over-coverage.
+    uses 1/sqrt(max(count, 1)) weights until its step converges, then one
+    more pass rebuilds the weights from the current model at the start of
+    every round, and each round's line search compares sums of squares at
+    that round's weights, until the step converges again.  That pass ends at
+    the fixed point of the reweighting, where J^T W (y - model) = 0 with
+    W = 1 / max(model, 1): the Poisson likelihood's score equation wherever
+    the model is at least 1.  Observed-count weights pull the curve toward
+    downward count fluctuations; model-based weights remove that bias.
+    Quoted uncertainties for this mode are deliberately conservative: a
+    robust covariance built on the small-count variance (1 + sqrt(m + 0.75))^2
+    per point, the usual max(1, chi^2/dof) scale, and the Monte-Carlo-derived
+    `ERRORBAR_CALIBRATION` margin.  They are meant for accept/reject
+    decisions, so they err on the side of over-coverage.
 
     A row's outcome is its `FitResult`, or the `FitError` its fit ends in,
     checked in this order: `NoDipError` for data with no dip; a plain
@@ -430,8 +437,10 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     result, or None: the data-driven start found no dip, which leaves the
     row unfitted, or a step failed, because the row's Jacobian or residual
     was not finite or its solve raised `LinAlgError`.
-    Each round takes one step on every row still iterating, and the rows
-    that end a pass leave the working arrays or start their next pass.
+    Each round takes one step on every row still iterating.  A row that
+    ends a pass leaves the working arrays, unless it is a Poisson-weighted
+    row whose first pass converged: that row goes on to its reweighted
+    pass, whose weights are rebuilt from the current model every round.
     """
     runs, n = y.shape
     n_edge = max(1, int(round(0.1 * n)))
@@ -458,10 +467,17 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     sig = np.sqrt(np.maximum(y, 1.0)) if poisson_weights else np.ones_like(y)
     sse, u, g, r = _objective(p, l, y, sig)
     it = np.zeros(len(row), dtype=int)  # over all of the row's passes
-    reweights = np.full(len(row), 2 if poisson_weights else 0)  # passes still to come
+    reweighted = np.zeros(len(row), dtype=bool)  # on its model-weighted pass
 
     while row.size:
         it += 1
+        # a reweighted row's weights come from its current model, so its pass
+        # ends where J^T W (y - model) = 0, W = 1 / max(model, 1); the model
+        # is built from the g of the current point, with no new exponential
+        model = p[reweighted, :1] - p[reweighted, 1:2] * g[reweighted]
+        sig[reweighted] = np.sqrt(np.maximum(model, 1.0))
+        r[reweighted] = (model - y[reweighted]) / sig[reweighted]
+        sse[reweighted] = (r[reweighted] ** 2).sum(axis=1)
         jw = _dip_jac(p, u, g)
         jw /= sig[:, :, None]
         # a row whose Jacobian or residual is not finite, as counts near the
@@ -523,21 +539,17 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             search = search[~hit]
         conv[search] = ends[search] = True  # no descent direction left: local minimum
         ends |= it >= FIT_MAX_ITER
-        again = ends & conv & (reweights > 0)
-        if again.any():  # reweight from the fitted model and descend again
-            reweights[again] -= 1
-            sig[again] = np.sqrt(np.maximum(_dip_terms(p[again], l)[2], 1.0))
-            sse[again], u[again], g[again], r[again] = _objective(
-                p[again], l, y[again], sig[again]
-            )
+        # a converged first pass of a weighted row goes on to its reweighted pass
+        again = ends & conv & ~reweighted & poisson_weights
+        reweighted |= again
         out = ends & ~again
         if out.any():
             done = row[out]
             final_p[done], final_sse[done] = p[out], sse[out]
             final_it[done], final_conv[done] = it[out], conv[out]
             keep = ~out
-            row, p, y, sig, sse, u, g, r, it, reweights = (
-                a[keep] for a in (row, p, y, sig, sse, u, g, r, it, reweights)
+            row, p, y, sig, sse, u, g, r, it, reweighted = (
+                a[keep] for a in (row, p, y, sig, sse, u, g, r, it, reweighted)
             )
     return final_p, final_sse, final_it, final_conv, ended
 

@@ -606,13 +606,13 @@ def test_noisy_hom_json_counts_table(tmp_path):
 
 
 def test_hom_leaves_out_a_few_failed_resample_fits(capsys):
-    # 3 resample fits fail and 1 converges to a FWHM of hundreds of scan
+    # 1 resample fit fails and 1 converges to a FWHM of thousands of scan
     # widths, which resolves no dip; were that one kept, the error bar would read
-    # 28061.763341 +/- 275017.122038
+    # 27488.403105 +/- 272132.956642
     argv = ["hom", "--noisy", "--baseline", "5", "--seed", "0"]
     assert main(argv) == EXIT_OK
     captured = capsys.readouterr()
-    assert "monte carlo: left out 4 of 100 runs whose fit failed" in captured.err
+    assert "monte carlo: left out 2 of 100 runs whose fit failed" in captured.err
     assert "mc (100 runs): visibility" in captured.out
     (line,) = [l for l in captured.out.splitlines() if "fwhm_um    =" in l]
     mean, std = (float(v) for v in line.split("=")[1].split("+/-"))
@@ -620,12 +620,12 @@ def test_hom_leaves_out_a_few_failed_resample_fits(capsys):
 
 
 def test_hom_fails_when_too_many_resample_fits_fail(capsys):
-    # the printed fit resolves the dip (FWHM 144 um); 17 resamples do not
+    # the printed fit resolves the dip (FWHM 144 um); 16 resamples do not
     argv = ["hom", "--noisy", "--baseline", "4", "--seed", "1"]
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
-    assert "fit: fwhm_um     = 144.174944" in captured.out
-    assert "monte carlo failed: 17 of 100 resample fits failed" in captured.err
+    assert "fit: fwhm_um     = 144.093862" in captured.out
+    assert "monte carlo failed: 16 of 100 resample fits failed" in captured.err
     assert "resolve no dip over a 600 um scan" in captured.err
     assert "mc (" not in captured.out
 
@@ -689,16 +689,29 @@ def test_hom_recovers_an_exact_dip_at_a_tiny_baseline(capsys):
     assert any(line.startswith("fit: visibility  = 1.000000 ") for line in lines)
 
 
+@pytest.mark.parametrize("baseline", ("1", "4", "1e-300"))
+def test_a_fit_value_that_rounds_to_zero_prints_unsigned(baseline, capsys):
+    # the exact fit's center is a rounding residue, here a negative one; the
+    # fit and mc lines leave no sign on a zero, as the sweep tables do
+    assert main(["hom", "--baseline", baseline]) == EXIT_OK
+    lines = _report_lines(capsys.readouterr().out)
+    assert "fit: center_um   = 0.000000 +/- 0.000000" in lines
+    assert not any("-0.000000" in line for line in lines)
+    assert [cli._fixed(x) for x in (-1e-12, -0.0, -0.25, -math.inf)] == [
+        "0.000000", "0.000000", "-0.250000", "-inf"
+    ]
+
+
 def test_noisy_hom_golden_fit_and_error_bars(capsys):
     argv = ["hom", "--visibility", "0.91", "--fwhm-um", "137", "--noisy", "--runs", "100"]
     assert main(argv + ["--seed", "1"]) == EXIT_OK
     lines = _report_lines(capsys.readouterr().out)
     for want in (
-        "fit: visibility  = 0.908153 +/- 0.005620",
-        "fit: fwhm_um     = 135.775962 +/- 2.037147",
-        "fit: residual    = 34.4412",
-        "mc (100 runs): visibility = 0.910169 +/- 0.004607",
-        "mc (100 runs): fwhm_um    = 137.098296 +/- 1.720757",
+        "fit: visibility  = 0.908152 +/- 0.005620",
+        "fit: fwhm_um     = 135.776089 +/- 2.037150",
+        "fit: residual    = 34.4404",
+        "mc (100 runs): visibility = 0.910168 +/- 0.004607",
+        "mc (100 runs): fwhm_um    = 137.098380 +/- 1.720736",
     ):
         assert want in lines
 
@@ -707,12 +720,10 @@ def test_noisy_hom_golden_fit_and_error_bars(capsys):
 #: --fwhm-um 137 --noisy --runs 100 --seed 1`, as the block fit gives them
 #: with one stacked Householder QR least-squares step per Gauss-Newton round
 #: and one stacked result pass, whose covariance comes from the QR triangle
-#: of the weighted Jacobian.  The QR steps replaced SVD pseudo-inverse ones,
-#: which moved every run's converged parameters within the fit's step
-#: tolerance (by at most 2.2e-9 relative; center_um, near 0, by at most
-#: 3.2e-8 um) and the iterations of 18 runs; the errors moved by at most
-#: 2.0e-9 relative
-HOM_SEED_1_FITS_SHA256 = "a5c73b3f4b9a0e99ed77cd01ae6c8b6dd0e5658b6e65b52164965916ac23814b"
+#: of the weighted Jacobian.  Each run's second pass reweights from the
+#: current model every round and stops at the fixed point of that
+#: reweighting, not after two reweighted passes
+HOM_SEED_1_FITS_SHA256 = "053952fed2366463b43f5e5afc2f518761ad2d1ae780fc87abffb811c68b4651"
 
 
 def test_noisy_hom_resample_fits_keep_their_bits(monkeypatch, capsys):
@@ -750,14 +761,14 @@ def test_noisy_hom_fits_the_printed_row_once(monkeypatch, capsys):
     ((delays, block),) = fits
     assert block.shape == (5, len(delays))
     assert _report_lines(capsys.readouterr().out) == [
-        "fit: baseline    = 1011.261424 +/- 6.305269",
-        "fit: depth       = 1011.689103 +/- 6.538398",
-        "fit: center_um   = -0.659738 +/- 0.477315",
-        "fit: fwhm_um     = 132.856411 +/- 1.585447",
+        "fit: baseline    = 1011.261410 +/- 6.305268",
+        "fit: depth       = 1011.689050 +/- 6.538398",
+        "fit: center_um   = -0.659779 +/- 0.477315",
+        "fit: fwhm_um     = 132.856402 +/- 1.585447",
         "fit: visibility  = 1.000423 +/- 0.002246",
-        "fit: residual    = 55.5011",
+        "fit: residual    = 55.5008",
         "mc (5 runs): visibility = 0.999891 +/- 0.000370",
-        "mc (5 runs): fwhm_um    = 132.802381 +/- 0.506112",
+        "mc (5 runs): fwhm_um    = 132.802375 +/- 0.506110",
     ]
 
 

@@ -659,6 +659,40 @@ def test_weighted_fit_errors_are_the_sandwich_covariance(monkeypatch):
         assert _errors(result) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("baseline", (1000.0, 50.0))
+def test_a_weighted_fit_is_the_fixed_point_of_model_reweighting(baseline):
+    # at the returned parameters the reweighted score J^T W (y - model),
+    # W = 1 / max(model, 1), vanishes: the Poisson score equation wherever
+    # the model is at least 1.  Two reweighted passes stopped short of it by
+    # up to 2e-4 of the scale here at a baseline of 1000 and 2e-2 at 50
+    delays, rates = _dip_rates(0.91, 137.0, baseline)
+    block = simulate_counts(rates, 1, 100)
+    outcomes = fit_gaussian_dip(delays, block, poisson_weights=True).outcomes
+    assert all(isinstance(o, FitResult) for o in outcomes)
+    for fit, y in zip(outcomes, block):
+        w = fit.fwhm_um / GAUSSIAN_FWHM_FACTOR
+        p = np.array([[fit.baseline, fit.depth, fit.center_um, w]])
+        u, g, (model,) = _dip_terms(p, delays)
+        (jac,) = _dip_jac(p, u, g)
+        weights = 1.0 / np.maximum(model, 1.0)
+        score = jac.T @ (weights * (y - model))
+        scale = np.abs(jac).T @ (weights * np.abs(y - model))
+        assert np.all(np.abs(score) <= 1e-6 * scale)
+
+
+@pytest.mark.parametrize("baseline, at_least", ((3.0, 310), (5.0, 473), (10.0, 500)))
+def test_low_count_weighted_fits_keep_their_yield(baseline, at_least):
+    # counts of a few per point: of 500 rows (seeds 0-4), no fewer may be a
+    # `FitResult` than two whole reweighted passes gave
+    delays, rates = _dip_rates(1.0, 132.0, baseline)
+    fitted = sum(
+        isinstance(o, FitResult)
+        for seed in range(5)
+        for o in fit_gaussian_dip(delays, simulate_counts(rates, seed, 100), True).outcomes
+    )
+    assert fitted >= at_least
+
+
 def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
     delays, rates = _dip_rates(0.95, 130.0)
     block = simulate_counts(rates, 5, 20).astype(float)
@@ -678,7 +712,7 @@ def test_a_counting_noise_fit_wider_than_the_scan_resolves_no_dip(fit_row):
     with pytest.raises(NoDipError) as excinfo:
         fit_row(delays, counts, poisson_weights=True)
     assert str(excinfo.value) == (
-        "fitted FWHM 1389.19 um and baseline 498.949 resolve no dip over a 600 um scan"
+        "fitted FWHM 1392 um and baseline 500.85 resolve no dip over a 600 um scan"
     )
     # an unweighted fit is reported as it converged
     assert isinstance(fit_row(delays, counts), FitResult)
