@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -27,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core_state import DistVector, SingleParticleState, SpatialAmplitudes, Spin
+from .core_state import DistVector, SingleParticleState, Spin
 from . import entanglement, optics, verification
 
 EXIT_OK = 0
@@ -118,16 +117,9 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"grid {spec!r} is too large to allocate") from None
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".12g")
-
-
 def _fixed(x: float) -> str:
-    """x to 6 decimals, unsigned where it rounds to zero, as `_fmt` leaves
-    -0.0: a tiny negative rounding residue prints as 0.000000."""
+    """x to 6 decimals, unsigned where it rounds to zero, as the CSV table
+    prints -0.0 as 0: a tiny negative rounding residue prints as 0.000000."""
     text = format(x, ".6f")
     return "0.000000" if text == "-0.000000" else text
 
@@ -136,20 +128,6 @@ def _sigma_from_args(args) -> float:
     if getattr(args, "delta", None) is not None:
         return optics.delta_to_sigma(args.delta)
     return args.sigma_um
-
-
-class _ThetaValues(NamedTuple):
-    """What one half-wave-plate angle gives every grid point it meets."""
-
-    theta_deg: float
-    alphas: SpatialAmplitudes
-    betas: SpatialAmplitudes
-    spatial_overlap: float
-
-
-def _theta_values(theta_deg: float) -> _ThetaValues:
-    alphas, betas = optics.spatial_amplitudes_from_theta(theta_deg)
-    return _ThetaValues(theta_deg, alphas, betas, optics.spatial_overlap_factor(theta_deg))
 
 
 class _DelayValues(NamedTuple):
@@ -176,56 +154,46 @@ def _delay_values(delay_um: float, sigma_um: float, convention: str) -> _DelayVa
     )
 
 
-def _point_values(theta: _ThetaValues, delay: _DelayValues):
-    """The row of one (theta, delay) grid point without its two Wootters
-    readings, which `_theta_rows` adds, and the point's number distribution."""
-    p_a = SingleParticleState(theta.alphas, Spin.UP, delay.phi_a)
-    p_b = SingleParticleState(theta.betas, Spin.DOWN, delay.phi_b)
-    nd = entanglement.number_distribution(p_a, p_b)
-    return {
-        "theta_deg": theta.theta_deg,
-        "delay_um": delay.delay_um,
-        "spatial_overlap": theta.spatial_overlap,
-        "overlap_paper": delay.overlap_paper,
-        "overlap_quadrature": delay.overlap_quadrature,
-        "c_closed_form": entanglement.concurrence_closed_form(
-            theta.alphas, theta.betas, delay.overlap
-        ),
-    }, nd
-
-
-def _theta_rows(theta: _ThetaValues, delays: Sequence[_DelayValues]):
-    """The rows of one angle's grid points, in delay order, each with its
-    unnormalized (1,1) spin matrix.  One stacked Wootters call reads the
-    normalized concurrence of every point, and E_P is computed from it."""
-    points = [_point_values(theta, delay) for delay in delays]
-    nds = [nd for _, nd in points]
+def _point_values(theta_deg: float, delays: Sequence[_DelayValues]):
+    """The rows of one angle's grid points, in delay order: each its
+    `SWEEP_COLUMNS` values, in column order, with its unnormalized (1,1)
+    spin matrix.  The angle's mode amplitudes and spatial factor are computed
+    once, and one stacked Wootters call reads the normalized concurrence of
+    every point, from which E_P is computed."""
+    alphas, betas = optics.spatial_amplitudes_from_theta(theta_deg)
+    spatial_overlap = optics.spatial_overlap_factor(theta_deg)
+    nds = [
+        entanglement.number_distribution(
+            SingleParticleState(alphas, Spin.UP, delay.phi_a),
+            SingleParticleState(betas, Spin.DOWN, delay.phi_b),
+        )
+        for delay in delays
+    ]
     concurrence = entanglement.wootters_concurrence([nd.state for nd in nds], normalize=True)
     e_p = entanglement.entanglement_of_particles(nds, concurrence)
-    rows = []
-    for (values, nd), c, e in zip(points, concurrence.tolist(), e_p.tolist()):
-        values["c_wootters_normalized"] = c
-        values["e_p"] = e
-        rows.append((values, nd.state))
-    return rows
+    return [
+        ([theta_deg, d.delay_um, spatial_overlap, d.overlap_paper, d.overlap_quadrature,
+          entanglement.concurrence_closed_form(alphas, betas, d.overlap), c, e], nd.state)
+        for d, nd, c, e in zip(delays, nds, concurrence.tolist(), e_p.tolist())
+    ]
 
 
 def cmd_concurrence(args) -> int:
     sigma = _sigma_from_args(args)
-    ((values, _),) = _theta_rows(
-        _theta_values(args.theta_deg),
-        [_delay_values(args.delay_um, sigma, args.overlap_convention)],
+    ((values, _),) = _point_values(
+        args.theta_deg, [_delay_values(args.delay_um, sigma, args.overlap_convention)]
     )
+    _, _, spatial_overlap, paper, quadrature, _, c_wootters, e_p = values
     lines = [
         ("theta_deg", args.theta_deg),
         ("delay_um", args.delay_um),
         ("sigma_um", sigma),
-        ("spatial_overlap", values["spatial_overlap"]),
-        ("overlap_paper", values["overlap_paper"]),
-        ("overlap_quadrature", values["overlap_quadrature"]),
+        ("spatial_overlap", spatial_overlap),
+        ("overlap_paper", paper),
+        ("overlap_quadrature", quadrature),
         ("C", optics.concurrence_optical(args.theta_deg, args.delay_um, sigma)),
-        ("C_wootters", values["c_wootters_normalized"]),
-        ("E_P", values["e_p"]),
+        ("C_wootters", c_wootters),
+        ("E_P", e_p),
     ]
     for name, val in lines:
         print(f"{name:<20} = {val:.6f}")
@@ -235,9 +203,10 @@ def cmd_concurrence(args) -> int:
 def _write_table(
     path: Optional[str], fmt: str, columns: Sequence[str], rows, metadata: dict
 ) -> None:
-    """Write `rows` as CSV or JSON to `path`, or to stdout for None or '-'.
-    A path that cannot be opened raises `ValueError`, a usage error, before
-    any byte is written."""
+    """Write `rows`, each a sequence of numbers in `columns` order, as CSV or
+    JSON to `path`, or to stdout for None or '-'.  A CSV cell is `%.12g` of
+    the number plus 0.0, which prints -0.0 as 0.  A path that cannot be
+    opened raises `ValueError`, a usage error, before any byte is written."""
     if path is None or path == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
@@ -247,14 +216,13 @@ def _write_table(
             raise ValueError(f"cannot write {path!r}: {exc}") from exc
     with target as handle:
         if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in columns])
+            handle.write(",".join(columns) + "\n")
+            line = ",".join(["%.12g"] * len(columns)) + "\n"
+            handle.writelines(line % tuple(x + 0.0 for x in row) for row in rows)
         else:
             payload = {
                 "metadata": metadata,
-                "rows": [{c: row[c] for c in columns} for row in rows],
+                "rows": [dict(zip(columns, row)) for row in rows],
             }
             json.dump(payload, handle, indent=2)
             handle.write("\n")
@@ -263,12 +231,11 @@ def _write_table(
 def cmd_sweep(args) -> int:
     sigma = _sigma_from_args(args)
     columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
-    # what depends on one axis only is computed once per grid value
-    thetas = [_theta_values(theta) for theta in args.theta_grid]
+    # what depends on the delay only is computed once per delay
     delays = [_delay_values(delay, sigma, args.overlap_convention) for delay in args.delay_grid]
     rows = []
-    for theta in thetas:
-        for values, rho in _theta_rows(theta, delays):
+    for theta in args.theta_grid:
+        for values, rho in _point_values(theta, delays):
             if args.noisy:
                 rates = optics.xstate_rates(rho, args.shots)
                 try:
@@ -277,9 +244,7 @@ def cmd_sweep(args) -> int:
                 except ValueError as exc:
                     raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
                 c = optics.xstate_concurrence(counts)
-                values["c_mc_mean"], values["c_mc_stddev"] = (
-                    float(np.mean(c)), float(np.std(c, ddof=1))
-                )
+                values += [float(np.mean(c)), float(np.std(c, ddof=1))]
             rows.append(values)
     metadata = {
         "command": "sweep",
@@ -316,7 +281,7 @@ def cmd_hom(args) -> int:
     # output: a block too large to fit leaves no half-written table
     fits = optics.fit_gaussian_dip(delays, block, poisson_weights=args.noisy)
 
-    rows = [{"delay_um": l, "counts": float(c)} for l, c in zip(delays, block[0])]
+    rows = [(l, float(c)) for l, c in zip(delays, block[0])]
     metadata = {
         "command": "hom",
         "version": __version__,

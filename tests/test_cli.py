@@ -358,9 +358,7 @@ def _assert_noisy_sweep_row_matches_a_per_run_loop(extra_argv, shots, capsys):
     argv += extra_argv + ["--runs", "40", "--seed", "5", "--format", "json"]
     assert main(argv) == EXIT_OK
     row = json.loads(capsys.readouterr().out)["rows"][1]
-    ((_, rho),) = cli._theta_rows(
-        cli._theta_values(22.5), [cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")]
-    )
+    ((_, rho),) = cli._point_values(22.5, [cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")])
     p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
     rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * shots
     rng = np.random.default_rng([5, 1])
@@ -497,6 +495,50 @@ def test_sweep_json_payload(tmp_path):
     assert meta["overlap_convention"] == "fitted"
     assert len(payload["rows"]) == 4
     assert set(payload["rows"][0]) == set(SWEEP_HEADER.split(","))
+
+
+def test_a_negative_zero_grid_prints_zero_in_csv_and_keeps_its_sign_in_json(capsys):
+    argv = ["sweep", "--theta-grid=-0", "--delay-grid=-0"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [SWEEP_HEADER, "0,0,0,1,1,0,0,0"]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    meta, (row,) = payload["metadata"], payload["rows"]
+    for value in (*meta["theta_grid"], *meta["delay_grid"], row["theta_deg"], row["delay_um"]):
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+
+def test_csv_cells_read_as_the_csv_module_writes_each_twelve_digit_number(tmp_path):
+    columns = ("a", "b", "c")
+    rows = [(-0.0, 5e-324, 1e300), (-12.5, 1 / 3, 2.0**53)]
+    path = tmp_path / "table.csv"
+    cli._write_table(str(path), "csv", columns, rows, {})
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format(x + 0.0, ".12g") for x in row])
+    assert path.read_bytes() == reference.getvalue().encode()
+
+
+@pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
+@pytest.mark.parametrize("theta, delay", (("22.5", "0"), ("10", "-30"), ("40", "70"), ("0", "300")))
+def test_concurrence_prints_the_row_of_a_one_point_sweep(theta, delay, convention, capsys):
+    options = ["--overlap-convention", convention]
+    assert main(["concurrence", "--theta-deg", theta, "--delay-um=" + delay] + options) == EXIT_OK
+    printed = dict(
+        (part.strip() for part in line.split("=")) for line in capsys.readouterr().out.splitlines()
+    )
+    assert main(["sweep", "--theta-grid", theta, "--delay-grid=" + delay] + options) == EXIT_OK
+    (row,) = _read_csv(capsys.readouterr().out)
+    for name, column in (
+        ("spatial_overlap", "spatial_overlap"),
+        ("overlap_paper", "overlap_paper"),
+        ("overlap_quadrature", "overlap_quadrature"),
+        ("C_wootters", "c_wootters_normalized"),
+        ("E_P", "e_p"),
+    ):
+        assert printed[name] == format(float(row[column]), ".6f")
 
 
 def test_overlap_convention_changes_the_pipeline_columns(capsys):
