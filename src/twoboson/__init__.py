@@ -38,7 +38,6 @@ from .nolabel_algebra import (
     expand_in_detector_basis,
     postselect_one_per_detector,
     project_single,
-    symmetric_state,
     transition_two,
 )
 from .entanglement import (

@@ -127,25 +127,9 @@ class SingleParticleState:
     dist: DistVector
 
     @property
-    def sort_key(self) -> tuple[float, ...]:
-        # deterministic total order on (mode amplitudes, spin, dist vector),
-        # used to canonicalize unordered pairs
-        sp = self.spatial
-        return (
-            sp.a_l.real, sp.a_l.imag, sp.a_r.real, sp.a_r.imag,
-            float(self.spin.value),
-            *(x for a in self.dist.amplitudes for x in (a.real, a.imag)),
-        )
-
-    @property
     def detector_mode(self) -> Optional[str]:
         """The detector mode of the spatial part: 'L', 'R' or None."""
         return self.spatial.detector_mode
-
-    def __hash__(self) -> int:
-        # equal states have equal keys (0.0 == -0.0 hash alike), and a float
-        # tuple hashes the same in every process, unlike the enum's str hash
-        return hash(self.sort_key)
 
 
 def inner_single(x: SingleParticleState, y: SingleParticleState) -> complex:

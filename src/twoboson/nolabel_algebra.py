@@ -20,7 +20,6 @@ independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .core_state import (
     SingleParticleState,
     SpatialAmplitudes,
     Spin,
+    _check_dist_dims,
     inner_single,
 )
 
@@ -51,11 +51,10 @@ class NotDetectorBasisError(ValueError):
 class SymmetricTwoBosonState:
     """Linear combination of unordered two-boson kets.
 
-    :func:`symmetric_state` builds one from any terms: it canonicalizes pair
-    order, merges duplicate kets, and drops exact-zero coefficients, making
-    the bosonic symmetry |A,B> = |B,A> structural rather than asserted.
-    :func:`expand_in_detector_basis` and :func:`postselect_one_per_detector`
-    build their canonical states directly.
+    Each pair appears once, in a fixed order, with a nonzero coefficient, so
+    the bosonic symmetry |A,B> = |B,A> is structural rather than asserted.
+    :func:`expand_in_detector_basis` builds such a state directly, and
+    :func:`postselect_one_per_detector` keeps it so.
     """
 
     terms: tuple[tuple[complex, Pair], ...]
@@ -64,31 +63,6 @@ class SymmetricTwoBosonState:
     def num_terms(self) -> int:
         # read by the post-selection counter of perfbench/spans.py
         return len(self.terms)
-
-
-def _basis_mismatch(dim: int, other: int) -> ValueError:
-    return ValueError(
-        "all terms of a two-boson state must share one "
-        f"distinguishability basis (dimension {dim} vs {other})"
-    )
-
-
-def symmetric_state(
-    terms: Iterable[tuple[complex, Pair]],
-) -> SymmetricTwoBosonState:
-    merged: dict[Pair, complex] = {}
-    dim: Optional[int] = None
-    for coeff, (a, b) in terms:
-        pair = (a, b) if a.sort_key <= b.sort_key else (b, a)
-        for st in pair:
-            if dim is None:
-                dim = st.dist.dim
-            elif st.dist.dim != dim:
-                raise _basis_mismatch(dim, st.dist.dim)
-        merged[pair] = merged.get(pair, 0j) + complex(coeff)
-    kept = [(c, p) for p, c in merged.items() if c != 0j]
-    kept.sort(key=lambda item: (item[1][0].sort_key, item[1][1].sort_key))
-    return SymmetricTwoBosonState(tuple(kept))
 
 
 def transition_two(bra: Pair, ket: Pair) -> complex:
@@ -142,17 +116,15 @@ def expand_in_detector_basis(
         )
     al, ar = p_a.spatial.a_l, p_a.spatial.a_r
     bl, br = p_b.spatial.a_l, p_b.spatial.a_r
-    if p_b.dist.dim != p_a.dist.dim:
-        raise _basis_mismatch(p_a.dist.dim, p_b.dist.dim)
+    _check_dist_dims(p_a.dist, p_b.dist)
     l_up_a = SingleParticleState(DETECTOR_L, Spin.UP, p_a.dist)
     r_up_a = SingleParticleState(DETECTOR_R, Spin.UP, p_a.dist)
     l_dn_b = SingleParticleState(DETECTOR_L, Spin.DOWN, p_b.dist)
     r_dn_b = SingleParticleState(DETECTOR_R, Spin.DOWN, p_b.dist)
-    # the four kets are distinct, so the canonical form `symmetric_state`
-    # would build needs no merge, only the exact zeros dropped (0j + c turns a
-    # -0.0 part into +0.0 as the merge's sum does); its order is fixed, since
-    # DETECTOR_R sorts before DETECTOR_L and up before down, so no
-    # distinguishability vector is ever compared
+    # the four kets are distinct, so no duplicate needs merging, only the
+    # exact zeros dropped (0j + c turns a -0.0 part into +0.0, as a sum of
+    # duplicates would); their order is fixed, R before L and up before down,
+    # so no distinguishability vector is ever compared
     kept = [
         (0j + coeff, pair)
         for coeff, pair in (

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from twoboson import optics, verification
+from twoboson.core_state import _check_dist_dims
+from twoboson.nolabel_algebra import SymmetricTwoBosonState
 
 settings.register_profile(
     "deterministic",
@@ -38,3 +40,44 @@ def fit_row():
         return outcome
 
     return fit
+
+
+def _sort_key(s):
+    # a total order on (mode amplitudes, spin, dist vector), which puts the
+    # two states of an unordered pair in canonical order
+    sp = s.spatial
+    return (
+        sp.a_l.real, sp.a_l.imag, sp.a_r.real, sp.a_r.imag,
+        float(s.spin.value),
+        *(x for a in s.dist.amplitudes for x in (a.real, a.imag)),
+    )
+
+
+@pytest.fixture
+def sort_key():
+    """The canonical order key of a single-particle state."""
+    return _sort_key
+
+
+@pytest.fixture
+def symmetric_state():
+    """Build the canonical two-boson state of any (coefficient, pair) terms:
+    pairs put in canonical order, duplicate kets merged, exact-zero
+    coefficients dropped, terms sorted. The reference that the package's own
+    expansion must reproduce bit for bit."""
+
+    def build(terms):
+        merged = {}
+        basis = None
+        for coeff, (a, b) in terms:
+            pair = (a, b) if _sort_key(a) <= _sort_key(b) else (b, a)
+            for st in pair:
+                if basis is None:
+                    basis = st.dist
+                _check_dist_dims(basis, st.dist)
+            merged[pair] = merged.get(pair, 0j) + complex(coeff)
+        kept = [(c, p) for p, c in merged.items() if c != 0j]
+        kept.sort(key=lambda item: (_sort_key(item[1][0]), _sort_key(item[1][1])))
+        return SymmetricTwoBosonState(tuple(kept))
+
+    return build

@@ -121,6 +121,11 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         (["sweep", "--noisy", "--shots", "inf"], "finite"),
         (["sweep", "--noisy", "--runs", "1"], "--runs >= 2"),
         (["hom", "--noisy", "--runs", "1"], "--runs >= 2"),
+        (["hom", "--runs", "-3", "--format", "json"], "--runs >= 2 for an error bar, got -3"),
+        (
+            ["sweep", "--runs", "0", "--theta-grid", "10", "--delay-grid", "0", "--format", "json"],
+            "--runs >= 2 for an error bar, got 0",
+        ),
         (["hom", "--delay-grid", "0,1,2"], "at least 5 distinct delays"),
         (["hom", "--delay-grid", "0,0,0,0,300"], "at least 5 distinct delays"),
         (["hom", "--visibility", "1.5"], "error: visibility must lie in [0, 1]"),

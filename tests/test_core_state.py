@@ -118,7 +118,7 @@ def test_spin_density_matrix_is_read_only():
         rho.matrix[0, 0] = 9.0
 
 
-# --- keys and detector modes, fresh and copied --------------------------------
+# --- detector modes and canonical keys, fresh and copied ----------------------
 
 
 def _fresh_key(s):
@@ -166,22 +166,32 @@ def test_equal_states_built_apart_hash_alike():
     assert len({build(0.0), build(-0.0)}) == 1
 
 
-def test_keys_and_modes_match_a_fresh_computation_and_survive_copies():
+def _copies(s):
+    return (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s))
+
+
+def test_modes_match_a_fresh_computation_and_survive_copies():
     states = _states_with_keys()
     assert {s.detector_mode for s in states} == {"L", "R", None}
     for s in states:
         s.dist.overlap(s.dist)  # `detector_mode` is filled above; fill `array` before copying
-        for t in (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
+        for t in _copies(s):
             assert t == s
-            assert t.sort_key == _fresh_key(s)
-            assert hash(t) == hash(_fresh_key(s))
+            assert hash(t) == hash(s)
             assert t.detector_mode == _fresh_mode(s)
             _assert_read_only_amplitudes(t.dist)
-    moved = dataclasses.replace(states[0], spin=Spin.DOWN if states[0].spin is Spin.UP else Spin.UP)
-    assert moved.sort_key == _fresh_key(moved) != states[0].sort_key
     # every detector-definite state holds one of the two shared mode amplitudes
     shared = {id(s.spatial) for s in states if s.detector_mode is not None}
     assert shared == {id(DETECTOR_L), id(DETECTOR_R)}
+
+
+def test_canonical_keys_match_a_fresh_computation_and_survive_copies(sort_key):
+    states = _states_with_keys()
+    for s in states:
+        for t in _copies(s):
+            assert sort_key(t) == _fresh_key(s)
+    moved = dataclasses.replace(states[0], spin=Spin.DOWN if states[0].spin is Spin.UP else Spin.UP)
+    assert sort_key(moved) == _fresh_key(moved) != sort_key(states[0])
 
 
 def test_dist_vector_array_is_a_read_only_copy_of_the_amplitudes():

@@ -28,9 +28,9 @@ from twoboson.entanglement import (
 )
 from twoboson.fq_oracle import oracle_postselected_density, symmetrize
 from twoboson.nolabel_algebra import (
+    SymmetricTwoBosonState,
     expand_in_detector_basis,
     postselect_one_per_detector,
-    symmetric_state,
 )
 from twoboson.optics import dist_vectors_for_overlap, spatial_amplitudes_from_theta
 from twoboson.verification import random_state, random_updown_pair
@@ -92,7 +92,7 @@ def test_trace_rejects_double_occupancy_terms():
 
 
 def test_trace_of_empty_state_is_zero():
-    rho = trace_out_distinguishability(symmetric_state([]))
+    rho = trace_out_distinguishability(SymmetricTwoBosonState(()))
     assert rho.weight == 0.0
     assert np.allclose(rho.matrix, 0.0)
 

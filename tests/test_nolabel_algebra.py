@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twoboson.core_state import (
     ATOL_EXACT,
+    BasisMismatchError,
     DistVector,
     SingleParticleState,
     SpatialAmplitudes,
@@ -25,7 +26,6 @@ from twoboson.nolabel_algebra import (
     expand_in_detector_basis,
     postselect_one_per_detector,
     project_single,
-    symmetric_state,
     transition_two,
 )
 from twoboson.optics import dist_vectors_for_overlap, spatial_amplitudes_from_theta
@@ -107,7 +107,7 @@ def test_projection_then_contraction_reproduces_the_transition_rule():
 # --- canonical term handling -----------------------------------------------
 
 
-def test_unordered_pairs_merge_structurally():
+def test_unordered_pairs_merge_structurally(symmetric_state):
     rng = np.random.default_rng(34)
     a, b = random_state(rng, 2), random_state(rng, 2)
     s = symmetric_state([(0.25 + 0j, (a, b)), (0.5 + 0j, (b, a))])
@@ -115,18 +115,27 @@ def test_unordered_pairs_merge_structurally():
     assert s.terms[0][0] == pytest.approx(0.75 + 0j)
 
 
-def test_exact_zero_terms_are_dropped():
+def test_exact_zero_terms_are_dropped(symmetric_state):
     rng = np.random.default_rng(35)
     a, b = random_state(rng, 2), random_state(rng, 2)
     s = symmetric_state([(0.5 + 0j, (a, b)), (-0.5 + 0j, (b, a))])
     assert s.num_terms == 0
 
 
-def test_mixed_dist_dimensions_are_rejected():
+def test_mixed_dist_dimensions_are_rejected(symmetric_state):
     a = _state(1.0, 0.0, Spin.UP, (1.0,))
     b = _state(0.0, 1.0, Spin.UP, (1.0, 0.0))
-    with pytest.raises(ValueError, match="distinguishability basis"):
+    with pytest.raises(BasisMismatchError, match="distinguishability bases"):
         symmetric_state([(1.0 + 0j, (a, b))])
+    # the expansion raises the same error as the merge of its raw terms
+    rng = np.random.default_rng(42)
+    pa, _ = random_updown_pair(rng, 2)
+    _, pb = random_updown_pair(rng, 3)
+    with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as merged:
+        symmetric_state(_raw_terms(pa, pb))
+    with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as direct:
+        expand_in_detector_basis(pa, pb)
+    assert str(direct.value) == str(merged.value)
 
 
 # --- detector-basis expansion ----------------------------------------------
@@ -199,7 +208,7 @@ def _updown(alphas, betas, da, db):
     return SingleParticleState(alphas, Spin.UP, da), SingleParticleState(betas, Spin.DOWN, db)
 
 
-def test_expansion_is_the_canonical_state_of_its_raw_terms():
+def test_expansion_is_the_canonical_state_of_its_raw_terms(symmetric_state, sort_key):
     rng = np.random.default_rng(41)
     pairs = [random_updown_pair(rng, d) for d in (1, 2, 3, 4) for _ in range(15)]
     da, db = dist_vectors_for_overlap(0.4)
@@ -223,22 +232,11 @@ def test_expansion_is_the_canonical_state_of_its_raw_terms():
         assert len(got) == len(want)
         for (c, (x, y)), (c_ref, (x_ref, y_ref)) in zip(got, want):
             assert (x, y) == (x_ref, y_ref)
-            assert x.sort_key == x_ref.sort_key and y.sort_key == y_ref.sort_key
+            assert sort_key(x) == sort_key(x_ref) and sort_key(y) == sort_key(y_ref)
             assert _bits(c) == _bits(c_ref)
     # theta 0 sends A to R and B to L, so three of the terms are exact zeros
     at_zero = _updown(*spatial_amplitudes_from_theta(0.0), da, db)
     assert len(expand_in_detector_basis(*at_zero).terms) == 1
-
-
-def test_expansion_rejects_mixed_dimensions_as_the_merge_does():
-    rng = np.random.default_rng(42)
-    pa, _ = random_updown_pair(rng, 2)
-    _, pb = random_updown_pair(rng, 3)
-    with pytest.raises(ValueError) as merged:
-        symmetric_state(_raw_terms(pa, pb))
-    with pytest.raises(ValueError, match=r"\(dimension 2 vs 3\)") as direct:
-        expand_in_detector_basis(pa, pb)
-    assert str(direct.value) == str(merged.value)
 
 
 def test_dist_vector_rides_with_its_spin():
@@ -288,7 +286,7 @@ def test_postselection_is_idempotent(theta):
     assert postselect_one_per_detector(once) == once
 
 
-def test_postselection_rejects_unexpanded_states():
+def test_postselection_rejects_unexpanded_states(symmetric_state):
     rng = np.random.default_rng(39)
     a, b = random_state(rng, 2), random_state(rng, 2)
     with pytest.raises(NotDetectorBasisError):
