@@ -127,15 +127,6 @@ def test_mixed_dist_dimensions_are_rejected(symmetric_state):
     b = _state(0.0, 1.0, Spin.UP, (1.0, 0.0))
     with pytest.raises(BasisMismatchError, match="distinguishability bases"):
         symmetric_state([(1.0 + 0j, (a, b))])
-    # the expansion raises the same error as the merge of its raw terms
-    rng = np.random.default_rng(42)
-    pa, _ = random_updown_pair(rng, 2)
-    _, pb = random_updown_pair(rng, 3)
-    with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as merged:
-        symmetric_state(_raw_terms(pa, pb))
-    with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as direct:
-        expand_in_detector_basis(pa, pb)
-    assert str(direct.value) == str(merged.value)
 
 
 # --- detector-basis expansion ----------------------------------------------
@@ -237,6 +228,17 @@ def test_expansion_is_the_canonical_state_of_its_raw_terms(symmetric_state, sort
     # theta 0 sends A to R and B to L, so three of the terms are exact zeros
     at_zero = _updown(*spatial_amplitudes_from_theta(0.0), da, db)
     assert len(expand_in_detector_basis(*at_zero).terms) == 1
+
+
+def test_expansion_rejects_mixed_dimensions_as_the_merge_does(symmetric_state):
+    rng = np.random.default_rng(42)
+    pa, _ = random_updown_pair(rng, 2)
+    _, pb = random_updown_pair(rng, 3)
+    with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as merged:
+        symmetric_state(_raw_terms(pa, pb))
+    with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as direct:
+        expand_in_detector_basis(pa, pb)
+    assert str(direct.value) == str(merged.value)
 
 
 def test_dist_vector_rides_with_its_spin():
