@@ -34,11 +34,12 @@ one iteration count over all its passes, and one stacked pass builds every
 fitted row's result and its covariance from the QR triangle of its
 Jacobian.  A Poisson-weighted row ends at the fixed point of reweighting
 from its own model, which solves the Poisson score equation wherever the
-model is at least 1.  Each row gets the bits of its own fit.  An unweighted
-row is fitted, and its covariance worked, in units of a power of two near
-its largest count, so an exact dip is recovered at any count scale the
-float range holds.  The fitter is the one place that decides each row's
-outcome, a `FitResult` or a `FitError`, the rule for a dip the scan does
+model is at least 1; its observed-weight pass is only the seed of that
+one, and hands over at the looser `FIT_SEED_TOL`.  Each row gets the bits
+of its own fit.  An unweighted row is fitted, and its covariance worked, in
+units of a power of two near its largest count, so an exact dip is
+recovered at any count scale the float range holds.  The fitter is the one place that decides each row's
+outcome, a `FitResult` or a `FitError`, the rules for a dip the scan does
 not resolve included.
 `monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
 error bars, leaving out the runs that are a `FitError`.  No hidden global
@@ -315,6 +316,10 @@ _STEP_CHUNKS = np.split(np.ldexp(1.0, -np.arange(31)), [1, 3, 7, 15, 23])
 FIT_MAX_ITER = 200
 #: relative step below which a Gauss-Newton pass has converged
 FIT_STEP_TOL = 1e-10
+#: relative step below which a Poisson-weighted row's observed-weight pass,
+#: only the seed of its reweighted pass, hands over to that pass; the
+#: reweighted pass ends at a fixed point that does not depend on its start
+FIT_SEED_TOL = 1e-5
 
 
 class DipFits(NamedTuple):
@@ -342,7 +347,8 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     of points, depth from baseline minus the minimum, center at the minimum,
     width from the half-depth crossings.  Each Gauss-Newton step is halved
     until the residual decreases, so the objective is monotone; a pass
-    stops when the relative step falls below `FIT_STEP_TOL`.  A row keeps
+    stops when the relative step falls below `FIT_STEP_TOL` (a weighted
+    row's seed pass below `FIT_SEED_TOL`, see below).  A row keeps
     one iteration count over all its passes and fails with the best-so-far
     parameters once it reaches `FIT_MAX_ITER`.  The
     line search evaluates only the model terms; the Jacobian is built from
@@ -364,14 +370,18 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     row is fitted in counts, the unit of its weights' floor.
 
     With `poisson_weights` the fit is iteratively reweighted: a first pass
-    uses 1/sqrt(max(count, 1)) weights until its step converges, then one
-    more pass rebuilds the weights from the current model at the start of
-    every round, and each round's line search compares sums of squares at
-    that round's weights, until the step converges again.  That pass ends at
-    the fixed point of the reweighting, where J^T W (y - model) = 0 with
+    uses 1/sqrt(max(count, 1)) weights, then one more pass rebuilds the
+    weights from the current model at the start of every round, and each
+    round's line search compares sums of squares at that round's weights,
+    until the step converges below `FIT_STEP_TOL`.  That pass ends at the
+    fixed point of the reweighting, where J^T W (y - model) = 0 with
     W = 1 / max(model, 1): the Poisson likelihood's score equation wherever
-    the model is at least 1.  Observed-count weights pull the curve toward
-    downward count fluctuations; model-based weights remove that bias.
+    the model is at least 1.  The fixed point does not depend on where the
+    pass starts, so the observed-weight pass is only its seed: it hands
+    over once its relative step falls below `FIT_SEED_TOL`, and
+    `FIT_MAX_ITER` counts both passes.  Observed-count weights pull the
+    curve toward downward count fluctuations; model-based weights remove
+    that bias.
     Quoted uncertainties for this mode are deliberately conservative: a
     robust covariance built on the small-count variance (1 + sqrt(m + 0.75))^2
     per point, the usual max(1, chi^2/dof) scale, and the Monte-Carlo-derived
@@ -386,9 +396,13 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     `FitConvergenceError` at the iteration cap;
     `NoDipError` for a converged depth <= 0; a plain `FitError` for a fit
     any of whose fields is not finite, as counts near the float range give;
-    and, with `poisson_weights` only, `NoDipError` for a converged fit whose
+    with `poisson_weights` only, `NoDipError` for a converged fit whose
     FWHM is wider than the span of `delays` or whose baseline is <= 0, which
-    resolves no dip.  An unweighted (exact) fit is reported as it converged.
+    resolves no dip; and, weighted or not, `NoDipError` for a converged fit
+    whose FWHM is narrower than the smallest spacing of the distinct
+    `delays`, a spike between the scanned points that resolves no dip
+    either.  An unweighted (exact) fit of a dip wider than the scan is
+    reported as it converged.
     `n_iter` is every iteration the block ran, whatever each row's outcome.
     Bad input (fewer than 5 distinct delays, negative counts, a block of the
     wrong shape) raises `ValueError` for the whole block.
@@ -423,8 +437,10 @@ def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
     results = _fit_results(
         p[fitted], l, y[fitted], sse[fitted], n_iter[fitted], e[fitted], poisson_weights
     )
+    gaps = np.diff(l)
+    spacing = gaps[gaps > 0.0].min()  # of the distinct delays
     for i, result in zip(fitted, results):
-        outcomes[i] = _outcome(result, converged[i], l[-1] - l[0], poisson_weights)
+        outcomes[i] = _outcome(result, converged[i], l[-1] - l[0], spacing, poisson_weights)
     return DipFits(outcomes, int(n_iter.sum()))
 
 
@@ -439,8 +455,9 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     was not finite or its solve raised `LinAlgError`.
     Each round takes one step on every row still iterating.  A row that
     ends a pass leaves the working arrays, unless it is a Poisson-weighted
-    row whose first pass converged: that row goes on to its reweighted
-    pass, whose weights are rebuilt from the current model every round.
+    row whose first pass converged, to `FIT_SEED_TOL`: that row goes on to
+    its reweighted pass, whose weights are rebuilt from the current model
+    every round.
     """
     runs, n = y.shape
     n_edge = max(1, int(round(0.1 * n)))
@@ -530,7 +547,8 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             rel_step = np.linalg.norm(move, axis=1) / np.maximum(
                 np.linalg.norm(p[took], axis=1), 1.0
             )
-            conv[took] = ends[took] = rel_step < FIT_STEP_TOL
+            seeding = ~reweighted[took] & poisson_weights  # on the observed-weight pass
+            conv[took] = ends[took] = rel_step < np.where(seeding, FIT_SEED_TOL, FIT_STEP_TOL)
             pick = np.flatnonzero(hit) * k + nth  # into the candidates
             p[took] = cand[pick]
             sse[took], u[took], g[took], r[took] = (
@@ -621,9 +639,13 @@ def _fit_results(
     return [FitResult(*f, n) for f, n in zip(fields.tolist(), n_iter.tolist())]
 
 
-def _outcome(result: FitResult, converged: bool, span: float, poisson_weights: bool):
+def _outcome(
+    result: FitResult, converged: bool, span: float, spacing: float, poisson_weights: bool
+):
     """A fitted row's outcome: its `result`, or the `FitError` the result
-    ends in, checked in the order `fit_gaussian_dip` lists."""
+    ends in, checked in the order `fit_gaussian_dip` lists.  `span` is the
+    span of the delays and `spacing` the smallest spacing of the distinct
+    ones."""
     if not converged:
         return FitConvergenceError(
             f"no convergence after {FIT_MAX_ITER} iterations "
@@ -639,6 +661,11 @@ def _outcome(result: FitResult, converged: bool, span: float, poisson_weights: b
         return NoDipError(
             f"fitted FWHM {result.fwhm_um:.6g} um and baseline "
             f"{result.baseline:.6g} resolve no dip over a {span:.6g} um scan"
+        )
+    if result.fwhm_um < spacing:
+        return NoDipError(
+            f"fitted FWHM {result.fwhm_um:.6g} um is narrower than the "
+            f"{spacing:.6g} um delay spacing and resolves no dip"
         )
     return result
 

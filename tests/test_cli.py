@@ -667,13 +667,29 @@ def test_hom_leaves_out_a_few_failed_resample_fits(capsys):
 
 
 def test_hom_fails_when_too_many_resample_fits_fail(capsys):
-    # the printed fit resolves the dip (FWHM 144 um); 16 resamples do not
+    # the printed fit resolves the dip (FWHM 144 um); 16 resamples do not,
+    # the first of them, run 8, at the iteration cap
     argv = ["hom", "--noisy", "--baseline", "4", "--seed", "1"]
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert "fit: fwhm_um     = 144.093862" in captured.out
     assert "monte carlo failed: 16 of 100 resample fits failed" in captured.err
-    assert "resolve no dip over a 600 um scan" in captured.err
+    assert "first on run 8: no convergence after 200 iterations" in captured.err
+    assert "mc (" not in captured.out
+
+
+def test_a_resample_fit_wider_than_the_scan_is_named_on_stderr(capsys):
+    # the printed fit resolves the dip (FWHM 122 um); 14 resamples do not,
+    # the first of them, run 5, under the scan rule
+    argv = ["hom", "--noisy", "--baseline", "4", "--seed", "5"]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "fit: fwhm_um     = 122.061564" in captured.out
+    assert captured.err == (
+        "monte carlo failed: 14 of 100 resample fits failed, more than 10%; first on "
+        "run 5: fitted FWHM 82458.2 um and baseline 339.176 resolve no dip over a "
+        "600 um scan\n"
+    )
     assert "mc (" not in captured.out
 
 
@@ -722,6 +738,22 @@ def test_noiseless_hom_fits_a_dip_wider_than_the_scan(capsys):
     assert abs(_fit_value(text, "fwhm_um") - 650.0) < 1e-4
 
 
+def test_hom_refuses_a_fit_narrower_than_the_delay_spacing(capsys):
+    # an exact 10 um dip on the default 10 um steps fits to a 0.53 um spike
+    # with errors near 1e42: the command fails after the table
+    assert main(["hom", "--fwhm-um", "10"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "fit failed: fitted FWHM 0.530157 um is narrower than the 10 um delay "
+        "spacing and resolves no dip\n"
+    )
+    assert len(_read_csv(captured.out)) == 61
+    assert _report_lines(captured.out) == []
+    # a 15 um dip is resolved, and fitted exactly
+    assert main(["hom", "--fwhm-um", "15"]) == EXIT_OK
+    assert "fit: fwhm_um     = 15.000000 +/- 0.000000" in _report_lines(capsys.readouterr().out)
+
+
 def _report_lines(out: str) -> list:
     """The fit and Monte Carlo lines `hom` prints after its count table."""
     return [line for line in out.splitlines() if line.startswith(("fit:", "mc ("))]
@@ -767,10 +799,11 @@ def test_noisy_hom_golden_fit_and_error_bars(capsys):
 #: --fwhm-um 137 --noisy --runs 100 --seed 1`, as the block fit gives them
 #: with one stacked Householder QR least-squares step per Gauss-Newton round
 #: and one stacked result pass, whose covariance comes from the QR triangle
-#: of the weighted Jacobian.  Each run's second pass reweights from the
-#: current model every round and stops at the fixed point of that
-#: reweighting, not after two reweighted passes
-HOM_SEED_1_FITS_SHA256 = "053952fed2366463b43f5e5afc2f518761ad2d1ae780fc87abffb811c68b4651"
+#: of the weighted Jacobian.  Each run's observed-weight pass is only a
+#: seed and hands over at a relative step of `optics.FIT_SEED_TOL`; its
+#: second pass reweights from the current model every round and stops at
+#: the fixed point of that reweighting
+HOM_SEED_1_FITS_SHA256 = "152dc3bdb45f8fd1d07c6e75c24cb6b628fbdbd54a560773e4457cf517d26061"
 
 
 def test_noisy_hom_resample_fits_keep_their_bits(monkeypatch, capsys):

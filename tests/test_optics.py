@@ -680,10 +680,11 @@ def test_a_weighted_fit_is_the_fixed_point_of_model_reweighting(baseline):
         assert np.all(np.abs(score) <= 1e-6 * scale)
 
 
-@pytest.mark.parametrize("baseline, at_least", ((3.0, 310), (5.0, 473), (10.0, 500)))
+@pytest.mark.parametrize("baseline, at_least", ((3.0, 326), (5.0, 479), (10.0, 500)))
 def test_low_count_weighted_fits_keep_their_yield(baseline, at_least):
     # counts of a few per point: of 500 rows (seeds 0-4), no fewer may be a
-    # `FitResult` than two whole reweighted passes gave
+    # `FitResult` than the fit gives with its seed pass handed over at
+    # `FIT_SEED_TOL` and the delay-spacing rule
     delays, rates = _dip_rates(1.0, 132.0, baseline)
     fitted = sum(
         isinstance(o, FitResult)
@@ -691,6 +692,35 @@ def test_low_count_weighted_fits_keep_their_yield(baseline, at_least):
         for o in fit_gaussian_dip(delays, simulate_counts(rates, seed, 100), True).outcomes
     )
     assert fitted >= at_least
+
+
+#: each fitted value of a `FitResult` and its quoted 1-sigma error
+_QUOTED = (
+    ("baseline", "baseline_err"), ("depth", "depth_err"), ("center_um", "center_err"),
+    ("fwhm_um", "fwhm_err"), ("visibility", "visibility_err"),
+)
+
+
+@pytest.mark.parametrize("baseline", (3.0, 5.0, 10.0))
+def test_the_seed_pass_hands_over_early_at_no_cost(baseline, monkeypatch):
+    # the reweighted pass ends at a fixed point that does not depend on
+    # where it starts: a seed pass that runs on to FIT_STEP_TOL, as the
+    # reference, loses no fit to the early hand-over and moves none by as
+    # much as 1e-6 of its quoted error, in more iterations
+    delays, rates = _dip_rates(1.0, 132.0, baseline)
+    blocks = [simulate_counts(rates, seed, 100) for seed in range(5)]
+    with monkeypatch.context() as m:
+        m.setattr(optics, "FIT_SEED_TOL", optics.FIT_STEP_TOL)
+        references = [fit_gaussian_dip(delays, block, True) for block in blocks]
+    for block, reference in zip(blocks, references):
+        fits = fit_gaussian_dip(delays, block, True)
+        assert fits.n_iter < reference.n_iter
+        for got, want in zip(fits.outcomes, reference.outcomes):
+            if isinstance(want, FitResult):
+                assert isinstance(got, FitResult)
+                for value, err in _QUOTED:
+                    moved = abs(getattr(got, value) - getattr(want, value))
+                    assert moved < 1e-6 * getattr(want, err)
 
 
 def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
@@ -716,6 +746,19 @@ def test_a_counting_noise_fit_wider_than_the_scan_resolves_no_dip(fit_row):
     )
     # an unweighted fit is reported as it converged
     assert isinstance(fit_row(delays, counts), FitResult)
+
+
+@pytest.mark.parametrize("poisson_weights", (False, True))
+def test_a_fit_narrower_than_the_delay_spacing_resolves_no_dip(poisson_weights, fit_row):
+    # one low point on a flat 1000-count scan converges to a spike a few um
+    # wide between 10 um steps; listing every delay twice adds zero gaps,
+    # which are not a spacing
+    delays = np.linspace(-300.0, 300.0, 61)
+    counts = np.full(61, 1000.0)
+    counts[30] = 10.0
+    for d, y in ((delays, counts), (np.tile(delays, 2), np.tile(counts, 2))):
+        with pytest.raises(NoDipError, match=r"narrower than the 10 um delay spacing"):
+            fit_row(d, y, poisson_weights)
 
 
 def test_iteration_cap_raises_with_best_so_far(monkeypatch, fit_row):
