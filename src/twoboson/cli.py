@@ -73,14 +73,14 @@ def _positive_float(text: str) -> float:
 
 
 def _delta(text: str) -> float:
-    value = _positive_float(text)
-    sigma = optics.delta_to_sigma(value)
+    """A spectral width delta, parsed straight to its sigma = 1/(2 delta)."""
+    sigma = optics.delta_to_sigma(_positive_float(text))
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise argparse.ArgumentTypeError(
             f"expected a spectral width whose sigma = 1/(2 delta) is a finite "
             f"positive number, got {text!r}"
         )
-    return value
+    return sigma
 
 
 def _seed(text: str) -> int:
@@ -122,12 +122,6 @@ def _fixed(x: float) -> str:
     prints -0.0 as 0: a tiny negative rounding residue prints as 0.000000."""
     text = format(x, ".6f")
     return "0.000000" if text == "-0.000000" else text
-
-
-def _sigma_from_args(args) -> float:
-    if getattr(args, "delta", None) is not None:
-        return optics.delta_to_sigma(args.delta)
-    return args.sigma_um
 
 
 class _DelayValues(NamedTuple):
@@ -179,19 +173,18 @@ def _point_values(theta_deg: float, delays: Sequence[_DelayValues]):
 
 
 def cmd_concurrence(args) -> int:
-    sigma = _sigma_from_args(args)
     ((values, _),) = _point_values(
-        args.theta_deg, [_delay_values(args.delay_um, sigma, args.overlap_convention)]
+        args.theta_deg, [_delay_values(args.delay_um, args.sigma_um, args.overlap_convention)]
     )
     _, _, spatial_overlap, paper, quadrature, _, c_wootters, e_p = values
     lines = [
         ("theta_deg", args.theta_deg),
         ("delay_um", args.delay_um),
-        ("sigma_um", sigma),
+        ("sigma_um", args.sigma_um),
         ("spatial_overlap", spatial_overlap),
         ("overlap_paper", paper),
         ("overlap_quadrature", quadrature),
-        ("C", optics.concurrence_optical(args.theta_deg, args.delay_um, sigma)),
+        ("C", optics.concurrence_optical(args.theta_deg, args.delay_um, args.sigma_um)),
         ("C_wootters", c_wootters),
         ("E_P", e_p),
     ]
@@ -229,10 +222,11 @@ def _write_table(
 
 
 def cmd_sweep(args) -> int:
-    sigma = _sigma_from_args(args)
     columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
     # what depends on the delay only is computed once per delay
-    delays = [_delay_values(delay, sigma, args.overlap_convention) for delay in args.delay_grid]
+    delays = [
+        _delay_values(delay, args.sigma_um, args.overlap_convention) for delay in args.delay_grid
+    ]
     rows = []
     for theta in args.theta_grid:
         for values, rho in _point_values(theta, delays):
@@ -251,7 +245,7 @@ def cmd_sweep(args) -> int:
         "version": __version__,
         "theta_grid": list(args.theta_grid),
         "delay_grid": list(args.delay_grid),
-        "sigma_um": sigma,
+        "sigma_um": args.sigma_um,
         "overlap_convention": args.overlap_convention,
         "noisy": args.noisy,
         "shots": args.shots,
@@ -265,6 +259,8 @@ def cmd_sweep(args) -> int:
 def cmd_hom(args) -> int:
     if not 0.0 <= args.visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
+    if args.format == "json" and args.out in (None, "-"):
+        raise ValueError("hom --format json needs --out FILE: the fit lines go to stdout")
     w = args.fwhm_um / optics.GAUSSIAN_FWHM_FACTOR
     delays = args.delay_grid
     # each exponent in float arithmetic, which raises for a square that
@@ -348,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="Gaussian width of the concurrence-vs-delay curve (um)",
         )
         group.add_argument(
-            "--delta", type=_delta, default=None,
+            "--delta", type=_delta, dest="sigma_um", metavar="DELTA", default=argparse.SUPPRESS,
             help="spectral width (1/um); sigma = 1/(2 delta)",
         )
 

@@ -38,9 +38,10 @@ model is at least 1; its observed-weight pass is only the seed of that
 one, and hands over at the looser `FIT_SEED_TOL`.  Each row gets the bits
 of its own fit.  An unweighted row is fitted, and its covariance worked, in
 units of a power of two near its largest count, so an exact dip is
-recovered at any count scale the float range holds.  The fitter is the one place that decides each row's
-outcome, a `FitResult` or a `FitError`, the rules for a dip the scan does
-not resolve included.
+recovered at any count scale the float range holds.  The fitter is the one
+place that decides each row's outcome, a `FitResult` or a `FitError`, the
+rules for a dip the scan does not resolve included; a row that hits the
+iteration cap is a `FitConvergenceError` that carries only its message.
 `monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
 error bars, leaving out the runs that are a `FitError`.  No hidden global
 state.
@@ -75,11 +76,7 @@ class NoDipError(FitError):
 
 
 class FitConvergenceError(FitError):
-    """Iteration cap hit; `best` holds the best parameters seen so far."""
-
-    def __init__(self, message: str, best: "FitResult"):
-        super().__init__(message)
-        self.best = best
+    """Iteration cap hit; the message alone names the best residual seen."""
 
 
 class EstimatorError(RuntimeError):
@@ -349,8 +346,8 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     until the residual decreases, so the objective is monotone; a pass
     stops when the relative step falls below `FIT_STEP_TOL` (a weighted
     row's seed pass below `FIT_SEED_TOL`, see below).  A row keeps
-    one iteration count over all its passes and fails with the best-so-far
-    parameters once it reaches `FIT_MAX_ITER`.  The
+    one iteration count over all its passes; at `FIT_MAX_ITER` it ends in a
+    `FitConvergenceError` whose message alone names its residual.  The
     line search evaluates only the model terms; the Jacobian is built from
     the terms of the accepted point, so no trial point builds a Jacobian
     and no iteration recomputes an exponential.  Each round takes every
@@ -433,6 +430,12 @@ def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
     e = np.zeros(len(y), dtype=int) if poisson_weights else np.frexp(y.max(axis=1))[1]
     y = np.ldexp(y, -e[:, None])
     p, sse, n_iter, converged, outcomes = _descend(l, y, poisson_weights)
+    for i in np.flatnonzero(~converged):
+        if outcomes[i] is None:  # the cap ends the row with its residual in counts
+            outcomes[i] = FitConvergenceError(
+                f"no convergence after {FIT_MAX_ITER} iterations "
+                f"(best residual {np.ldexp(sse[i], 2 * e[i]):.6g})"
+            )
     fitted = [i for i, o in enumerate(outcomes) if o is None]
     results = _fit_results(
         p[fitted], l, y[fitted], sse[fitted], n_iter[fitted], e[fitted], poisson_weights
@@ -440,7 +443,7 @@ def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
     gaps = np.diff(l)
     spacing = gaps[gaps > 0.0].min()  # of the distinct delays
     for i, result in zip(fitted, results):
-        outcomes[i] = _outcome(result, converged[i], l[-1] - l[0], spacing, poisson_weights)
+        outcomes[i] = _outcome(result, l[-1] - l[0], spacing, poisson_weights)
     return DipFits(outcomes, int(n_iter.sum()))
 
 
@@ -557,8 +560,11 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             search = search[~hit]
         conv[search] = ends[search] = True  # no descent direction left: local minimum
         ends |= it >= FIT_MAX_ITER
-        # a converged first pass of a weighted row goes on to its reweighted pass
-        again = ends & conv & ~reweighted & poisson_weights
+        # a converged first pass of a weighted row goes on to its reweighted
+        # pass, unless the cap, which counts both passes, ends it unconverged
+        again = conv & ~reweighted & poisson_weights
+        conv &= ~again
+        again &= it < FIT_MAX_ITER
         reweighted |= again
         out = ends & ~again
         if out.any():
@@ -639,19 +645,11 @@ def _fit_results(
     return [FitResult(*f, n) for f, n in zip(fields.tolist(), n_iter.tolist())]
 
 
-def _outcome(
-    result: FitResult, converged: bool, span: float, spacing: float, poisson_weights: bool
-):
-    """A fitted row's outcome: its `result`, or the `FitError` the result
+def _outcome(result: FitResult, span: float, spacing: float, poisson_weights: bool):
+    """A converged row's outcome: its `result`, or the `FitError` the result
     ends in, checked in the order `fit_gaussian_dip` lists.  `span` is the
     span of the delays and `spacing` the smallest spacing of the distinct
     ones."""
-    if not converged:
-        return FitConvergenceError(
-            f"no convergence after {FIT_MAX_ITER} iterations "
-            f"(best residual {result.residual:.6g})",
-            best=result,
-        )
     if result.depth <= 0.0:
         return NoDipError("no dip detected")
     not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]

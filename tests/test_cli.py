@@ -70,6 +70,11 @@ def test_delta_flag_replaces_sigma(capsys):
     out = capsys.readouterr().out
     assert _report_value(out, "sigma_um") == 50.0
     assert abs(_report_value(out, "C") - concurrence_optical(22.5, 70.0, 50.0)) < 5e-7
+    # sigma = 1/(2 delta) is 50 um exactly, so the tables are the same bytes
+    assert main(["sweep", "--delta", "0.01", "--format", "json"]) == EXIT_OK
+    by_delta = capsys.readouterr().out
+    assert main(["sweep", "--sigma-um", "50", "--format", "json"]) == EXIT_OK
+    assert by_delta == capsys.readouterr().out
 
 
 def test_sigma_and_delta_are_mutually_exclusive(capsys):
@@ -129,6 +134,15 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         (["hom", "--delay-grid", "0,1,2"], "at least 5 distinct delays"),
         (["hom", "--delay-grid", "0,0,0,0,300"], "at least 5 distinct delays"),
         (["hom", "--visibility", "1.5"], "error: visibility must lie in [0, 1]"),
+        # the fit lines would follow the JSON document on stdout
+        (
+            ["hom", "--format", "json"],
+            "error: hom --format json needs --out FILE: the fit lines go to stdout",
+        ),
+        (
+            ["hom", "--noisy", "--format", "json", "--out", "-"],
+            "error: hom --format json needs --out FILE: the fit lines go to stdout",
+        ),
         (["verify", "--trials", "0"], "error: trials must be >= 1"),
         (
             ["sweep", "--theta-grid", "22.5", "--delay-grid", "0", "--out", "not/there/x.csv"],
@@ -673,8 +687,10 @@ def test_hom_fails_when_too_many_resample_fits_fail(capsys):
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert "fit: fwhm_um     = 144.093862" in captured.out
-    assert "monte carlo failed: 16 of 100 resample fits failed" in captured.err
-    assert "first on run 8: no convergence after 200 iterations" in captured.err
+    assert captured.err == (
+        "monte carlo failed: 16 of 100 resample fits failed, more than 10%; first on "
+        "run 8: no convergence after 200 iterations (best residual 84.445)\n"
+    )
     assert "mc (" not in captured.out
 
 

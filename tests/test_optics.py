@@ -363,10 +363,9 @@ def test_fit_does_not_depend_on_the_order_of_its_points(poisson_weights, fit_row
 
 def _outcome_bits(outcome):
     """A fit outcome as comparable values: a result's bytes, or an error's
-    type and message with the bytes of its best fit, if it keeps one."""
+    type and message, which for a capped row holds its residual."""
     if isinstance(outcome, FitError):
-        best = getattr(outcome, "best", None)
-        return type(outcome), str(outcome), None if best is None else _fit_bits(best)
+        return type(outcome), str(outcome)
     return _fit_bits(outcome)
 
 
@@ -398,7 +397,7 @@ def test_each_row_of_a_block_fits_as_it_would_alone(poisson_weights, max_iter, m
     assert fits.n_iter == sum(one.n_iter for one in alone)
     for o, one in zip(fits.outcomes, alone):
         if isinstance(o, FitConvergenceError):
-            assert one.n_iter == o.best.n_iter >= max_iter
+            assert one.n_iter == max_iter
         elif isinstance(o, FitResult):
             assert one.n_iter == o.n_iter
         elif str(o).startswith("fitted FWHM "):  # the scan rule is for weighted fits
@@ -761,16 +760,42 @@ def test_a_fit_narrower_than_the_delay_spacing_resolves_no_dip(poisson_weights, 
             fit_row(d, y, poisson_weights)
 
 
-def test_iteration_cap_raises_with_best_so_far(monkeypatch, fit_row):
+def test_iteration_cap_ends_a_row_with_its_residual(monkeypatch):
     monkeypatch.setattr(optics, "FIT_MAX_ITER", 1)
     delays, rates = _dip_rates(0.95, 130.0)
     counts = np.random.default_rng(3).poisson(rates)
-    with pytest.raises(FitConvergenceError, match="after 1 iterations") as excinfo:
-        fit_row(delays, counts)
-    best = excinfo.value.best
-    assert best is not None
-    assert best.n_iter == 1
-    assert 0.5 < best.visibility < 1.5  # the partial answer is still sane
+    fits = fit_gaussian_dip(delays, [counts])
+    (error,) = fits.outcomes
+    assert isinstance(error, FitConvergenceError)
+    # the residual in counts, the one a result at the cap would hold
+    assert str(error) == "no convergence after 1 iterations (best residual 24872.4)"
+    assert not hasattr(error, "best")
+    assert fits.n_iter == 1
+
+
+@pytest.mark.parametrize("poisson_weights, max_iter", ((True, optics.FIT_MAX_ITER), (False, 3)))
+def test_no_capped_row_reaches_the_result_pass(poisson_weights, max_iter, monkeypatch):
+    # the block `hom --noisy --baseline 4 --seed 1` fits: weighted, some of
+    # its rows run to the cap; unweighted, a cap of 3 stops most of them
+    monkeypatch.setattr(optics, "FIT_MAX_ITER", max_iter)
+    delays, rates = _dip_rates(1.0, 132.0, baseline=4.0)
+    block = simulate_counts(rates, 1, 100).astype(float)
+    seen = []
+    fit_results = optics._fit_results
+
+    def recorded(p, l, y, sse, n_iter, e, pw):
+        # the rows' counts, in delay order, which is the block's
+        seen.append(np.ldexp(y, e[:, None]))
+        return fit_results(p, l, y, sse, n_iter, e, pw)
+
+    monkeypatch.setattr(optics, "_fit_results", recorded)
+    outcomes = fit_gaussian_dip(delays, block, poisson_weights).outcomes
+    (passed,) = seen
+    row_of = {row.tobytes(): i for i, row in enumerate(block)}
+    assert len(row_of) == len(block)  # no two rows are alike
+    capped = {i for i, o in enumerate(outcomes) if isinstance(o, FitConvergenceError)}
+    assert capped and len(passed)
+    assert capped.isdisjoint(row_of[row.tobytes()] for row in passed)
 
 
 def test_noised_width_recovery_rate(fit_row):
