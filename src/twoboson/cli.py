@@ -211,7 +211,7 @@ def _write_table(
         if fmt == "csv":
             handle.write(",".join(columns) + "\n")
             line = ",".join(["%.12g"] * len(columns)) + "\n"
-            handle.writelines(line % tuple(x + 0.0 for x in row) for row in rows)
+            handle.writelines(line % tuple([x + 0.0 for x in row]) for row in rows)
         else:
             payload = {
                 "metadata": metadata,
@@ -228,6 +228,7 @@ def cmd_sweep(args) -> int:
         _delay_values(delay, args.sigma_um, args.overlap_convention) for delay in args.delay_grid
     ]
     rows = []
+    no_coincidence = 0  # Monte Carlo runs whose concurrence reads 0 for want of counts
     for theta in args.theta_grid:
         for values, rho in _point_values(theta, delays):
             if args.noisy:
@@ -238,6 +239,7 @@ def cmd_sweep(args) -> int:
                 except ValueError as exc:
                     raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
                 c = optics.xstate_concurrence(counts)
+                no_coincidence += int(np.count_nonzero(optics.xstate_no_coincidence(counts)))
                 values += [float(np.mean(c)), float(np.std(c, ddof=1))]
             rows.append(values)
     metadata = {
@@ -252,7 +254,15 @@ def cmd_sweep(args) -> int:
         "runs": args.runs,
         "seed": args.seed,
     }
+    if args.noisy:
+        metadata["runs_without_coincidence"] = no_coincidence
     _write_table(args.out, args.format, columns, rows, metadata)
+    if no_coincidence:
+        print(
+            f"monte carlo: {no_coincidence} of {len(rows) * args.runs} runs observed "
+            "no coincidence and read a concurrence of 0",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -78,7 +78,10 @@ class DistVector:
 
     Only pairwise overlaps <phi_A|phi_B> ever enter the formulas downstream,
     so the basis itself stays anonymous; the dimension just has to agree
-    between states that meet in an inner product.
+    between states that meet in an inner product.  A vector's overlap with
+    itself, `self_overlap`, is computed once, on first use, by the same call
+    `overlap` makes, so a vector that meets many states (a sweep's delay
+    meets every angle) pays for it once.
     """
 
     amplitudes: tuple[complex, ...]
@@ -91,7 +94,8 @@ class DistVector:
             raise ValidationError("distinguishability vector needs dimension >= 1")
 
     def __getstate__(self) -> dict:
-        # a copy or an unpickled vector rebuilds `array` read-only on first use
+        # a copy or an unpickled vector rebuilds `array` read-only, and
+        # `self_overlap`, on first use
         return {"amplitudes": self.amplitudes}
 
     @cached_property
@@ -109,6 +113,11 @@ class DistVector:
     def overlap(self, other: "DistVector") -> complex:
         _check_dist_dims(self, other)
         return complex(np.vdot(self.array, other.array))
+
+    @cached_property
+    def self_overlap(self) -> complex:
+        """<self|self>, as `overlap` computes it."""
+        return self.overlap(self)
 
 
 def _check_dist_dims(a: DistVector, b: DistVector) -> None:
@@ -169,4 +178,5 @@ class SpinDensityMatrix:
             raise ValidationError(f"spin density matrix must be 4x4, got {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weight", float(np.trace(m).real))
+        # the reduction np.trace calls, without its dispatch
+        object.__setattr__(self, "weight", float(m.trace().real))

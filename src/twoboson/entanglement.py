@@ -54,16 +54,19 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
     rho[(sL,sR),(sL',sR')] from pairwise dist overlaps, which is equivalent
     to summing projections onto any orthonormal distinguishability basis but
     never materializes one.  Each distinct dist vector is overlapped with
-    itself and with each other one once; the mirrored entry <b|a> is the
-    conjugate of <a|b>.  The result is unnormalized: its trace is the
-    post-selection weight.
+    each other one once, and with itself through its cached
+    `DistVector.self_overlap`; the mirrored entry <b|a> is the conjugate of
+    <a|b>.  Each of the 16 cells is a Python complex that starts at 0j and
+    adds its products term pair by term pair, rows over columns, in term
+    order; the 4x4 array is built once at the end.  The result is
+    unnormalized: its trace is the post-selection weight.
     """
     # (row index, coefficient incl. mode phases, id of dist at L, at R)
     entries = []
     dists = {}  # the distinct dist vectors, by identity
     for coeff, (x, y) in s.terms:
-        mx, my = x.detector_mode, y.detector_mode
-        if {mx, my} != {"L", "R"}:
+        mx, my = x.spatial.detector_mode, y.spatial.detector_mode
+        if mx == my or mx is None or my is None:
             raise NotPostSelectedError(
                 "state contains a double-occupancy term; apply "
                 "postselect_one_per_detector before tracing"
@@ -79,15 +82,15 @@ def trace_out_distinguishability(s: SymmetricTwoBosonState) -> SpinDensityMatrix
     ov = {}
     items = list(dists.items())
     for n, (ka, a) in enumerate(items):
-        ov[ka, ka] = a.overlap(a)
+        ov[ka, ka] = a.self_overlap
         for kb, b in items[n + 1 :]:
             ov[ka, kb] = a.overlap(b)
             ov[kb, ka] = ov[ka, kb].conjugate()
-    rho = np.zeros((4, 4), dtype=complex)
+    cells = [0j] * 16  # rho[i, j] is cells[4 * i + j]
     for i, ci, li, ri in entries:
         for j, cj, lj, rj in entries:
-            rho[i, j] += ci * cj.conjugate() * ov[lj, li] * ov[rj, ri]
-    return SpinDensityMatrix(rho)
+            cells[4 * i + j] += ci * cj.conjugate() * ov[lj, li] * ov[rj, ri]
+    return SpinDensityMatrix([cells[0:4], cells[4:8], cells[8:12], cells[12:16]])
 
 
 _SPIN_FLIP = np.array(
@@ -172,19 +175,29 @@ def number_distribution(
     particle (phi_B) on definite detectors, so two distinct kets differ in
     where one of them sits, and `expand_in_detector_basis` builds no other
     kind.  A sector's weight is therefore the sum of |c|^2 over its terms,
-    and its probability that weight over the total, which carries the
-    1 + |<Psi_A|Psi_B>|^2 bunching normalization.  The (1,1) sector keeps
-    its unnormalized spin matrix, the distinguishability trace of the
-    post-selected expansion.
+    in term order, and its probability that weight over the total, the sum
+    of the (2,0), (1,1) and (0,2) weights in that order, which carries the
+    1 + |<Psi_A|Psi_B>|^2 bunching normalization.  `probabilities` keeps
+    that key order.  The (1,1) sector keeps its unnormalized spin matrix,
+    the distinguishability trace of the post-selected expansion.
     """
     expansion = expand_in_detector_basis(p_a, p_b)
-    weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
+    w20 = w11 = w02 = 0.0
     for coeff, (x, y) in expansion.terms:
-        n_l = (x.detector_mode == "L") + (y.detector_mode == "L")
-        weights[(n_l, 2 - n_l)] += abs(coeff) ** 2
-    total = sum(weights.values())
+        w = abs(coeff) ** 2
+        n_l = (x.spatial.detector_mode == "L") + (y.spatial.detector_mode == "L")
+        if n_l == 1:
+            w11 += w
+        elif n_l == 2:
+            w20 += w
+        else:
+            w02 += w
+    # sum() compensates its float additions from Python 3.12 on, so
+    # `w20 + w11 + w02` could differ from it in the last bit there
+    total = sum((w20, w11, w02))
     rho = trace_out_distinguishability(postselect_one_per_detector(expansion))
-    return NumberDistribution({key: w / total for key, w in weights.items()}, rho)
+    probabilities = {(2, 0): w20 / total, (1, 1): w11 / total, (0, 2): w02 / total}
+    return NumberDistribution(probabilities, rho)
 
 
 def entanglement_of_particles(nds, concurrence) -> np.ndarray:

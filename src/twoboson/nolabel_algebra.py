@@ -145,13 +145,14 @@ def postselect_one_per_detector(s: SymmetricTwoBosonState) -> SymmetricTwoBosonS
     state carries the post-selection weight with it.  Idempotent.
     """
     kept = []
-    for coeff, (x, y) in s.terms:
-        mx, my = x.detector_mode, y.detector_mode
+    for term in s.terms:
+        x, y = term[1]
+        mx, my = x.spatial.detector_mode, y.spatial.detector_mode
         if mx is None or my is None:
             raise NotDetectorBasisError(
                 "state is not in detector-basis form; expand_in_detector_basis first"
             )
-        if {mx, my} == {"L", "R"}:
-            kept.append((coeff, (x, y)))
+        if mx != my:  # one 'L' and one 'R'
+            kept.append(term)
     # terms of a canonical state stay ordered, merged, nonzero and sorted
     return SymmetricTwoBosonState(tuple(kept))

@@ -1,11 +1,12 @@
 """Deterministic hypothesis profile so the suite is reproducible run to run,
 and shared fixtures."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from twoboson import optics, verification
-from twoboson.core_state import _check_dist_dims
+from twoboson.core_state import Spin, SpinDensityMatrix, _check_dist_dims
 from twoboson.nolabel_algebra import SymmetricTwoBosonState
 
 settings.register_profile(
@@ -81,3 +82,40 @@ def symmetric_state():
         return SymmetricTwoBosonState(tuple(kept))
 
     return build
+
+
+def _dense_trace(s):
+    # the distinguishability trace as a dense 4x4 accumulation: every product
+    # added into its ndarray cell in place, each self-overlap computed anew
+    entries = []
+    dists = {}
+    for coeff, (x, y) in s.terms:
+        mx, my = x.detector_mode, y.detector_mode
+        assert {mx, my} == {"L", "R"}
+        at_l, at_r = (x, y) if mx == "L" else (y, x)
+        row = 2 * (at_l.spin is not Spin.UP) + (at_r.spin is not Spin.UP)
+        dists[id(at_l.dist)] = at_l.dist
+        dists[id(at_r.dist)] = at_r.dist
+        entries.append(
+            (row, coeff * at_l.spatial.a_l * at_r.spatial.a_r, id(at_l.dist), id(at_r.dist))
+        )
+    ov = {}
+    items = list(dists.items())
+    for n, (ka, a) in enumerate(items):
+        ov[ka, ka] = a.overlap(a)
+        for kb, b in items[n + 1 :]:
+            ov[ka, kb] = a.overlap(b)
+            ov[kb, ka] = ov[ka, kb].conjugate()
+    rho = np.zeros((4, 4), dtype=complex)
+    for i, ci, li, ri in entries:
+        for j, cj, lj, rj in entries:
+            rho[i, j] += ci * cj.conjugate() * ov[lj, li] * ov[rj, ri]
+    return SpinDensityMatrix(rho)
+
+
+@pytest.fixture
+def dense_trace():
+    """The reference the package's distinguishability trace must reproduce
+    bit for bit: the same products in the same order, added into a dense
+    ndarray in place."""
+    return _dense_trace

@@ -372,26 +372,34 @@ def _assert_noisy_sweep_row_matches_a_per_run_loop(extra_argv, shots, capsys):
     # the noisy columns are the mean and stddev of one X-state concurrence
     # estimate per run, each from its own Poisson draw of the four channels,
     # with the generator of row k seeded [seed, k]; a run that observes no
-    # coincidence reads 0
+    # coincidence reads 0, and the metadata and stderr count such runs
     argv = ["sweep", "--theta-grid", "10,22.5", "--delay-grid", "30", "--noisy"]
     argv += extra_argv + ["--runs", "40", "--seed", "5", "--format", "json"]
     assert main(argv) == EXIT_OK
-    row = json.loads(capsys.readouterr().out)["rows"][1]
-    ((_, rho),) = cli._point_values(22.5, [cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")])
-    p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
-    rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * shots
-    rng = np.random.default_rng([5, 1])
-    draws = []
-    for _ in range(40):
-        n_ud, n_du, n_plus, n_minus = rng.poisson(np.clip(rates, 0.0, None))
-        if n_ud + n_du == 0:
-            draws.append(0.0)
-            continue
-        q_hat = (float(n_plus) - float(n_minus)) / 2.0
-        draws.append(float(min(1.0, 2.0 * abs(q_hat) / (n_ud + n_du))))
-    assert (0.0 in draws) == (shots == 3.0)
-    assert row["c_mc_mean"] == float(np.mean(draws))
-    assert row["c_mc_stddev"] == float(np.std(draws, ddof=1))
+    captured = capsys.readouterr()
+    table = json.loads(captured.out)
+    delay = cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")
+    empty = 0
+    for k, theta in enumerate((10.0, 22.5)):
+        ((_, rho),) = cli._point_values(theta, [delay])
+        p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
+        rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * shots
+        rng = np.random.default_rng([5, k])
+        draws = []
+        for _ in range(40):
+            n_ud, n_du, n_plus, n_minus = rng.poisson(np.clip(rates, 0.0, None))
+            if n_ud + n_du == 0:
+                empty += 1
+                draws.append(0.0)
+                continue
+            q_hat = (float(n_plus) - float(n_minus)) / 2.0
+            draws.append(float(min(1.0, 2.0 * abs(q_hat) / (n_ud + n_du))))
+        assert table["rows"][k]["c_mc_mean"] == float(np.mean(draws))
+        assert table["rows"][k]["c_mc_stddev"] == float(np.std(draws, ddof=1))
+    assert (empty > 0) == (shots == 3.0)
+    assert table["metadata"]["runs_without_coincidence"] == empty
+    report = f"monte carlo: {empty} of 80 runs observed no coincidence and read a concurrence of 0"
+    assert captured.err == (report + "\n" if empty else "")
 
 
 def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
@@ -401,6 +409,26 @@ def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
 
 def test_noisy_sweep_row_at_three_shots_reads_zero_for_empty_runs(capsys):
     _assert_noisy_sweep_row_matches_a_per_run_loop(["--shots", "3"], 3.0, capsys)
+
+
+def test_a_noisy_sweep_that_observes_nothing_says_so_on_stderr(capsys):
+    # every run of every row sees no coincidence: the table's Monte Carlo
+    # columns read 0, and stderr and the metadata give the count
+    argv = ["sweep", "--noisy", "--shots", "1e-300", "--theta-grid", "22.5", "--delay-grid", "0"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",1,0.5,0,0")  # c_closed_form 1, c_mc 0
+    assert captured.err == (
+        "monte carlo: 100 of 100 runs observed no coincidence and read a concurrence of 0\n"
+    )
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["metadata"]["runs_without_coincidence"] == 100
+    # an exact sweep draws no runs and carries no count
+    exact = ["sweep", "--theta-grid", "22.5", "--delay-grid", "0", "--format", "json"]
+    assert main(exact) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "runs_without_coincidence" not in json.loads(captured.out)["metadata"]
+    assert captured.err == ""
 
 
 def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):

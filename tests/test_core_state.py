@@ -194,6 +194,23 @@ def test_canonical_keys_match_a_fresh_computation_and_survive_copies(sort_key):
     assert sort_key(moved) == _fresh_key(moved) != sort_key(states[0])
 
 
+def _complex_bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+def test_dist_vector_self_overlap_is_its_overlap_with_itself_and_is_rebuilt_by_copies():
+    rng = np.random.default_rng(24)
+    vectors = [random_state(rng, d).dist for d in (1, 2, 3) for _ in range(10)]
+    vectors += [DistVector((1.0, 0j)), DistVector((-0.0, complex(0.6, -0.0), 0.8j))]
+    for d in vectors:
+        assert _complex_bits(d.self_overlap) == _complex_bits(d.overlap(d))
+        assert d.self_overlap is d.self_overlap  # computed once
+        vars(d)["self_overlap"] = 99j  # a stale value no copy may carry over
+        for t in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert "self_overlap" not in vars(t) and "array" not in vars(t)
+            assert _complex_bits(t.self_overlap) == _complex_bits(d.overlap(d))
+
+
 def test_dist_vector_array_is_a_read_only_copy_of_the_amplitudes():
     d = DistVector((1, 1j, 0.5))
     _assert_read_only_amplitudes(d)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from twoboson.core_state import (
     ATOL_EXACT,
     ATOL_PIPELINE,
+    DistVector,
     SingleParticleState,
     SpatialAmplitudes,
     Spin,
@@ -32,7 +33,12 @@ from twoboson.nolabel_algebra import (
     expand_in_detector_basis,
     postselect_one_per_detector,
 )
-from twoboson.optics import dist_vectors_for_overlap, spatial_amplitudes_from_theta
+from twoboson.optics import (
+    OVERLAP_CONVENTIONS,
+    dist_vectors_for_overlap,
+    gaussian_overlap,
+    spatial_amplitudes_from_theta,
+)
 from twoboson.verification import random_state, random_updown_pair
 
 RT2 = math.sqrt(0.5)
@@ -95,6 +101,68 @@ def test_trace_of_empty_state_is_zero():
     rho = trace_out_distinguishability(SymmetricTwoBosonState(()))
     assert rho.weight == 0.0
     assert np.allclose(rho.matrix, 0.0)
+
+
+def _dense_reference_pairs():
+    """(up, down) pairs that reach the trace by every route: random draws at
+    d = 1, 2, 3; states with exact-zero (and negative-zero) amplitudes, one
+    whose two particles share one dist vector object; and the sweep family
+    at angles -10 to 100 deg and negative delays under every convention,
+    each delay's dist vectors shared by every angle, as `sweep` shares them."""
+    rng = np.random.default_rng(24)
+    pairs = [random_updown_pair(rng, 1 + k % 3) for k in range(60)]
+    shared = DistVector((1.0, 0j))
+    for a, b in (
+        ((1.0, 0.0), (0.0, 1.0)),
+        ((0.0, 1.0), (1.0, -0.0)),
+        ((RT2, RT2), (complex(-0.0, RT2), RT2)),
+        ((1.0, 0.0), (RT2, -RT2)),
+    ):
+        for da, db in (
+            (shared, shared),
+            (DistVector((1.0, 0j)), DistVector((0j, 1.0))),
+            (DistVector((RT2, -0.0, RT2)), DistVector((0.0, 1j, -0.0))),
+        ):
+            pairs.append(
+                (
+                    SingleParticleState(SpatialAmplitudes(*a), Spin.UP, da),
+                    SingleParticleState(SpatialAmplitudes(*b), Spin.DOWN, db),
+                )
+            )
+    for convention in OVERLAP_CONVENTIONS:
+        phis = [
+            dist_vectors_for_overlap(gaussian_overlap(delay, convention, 59.45))
+            for delay in (-300.0, -70.0, -1e-3, 0.0, 42.0)
+        ]
+        for theta in np.linspace(-10.0, 100.0, 12):
+            alphas, betas = spatial_amplitudes_from_theta(float(theta))
+            for da, db in phis:
+                pairs.append(
+                    (
+                        SingleParticleState(alphas, Spin.UP, da),
+                        SingleParticleState(betas, Spin.DOWN, db),
+                    )
+                )
+    return pairs
+
+
+def test_number_distribution_matches_the_dense_reference_bit_for_bit(dense_trace):
+    for pa, pb in _dense_reference_pairs():
+        nd = number_distribution(pa, pb)
+        expansion = expand_in_detector_basis(pa, pb)
+        reference = dense_trace(postselect_one_per_detector(expansion))
+        assert nd.state.matrix.tobytes() == reference.matrix.tobytes()
+        assert _bits([nd.state.weight]) == _bits([float(np.trace(reference.matrix).real)])
+        # the sector weights as a dict summed in key order
+        weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
+        for coeff, (x, y) in expansion.terms:
+            n_l = (x.detector_mode == "L") + (y.detector_mode == "L")
+            weights[(n_l, 2 - n_l)] += abs(coeff) ** 2
+        total = sum(weights.values())
+        assert list(nd.probabilities) == list(weights)
+        assert _bits(list(nd.probabilities.values())) == _bits(
+            [w / total for w in weights.values()]
+        )
 
 
 # --- Wootters concurrence ----------------------------------------------------
