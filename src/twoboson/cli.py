@@ -238,8 +238,9 @@ def cmd_sweep(args) -> int:
                     counts = optics.simulate_counts(rates, [args.seed, len(rows)], args.runs)
                 except ValueError as exc:
                     raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
-                c = optics.xstate_concurrence(counts)
-                no_coincidence += int(np.count_nonzero(optics.xstate_no_coincidence(counts)))
+                none = optics.xstate_no_coincidence(counts)
+                no_coincidence += int(np.count_nonzero(none))
+                c = optics.xstate_concurrence(counts, none)
                 values += [float(np.mean(c)), float(np.std(c, ddof=1))]
             rows.append(values)
     metadata = {

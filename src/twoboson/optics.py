@@ -493,15 +493,9 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         it += 1
         # a reweighted row's weights come from its current model, so its pass
         # ends where J^T W (y - model) = 0, W = 1 / max(model, 1); the model
-        # is built from the g of the current point, with no new exponential.
-        # Where every row is reweighted, the whole arrays are rebuilt, with
-        # no mask copies
-        if reweighted.all():
-            model = p[:, :1] - p[:, 1:2] * g
-            sig = np.sqrt(np.maximum(model, 1.0))
-            r = (model - y) / sig
-            sse = (r**2).sum(axis=1)
-        elif reweighted.any():
+        # is built from the g of the current point, with no new exponential;
+        # a round with no reweighted row skips it
+        if reweighted.any():
             model = p[reweighted, :1] - p[reweighted, 1:2] * g[reweighted]
             sig[reweighted] = np.sqrt(np.maximum(model, 1.0))
             r[reweighted] = (model - y[reweighted]) / sig[reweighted]
@@ -516,16 +510,12 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             ended[row[k]] = FitError(
                 "least-squares step failed: the Jacobian or residual is not finite"
             )
+        step = np.full((len(row), 4), np.nan)
         try:
-            if finite.all():  # the usual round: no mask copies
-                step = _gn_steps(jw, r)
-            else:
-                step = np.full((len(row), 4), np.nan)
-                step[finite] = _gn_steps(jw[finite], r[finite])
+            step[finite] = _gn_steps(jw[finite], r[finite])
         except np.linalg.LinAlgError:
             # find the rows that raised: a stack of one row gives that row
             # the bits the whole stack gives it
-            step = np.full((len(row), 4), np.nan)
             for k in np.flatnonzero(finite):
                 try:
                     step[k] = _gn_steps(jw[k : k + 1], r[k : k + 1])
@@ -734,14 +724,15 @@ def xstate_no_coincidence(counts: np.ndarray) -> np.ndarray:
     return counts[:, 0] + counts[:, 1] == 0
 
 
-def xstate_concurrence(counts: np.ndarray) -> np.ndarray:
+def xstate_concurrence(counts: np.ndarray, none: np.ndarray | None = None) -> np.ndarray:
     """Concurrence min(1, 2|q| / (p + r)) of each run of a (runs, 4) block of
     `xstate_rates` channel counts, as a (runs,) column; 0 for a run that
-    observed no coincidences (`xstate_no_coincidence`), which gives no
-    entanglement evidence."""
+    observed no coincidences, which gives no entanglement evidence.  `none`
+    is the block's `xstate_no_coincidence` mask, built here if not given."""
     n_ud, n_du, n_plus, n_minus = counts.T
     total = n_ud + n_du
-    none = xstate_no_coincidence(counts)
+    if none is None:
+        none = xstate_no_coincidence(counts)
     q_hat = (n_plus.astype(float) - n_minus.astype(float)) / 2.0
     c = 2.0 * np.abs(q_hat) / np.where(none, 1, total)  # no 0/0 warning
     return np.where(none, 0.0, np.minimum(1.0, c))
