@@ -2,6 +2,7 @@
 dips, Poisson counts, the dip fitter, and Monte Carlo error bars."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -796,6 +797,31 @@ def test_no_capped_row_reaches_the_result_pass(poisson_weights, max_iter, monkey
     capped = {i for i, o in enumerate(outcomes) if isinstance(o, FitConvergenceError)}
     assert capped and len(passed)
     assert capped.isdisjoint(row_of[row.tobytes()] for row in passed)
+
+
+#: SHA-256 over every outcome of the low-count grid below, in order: a
+#: `FitResult`'s fields as float bytes, an error's type and message.  Its
+#: rows hand over from the seed pass at different rounds, some run to the
+#: iteration cap and some end under the scan rule, so a change to the
+#: lockstep round that moves any row's bits, or its outcome, shows here
+LOW_COUNT_GRID_FITS_SHA256 = "ae5468c14e69c8c23f485f356661513e64782c0a84c06ac106a652ef09ccc0dc"
+
+
+def test_low_count_grid_fits_keep_their_bits():
+    digest, n_iter = hashlib.sha256(), 0
+    for baseline in (4.0, 10.0, 1000.0):
+        delays, rates = _dip_rates(0.91, 137.0, baseline)
+        for seed in (0, 1):
+            for poisson_weights in (True, False):
+                fits = fit_gaussian_dip(delays, simulate_counts(rates, seed, 100), poisson_weights)
+                n_iter += fits.n_iter
+                for o in fits.outcomes:
+                    if isinstance(o, FitError):
+                        digest.update(f"{type(o).__name__}: {o}".encode())
+                    else:
+                        digest.update(_fit_bits(o))
+    assert n_iter == 36746
+    assert digest.hexdigest() == LOW_COUNT_GRID_FITS_SHA256
 
 
 def test_noised_width_recovery_rate(fit_row):
