@@ -10,7 +10,9 @@ Subcommands:
 Angles are degrees at this boundary (radians never leak out), lengths are
 micrometers.  Exit codes: 0 success, 1 usage error, 2 numerical/fit failure,
 3 verification failure.  A command refuses by raising; `main` alone turns
-the failure into one line on stderr and its exit code.
+the failure into one line on stderr and its exit code.  A reader that closes
+stdout early, as `| head` does, ends the command with exit code 0 and
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -438,7 +440,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except optics.EstimatorError as exc:
         print(f"monte carlo failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader of stdout left early, as `| head` does: a filter whose
+        # reader is gone has nothing more to do, and that is no failure
+        return EXIT_OK
+
+
+def run() -> None:
+    """The `twoboson` console script and `python -m twoboson.cli`: exit with
+    the code of `main` on the process's arguments.
+
+    Output still buffered for a reader of stdout that left early can never
+    be written.  Closing the stream drops it, so the interpreter's flush at
+    exit has nothing to complain about; the standard streams do not own
+    their file descriptors, so no descriptor is closed."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -49,8 +49,8 @@ state.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -209,7 +209,7 @@ def simulate_counts(rates: np.ndarray, seed, runs: int = 1) -> np.ndarray:
 ERRORBAR_CALIBRATION = 1.10
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FitResult:
     """Converged dip fit count(l) = baseline - depth * exp(-(l-center)^2/(2 w^2)).
 
@@ -232,6 +232,11 @@ class FitResult:
     fwhm_err: float
     visibility_err: float
     n_iter: int
+
+
+#: the names of the float fields of a `FitResult`, in the order of the
+#: columns `_fit_results` stacks them in
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(FitResult))[:-1]
 
 
 def _dip_terms(p: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,6 +270,11 @@ def _objective(p, l, y, sig):
     return (r**2).sum(axis=1), u, g, r
 
 
+#: [0 | I], the right-hand side [Q^T (-r) | I] of `_gn_steps` before its
+#: first column is filled in; its identity also stands in for a singular R
+_STEP_RHS = np.hstack((np.zeros((4, 1)), np.eye(4)))
+
+
 def _gn_steps(jw: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The (k, 4) minimum-norm least-squares steps of the (k, n, 4) weighted
     Jacobians and (k, n) residuals.
@@ -279,18 +289,22 @@ def _gn_steps(jw: np.ndarray, r: np.ndarray) -> np.ndarray:
     up to rcond times the largest, the default cutoff of numpy's
     least-squares solver; the condition number is judged by a bound that
     never understates it.  LAPACK works on each matrix alone, so a row's
-    step does not depend on the other rows.  Raises `LinAlgError` if any
+    step does not depend on the other rows.  The QR, the solve and the
+    bound take the whole stack, with no copy of a row: the right-hand sides
+    are filled into copies of the module-level [0 | I], and a singular R is
+    written over with its identity in place.  Raises `LinAlgError` if any
     row's SVD on that route does not converge."""
     rcond = np.finfo(float).eps * max(jw.shape[1], 4)
     tri = np.linalg.qr(np.concatenate((jw, -r[:, :, None]), axis=2), mode="r")
-    r_tri, eye = tri[:, :4, :4], np.broadcast_to(np.eye(4), (len(jw), 4, 4))
+    r_tri = tri[:, :4, :4]
     # a zero on the diagonal makes R singular: such an R is solved as the
     # identity, and its row takes the pseudo-inverse route below
     singular = (np.diagonal(r_tri, axis1=1, axis2=2) == 0.0).any(axis=1)
+    r_tri[singular] = _STEP_RHS[:, 1:]
     # [step | R^-1] at once
-    x = np.linalg.solve(
-        np.where(singular[:, None, None], eye, r_tri), np.concatenate((tri[:, :4, 4:], eye), axis=2)
-    )
+    rhs = np.repeat(_STEP_RHS[None], len(tri), axis=0)
+    rhs[:, :, 0] = tri[:, :4, 4]
+    x = np.linalg.solve(r_tri, rhs)
     # cond_2(R) <= |R|_F |R^-1|_F <= 16 max|R| max|R^-1|, the products of
     # largest entries, which neither underflow nor overflow where the squares
     # of the Frobenius norms would; the factor 2 covers the rounding of R^-1,
@@ -338,7 +352,10 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     shares the one sorted delay axis.  The rows are fitted in lockstep, with
     array operations over the rows still iterating, and each row gets the
     bits a block of that row alone gives: a row's outcome never depends on
-    the other rows.
+    the other rows.  A round runs on the whole working arrays: the
+    reweighting, the stacked step and, when every row takes its full step,
+    the line search's update; only a row that shortens its step, and a row
+    that ends, is gathered or scattered by a mask (see `_descend`).
 
     Initialization is data-driven: baseline from the mean of the outer 20%
     of points, depth from baseline minus the minimum, center at the minimum,
@@ -357,7 +374,8 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     One stacked pass builds every fitted row's result and covariance, the
     covariance from the QR triangle R of the (weighted) Jacobian as
     R^-1 R^-T, which does not square the Jacobian's condition number as the
-    inverse of J^T J does.
+    inverse of J^T J does, and checks the rules below as masks over the
+    stacked fields.
 
     An unweighted row is fitted, and its covariance worked, in units of the
     power of two just above its largest count, and only its count-valued
@@ -440,10 +458,8 @@ def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
     results = _fit_results(
         p[fitted], l, y[fitted], sse[fitted], n_iter[fitted], e[fitted], poisson_weights
     )
-    gaps = np.diff(l)
-    spacing = gaps[gaps > 0.0].min()  # of the distinct delays
     for i, result in zip(fitted, results):
-        outcomes[i] = _outcome(result, l[-1] - l[0], spacing, poisson_weights)
+        outcomes[i] = result
     return DipFits(outcomes, int(n_iter.sum()))
 
 
@@ -461,6 +477,15 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     row whose first pass converged, to `FIT_SEED_TOL`: that row goes on to
     its reweighted pass, whose weights are rebuilt from the current model
     every round.
+
+    Each stage of a round takes the whole working arrays, so its fixed cost
+    is paid once per round, not per mask.  The reweighting builds every
+    row's model and weights, and `np.where` gives them to the reweighted
+    rows only.  Every row's step comes from one `_gn_steps` stack: a row
+    whose Jacobian or residual is not finite is zeroed in place, and its
+    step is not taken.  When every row takes the line search's full step,
+    the candidate arrays become the working arrays; only the rows that
+    shorten their step are gathered and scattered.
     """
     runs, n = y.shape
     n_edge = max(1, int(round(0.1 * n)))
@@ -493,34 +518,39 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         it += 1
         # a reweighted row's weights come from its current model, so its pass
         # ends where J^T W (y - model) = 0, W = 1 / max(model, 1); the model
-        # is built from the g of the current point, with no new exponential;
-        # a round with no reweighted row skips it
+        # is built from the g of the current point, with no new exponential.
+        # It is built on the whole working arrays, and only the reweighted
+        # rows take it; a round with no reweighted row skips it
         if reweighted.any():
-            model = p[reweighted, :1] - p[reweighted, 1:2] * g[reweighted]
-            sig[reweighted] = np.sqrt(np.maximum(model, 1.0))
-            r[reweighted] = (model - y[reweighted]) / sig[reweighted]
-            sse[reweighted] = (r[reweighted] ** 2).sum(axis=1)
+            on = reweighted[:, None]
+            model = p[:, :1] - p[:, 1:2] * g
+            sig = np.where(on, np.sqrt(np.maximum(model, 1.0)), sig)
+            r = np.where(on, (model - y) / sig, r)
+            sse = np.where(reweighted, (r**2).sum(axis=1), sse)
         jw = _dip_jac(p, u, g)
         jw /= sig[:, :, None]
         # a row whose Jacobian or residual is not finite, as counts near the
         # float range give, never reaches LAPACK, which would print its
-        # complaint to stdout ahead of the table
+        # complaint to stdout ahead of the table: its problem is zeroed, and
+        # its step is not taken
         finite = np.isfinite(jw).all(axis=(1, 2)) & np.isfinite(r).all(axis=1)
         for k in np.flatnonzero(~finite):
             ended[row[k]] = FitError(
                 "least-squares step failed: the Jacobian or residual is not finite"
             )
-        step = np.full((len(row), 4), np.nan)
+        jw[~finite], r[~finite] = 0.0, 0.0
         try:
-            step[finite] = _gn_steps(jw[finite], r[finite])
+            step = _gn_steps(jw, r)
         except np.linalg.LinAlgError:
             # find the rows that raised: a stack of one row gives that row
             # the bits the whole stack gives it
+            step = np.full((len(row), 4), np.nan)
             for k in np.flatnonzero(finite):
                 try:
                     step[k] = _gn_steps(jw[k : k + 1], r[k : k + 1])
                 except np.linalg.LinAlgError as exc:  # ends this row's fit only
                     ended[row[k]] = FitError(f"least-squares step failed: {exc}")
+        step[~finite] = np.nan
         del jw  # freed before the line search allocates its candidates
         # per row: does its pass end this round, and has it converged
         ends = ~np.isfinite(step).all(axis=1)
@@ -535,7 +565,8 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             k = len(lengths)
             # the working arrays themselves where every row searches, else a copy
             # of the searching rows'
-            rows_in = slice(None) if search.size == len(row) else search
+            every = search.size == len(row)
+            rows_in = slice(None) if every else search
             at = rows_in if k == 1 else np.repeat(search, k)
             cand = (p[rows_in, None] + lengths[:, None] * step[rows_in, None]).reshape(-1, 4)
             # a collapsed width leaves the model undefined: such a candidate
@@ -554,11 +585,16 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             )
             seeding = ~reweighted[took] & poisson_weights  # on the observed-weight pass
             conv[took] = ends[took] = rel_step < np.where(seeding, FIT_SEED_TOL, FIT_STEP_TOL)
-            pick = np.flatnonzero(hit) * k + nth  # into the candidates
-            p[took] = cand[pick]
-            sse[took], u[took], g[took], r[took] = (
-                cand_sse[pick], cand_u[pick], cand_g[pick], cand_r[pick]
-            )
+            if k == 1 and every and hit.all():
+                # every row takes its full step: the candidates, in row order,
+                # are the new working arrays
+                p, sse, u, g, r = cand, cand_sse, cand_u, cand_g, cand_r
+            else:
+                pick = np.flatnonzero(hit) * k + nth  # into the candidates
+                p[took] = cand[pick]
+                sse[took], u[took], g[took], r[took] = (
+                    cand_sse[pick], cand_u[pick], cand_g[pick], cand_r[pick]
+                )
             search = search[~hit]
         conv[search] = ends[search] = True  # no descent direction left: local minimum
         ends |= it >= FIT_MAX_ITER
@@ -600,10 +636,13 @@ def _fit_results(
     p: np.ndarray, l: np.ndarray, y: np.ndarray, sse: np.ndarray, n_iter: np.ndarray,
     e: np.ndarray, poisson_weights: bool,
 ) -> list:
-    """The `FitResult` of each row of the (k, 4) final parameters p, with
-    the parameter covariance there, from one stacked pass over the rows.
-    Each row is worked in the units of 2**e it was fitted in, and only its
-    count-valued fields are scaled back to counts."""
+    """The outcome of each converged row of the (k, 4) final parameters p:
+    its `FitResult`, with the parameter covariance there, from one stacked
+    pass over the rows, or the `FitError` that result ends in.  Each row is
+    worked in the units of 2**e it was fitted in, and only its count-valued
+    fields are scaled back to counts.  The rules `fit_gaussian_dip` lists
+    for a converged fit are masks over the stacked fields, checked in its
+    order, and only a row that fails one builds its message."""
     p = np.column_stack((p[:, :3], np.abs(p[:, 3])))
     base, depth, center, w = p.T
     u, g, model = _dip_terms(p, l)
@@ -644,30 +683,34 @@ def _fit_results(
         np.ldexp(sse, 2 * e), np.ldexp(perr[:, 0], e), np.ldexp(perr[:, 1], e), perr[:, 2],
         GAUSSIAN_FWHM_FACTOR * perr[:, 3], np.sqrt(var_vis),
     ))
-    return [FitResult(*f, n) for f, n in zip(fields.tolist(), n_iter.tolist())]
-
-
-def _outcome(result: FitResult, span: float, spacing: float, poisson_weights: bool):
-    """A converged row's outcome: its `result`, or the `FitError` the result
-    ends in, checked in the order `fit_gaussian_dip` lists.  `span` is the
-    span of the delays and `spacing` the smallest spacing of the distinct
-    ones."""
-    if result.depth <= 0.0:
-        return NoDipError("no dip detected")
-    not_finite = [name for name, value in vars(result).items() if not math.isfinite(value)]
-    if not_finite:
-        return FitError(f"fit is not finite: {', '.join(not_finite)}")
-    if poisson_weights and (result.baseline <= 0.0 or result.fwhm_um > span):
-        return NoDipError(
-            f"fitted FWHM {result.fwhm_um:.6g} um and baseline "
-            f"{result.baseline:.6g} resolve no dip over a {span:.6g} um scan"
-        )
-    if result.fwhm_um < spacing:
-        return NoDipError(
-            f"fitted FWHM {result.fwhm_um:.6g} um is narrower than the "
-            f"{spacing:.6g} um delay spacing and resolves no dip"
-        )
-    return result
+    outcomes = [FitResult(*f, n) for f, n in zip(fields.tolist(), n_iter.tolist())]
+    # the rules, each row's first failed one deciding its outcome
+    span = l[-1] - l[0]
+    gaps = np.diff(l)
+    spacing = gaps[gaps > 0.0].min()  # of the distinct delays
+    base, fwhm = fields[:, 0], fields[:, 3]
+    no_depth = fields[:, 1] <= 0.0
+    not_finite = ~np.isfinite(fields)
+    unresolved = poisson_weights & ((base <= 0.0) | (fwhm > span))  # the scan rule
+    narrow = fwhm < spacing
+    for i in np.flatnonzero(no_depth | not_finite.any(axis=1) | unresolved | narrow).tolist():
+        result = outcomes[i]
+        if no_depth[i]:
+            outcomes[i] = NoDipError("no dip detected")
+        elif not_finite[i].any():
+            names = ", ".join(_RESULT_FIELDS[j] for j in np.flatnonzero(not_finite[i]))
+            outcomes[i] = FitError(f"fit is not finite: {names}")
+        elif unresolved[i]:
+            outcomes[i] = NoDipError(
+                f"fitted FWHM {result.fwhm_um:.6g} um and baseline "
+                f"{result.baseline:.6g} resolve no dip over a {span:.6g} um scan"
+            )
+        else:
+            outcomes[i] = NoDipError(
+                f"fitted FWHM {result.fwhm_um:.6g} um is narrower than the "
+                f"{spacing:.6g} um delay spacing and resolves no dip"
+            )
+    return outcomes
 
 
 #: largest share of Monte Carlo runs that may be a `FitError` and be left

@@ -1,7 +1,8 @@
 """Command-line interface: output formats, grids, exit codes, determinism.
 
 Everything drives `twoboson.cli.main` in-process so coverage and debugging
-stay simple; one subprocess smoke test exercises the installed script.
+stay simple; subprocess tests exercise the installed script and the exit of a
+process whose reader closes stdout early.
 """
 
 import csv
@@ -11,8 +12,10 @@ import inspect
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -846,7 +849,9 @@ def test_noisy_hom_golden_fit_and_error_bars(capsys):
 #: of the weighted Jacobian.  Each run's observed-weight pass is only a
 #: seed and hands over at a relative step of `optics.FIT_SEED_TOL`; its
 #: second pass reweights from the current model every round and stops at
-#: the fixed point of that reweighting
+#: the fixed point of that reweighting.  Each round runs on the whole
+#: working arrays, and the result pass sorts the outcomes by masks over the
+#: stacked fields; neither moves a bit of these fits
 HOM_SEED_1_FITS_SHA256 = "152dc3bdb45f8fd1d07c6e75c24cb6b628fbdbd54a560773e4457cf517d26061"
 
 
@@ -975,6 +980,47 @@ def test_corrupted_tolerance_makes_verification_fail(capsys, failing_tolerances)
     code = main(["verify", "--trials", "5"])
     assert code == EXIT_VERIFICATION
     assert "FAIL" in capsys.readouterr().out
+
+
+# --- a reader that leaves early -----------------------------------------------------
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has left: every write raises, as a pipe's does."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def writelines(self, lines):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", (["sweep"], ["hom", "--noisy"], ["--help"]))
+def test_a_reader_that_leaves_early_ends_the_command_quietly(argv, capsys):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sys, "stdout", _ClosedPipe())
+        assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("buffered", (True, False))
+def test_a_process_whose_reader_leaves_early_exits_0_and_says_nothing(buffered):
+    # the reader closes its end before the process writes a byte; buffered,
+    # the output waits for the interpreter's flush at exit, unbuffered it
+    # fails at its first write
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["sweep", "--theta-grid", "0:45:91", "--delay-grid", "0:300:61"]
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "twoboson.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert err == b""
 
 
 # --- installed script ----------------------------------------------------------------
