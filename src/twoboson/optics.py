@@ -458,8 +458,8 @@ def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
     results = _fit_results(
         p[fitted], l, y[fitted], sse[fitted], n_iter[fitted], e[fitted], poisson_weights
     )
-    for i, result in zip(fitted, results):
-        outcomes[i] = result
+    for i, outcome in zip(fitted, results):
+        outcomes[i] = outcome
     return DipFits(outcomes, int(n_iter.sum()))
 
 
@@ -518,9 +518,8 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         it += 1
         # a reweighted row's weights come from its current model, so its pass
         # ends where J^T W (y - model) = 0, W = 1 / max(model, 1); the model
-        # is built from the g of the current point, with no new exponential.
-        # It is built on the whole working arrays, and only the reweighted
-        # rows take it; a round with no reweighted row skips it
+        # is built from the g of the current point, with no new exponential;
+        # a round with no reweighted row skips it
         if reweighted.any():
             on = reweighted[:, None]
             model = p[:, :1] - p[:, 1:2] * g

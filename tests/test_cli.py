@@ -1005,9 +1005,9 @@ def test_a_reader_that_leaves_early_ends_the_command_quietly(argv, capsys):
 
 @pytest.mark.parametrize("buffered", (True, False))
 def test_a_process_whose_reader_leaves_early_exits_0_and_says_nothing(buffered):
-    # the reader closes its end before the process writes a byte; buffered,
-    # the output waits for the interpreter's flush at exit, unbuffered it
-    # fails at its first write
+    # the reader closes its end before the process writes a byte, so the
+    # first write that reaches the pipe fails; buffered, what is still in
+    # the buffer then meets the interpreter's flush at exit
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
