@@ -300,28 +300,41 @@ def cmd_hom(args) -> int:
         "runs": args.runs,
         "seed": args.seed,
     }
-    _write_table(args.out, args.format, ("delay_um", "counts"), rows, metadata)
-
+    # the command's failure, if any, is settled before the first byte is
+    # written, so a reader of stdout that leaves early cannot hide it: the
+    # printed table's fit, else the Monte Carlo estimate over all the runs
     fit = fits.outcomes[0]  # the printed table's
-    if isinstance(fit, optics.FitError):
-        raise fit
+    failure = fit if isinstance(fit, optics.FitError) else None
+    mc = None
+    if args.noisy and failure is None:
+        try:
+            mc = optics.monte_carlo_errorbars(fits.outcomes)
+        except optics.EstimatorError as exc:
+            failure = exc
 
-    print(f"fit: baseline    = {_fixed(fit.baseline)} +/- {_fixed(fit.baseline_err)}")
-    print(f"fit: depth       = {_fixed(fit.depth)} +/- {_fixed(fit.depth_err)}")
-    print(f"fit: center_um   = {_fixed(fit.center_um)} +/- {_fixed(fit.center_err)}")
-    print(f"fit: fwhm_um     = {_fixed(fit.fwhm_um)} +/- {_fixed(fit.fwhm_err)}")
-    print(f"fit: visibility  = {_fixed(fit.visibility)} +/- {_fixed(fit.visibility_err)}")
-    print(f"fit: residual    = {fit.residual:.6g}")
-
-    if args.noisy:
-        ((v_mean, v_std), (f_mean, f_std)), failed = optics.monte_carlo_errorbars(fits.outcomes)
-        if failed:
-            print(
-                f"monte carlo: left out {failed} of {args.runs} runs whose fit failed",
-                file=sys.stderr,
-            )
-        print(f"mc ({args.runs} runs): visibility = {_fixed(v_mean)} +/- {_fixed(v_std)}")
-        print(f"mc ({args.runs} runs): fwhm_um    = {_fixed(f_mean)} +/- {_fixed(f_std)}")
+    try:
+        _write_table(args.out, args.format, ("delay_um", "counts"), rows, metadata)
+        if fit is not failure:
+            print(f"fit: baseline    = {_fixed(fit.baseline)} +/- {_fixed(fit.baseline_err)}")
+            print(f"fit: depth       = {_fixed(fit.depth)} +/- {_fixed(fit.depth_err)}")
+            print(f"fit: center_um   = {_fixed(fit.center_um)} +/- {_fixed(fit.center_err)}")
+            print(f"fit: fwhm_um     = {_fixed(fit.fwhm_um)} +/- {_fixed(fit.fwhm_err)}")
+            print(f"fit: visibility  = {_fixed(fit.visibility)} +/- {_fixed(fit.visibility_err)}")
+            print(f"fit: residual    = {fit.residual:.6g}")
+        if mc is not None:
+            ((v_mean, v_std), (f_mean, f_std)), failed = mc
+            if failed:
+                print(
+                    f"monte carlo: left out {failed} of {args.runs} runs whose fit failed",
+                    file=sys.stderr,
+                )
+            print(f"mc ({args.runs} runs): visibility = {_fixed(v_mean)} +/- {_fixed(v_std)}")
+            print(f"mc ({args.runs} runs): fwhm_um    = {_fixed(f_mean)} +/- {_fixed(f_std)}")
+    except BrokenPipeError:
+        if failure is None:
+            raise
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 

@@ -352,10 +352,9 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     shares the one sorted delay axis.  The rows are fitted in lockstep, with
     array operations over the rows still iterating, and each row gets the
     bits a block of that row alone gives: a row's outcome never depends on
-    the other rows.  A round runs on the whole working arrays: the
-    reweighting, the stacked step and, when every row takes its full step,
-    the line search's update; only a row that shortens its step, and a row
-    that ends, is gathered or scattered by a mask (see `_descend`).
+    the other rows.  A round's reweighting and stacked step run on the
+    whole working arrays; the line search's update, and a row that ends,
+    are gathered and scattered by a mask (see `_descend`).
 
     Initialization is data-driven: baseline from the mean of the outer 20%
     of points, depth from baseline minus the minimum, center at the minimum,
@@ -433,7 +432,7 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
         raise ValueError("counts must be nonnegative")
     y = np.take_along_axis(y, np.lexsort((y, np.broadcast_to(l, y.shape))), axis=1)
     # an overflow to inf or nan, or a zero baseline, ends in the finiteness
-    # check of `_outcome`, not in a RuntimeWarning
+    # check of `_fit_results`, not in a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _fit_rows(np.sort(l), y, poisson_weights)
 
@@ -483,9 +482,8 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     row's model and weights, and `np.where` gives them to the reweighted
     rows only.  Every row's step comes from one `_gn_steps` stack: a row
     whose Jacobian or residual is not finite is zeroed in place, and its
-    step is not taken.  When every row takes the line search's full step,
-    the candidate arrays become the working arrays; only the rows that
-    shorten their step are gathered and scattered.
+    step is not taken.  The line search gathers each row's accepted
+    candidate and scatters it into the working arrays.
     """
     runs, n = y.shape
     n_edge = max(1, int(round(0.1 * n)))
@@ -564,8 +562,7 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             k = len(lengths)
             # the working arrays themselves where every row searches, else a copy
             # of the searching rows'
-            every = search.size == len(row)
-            rows_in = slice(None) if every else search
+            rows_in = slice(None) if search.size == len(row) else search
             at = rows_in if k == 1 else np.repeat(search, k)
             cand = (p[rows_in, None] + lengths[:, None] * step[rows_in, None]).reshape(-1, 4)
             # a collapsed width leaves the model undefined: such a candidate
@@ -584,16 +581,11 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
             )
             seeding = ~reweighted[took] & poisson_weights  # on the observed-weight pass
             conv[took] = ends[took] = rel_step < np.where(seeding, FIT_SEED_TOL, FIT_STEP_TOL)
-            if k == 1 and every and hit.all():
-                # every row takes its full step: the candidates, in row order,
-                # are the new working arrays
-                p, sse, u, g, r = cand, cand_sse, cand_u, cand_g, cand_r
-            else:
-                pick = np.flatnonzero(hit) * k + nth  # into the candidates
-                p[took] = cand[pick]
-                sse[took], u[took], g[took], r[took] = (
-                    cand_sse[pick], cand_u[pick], cand_g[pick], cand_r[pick]
-                )
+            pick = np.flatnonzero(hit) * k + nth  # into the candidates
+            p[took] = cand[pick]
+            sse[took], u[took], g[took], r[took] = (
+                cand_sse[pick], cand_u[pick], cand_g[pick], cand_r[pick]
+            )
             search = search[~hit]
         conv[search] = ends[search] = True  # no descent direction left: local minimum
         ends |= it >= FIT_MAX_ITER

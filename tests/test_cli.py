@@ -1003,8 +1003,34 @@ def test_a_reader_that_leaves_early_ends_the_command_quietly(argv, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    (
+        (["hom", "--baseline", "1e200"], "fit failed: fit is not finite: residual\n"),
+        (["hom", "--noisy", "--baseline", "4", "--seed", "1"], "monte carlo failed: 16 of 100 "),
+    ),
+)
+def test_a_reader_that_leaves_early_hides_no_failure(argv, err, capsys):
+    # the table's first write raises, before the failure is reported; the
+    # exit code and stderr are those a reader that stays gets
+    assert main(argv) == EXIT_NUMERICAL
+    stays = capsys.readouterr().err
+    assert stays.startswith(err)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sys, "stdout", _ClosedPipe())
+        assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", stays)
+
+
 @pytest.mark.parametrize("buffered", (True, False))
-def test_a_process_whose_reader_leaves_early_exits_0_and_says_nothing(buffered):
+@pytest.mark.parametrize(
+    "argv, code, err",
+    (
+        (["sweep", "--theta-grid", "0:45:91", "--delay-grid", "0:300:61"], EXIT_OK, b""),
+        (["hom", "--baseline", "1e200"], EXIT_NUMERICAL, b"fit failed: fit is not finite: residual\n"),
+    ),
+)
+def test_a_process_whose_reader_leaves_early_says_only_its_failure(buffered, argv, code, err):
     # the reader closes its end before the process writes a byte, so the
     # first write that reaches the pipe fails; buffered, what is still in
     # the buffer then meets the interpreter's flush at exit
@@ -1012,15 +1038,14 @@ def test_a_process_whose_reader_leaves_early_exits_0_and_says_nothing(buffered):
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["sweep", "--theta-grid", "0:45:91", "--delay-grid", "0:300:61"]
     proc = subprocess.Popen(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "twoboson.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == EXIT_OK
-    assert err == b""
+    got = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert got == err
 
 
 # --- installed script ----------------------------------------------------------------
