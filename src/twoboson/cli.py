@@ -12,7 +12,8 @@ micrometers.  Exit codes: 0 success, 1 usage error, 2 numerical/fit failure,
 3 verification failure.  A command refuses by raising; `main` alone turns
 the failure into one line on stderr and its exit code.  A reader that closes
 stdout early, as `| head` does, ends the command with exit code 0 and
-nothing on stderr.
+nothing on stderr, unless the command failed: `hom` settles its fit and
+Monte Carlo outcome before it writes, and reports a failure all the same.
 """
 
 from __future__ import annotations
