@@ -11,9 +11,8 @@ Angles are degrees at this boundary (radians never leak out), lengths are
 micrometers.  Exit codes: 0 success, 1 usage error, 2 numerical/fit failure,
 3 verification failure.  A command refuses by raising; `main` alone turns
 the failure into one line on stderr and its exit code.  A reader that closes
-stdout early, as `| head` does, ends the command with exit code 0 and
-nothing on stderr, unless the command failed: `hom` settles its fit and
-Monte Carlo outcome before it writes, and reports a failure all the same.
+stdout early, as `| head` does, changes neither the exit code nor stderr: a
+command settles its failure and its report line before its first byte.
 """
 
 from __future__ import annotations
@@ -197,12 +196,15 @@ def cmd_concurrence(args) -> int:
 
 
 def _write_table(
-    path: Optional[str], fmt: str, columns: Sequence[str], rows, metadata: dict
+    path: Optional[str], fmt: str, columns: Sequence[str], rows, metadata: dict,
+    report: Optional[str] = None,
 ) -> None:
     """Write `rows`, each a sequence of numbers in `columns` order, as CSV or
     JSON to `path`, or to stdout for None or '-'.  A CSV cell is `%.12g` of
     the number plus 0.0, which prints -0.0 as 0.  A path that cannot be
-    opened raises `ValueError`, a usage error, before any byte is written."""
+    opened raises `ValueError`, a usage error, before any byte is written.
+    A `report` line goes to stderr once the target is open and before its
+    first byte, so a reader of stdout that leaves early cannot lose it."""
     if path is None or path == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
@@ -211,6 +213,8 @@ def _write_table(
         except OSError as exc:
             raise ValueError(f"cannot write {path!r}: {exc}") from exc
     with target as handle:
+        if report is not None:
+            print(report, file=sys.stderr)
         if fmt == "csv":
             handle.write(",".join(columns) + "\n")
             line = ",".join(["%.12g"] * len(columns)) + "\n"
@@ -241,9 +245,8 @@ def cmd_sweep(args) -> int:
                     counts = optics.simulate_counts(rates, [args.seed, len(rows)], args.runs)
                 except ValueError as exc:
                     raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
-                none = optics.xstate_no_coincidence(counts)
-                no_coincidence += int(np.count_nonzero(none))
-                c = optics.xstate_concurrence(counts, none)
+                no_coincidence += int(np.count_nonzero(optics.xstate_no_coincidence(counts)))
+                c = optics.xstate_concurrence(counts)
                 values += [float(np.mean(c)), float(np.std(c, ddof=1))]
             rows.append(values)
     metadata = {
@@ -258,15 +261,15 @@ def cmd_sweep(args) -> int:
         "runs": args.runs,
         "seed": args.seed,
     }
+    report = None
     if args.noisy:
         metadata["runs_without_coincidence"] = no_coincidence
-    _write_table(args.out, args.format, columns, rows, metadata)
     if no_coincidence:
-        print(
+        report = (
             f"monte carlo: {no_coincidence} of {len(rows) * args.runs} runs observed "
-            "no coincidence and read a concurrence of 0",
-            file=sys.stderr,
+            "no coincidence and read a concurrence of 0"
         )
+    _write_table(args.out, args.format, columns, rows, metadata, report)
     return EXIT_OK
 
 
@@ -301,20 +304,24 @@ def cmd_hom(args) -> int:
         "runs": args.runs,
         "seed": args.seed,
     }
-    # the command's failure, if any, is settled before the first byte is
-    # written, so a reader of stdout that leaves early cannot hide it: the
-    # printed table's fit, else the Monte Carlo estimate over all the runs
+    # the command's failure, if any, and its report are settled before the
+    # first byte is written, so a reader of stdout that leaves early cannot
+    # hide them: the printed table's fit, else the Monte Carlo estimate over
+    # all the runs
     fit = fits.outcomes[0]  # the printed table's
     failure = fit if isinstance(fit, optics.FitError) else None
-    mc = None
+    mc = report = None
     if args.noisy and failure is None:
         try:
-            mc = optics.monte_carlo_errorbars(fits.outcomes)
+            mc, failed = optics.monte_carlo_errorbars(fits.outcomes)
         except optics.EstimatorError as exc:
             failure = exc
+        else:
+            if failed:
+                report = f"monte carlo: left out {failed} of {args.runs} runs whose fit failed"
 
     try:
-        _write_table(args.out, args.format, ("delay_um", "counts"), rows, metadata)
+        _write_table(args.out, args.format, ("delay_um", "counts"), rows, metadata, report)
         if fit is not failure:
             print(f"fit: baseline    = {_fixed(fit.baseline)} +/- {_fixed(fit.baseline_err)}")
             print(f"fit: depth       = {_fixed(fit.depth)} +/- {_fixed(fit.depth_err)}")
@@ -323,12 +330,7 @@ def cmd_hom(args) -> int:
             print(f"fit: visibility  = {_fixed(fit.visibility)} +/- {_fixed(fit.visibility_err)}")
             print(f"fit: residual    = {fit.residual:.6g}")
         if mc is not None:
-            ((v_mean, v_std), (f_mean, f_std)), failed = mc
-            if failed:
-                print(
-                    f"monte carlo: left out {failed} of {args.runs} runs whose fit failed",
-                    file=sys.stderr,
-                )
+            (v_mean, v_std), (f_mean, f_std) = mc
             print(f"mc ({args.runs} runs): visibility = {_fixed(v_mean)} +/- {_fixed(v_std)}")
             print(f"mc ({args.runs} runs): fwhm_um    = {_fixed(f_mean)} +/- {_fixed(f_std)}")
     except BrokenPipeError:

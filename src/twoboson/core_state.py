@@ -135,11 +135,6 @@ class SingleParticleState:
     spin: Spin
     dist: DistVector
 
-    @property
-    def detector_mode(self) -> Optional[str]:
-        """The detector mode of the spatial part: 'L', 'R' or None."""
-        return self.spatial.detector_mode
-
 
 def inner_single(x: SingleParticleState, y: SingleParticleState) -> complex:
     """Factorized single-particle inner product <x|y> (x enters as the bra)."""

@@ -66,10 +66,6 @@ def labeled_inner(x: LabeledState, y: LabeledState) -> complex:
     return complex(np.vdot(x.amps, y.amps))
 
 
-def labeled_norm_sq(x: LabeledState) -> float:
-    return float(np.vdot(x.amps, x.amps).real)
-
-
 def to_labeled(state: SymmetricTwoBosonState) -> LabeledState:
     """Linear extension of symmetrize to term sums of unordered kets; the
     state needs at least one term, which fixes the distinguishability

@@ -40,8 +40,10 @@ of its own fit.  An unweighted row is fitted, and its covariance worked, in
 units of a power of two near its largest count, so an exact dip is
 recovered at any count scale the float range holds.  The fitter is the one
 place that decides each row's outcome, a `FitResult` or a `FitError`, the
-rules for a dip the scan does not resolve included; a row that hits the
-iteration cap is a `FitConvergenceError` that carries only its message.
+rules for a dip the scan does not resolve included.  A row that ends
+unconverged gets its error as it leaves the lockstep loop (at the cap, a
+`FitConvergenceError` that carries only its message), and a converged row
+its outcome in the stacked result pass.
 `monte_carlo_errorbars` reduces those outcomes to the visibility and FWHM
 error bars, leaving out the runs that are a `FitError`.  No hidden global
 state.
@@ -182,13 +184,13 @@ def hom_coincidence(theta_deg: float, overlap: float, baseline: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def simulate_counts(rates: np.ndarray, seed, runs: int = 1) -> np.ndarray:
+def simulate_counts(rates: np.ndarray, seed, runs: int) -> np.ndarray:
     """A (runs, n) block of Poisson counts with mean `rates`, one row per run.
 
     `seed` is an int or a sequence such as [seed, row_index].  Row k equals
     the k-th sequential draw of a fresh generator, so row 0 does not depend
-    on `runs`.  A rate too large for numpy's Poisson sampler raises
-    `ValueError` naming the largest rate."""
+    on `runs`, which has no default.  A rate too large for numpy's Poisson
+    sampler raises `ValueError` naming the largest rate."""
     if np.any(rates < 0.0):
         raise ValueError("count rates must be nonnegative")
     rng = np.random.default_rng(seed)  # a bad seed's error is not the sampler's
@@ -407,8 +409,11 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     `FitError` for a least-squares step whose weighted Jacobian or residual
     is not finite, as weighted counts near the float range give, or whose
     solve raises `LinAlgError`, which ends that row's fit and no other;
-    `FitConvergenceError` at the iteration cap;
-    `NoDipError` for a converged depth <= 0; a plain `FitError` for a fit
+    `FitConvergenceError` at the iteration cap, whose message names the
+    residual in counts.  These three end a row unconverged, and `_descend`
+    gives them as the row leaves its working arrays.  The rest are the
+    rules for a converged fit, masks over the stacked fields of the result
+    pass: `NoDipError` for a converged depth <= 0; a plain `FitError` for a fit
     any of whose fields is not finite, as counts near the float range give;
     with `poisson_weights` only, `NoDipError` for a converged fit whose
     FWHM is wider than the span of `delays` or whose baseline is <= 0, which
@@ -431,51 +436,39 @@ def fit_gaussian_dip(delays, counts, poisson_weights: bool = False) -> DipFits:
     if np.any(y < 0.0):
         raise ValueError("counts must be nonnegative")
     y = np.take_along_axis(y, np.lexsort((y, np.broadcast_to(l, y.shape))), axis=1)
+    l = np.sort(l)
     # an overflow to inf or nan, or a zero baseline, ends in the finiteness
     # check of `_fit_results`, not in a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _fit_rows(np.sort(l), y, poisson_weights)
-
-
-def _fit_rows(l: np.ndarray, y: np.ndarray, poisson_weights: bool) -> DipFits:
-    """`fit_gaussian_dip` of the (runs, n) counts `y` over the sorted delay
-    axis `l`, each row in that order."""
-    # an unweighted row is fitted in units of 2**e, with 2**(e-1) <= its
-    # largest count < 2**e, so its fit does not depend on the count scale;
-    # ldexp scales exactly.  A weighted row stays in counts, the unit of its
-    # weights' floor sqrt(max(count, 1)).
-    e = np.zeros(len(y), dtype=int) if poisson_weights else np.frexp(y.max(axis=1))[1]
-    y = np.ldexp(y, -e[:, None])
-    p, sse, n_iter, converged, outcomes = _descend(l, y, poisson_weights)
-    for i in np.flatnonzero(~converged):
-        if outcomes[i] is None:  # the cap ends the row with its residual in counts
-            outcomes[i] = FitConvergenceError(
-                f"no convergence after {FIT_MAX_ITER} iterations "
-                f"(best residual {np.ldexp(sse[i], 2 * e[i]):.6g})"
-            )
-    fitted = [i for i, o in enumerate(outcomes) if o is None]
-    results = _fit_results(
-        p[fitted], l, y[fitted], sse[fitted], n_iter[fitted], e[fitted], poisson_weights
-    )
+        # an unweighted row is fitted in units of 2**e, with 2**(e-1) <= its
+        # largest count < 2**e, so its fit does not depend on the count scale;
+        # ldexp scales exactly.  A weighted row stays in counts, the unit of
+        # its weights' floor sqrt(max(count, 1)).
+        e = np.zeros(len(y), dtype=int) if poisson_weights else np.frexp(y.max(axis=1))[1]
+        y = np.ldexp(y, -e[:, None])
+        p, sse, n_iter, outcomes = _descend(l, y, e, poisson_weights)
+        fitted = [i for i, o in enumerate(outcomes) if o is None]
+        results = _fit_results(
+            p[fitted], l, y[fitted], sse[fitted], n_iter[fitted], e[fitted], poisson_weights
+        )
     for i, outcome in zip(fitted, results):
         outcomes[i] = outcome
     return DipFits(outcomes, int(n_iter.sum()))
 
 
-def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
-    """Damped Gauss-Newton on every row of the (runs, n) counts `y` over the
-    sorted delay axis `l`, in lockstep.
+def _descend(l: np.ndarray, y: np.ndarray, e: np.ndarray, poisson_weights: bool):
+    """Damped Gauss-Newton on every row of the (runs, n) counts `y`, in the
+    units of 2**e, over the sorted delay axis `l`, in lockstep.
 
-    Returns, per row, the final parameters, sum of squares, iterations and
-    whether the fit converged, and the `FitError` that ended it before any
-    result, or None: the data-driven start found no dip, which leaves the
-    row unfitted, or a step failed, because the row's Jacobian or residual
-    was not finite or its solve raised `LinAlgError`.
-    Each round takes one step on every row still iterating.  A row that
-    ends a pass leaves the working arrays, unless it is a Poisson-weighted
-    row whose first pass converged, to `FIT_SEED_TOL`: that row goes on to
-    its reweighted pass, whose weights are rebuilt from the current model
-    every round.
+    Returns, per row, the final parameters, sum of squares and iterations,
+    and the `FitError` of a row that ends unconverged, or None for one that
+    converged: no dip at the data-driven start, which leaves the row
+    unfitted, a failed step, or the cap (see `fit_gaussian_dip`).  Each
+    round takes one step on every row still iterating.  A row that ends a
+    pass leaves the working arrays in the one exit block, unless it is a
+    Poisson-weighted row whose first pass converged, to `FIT_SEED_TOL`:
+    that row goes on to its reweighted pass, whose weights are rebuilt
+    from the current model every round.
 
     Each stage of a round takes the whole working arrays, so its fixed cost
     is paid once per round, not per mask.  The reweighting builds every
@@ -501,7 +494,6 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
     final_p = np.stack((base0, depth0, l[i_min], w0), axis=1)
     final_sse = np.zeros(runs)
     final_it = np.zeros(runs, dtype=int)
-    final_conv = np.zeros(runs, dtype=bool)
     ended = [NoDipError("no dip detected") if nd else None for nd in no_dip.tolist()]
 
     # the working arrays: entry k of each belongs to block row row[k]
@@ -598,13 +590,18 @@ def _descend(l: np.ndarray, y: np.ndarray, poisson_weights: bool):
         out = ends & ~again
         if out.any():
             done = row[out]
-            final_p[done], final_sse[done] = p[out], sse[out]
-            final_it[done], final_conv[done] = it[out], conv[out]
+            final_p[done], final_sse[done], final_it[done] = p[out], sse[out], it[out]
+            for k in np.flatnonzero(out & ~conv):
+                if ended[row[k]] is None:  # the cap, with the residual in counts
+                    ended[row[k]] = FitConvergenceError(
+                        f"no convergence after {FIT_MAX_ITER} iterations "
+                        f"(best residual {np.ldexp(sse[k], 2 * e[row[k]]):.6g})"
+                    )
             keep = ~out
             row, p, y, sig, sse, u, g, r, it, reweighted = (
                 a[keep] for a in (row, p, y, sig, sse, u, g, r, it, reweighted)
             )
-    return final_p, final_sse, final_it, final_conv, ended
+    return final_p, final_sse, final_it, ended
 
 
 def _inverses(a: np.ndarray) -> np.ndarray:
@@ -758,15 +755,14 @@ def xstate_no_coincidence(counts: np.ndarray) -> np.ndarray:
     return counts[:, 0] + counts[:, 1] == 0
 
 
-def xstate_concurrence(counts: np.ndarray, none: np.ndarray | None = None) -> np.ndarray:
+def xstate_concurrence(counts: np.ndarray) -> np.ndarray:
     """Concurrence min(1, 2|q| / (p + r)) of each run of a (runs, 4) block of
     `xstate_rates` channel counts, as a (runs,) column; 0 for a run that
-    observed no coincidences, which gives no entanglement evidence.  `none`
-    is the block's `xstate_no_coincidence` mask, built here if not given."""
+    observed no coincidences (see `xstate_no_coincidence`), which gives no
+    entanglement evidence."""
     n_ud, n_du, n_plus, n_minus = counts.T
     total = n_ud + n_du
-    if none is None:
-        none = xstate_no_coincidence(counts)
+    none = xstate_no_coincidence(counts)
     q_hat = (n_plus.astype(float) - n_minus.astype(float)) / 2.0
     c = 2.0 * np.abs(q_hat) / np.where(none, 1, total)  # no 0/0 warning
     return np.where(none, 0.0, np.minimum(1.0, c))

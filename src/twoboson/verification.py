@@ -83,7 +83,7 @@ def _suite_symmetrized_norm(rng, trials):
         p1, p2 = random_state(rng, d), random_state(rng, d)
         expected = 1.0 + abs(inner_single(p1, p2)) ** 2
         sym = fq_oracle.symmetrize(p1, p2)
-        dev = max(dev, abs(fq_oracle.labeled_norm_sq(sym) - expected))
+        dev = max(dev, abs(fq_oracle.labeled_inner(sym, sym).real - expected))
         dev = max(dev, abs(nolabel_algebra.transition_two((p1, p2), (p1, p2)) - expected))
     return dev
 

@@ -90,7 +90,7 @@ def _dense_trace(s):
     entries = []
     dists = {}
     for coeff, (x, y) in s.terms:
-        mx, my = x.detector_mode, y.detector_mode
+        mx, my = x.spatial.detector_mode, y.spatial.detector_mode
         assert {mx, my} == {"L", "R"}
         at_l, at_r = (x, y) if mx == "L" else (y, x)
         row = 2 * (at_l.spin is not Spin.UP) + (at_r.spin is not Spin.UP)

@@ -172,16 +172,16 @@ def _copies(s):
 
 def test_modes_match_a_fresh_computation_and_survive_copies():
     states = _states_with_keys()
-    assert {s.detector_mode for s in states} == {"L", "R", None}
+    assert {s.spatial.detector_mode for s in states} == {"L", "R", None}
     for s in states:
         s.dist.overlap(s.dist)  # `detector_mode` is filled above; fill `array` before copying
         for t in _copies(s):
             assert t == s
             assert hash(t) == hash(s)
-            assert t.detector_mode == _fresh_mode(s)
+            assert t.spatial.detector_mode == _fresh_mode(s)
             _assert_read_only_amplitudes(t.dist)
     # every detector-definite state holds one of the two shared mode amplitudes
-    shared = {id(s.spatial) for s in states if s.detector_mode is not None}
+    shared = {id(s.spatial) for s in states if s.spatial.detector_mode is not None}
     assert shared == {id(DETECTOR_L), id(DETECTOR_R)}
 
 

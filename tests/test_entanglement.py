@@ -156,7 +156,7 @@ def test_number_distribution_matches_the_dense_reference_bit_for_bit(dense_trace
         # the sector weights as a dict summed in key order
         weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
         for coeff, (x, y) in expansion.terms:
-            n_l = (x.detector_mode == "L") + (y.detector_mode == "L")
+            n_l = (x.spatial.detector_mode == "L") + (y.spatial.detector_mode == "L")
             weights[(n_l, 2 - n_l)] += abs(coeff) ** 2
         total = sum(weights.values())
         assert list(nd.probabilities) == list(weights)

@@ -226,7 +226,7 @@ def test_coincidence_is_monotone_in_overlap():
 
 
 def test_zero_rates_give_zero_counts():
-    counts = simulate_counts(np.zeros(3), seed=1)
+    counts = simulate_counts(np.zeros(3), seed=1, runs=1)
     assert counts.tolist() == [[0, 0, 0]]
 
 
@@ -246,22 +246,21 @@ def test_block_rows_are_sequential_draws(seed):
         sequential = np.array([rng.poisson(r) for _ in range(30)])
         assert np.array_equal(simulate_counts(r, seed, 30), sequential)
         assert np.array_equal(simulate_counts(r, seed, 2)[0], sequential[0])
-        assert np.array_equal(simulate_counts(r, seed)[0], sequential[0])
 
 
 def test_sample_mean_tracks_the_rate():
-    counts = simulate_counts(np.full(10_000, 1000.0), seed=0)
+    counts = simulate_counts(np.full(10_000, 1000.0), seed=0, runs=1)
     assert abs(counts.mean() - 1000.0) <= 3.0 * math.sqrt(1000.0)
 
 
 def test_negative_rates_are_rejected():
     with pytest.raises(ValueError, match="negative"):
-        simulate_counts(np.array([-1.0]), seed=0)
+        simulate_counts(np.array([-1.0]), seed=0, runs=1)
 
 
 def test_rates_beyond_the_poisson_sampler_name_the_largest_rate():
     with pytest.raises(ValueError, match=r"largest rate of 2e\+300 \(lam value too large\)"):
-        simulate_counts(np.array([5.0, 2e300, 1e300]), seed=0)
+        simulate_counts(np.array([5.0, 2e300, 1e300]), seed=0, runs=1)
 
 
 # --- dip fitting ----------------------------------------------------------------
@@ -738,7 +737,7 @@ def test_a_resample_whose_fit_is_not_finite_is_left_out(fit_row):
 def test_a_counting_noise_fit_wider_than_the_scan_resolves_no_dip(fit_row):
     # the count table of `hom --fwhm-um 2000 --noisy --seed 3`
     delays, rates = _dip_rates(1.0, 2000.0)
-    counts = simulate_counts(rates, 3)[0]
+    counts = simulate_counts(rates, 3, 1)[0]
     with pytest.raises(NoDipError) as excinfo:
         fit_row(delays, counts, poisson_weights=True)
     assert str(excinfo.value) == (
@@ -803,7 +802,9 @@ def test_no_capped_row_reaches_the_result_pass(poisson_weights, max_iter, monkey
 #: `FitResult`'s fields as float bytes, an error's type and message.  Its
 #: rows hand over from the seed pass at different rounds, some run to the
 #: iteration cap and some end under the scan rule, so a change to the
-#: lockstep round that moves any row's bits, or its outcome, shows here
+#: lockstep round that moves any row's bits, or its outcome, shows here.
+#: Taken on Python 3.11.7 with numpy 2.4.6, as are its 36,746 iterations;
+#: another numpy's LAPACK may move the last bits
 LOW_COUNT_GRID_FITS_SHA256 = "ae5468c14e69c8c23f485f356661513e64782c0a84c06ac106a652ef09ccc0dc"
 
 
@@ -896,7 +897,7 @@ def test_concurrence_estimator_is_unbiased_within_its_spread():
 
 def test_no_coincidences_means_no_entanglement_evidence():
     rho = _middle_block_state(0.25)
-    counts = simulate_counts(xstate_rates(rho, 1e-4), 4)
+    counts = simulate_counts(xstate_rates(rho, 1e-4), 4, 1)
     assert counts[0, :2].tolist() == [0, 0]
     assert xstate_concurrence(counts).tolist() == [0.0]
     assert xstate_concurrence(np.array([[0, 0, 3, 1]])).tolist() == [0.0]
