@@ -7,8 +7,10 @@ Subcommands:
     hom           simulated Hong-Ou-Mandel scan with a Gaussian dip fit
     verify        randomized cross-check suites between algebra and oracle
 
-Angles are degrees at this boundary (radians never leak out), lengths are
-micrometers.  Exit codes: 0 success, 1 usage error, 2 numerical/fit failure,
+The commands decide no physics: the prepared pair, the Hong-Ou-Mandel
+coincidence law and the dip shape are `optics` calls, the same ones that
+`verify` checks.  Angles are degrees at this boundary (radians never leak
+out), lengths are micrometers.  Exit codes: 0 success, 1 usage error, 2 numerical/fit failure,
 3 verification failure.  A command refuses by raising; `main` alone turns
 the failure into one line on stderr and its exit code.  A reader that closes
 stdout early, as `| head` does, changes neither the exit code nor stderr: a
@@ -28,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core_state import DistVector, SingleParticleState, Spin
+from .core_state import DistVector
 from . import entanglement, optics, verification
 
 EXIT_OK = 0
@@ -158,13 +160,7 @@ def _point_values(theta_deg: float, delays: Sequence[_DelayValues]):
     every point, from which E_P is computed."""
     alphas, betas = optics.spatial_amplitudes_from_theta(theta_deg)
     spatial_overlap = optics.spatial_overlap_factor(theta_deg)
-    nds = [
-        entanglement.number_distribution(
-            SingleParticleState(alphas, Spin.UP, delay.phi_a),
-            SingleParticleState(betas, Spin.DOWN, delay.phi_b),
-        )
-        for delay in delays
-    ]
+    nds = [optics.prepared_distribution(alphas, betas, d.phi_a, d.phi_b) for d in delays]
     concurrence = entanglement.wootters_concurrence([nd.state for nd in nds], normalize=True)
     e_p = entanglement.entanglement_of_particles(nds, concurrence)
     return [
@@ -246,8 +242,13 @@ def cmd_sweep(args) -> int:
                 except ValueError as exc:
                     raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
                 no_coincidence += int(np.count_nonzero(optics.xstate_no_coincidence(counts)))
+                # the mean reads the counts pooled over the runs, which the
+                # fold |q| and the clip at 1 bias far less than a mean of
+                # per-run estimates; summed as floats, since the pooled
+                # counts of a large --shots can pass the int64 range
+                pooled = optics.xstate_concurrence(counts.sum(axis=0, keepdims=True, dtype=float))
                 c = optics.xstate_concurrence(counts)
-                values += [float(np.mean(c)), float(np.std(c, ddof=1))]
+                values += [float(pooled[0]), float(np.std(c, ddof=1))]
             rows.append(values)
     metadata = {
         "command": "sweep",
@@ -274,25 +275,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    if not 0.0 <= args.visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
     if args.format == "json" and args.out in (None, "-"):
         raise ValueError("hom --format json needs --out FILE: the fit lines go to stdout")
-    w = args.fwhm_um / optics.GAUSSIAN_FWHM_FACTOR
-    delays = args.delay_grid
-    # each exponent in float arithmetic, which raises for a square that
-    # overflows or a zero width, as the README says; np.exp takes them at once
-    exponents = [-((l - args.center_um) ** 2) / (2.0 * w**2) for l in delays]
-    rates = args.baseline * (1.0 - args.visibility * np.exp(exponents))
+    dip = optics.gaussian_dip(args.delay_grid, args.fwhm_um, args.center_um)
+    rates = optics.hom_coincidence(args.visibility, dip, args.baseline)
     try:
         block = optics.simulate_counts(rates, args.seed, args.runs) if args.noisy else rates[None]
     except ValueError as exc:
         raise ValueError(f"--baseline {args.baseline:g} is too large: {exc}") from exc
     # the fit's working arrays grow with the block, so it runs before any
     # output: a block too large to fit leaves no half-written table
-    fits = optics.fit_gaussian_dip(delays, block, poisson_weights=args.noisy)
+    fits = optics.fit_gaussian_dip(args.delay_grid, block, poisson_weights=args.noisy)
 
-    rows = [(l, float(c)) for l, c in zip(delays, block[0])]
+    rows = [(l, float(c)) for l, c in zip(args.delay_grid, block[0])]
     metadata = {
         "command": "hom",
         "version": __version__,

@@ -20,10 +20,18 @@ exposed, nothing is silently reconciled.  The optical concurrence law
 C(theta, l) = sin^2(4 theta) exp(-l^2 / (2 sigma^2)) is implemented verbatim;
 the closed-form concurrence fed the 'fitted' overlap reproduces it exactly.
 
-The rest of the module is desk-scale experiment plumbing: Hong-Ou-Mandel dip
-levels (visibility in closed form from the two-photon merge amplitudes),
-Poisson count simulation, a damped Gauss-Newton Gaussian-dip fitter, and
-Monte Carlo error bars.  A Monte Carlo draws one (runs, n) count block from
+The experiment is defined here once, and the commands and the `verification`
+suites call the same functions: `prepared_distribution` is the (up, down)
+pair the interferometer prepares, and `hom_coincidence` the one
+Hong-Ou-Mandel coincidence law, baseline * (1 - V x), for a number or an
+array of indistinguishabilities x = |<phi_A|phi_B>|^2.  Its visibility V is
+a free parameter, or `hom_visibility` of the theta merge, in closed form
+from the two-photon amplitudes; its x is an overlap squared, or
+`gaussian_dip` over a delay scan.
+
+The rest of the module is desk-scale experiment plumbing: Poisson count
+simulation, a damped Gauss-Newton Gaussian-dip fitter, and Monte Carlo
+error bars.  A Monte Carlo draws one (runs, n) count block from
 `simulate_counts`, the only place a generator is created.  A block
 estimator maps it to one value per run at once: `xstate_concurrence` in
 closed form, and `fit_gaussian_dip`.  The fitter takes the whole block at
@@ -57,7 +65,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core_state import ATOL_EXACT, DistVector, SpatialAmplitudes, SpinDensityMatrix
+from .core_state import (
+    ATOL_EXACT, DistVector, SingleParticleState, SpatialAmplitudes, Spin, SpinDensityMatrix,
+)
+from . import entanglement
 
 #: FWHM of a Gaussian exp(-x^2/(2 w^2)) is this factor times w
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -149,6 +160,15 @@ def dist_vectors_for_overlap(overlap: complex) -> tuple[DistVector, DistVector]:
     return DistVector((1.0 + 0j, 0j)), DistVector((complex(overlap), rest + 0j))
 
 
+def prepared_distribution(alphas, betas, phi_a, phi_b) -> entanglement.NumberDistribution:
+    """`entanglement.number_distribution` of the pair the interferometer
+    prepares: spin up in the modes `alphas` with the distinguishability
+    vector `phi_a`, and spin down in the modes `betas` with `phi_b`."""
+    return entanglement.number_distribution(
+        SingleParticleState(alphas, Spin.UP, phi_a), SingleParticleState(betas, Spin.DOWN, phi_b)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Hong-Ou-Mandel
 # ---------------------------------------------------------------------------
@@ -169,14 +189,31 @@ def hom_visibility(theta_deg: float) -> float:
     return 2.0 * s2 * c2 / (s2**2 + c2**2)
 
 
-def hom_coincidence(theta_deg: float, overlap: float, baseline: float) -> float:
-    """Coincidence level baseline * (1 - V(theta) * overlap^2)."""
-    if not 0.0 - ATOL_EXACT <= overlap <= 1.0 + ATOL_EXACT:
-        raise ValueError(f"overlap = {overlap:.12g} outside [0, 1]")
+def hom_coincidence(visibility: float, indistinguishability, baseline: float):
+    """Coincidence level baseline * (1 - visibility * x) of a Hong-Ou-Mandel
+    scan, for a number or an array of indistinguishabilities
+    x = |<phi_A|phi_B>|^2, each clipped to [0, 1].  `hom_visibility` gives
+    the visibility of the theta-parameterized merge, and `gaussian_dip` the
+    x of a delay scan."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
+    x = np.asarray(indistinguishability, dtype=float)
+    outside = ~((x >= -ATOL_EXACT) & (x <= 1.0 + ATOL_EXACT))
+    if np.any(outside):
+        raise ValueError(f"indistinguishability = {x[outside][0]:.12g} outside [0, 1]")
     if not baseline > 0.0:
         raise ValueError("baseline must be positive")
-    ov = min(max(overlap, 0.0), 1.0)
-    return baseline * (1.0 - hom_visibility(theta_deg) * ov**2)
+    return baseline * (1.0 - visibility * np.clip(x, 0.0, 1.0))
+
+
+def gaussian_dip(delays, fwhm_um: float, center_um: float) -> np.ndarray:
+    """The indistinguishability exp(-(l - c)^2 / (2 w^2)) at each delay l of a
+    scan whose Gaussian dip has FWHM `fwhm_um` = `GAUSSIAN_FWHM_FACTOR` w and
+    center c.  Each exponent is worked in Python float arithmetic, so a
+    square that overflows or a zero width raises `ArithmeticError`; np.exp
+    takes them at once."""
+    w = fwhm_um / GAUSSIAN_FWHM_FACTOR
+    return np.exp([-((l - center_um) ** 2) / (2.0 * w**2) for l in delays])
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,8 @@ def _suite_wootters_vs_closed_form(rng, trials):
         alphas = SpatialAmplitudes(*_unit_complex(rng, 2))
         betas = SpatialAmplitudes(*_unit_complex(rng, 2))
         ov = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
-        p_a = SingleParticleState(alphas, Spin.UP, phi_a)
-        p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
-        rhos.append(entanglement.number_distribution(p_a, p_b).state)
+        pair = optics.dist_vectors_for_overlap(ov)
+        rhos.append(optics.prepared_distribution(alphas, betas, *pair).state)
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
     raw = entanglement.wootters_concurrence(rhos)  # one stacked call
     return float(np.max(np.abs(np.array(closed) - 2.0 * raw)))
@@ -178,10 +176,8 @@ def _suite_balanced_manifold(rng, trials):
         alphas = SpatialAmplitudes(inv_sqrt2 * phases[0], inv_sqrt2 * phases[1])
         betas = SpatialAmplitudes(inv_sqrt2 * phases[2], inv_sqrt2 * phases[3])
         ov = rng.uniform(0.0, 1.0)
-        phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
-        p_a = SingleParticleState(alphas, Spin.UP, phi_a)
-        p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
-        rhos.append(entanglement.number_distribution(p_a, p_b).state)
+        pair = optics.dist_vectors_for_overlap(ov)
+        rhos.append(optics.prepared_distribution(alphas, betas, *pair).state)
         expected.append(ov**2)
     normalized = entanglement.wootters_concurrence(rhos, normalize=True)  # one stacked call
     return float(np.max(np.abs(normalized - np.array(expected))))
@@ -237,7 +233,8 @@ def _suite_hom_vs_oracle(rng, trials):
         orth = optics.dist_vectors_for_overlap(0.0)
         w_at_0 = _merge_coincidence_weight(theta, orth[0], orth[1])
         direct = 1000.0 * w_at_ov / w_at_0
-        dev = max(dev, abs(optics.hom_coincidence(theta, ov, 1000.0) - direct))
+        level = optics.hom_coincidence(optics.hom_visibility(theta), ov**2, 1000.0)
+        dev = max(dev, abs(level - direct))
     return dev
 
 
@@ -266,10 +263,8 @@ def _suite_ep_relation(rng, trials):
         theta = rng.uniform(0.0, 45.0)
         ov = rng.uniform(0.0, 1.0)
         alphas, betas = optics.spatial_amplitudes_from_theta(theta)
-        phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
-        p_a = SingleParticleState(alphas, Spin.UP, phi_a)
-        p_b = SingleParticleState(betas, Spin.DOWN, phi_b)
-        nds.append(entanglement.number_distribution(p_a, p_b))
+        pair = optics.dist_vectors_for_overlap(ov)
+        nds.append(optics.prepared_distribution(alphas, betas, *pair))
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
     # one stacked call each; P(1,1) = s^4 + c^4 >= 1/2 on this family, so
     # every (1,1) sector has weight

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from twoboson import __version__, cli, entanglement, fq_oracle, optics
+from twoboson import __version__, cli, entanglement, fq_oracle, optics, verification
 from twoboson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from twoboson.core_state import SingleParticleState, Spin
 from twoboson.optics import DEFAULT_SIGMA_UM, concurrence_optical
@@ -384,9 +384,10 @@ def test_noisy_sweep_adds_monte_carlo_columns(capsys):
 
 
 def _assert_noisy_sweep_row_matches_a_per_run_loop(extra_argv, shots, capsys):
-    # the noisy columns are the mean and stddev of one X-state concurrence
-    # estimate per run, each from its own Poisson draw of the four channels,
-    # with the generator of row k seeded [seed, k]; a run that observes no
+    # each run is its own Poisson draw of the four channels, with the
+    # generator of row k seeded [seed, k]; c_mc_mean is the X-state
+    # concurrence of the counts pooled over the runs, and c_mc_stddev the
+    # stddev of one estimate per run, where a run that observes no
     # coincidence reads 0, and the metadata and stderr count such runs
     argv = ["sweep", "--theta-grid", "10,22.5", "--delay-grid", "30", "--noisy"]
     argv += extra_argv + ["--runs", "40", "--seed", "5", "--format", "json"]
@@ -400,16 +401,19 @@ def _assert_noisy_sweep_row_matches_a_per_run_loop(extra_argv, shots, capsys):
         p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
         rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * shots
         rng = np.random.default_rng([5, k])
-        draws = []
+        draws, pooled = [], np.zeros(4, dtype=np.int64)
         for _ in range(40):
             n_ud, n_du, n_plus, n_minus = rng.poisson(np.clip(rates, 0.0, None))
+            pooled += (n_ud, n_du, n_plus, n_minus)
             if n_ud + n_du == 0:
                 empty += 1
                 draws.append(0.0)
                 continue
             q_hat = (float(n_plus) - float(n_minus)) / 2.0
             draws.append(float(min(1.0, 2.0 * abs(q_hat) / (n_ud + n_du))))
-        assert table["rows"][k]["c_mc_mean"] == float(np.mean(draws))
+        n_ud, n_du, n_plus, n_minus = pooled.tolist()
+        c_pooled = min(1.0, abs(n_plus - n_minus) / (n_ud + n_du)) if n_ud + n_du else 0.0
+        assert table["rows"][k]["c_mc_mean"] == c_pooled
         assert table["rows"][k]["c_mc_stddev"] == float(np.std(draws, ddof=1))
     assert (empty > 0) == (shots == 3.0)
     assert table["metadata"]["runs_without_coincidence"] == empty
@@ -424,6 +428,26 @@ def test_noisy_sweep_row_matches_a_per_run_resampling_loop(capsys):
 
 def test_noisy_sweep_row_at_three_shots_reads_zero_for_empty_runs(capsys):
     _assert_noisy_sweep_row_matches_a_per_run_loop(["--shots", "3"], 3.0, capsys)
+
+
+def test_a_noisy_sweep_reads_the_concurrence_at_the_product_and_balanced_points(capsys):
+    # the mean of per-run estimates is biased: |n_plus - n_minus| is never
+    # negative, so a product state read about 0.025 and the balanced state
+    # about 0.977 at 1000 shots; the counts pooled over 2000 runs are not
+    argv = ["sweep", "--noisy", "--theta-grid", "0,22.5", "--delay-grid", "0"]
+    assert main(argv + ["--runs", "2000", "--seed", "0", "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["c_closed_form"] for row in rows] == [0.0, 1.0]
+    for row in rows:
+        assert abs(row["c_mc_mean"] - row["c_closed_form"]) <= 0.01
+
+
+def test_a_noisy_sweep_pools_counts_past_the_int64_range(capsys):
+    # two runs of about 8e18 counts each: an int64 sum would wrap negative
+    argv = ["sweep", "--noisy", "--shots", "8e18", "--theta-grid", "10", "--delay-grid", "0"]
+    assert main(argv + ["--runs", "2", "--format", "json"]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["c_mc_mean"] == pytest.approx(row["c_wootters_normalized"], rel=1e-6)
 
 
 def test_a_noisy_sweep_that_observes_nothing_says_so_on_stderr(capsys):
@@ -707,6 +731,77 @@ def test_noisy_hom_json_counts_table(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 61
     assert all(r["counts"] == int(r["counts"]) >= 0 for r in rows)
+
+
+def test_an_exact_hom_table_is_the_coincidence_law_of_its_dip(tmp_path):
+    out = tmp_path / "counts.json"
+    argv = ["hom", "--visibility", "0.8", "--fwhm-um", "90", "--center-um", "12"]
+    argv += ["--baseline", "250", "--delay-grid=-200:220:43"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    delays = [r["delay_um"] for r in rows]
+    expected = optics.hom_coincidence(0.8, optics.gaussian_dip(delays, 90.0, 12.0), 250.0)
+    assert [r["counts"] for r in rows] == expected.tolist()
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of `optics.<name>` on the list
+    returned."""
+    calls, original = [], getattr(optics, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optics, name, spy)
+    return calls
+
+
+def test_hom_and_the_hom_check_reach_one_coincidence_law(monkeypatch, capsys):
+    calls = _spy(monkeypatch, "hom_coincidence")
+    assert main(["hom", "--visibility", "0.7"]) == EXIT_OK
+    assert len(calls) == 1 and calls[0][0] == 0.7
+    verification._suite_hom_vs_oracle(np.random.default_rng(0), 3)
+    assert len(calls) == 4
+
+
+def test_sweep_and_the_concurrence_checks_reach_one_prepared_pair(monkeypatch, capsys):
+    calls = _spy(monkeypatch, "prepared_distribution")
+    assert main(["sweep", "--theta-grid", "10,20", "--delay-grid", "0,30,60"]) == EXIT_OK
+    assert main(["concurrence", "--theta-deg", "22.5"]) == EXIT_OK
+    assert len(calls) == 7  # one per grid point
+    for suite in (
+        verification._suite_wootters_vs_closed_form,
+        verification._suite_balanced_manifold,
+        verification._suite_ep_relation,
+    ):
+        before = len(calls)
+        suite(np.random.default_rng(0), 3)
+        assert len(calls) == before + 3
+
+
+@pytest.mark.parametrize(
+    "convention, k",
+    (("fitted", 1.0), ("paper", 1.0 / math.sqrt(2.0)), ("quadrature", math.sqrt(2.0))),
+)
+def test_the_hom_dip_and_the_sweep_read_one_width(convention, k, capsys):
+    # the coincidence dip of the theta = 30 deg merge over a convention's
+    # overlap, and 1 - C of the balanced sweep over it, fitted exactly on
+    # hom's default grid: one FWHM, 2 sqrt(2 ln 2) sigma k, for both
+    grid = "-300:300:61"
+    delays = list(cli._parse_grid(grid))
+    x = np.array([optics.gaussian_overlap(l, convention, DEFAULT_SIGMA_UM) ** 2 for l in delays])
+    dip = optics.hom_coincidence(optics.hom_visibility(30.0), x, 1000.0)
+    argv = ["sweep", "--theta-grid", "22.5", f"--delay-grid={grid}"]
+    assert main(argv + ["--overlap-convention", convention, "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    one_minus_c = [1.0 - row["c_wootters_normalized"] for row in rows]
+    hom_fit, sweep_fit = optics.fit_gaussian_dip(delays, np.array([dip, one_minus_c])).outcomes
+    fwhm = optics.GAUSSIAN_FWHM_FACTOR * DEFAULT_SIGMA_UM * k
+    assert hom_fit.visibility == pytest.approx(0.6, rel=1e-6)
+    assert sweep_fit.depth == pytest.approx(1.0, rel=1e-6)
+    assert hom_fit.fwhm_um == pytest.approx(fwhm, rel=1e-6)
+    assert sweep_fit.fwhm_um == pytest.approx(fwhm, rel=1e-6)
 
 
 def test_hom_leaves_out_a_few_failed_resample_fits(capsys):

@@ -195,15 +195,18 @@ def test_dist_vectors_realize_the_requested_overlap():
 
 def test_balanced_merge_interferes_perfectly():
     assert hom_visibility(22.5) == pytest.approx(1.0, abs=ATOL_EXACT)
-    assert hom_coincidence(22.5, 1.0, 1000.0) == pytest.approx(0.0, abs=1e-9)
+    assert hom_coincidence(hom_visibility(22.5), 1.0, 1000.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_distinguishable_photons_sit_at_baseline():
-    assert hom_coincidence(22.5, 0.0, 1000.0) == pytest.approx(1000.0, abs=ATOL_EXACT)
+    level = hom_coincidence(hom_visibility(22.5), 0.0, 1000.0)
+    assert level == pytest.approx(1000.0, abs=ATOL_EXACT)
 
 
 def test_half_overlap_halves_the_balanced_dip():
-    assert hom_coincidence(22.5, RT2, 1000.0) == pytest.approx(500.0, abs=1e-9)
+    # overlap 1/sqrt(2), so an indistinguishability of 1/2
+    level = hom_coincidence(hom_visibility(22.5), RT2**2, 1000.0)
+    assert level == pytest.approx(500.0, abs=1e-9)
 
 
 def test_unbalanced_merge_visibility():
@@ -216,10 +219,54 @@ def test_unbalanced_merge_visibility():
 
 
 def test_coincidence_is_monotone_in_overlap():
-    levels = [hom_coincidence(22.5, ov, 800.0) for ov in np.linspace(0.0, 1.0, 25)]
+    v = hom_visibility(22.5)
+    levels = [hom_coincidence(v, ov**2, 800.0) for ov in np.linspace(0.0, 1.0, 25)]
     assert all(b <= a for a, b in zip(levels, levels[1:]))
     with pytest.raises(ValueError):
-        hom_coincidence(22.5, 1.2, 800.0)
+        hom_coincidence(v, 1.2, 800.0)
+
+
+def test_coincidence_of_an_array_is_the_coincidence_of_each_value():
+    x = np.linspace(0.0, 1.0, 7)
+    levels = hom_coincidence(0.7, x, 300.0)
+    assert levels.tolist() == [float(hom_coincidence(0.7, v, 300.0)) for v in x]
+    # a roundoff step past either end is clipped, a real one refused
+    clipped = hom_coincidence(0.7, [-1e-15, 1.0 + 1e-15], 300.0)
+    assert clipped.tolist() == hom_coincidence(0.7, [0.0, 1.0], 300.0).tolist()
+    with pytest.raises(ValueError, match="indistinguishability = 1.2 outside"):
+        hom_coincidence(0.7, [0.5, 1.2], 300.0)
+    with pytest.raises(ValueError, match="indistinguishability = nan outside"):
+        hom_coincidence(0.7, [0.5, math.nan], 300.0)
+
+
+@pytest.mark.parametrize("visibility", (-0.1, 1.5, math.nan))
+def test_coincidence_refuses_a_visibility_outside_the_unit_interval(visibility):
+    with pytest.raises(ValueError, match=r"^visibility must lie in \[0, 1\]$"):
+        hom_coincidence(visibility, 0.5, 1000.0)
+
+
+def test_coincidence_refuses_a_baseline_that_is_not_positive():
+    with pytest.raises(ValueError, match="baseline must be positive"):
+        hom_coincidence(0.5, 0.5, 0.0)
+
+
+def test_gaussian_dip_is_the_squared_fitted_overlap_of_its_width():
+    # a dip of FWHM 2 sqrt(2 ln 2) sigma is the 'fitted' overlap squared
+    delays = [-300.0, -75.5, 0.0, 12.0, 140.0]
+    dip = optics.gaussian_dip(delays, GAUSSIAN_FWHM_FACTOR * DEFAULT_SIGMA_UM, 0.0)
+    squared = [gaussian_overlap(l, "fitted", DEFAULT_SIGMA_UM) ** 2 for l in delays]
+    assert dip == pytest.approx(squared, rel=1e-14)
+    assert optics.gaussian_dip([7.0], 30.0, 7.0).tolist() == [1.0]  # 1 at its center
+
+
+@pytest.mark.parametrize(
+    "delays, fwhm_um, exc",
+    (([0.0, 10.0], 1e-300, ZeroDivisionError), ([0.0, 1e300], 10.0, OverflowError)),
+)
+def test_gaussian_dip_raises_for_a_zero_width_or_an_overflowing_square(delays, fwhm_um, exc):
+    # the CLI turns either into exit code 2
+    with pytest.raises(exc):
+        optics.gaussian_dip(delays, fwhm_um, 0.0)
 
 
 # --- count simulation ----------------------------------------------------------
