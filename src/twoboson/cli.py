@@ -76,6 +76,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _unit_float(text: str) -> float:
+    """A finite number in [0, 1], such as a dip visibility."""
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def _delta(text: str) -> float:
     """A spectral width delta, parsed straight to its sigma = 1/(2 delta)."""
     sigma = optics.delta_to_sigma(_positive_float(text))
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("hom", help="simulate and fit a Hong-Ou-Mandel dip")
-    p.add_argument("--visibility", type=float, default=1.0, help="true dip visibility")
+    p.add_argument("--visibility", type=_unit_float, default=1.0, help="true dip visibility")
     p.add_argument("--fwhm-um", type=_positive_float, default=132.0, help="true dip FWHM (um)")
     p.add_argument(
         "--baseline", type=_positive_float, default=1000.0,

@@ -9,8 +9,13 @@ Wootters concurrence, the closed-form concurrence
     C = 4 |alpha_l alpha_r beta_l beta_r| |<phi_A|phi_B>|^2,
 
 and the superselection-respecting average over detector occupation numbers
-(bunched sectors carry no accessible spin entanglement), all from the
-unordered-ket algebra of `nolabel_algebra`.
+(bunched sectors carry no accessible spin entanglement).
+`number_distribution` builds the sector probabilities and the (1,1) matrix in
+one direct pass over the two states, in the product order of the composed
+route through the unordered-ket algebra of `nolabel_algebra`:
+`expand_in_detector_basis`, `postselect_one_per_detector` and
+`trace_out_distinguishability`.  That composition is the reference route the
+tests and `verify` check the pass against.
 """
 
 from __future__ import annotations
@@ -27,16 +32,15 @@ from .core_state import (
     Spin,
     SpinDensityMatrix,
 )
-from .nolabel_algebra import (
-    SymmetricTwoBosonState,
-    expand_in_detector_basis,
-    postselect_one_per_detector,
-)
+from .nolabel_algebra import DETECTOR_L, DETECTOR_R, SymmetricTwoBosonState, _check_updown_pair
 
 
 #: bound once, so that a spin's index in SPIN_BASIS_LABELS is an identity
 #: test instead of a read of `Spin.value` through the enum's descriptor
 _UP = Spin.UP
+#: the detector amplitudes the trace multiplies a coincident term's
+#: coefficient by: the L particle's at L, the R particle's at R
+_AT_L, _AT_R = DETECTOR_L.a_l, DETECTOR_R.a_r
 
 
 class NotPostSelectedError(ValueError):
@@ -170,32 +174,51 @@ def number_distribution(
 ) -> NumberDistribution:
     """Occupation-number sectors of the symmetrized (up, down) pair.
 
-    One detector-basis expansion is split by occupation (n_L, n_R).  Its
-    kets are orthonormal: each puts the up particle (phi_A) and the down
-    particle (phi_B) on definite detectors, so two distinct kets differ in
-    where one of them sits, and `expand_in_detector_basis` builds no other
-    kind.  A sector's weight is therefore the sum of |c|^2 over its terms,
-    in term order, and its probability that weight over the total, the sum
-    of the (2,0), (1,1) and (0,2) weights in that order, which carries the
-    1 + |<Psi_A|Psi_B>|^2 bunching normalization.  `probabilities` keeps
-    that key order.  The (1,1) sector keeps its unnormalized spin matrix,
-    the distinguishability trace of the post-selected expansion.
+    One direct pass over the two states builds what the composed reference
+    route, `trace_out_distinguishability(postselect_one_per_detector(
+    expand_in_detector_basis(p_a, p_b)))`, builds, bit for bit, with no
+    intermediate state: the same refusals, the same four coefficients in the
+    expansion's term order (both at R, B at L, A at L, both at L), and the
+    same products in the same order.  The detector kets are orthonormal, so a
+    sector's weight is the sum of |c|^2 over its terms, and its probability
+    that weight over the total, the sum of the (2,0), (1,1) and (0,2) weights
+    in that order, which carries the 1 + |<Psi_A|Psi_B>|^2 bunching
+    normalization.  `probabilities` keeps that key order.  The (1,1) sector
+    keeps its unnormalized spin matrix: the two coincident terms are the
+    trace's row 2 (B at L, A at R) and row 1 (A at L, B at R), and each cell
+    is 0j plus the product the trace forms for it, with the overlaps read as
+    the trace reads them.  Tests and `verify` check this pass against the
+    composed route.
     """
-    expansion = expand_in_detector_basis(p_a, p_b)
-    w20 = w11 = w02 = 0.0
-    for coeff, (x, y) in expansion.terms:
-        w = abs(coeff) ** 2
-        n_l = (x.spatial.detector_mode == "L") + (y.spatial.detector_mode == "L")
-        if n_l == 1:
-            w11 += w
-        elif n_l == 2:
-            w20 += w
-        else:
-            w02 += w
+    _check_updown_pair(p_a, p_b)
+    al, ar = p_a.spatial.a_l, p_a.spatial.a_r
+    bl, br = p_b.spatial.a_l, p_b.spatial.a_r
+    rr, rl, lr, ll = 0j + ar * br, 0j + ar * bl, 0j + al * br, 0j + al * bl
+    # an exact-zero term weighs 0.0, as the empty sum of a dropped one does
+    w02 = abs(rr) ** 2
+    w11 = abs(rl) ** 2 + abs(lr) ** 2
+    w20 = abs(ll) ** 2
     # sum() compensates its float additions from Python 3.12 on, so
     # `w20 + w11 + w02` could differ from it in the last bit there
     total = sum((w20, w11, w02))
-    rho = trace_out_distinguishability(postselect_one_per_detector(expansion))
+    phi_a, phi_b = p_a.dist, p_b.dist
+    o_aa, o_bb = phi_a.self_overlap, phi_b.self_overlap
+    cells = [0j] * 16  # rho[i, j] is cells[4 * i + j]
+    # the coefficients of rows 2 (B at L) and 1 (A at L), as the trace forms them
+    c2 = rl * _AT_L * _AT_R
+    c1 = lr * _AT_L * _AT_R
+    if rl != 0j:
+        cells[10] = 0j + c2 * c2.conjugate() * o_bb * o_aa
+    if lr != 0j:
+        cells[5] = 0j + c1 * c1.conjugate() * o_aa * o_bb
+    if rl != 0j and lr != 0j:
+        # the trace meets phi_b first: <b|a> is computed, <a|b> its conjugate,
+        # and one shared vector is read through its self-overlap alone
+        o_ba = o_bb if phi_a is phi_b else phi_b.overlap(phi_a)
+        o_ab = o_bb if phi_a is phi_b else o_ba.conjugate()
+        cells[9] = 0j + c2 * c1.conjugate() * o_ab * o_ba
+        cells[6] = 0j + c1 * c2.conjugate() * o_ba * o_ab
+    rho = SpinDensityMatrix([cells[0:4], cells[4:8], cells[8:12], cells[12:16]])
     probabilities = {(2, 0): w20 / total, (1, 1): w11 / total, (0, 2): w02 / total}
     return NumberDistribution(probabilities, rho)
 

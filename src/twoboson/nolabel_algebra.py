@@ -92,6 +92,17 @@ def contract_residual(bra: SingleParticleState, residual: Residual) -> complex:
     return sum((c * inner_single(bra, st) for c, st in residual), 0j)
 
 
+def _check_updown_pair(p_a: SingleParticleState, p_b: SingleParticleState) -> None:
+    """Refuse a pair outside the (up, down) sector, or one whose dist vectors
+    have different dimensions."""
+    if p_a.spin is not Spin.UP or p_b.spin is not Spin.DOWN:
+        raise SpinConfigError(
+            "detector-basis expansion is defined for the (up, down) spin "
+            f"configuration, got ({p_a.spin.name.lower()}, {p_b.spin.name.lower()})"
+        )
+    _check_dist_dims(p_a.dist, p_b.dist)
+
+
 def expand_in_detector_basis(
     p_a: SingleParticleState, p_b: SingleParticleState
 ) -> SymmetricTwoBosonState:
@@ -109,14 +120,9 @@ def expand_in_detector_basis(
     Each distinguishability vector travels with its own spin: phi_A stays
     attached to the up component wherever it lands, phi_B to the down one.
     """
-    if p_a.spin is not Spin.UP or p_b.spin is not Spin.DOWN:
-        raise SpinConfigError(
-            "detector-basis expansion is defined for the (up, down) spin "
-            f"configuration, got ({p_a.spin.name.lower()}, {p_b.spin.name.lower()})"
-        )
+    _check_updown_pair(p_a, p_b)
     al, ar = p_a.spatial.a_l, p_a.spatial.a_r
     bl, br = p_b.spatial.a_l, p_b.spatial.a_r
-    _check_dist_dims(p_a.dist, p_b.dist)
     l_up_a = SingleParticleState(DETECTOR_L, Spin.UP, p_a.dist)
     r_up_a = SingleParticleState(DETECTOR_R, Spin.UP, p_a.dist)
     l_dn_b = SingleParticleState(DETECTOR_L, Spin.DOWN, p_b.dist)

@@ -120,6 +120,13 @@ def _suite_density_vs_oracle(rng, trials):
         p_a, p_b = random_updown_pair(rng, d)
         nd = entanglement.number_distribution(p_a, p_b)
         rho = nd.state
+        # the direct pass against the composed route it reproduces
+        composed = entanglement.trace_out_distinguishability(
+            nolabel_algebra.postselect_one_per_detector(
+                nolabel_algebra.expand_in_detector_basis(p_a, p_b)
+            )
+        )
+        dev = max(dev, float(np.max(np.abs(rho.matrix - composed.matrix))))
         labeled = fq_oracle.symmetrize(p_a, p_b)
         oracle = fq_oracle.oracle_postselected_density(labeled)
         dev = max(dev, float(np.max(np.abs(rho.matrix - oracle.matrix))))

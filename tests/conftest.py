@@ -7,7 +7,12 @@ from hypothesis import HealthCheck, settings
 
 from twoboson import optics, verification
 from twoboson.core_state import Spin, SpinDensityMatrix, _check_dist_dims
-from twoboson.nolabel_algebra import SymmetricTwoBosonState
+from twoboson.entanglement import NumberDistribution, trace_out_distinguishability
+from twoboson.nolabel_algebra import (
+    SymmetricTwoBosonState,
+    expand_in_detector_basis,
+    postselect_one_per_detector,
+)
 
 settings.register_profile(
     "deterministic",
@@ -119,3 +124,25 @@ def dense_trace():
     bit for bit: the same products in the same order, added into a dense
     ndarray in place."""
     return _dense_trace
+
+
+def _composed_distribution(p_a, p_b):
+    # the sector weights of the detector-basis expansion, each summed in term
+    # order into a dict whose key order sums the total, and the (1,1) matrix
+    # of its post-selection's distinguishability trace
+    expansion = expand_in_detector_basis(p_a, p_b)
+    weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
+    for coeff, (x, y) in expansion.terms:
+        n_l = (x.spatial.detector_mode == "L") + (y.spatial.detector_mode == "L")
+        weights[(n_l, 2 - n_l)] += abs(coeff) ** 2
+    total = sum(weights.values())
+    rho = trace_out_distinguishability(postselect_one_per_detector(expansion))
+    return NumberDistribution({k: w / total for k, w in weights.items()}, rho)
+
+
+@pytest.fixture
+def composed_distribution():
+    """The `NumberDistribution` of an (up, down) pair by the composed
+    reference route, expand -> postselect -> trace, which
+    `number_distribution` must reproduce bit for bit."""
+    return _composed_distribution

@@ -136,7 +136,17 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         ),
         (["hom", "--delay-grid", "0,1,2"], "at least 5 distinct delays"),
         (["hom", "--delay-grid", "0,0,0,0,300"], "at least 5 distinct delays"),
-        (["hom", "--visibility", "1.5"], "error: visibility must lie in [0, 1]"),
+        (["hom", "--visibility", "1.5"], "argument --visibility: expected a number in [0, 1]"),
+        # refused as usage before the dip's exponent overflows or divides by zero
+        (
+            ["hom", "--visibility", "1.5", "--center-um", "1e200"],
+            "argument --visibility: expected a number in [0, 1], got '1.5'",
+        ),
+        (
+            ["hom", "--visibility", "inf", "--fwhm-um", "1e-300"],
+            "argument --visibility: expected a finite number, got 'inf'",
+        ),
+        (["hom", "--visibility", "-0.1"], "argument --visibility: expected a number in [0, 1]"),
         # the fit lines would follow the JSON document on stdout
         (
             ["hom", "--format", "json"],
@@ -486,7 +496,9 @@ def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
-def test_sweep_matches_a_per_point_reference_of_single_state_calls(convention, capsys):
+def test_sweep_matches_a_per_point_reference_of_single_state_calls(
+    convention, capsys, composed_distribution
+):
     thetas, delays = (0.0, 7.5, 22.5, 31.0, 45.0), (-40.0, 0.0, 30.0, 300.0)
     argv = [
         "sweep", "--theta-grid", ",".join(map(str, thetas)),
@@ -499,7 +511,8 @@ def test_sweep_matches_a_per_point_reference_of_single_state_calls(convention, c
         for delay in delays:
             ov = optics.gaussian_overlap(delay, convention, DEFAULT_SIGMA_UM)
             phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
-            nd = entanglement.number_distribution(
+            # expand -> postselect -> trace, not the direct pass the sweep runs
+            nd = composed_distribution(
                 SingleParticleState(alphas, Spin.UP, phi_a),
                 SingleParticleState(betas, Spin.DOWN, phi_b),
             )

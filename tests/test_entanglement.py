@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from twoboson.core_state import (
     ATOL_EXACT,
     ATOL_PIPELINE,
+    BasisMismatchError,
     DistVector,
     SingleParticleState,
     SpatialAmplitudes,
@@ -29,6 +30,7 @@ from twoboson.entanglement import (
 )
 from twoboson.fq_oracle import oracle_postselected_density, symmetrize
 from twoboson.nolabel_algebra import (
+    SpinConfigError,
     SymmetricTwoBosonState,
     expand_in_detector_basis,
     postselect_one_per_detector,
@@ -105,10 +107,13 @@ def test_trace_of_empty_state_is_zero():
 
 def _dense_reference_pairs():
     """(up, down) pairs that reach the trace by every route: random draws at
-    d = 1, 2, 3; states with exact-zero (and negative-zero) amplitudes, one
-    whose two particles share one dist vector object; and the sweep family
+    d = 1, 2, 3; states with exact-zero (and negative-zero) amplitudes or an
+    infinite one, whose products turn to nan where the detector amplitudes
+    multiply them; one whose two particles share one dist vector object, one
+    whose two equal dist vectors are distinct objects; and the sweep family
     at angles -10 to 100 deg and negative delays under every convention,
-    each delay's dist vectors shared by every angle, as `sweep` shares them."""
+    each delay's dist vectors shared by every angle, as `sweep` shares
+    them."""
     rng = np.random.default_rng(24)
     pairs = [random_updown_pair(rng, 1 + k % 3) for k in range(60)]
     shared = DistVector((1.0, 0j))
@@ -117,11 +122,14 @@ def _dense_reference_pairs():
         ((0.0, 1.0), (1.0, -0.0)),
         ((RT2, RT2), (complex(-0.0, RT2), RT2)),
         ((1.0, 0.0), (RT2, -RT2)),
+        ((RT2, math.inf), (RT2, RT2)),
+        ((math.inf, RT2), (RT2, RT2)),
     ):
         for da, db in (
             (shared, shared),
             (DistVector((1.0, 0j)), DistVector((0j, 1.0))),
             (DistVector((RT2, -0.0, RT2)), DistVector((0.0, 1j, -0.0))),
+            (DistVector((RT2, RT2 * 1j)), DistVector((RT2, RT2 * 1j))),
         ):
             pairs.append(
                 (
@@ -146,23 +154,47 @@ def _dense_reference_pairs():
     return pairs
 
 
-def test_number_distribution_matches_the_dense_reference_bit_for_bit(dense_trace):
+def test_number_distribution_matches_the_dense_reference_bit_for_bit(
+    dense_trace, composed_distribution
+):
     for pa, pb in _dense_reference_pairs():
         nd = number_distribution(pa, pb)
-        expansion = expand_in_detector_basis(pa, pb)
-        reference = dense_trace(postselect_one_per_detector(expansion))
+        reference = dense_trace(postselect_one_per_detector(expand_in_detector_basis(pa, pb)))
         assert nd.state.matrix.tobytes() == reference.matrix.tobytes()
         assert _bits([nd.state.weight]) == _bits([float(np.trace(reference.matrix).real)])
-        # the sector weights as a dict summed in key order
-        weights = {(2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
-        for coeff, (x, y) in expansion.terms:
-            n_l = (x.spatial.detector_mode == "L") + (y.spatial.detector_mode == "L")
-            weights[(n_l, 2 - n_l)] += abs(coeff) ** 2
-        total = sum(weights.values())
-        assert list(nd.probabilities) == list(weights)
+        # the direct pass against the composed expand -> postselect -> trace
+        composed = composed_distribution(pa, pb)
+        assert nd.state.matrix.tobytes() == composed.state.matrix.tobytes()
+        assert _bits([nd.state.weight]) == _bits([composed.state.weight])
+        assert list(nd.probabilities) == list(composed.probabilities)
         assert _bits(list(nd.probabilities.values())) == _bits(
-            [w / total for w in weights.values()]
+            list(composed.probabilities.values())
         )
+
+
+_SPIN_REFUSAL = "detector-basis expansion is defined for the (up, down) spin configuration, got "
+
+
+@pytest.mark.parametrize(
+    "spins, dims, error, message",
+    [
+        ((Spin.UP, Spin.UP), (1, 1), SpinConfigError, _SPIN_REFUSAL + "(up, up)"),
+        ((Spin.DOWN, Spin.UP), (1, 1), SpinConfigError, _SPIN_REFUSAL + "(down, up)"),
+        (
+            (Spin.UP, Spin.DOWN), (2, 3), BasisMismatchError,
+            "incompatible distinguishability bases: dimension 2 vs 3",
+        ),
+    ],
+    ids=["up-up", "down-up", "dims-2-3"],
+)
+def test_number_distribution_refuses_what_the_expansion_refuses(spins, dims, error, message):
+    pa = SingleParticleState(SpatialAmplitudes(RT2, RT2), spins[0], DistVector((1.0,) * dims[0]))
+    pb = SingleParticleState(SpatialAmplitudes(RT2, -RT2), spins[1], DistVector((1.0,) * dims[1]))
+    with pytest.raises(error) as direct:
+        number_distribution(pa, pb)
+    with pytest.raises(error) as composed:
+        expand_in_detector_basis(pa, pb)
+    assert str(direct.value) == str(composed.value) == message
 
 
 # --- Wootters concurrence ----------------------------------------------------
