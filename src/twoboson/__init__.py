@@ -14,8 +14,10 @@ The public surface, by layer:
                        concurrence, occupation-weighted entanglement
 * `optics`          -- Gaussian wavepackets, Hong-Ou-Mandel dips, Poisson
                        counts, Gaussian dip fitting, Monte Carlo error bars
-* `verification`    -- fifteen randomized cross-check suites, each with a
-                       tolerance that fails `twoboson verify`
+* `verification`    -- fifteen randomized cross-check suites that yield
+                       their deviations; `run_suites` reports the largest,
+                       and one above the suite's tolerance, or a nan, fails
+                       `twoboson verify`
 * `cli`             -- `twoboson` command-line front end
 """
 

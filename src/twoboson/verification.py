@@ -1,9 +1,10 @@
 """Randomized cross-check suites between the algebraic and oracle routes.
 
 Each suite draws random states, evaluates the same quantity along two
-independent routes, and reports the worst deviation against the suite's
-tolerance; a deviation above it fails the run.  The labeled-tensor oracle
-(`fq_oracle`) is used here and in the tests only.
+independent routes, and yields every deviation it measures.  `run_suites`
+alone reduces them: it reports the largest against the suite's tolerance,
+and a deviation above it, or a nan, fails the run.  The labeled-tensor
+oracle (`fq_oracle`) is used here and in the tests only.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ def random_updown_pair(
 
 
 def _suite_transition_vs_labeled(rng, trials):
-    dev = 0.0
     for k in range(trials):
         d = 1 + k % 3
         a, b, c, e = (random_state(rng, d) for _ in range(4))
@@ -72,49 +72,41 @@ def _suite_transition_vs_labeled(rng, trials):
         brute = fq_oracle.labeled_inner(
             fq_oracle.symmetrize(c, e), fq_oracle.symmetrize(a, b)
         )
-        dev = max(dev, abs(algebraic - brute))
-    return dev
+        yield abs(algebraic - brute)
 
 
 def _suite_symmetrized_norm(rng, trials):
-    dev = 0.0
     for k in range(trials):
         d = 1 + k % 3
         p1, p2 = random_state(rng, d), random_state(rng, d)
         expected = 1.0 + abs(inner_single(p1, p2)) ** 2
         sym = fq_oracle.symmetrize(p1, p2)
-        dev = max(dev, abs(fq_oracle.labeled_inner(sym, sym).real - expected))
-        dev = max(dev, abs(nolabel_algebra.transition_two((p1, p2), (p1, p2)) - expected))
-    return dev
+        yield abs(fq_oracle.labeled_inner(sym, sym).real - expected)
+        yield abs(nolabel_algebra.transition_two((p1, p2), (p1, p2)) - expected)
 
 
 def _suite_single_projection(rng, trials):
-    dev = 0.0
     for k in range(trials):
         d = 1 + k % 3
         a, b, c, e = (random_state(rng, d) for _ in range(4))
         residual = nolabel_algebra.project_single(c, (a, b))
         contracted = nolabel_algebra.contract_residual(e, residual) * np.sqrt(2.0)
-        dev = max(dev, abs(contracted - nolabel_algebra.transition_two((c, e), (a, b))))
-    return dev
+        yield abs(contracted - nolabel_algebra.transition_two((c, e), (a, b)))
 
 
 def _suite_expansion_completeness(rng, trials):
-    dev = 0.0
     for k in range(trials):
         d = 1 + k % 3
         p_a, p_b = random_updown_pair(rng, d)
         expansion = nolabel_algebra.expand_in_detector_basis(p_a, p_b)
         total = sum(abs(c) ** 2 for c, _ in expansion.terms)
-        dev = max(dev, abs(total - 1.0))
+        yield abs(total - 1.0)
         # re-embedding the expansion must reproduce the symmetrized tensor
         diff = fq_oracle.to_labeled(expansion).amps - fq_oracle.symmetrize(p_a, p_b).amps
-        dev = max(dev, float(np.max(np.abs(diff))))
-    return dev
+        yield float(np.max(np.abs(diff)))
 
 
 def _suite_density_vs_oracle(rng, trials):
-    dev = 0.0
     for k in range(trials):
         d = 1 + k % 3
         p_a, p_b = random_updown_pair(rng, d)
@@ -126,16 +118,15 @@ def _suite_density_vs_oracle(rng, trials):
                 nolabel_algebra.expand_in_detector_basis(p_a, p_b)
             )
         )
-        dev = max(dev, float(np.max(np.abs(rho.matrix - composed.matrix))))
+        yield float(np.max(np.abs(rho.matrix - composed.matrix)))
         labeled = fq_oracle.symmetrize(p_a, p_b)
         oracle = fq_oracle.oracle_postselected_density(labeled)
-        dev = max(dev, float(np.max(np.abs(rho.matrix - oracle.matrix))))
-        dev = max(dev, abs(rho.weight - oracle.weight))
+        yield float(np.max(np.abs(rho.matrix - oracle.matrix)))
+        yield abs(rho.weight - oracle.weight)
         weights = fq_oracle.mode_pattern_weights(labeled)
         total = sum(weights.values())
         for key, probability in nd.probabilities.items():
-            dev = max(dev, abs(probability - weights[key] / total))
-    return dev
+            yield abs(probability - weights[key] / total)
 
 
 def _suite_postselect_idempotent(rng, trials):
@@ -145,21 +136,19 @@ def _suite_postselect_idempotent(rng, trials):
         once = nolabel_algebra.postselect_one_per_detector(
             nolabel_algebra.expand_in_detector_basis(p_a, p_b)
         )
-        if nolabel_algebra.postselect_one_per_detector(once) != once:
-            return 1.0
-    return 0.0
+        yield float(nolabel_algebra.postselect_one_per_detector(once) != once)
 
 
 def _suite_density_validity(rng, trials):
-    dev = 0.0
     for k in range(trials):
         d = 1 + k % 3
         p_a, p_b = random_updown_pair(rng, d)
         rho = entanglement.number_distribution(p_a, p_b).state
         m = rho.matrix
-        dev = max(dev, float(np.max(np.abs(m - m.conj().T))))
-        dev = max(dev, max(0.0, -float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))))
-    return dev
+        yield float(np.max(np.abs(m - m.conj().T)))
+        # the depth of the lowest eigenvalue below 0; 0.0 - x, not -x, so a
+        # zero eigenvalue is a deviation of +0.0
+        yield 0.0 - float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
 
 
 def _suite_wootters_vs_closed_form(rng, trials):
@@ -172,7 +161,7 @@ def _suite_wootters_vs_closed_form(rng, trials):
         rhos.append(optics.prepared_distribution(alphas, betas, *pair).state)
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
     raw = entanglement.wootters_concurrence(rhos)  # one stacked call
-    return float(np.max(np.abs(np.array(closed) - 2.0 * raw)))
+    return np.abs(np.array(closed) - 2.0 * raw)
 
 
 def _suite_balanced_manifold(rng, trials):
@@ -187,11 +176,10 @@ def _suite_balanced_manifold(rng, trials):
         rhos.append(optics.prepared_distribution(alphas, betas, *pair).state)
         expected.append(ov**2)
     normalized = entanglement.wootters_concurrence(rhos, normalize=True)  # one stacked call
-    return float(np.max(np.abs(normalized - np.array(expected))))
+    return np.abs(normalized - np.array(expected))
 
 
 def _suite_optical_splice(rng, trials):
-    dev = 0.0
     for _ in range(trials):
         theta = rng.uniform(0.0, 45.0)
         sigma = rng.uniform(20.0, 200.0)
@@ -200,15 +188,13 @@ def _suite_optical_splice(rng, trials):
         closed = entanglement.concurrence_closed_form(
             alphas, betas, optics.gaussian_overlap(l, "fitted", sigma)
         )
-        dev = max(dev, abs(closed - optics.concurrence_optical(theta, l, sigma)))
-    return dev
+        yield abs(closed - optics.concurrence_optical(theta, l, sigma))
 
 
 def _suite_quadrature_overlap(rng, trials):
     # Gauss-Hermite nodes make an independent evaluation of the overlap
     # integral of the two Gaussian spectral amplitudes
     nodes, weights = np.polynomial.hermite.hermgauss(128)
-    dev = 0.0
     for _ in range(trials):
         delta = rng.uniform(0.002, 0.05)
         l = rng.uniform(0.0, 300.0)
@@ -216,8 +202,7 @@ def _suite_quadrature_overlap(rng, trials):
             np.sum(weights * np.cos(np.sqrt(2.0) * delta * l * nodes)) / np.sqrt(np.pi)
         )
         quad = optics.gaussian_overlap(l, "quadrature", optics.delta_to_sigma(delta))
-        dev = max(dev, abs(quad - integral))
-    return dev
+        yield abs(quad - integral)
 
 
 def _merge_coincidence_weight(theta_deg: float, dist_a: DistVector, dist_b: DistVector) -> float:
@@ -231,7 +216,6 @@ def _merge_coincidence_weight(theta_deg: float, dist_a: DistVector, dist_b: Dist
 
 
 def _suite_hom_vs_oracle(rng, trials):
-    dev = 0.0
     for _ in range(trials):
         theta = rng.uniform(0.0, 45.0)
         ov = rng.uniform(0.0, 1.0)
@@ -241,27 +225,23 @@ def _suite_hom_vs_oracle(rng, trials):
         w_at_0 = _merge_coincidence_weight(theta, orth[0], orth[1])
         direct = 1000.0 * w_at_ov / w_at_0
         level = optics.hom_coincidence(optics.hom_visibility(theta), ov**2, 1000.0)
-        dev = max(dev, abs(level - direct))
-    return dev
+        yield abs(level - direct)
 
 
 def _suite_monotonicity(rng, trials):
+    # one deviation: the number of grid lines on which some step of the
+    # concurrence is not >= 0; a nan step is not, so it counts
     thetas = np.linspace(0.0, 45.0, 19)
     overlaps = np.linspace(0.0, 1.0, 21)
-    violations = 0
     values = np.empty((len(thetas), len(overlaps)))
     for i, th in enumerate(thetas):
         alphas, betas = optics.spatial_amplitudes_from_theta(th)
         for j, ov in enumerate(overlaps):
             values[i, j] = entanglement.concurrence_closed_form(alphas, betas, ov)
-    for i in range(len(thetas)):
-        if np.any(np.diff(values[i]) < 0.0):
-            violations += 1
     order = np.argsort([optics.spatial_overlap_factor(t) for t in thetas])
-    for j in range(len(overlaps)):
-        if np.any(np.diff(values[order, j]) < 0.0):
-            violations += 1
-    return float(violations)
+    rising_rows = np.all(np.diff(values, axis=1) >= 0.0, axis=1)
+    rising_columns = np.all(np.diff(values[order], axis=0) >= 0.0, axis=0)
+    yield float(np.sum(~rising_rows) + np.sum(~rising_columns))
 
 
 def _suite_ep_relation(rng, trials):
@@ -277,20 +257,19 @@ def _suite_ep_relation(rng, trials):
     # every (1,1) sector has weight
     concurrence = entanglement.wootters_concurrence([nd.state for nd in nds], normalize=True)
     e_p = entanglement.entanglement_of_particles(nds, concurrence)
-    return float(np.max(np.abs(e_p - np.array(closed) / 2.0)))
+    return np.abs(e_p - np.array(closed) / 2.0)
 
 
 def _suite_exponent_relation(rng, trials):
     # optical Gaussian factor = paper overlap = quadrature overlap^4
-    dev = 0.0
     for _ in range(trials):
         sigma = rng.uniform(20.0, 200.0)
         l = rng.uniform(0.0, 300.0)
         factor = np.exp(-(l**2) / (2.0 * sigma**2))  # optical law's Gaussian
         paper = optics.gaussian_overlap(l, "paper", sigma)
         quad = optics.gaussian_overlap(l, "quadrature", sigma)
-        dev = max(dev, abs(paper - factor), abs(quad**4 - factor))
-    return dev
+        yield abs(paper - factor)
+        yield abs(quad**4 - factor)
 
 
 _CHECK_SUITES = (
@@ -313,12 +292,16 @@ _CHECK_SUITES = (
 
 
 def run_suites(trials: int = 100, seed: int = 0) -> list[SuiteResult]:
-    """Run all suites with `trials` random draws each."""
+    """Run all suites with `trials` random draws each.
+
+    A suite yields, or returns as an array, every deviation it measures; its
+    `max_deviation` is the largest of them (0 for none, nan if any is nan),
+    and a nan fails the suite as a deviation above its tolerance does."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     results = []
     for index, (name, fn, tol) in enumerate(_CHECK_SUITES):
         rng = np.random.default_rng([seed, index])
-        dev = float(fn(rng, trials))
+        dev = float(np.max(np.fromiter(fn(rng, trials), float), initial=0.0))
         results.append(SuiteResult(name, dev, tol, dev <= tol))
     return results

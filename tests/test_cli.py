@@ -774,7 +774,7 @@ def test_hom_and_the_hom_check_reach_one_coincidence_law(monkeypatch, capsys):
     calls = _spy(monkeypatch, "hom_coincidence")
     assert main(["hom", "--visibility", "0.7"]) == EXIT_OK
     assert len(calls) == 1 and calls[0][0] == 0.7
-    verification._suite_hom_vs_oracle(np.random.default_rng(0), 3)
+    list(verification._suite_hom_vs_oracle(np.random.default_rng(0), 3))
     assert len(calls) == 4
 
 
@@ -789,7 +789,7 @@ def test_sweep_and_the_concurrence_checks_reach_one_prepared_pair(monkeypatch, c
         verification._suite_ep_relation,
     ):
         before = len(calls)
-        suite(np.random.default_rng(0), 3)
+        list(suite(np.random.default_rng(0), 3))
         assert len(calls) == before + 3
 
 

@@ -1,8 +1,12 @@
 """Self-check suites: randomized cross-layer consistency checks."""
 
+import math
+
 import numpy as np
 import pytest
 
+from twoboson import entanglement, nolabel_algebra, verification
+from twoboson.cli import EXIT_VERIFICATION, main
 from twoboson.core_state import ATOL_EXACT, Spin
 from twoboson.verification import random_state, random_updown_pair, run_suites
 
@@ -45,6 +49,70 @@ def test_suites_are_deterministic_for_a_fixed_seed():
 def test_trials_must_be_positive():
     with pytest.raises(ValueError, match="trials"):
         run_suites(trials=0)
+
+
+def _run_stub_suites(monkeypatch, *suites):
+    monkeypatch.setattr(
+        verification,
+        "_CHECK_SUITES",
+        tuple((f"stub_{i}", fn, ATOL_EXACT) for i, fn in enumerate(suites)),
+    )
+    return run_suites(trials=1)
+
+
+def test_a_nan_deviation_fails_its_suite(monkeypatch):
+    def suite(rng, trials):
+        yield from (1e-13, math.nan, 0.0)
+
+    (result,) = _run_stub_suites(monkeypatch, suite)
+    assert math.isnan(result.max_deviation)
+    assert not result.passed
+
+
+def test_a_suite_that_yields_nothing_deviates_by_zero(monkeypatch):
+    def suite(rng, trials):
+        yield from ()
+
+    (result,) = _run_stub_suites(monkeypatch, suite)
+    assert result.max_deviation == 0.0 and result.passed
+
+
+def test_an_array_suite_and_a_generator_suite_reduce_to_the_same_bits(monkeypatch):
+    values = (2.5e-13, 1e-16, 3.000000000000001e-13, 0.0)
+
+    def as_array(rng, trials):
+        return np.array(values)
+
+    def as_generator(rng, trials):
+        yield from values
+
+    array, generator = _run_stub_suites(monkeypatch, as_array, as_generator)
+    assert array.max_deviation.hex() == generator.max_deviation.hex()
+    assert array.max_deviation == 3.000000000000001e-13
+
+
+def _failing_checks(capsys):
+    return {
+        line.split()[2]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("[check ]") and line.endswith("FAIL")
+    }
+
+
+def test_a_nan_transition_amplitude_fails_every_check_that_reads_it(monkeypatch, capsys):
+    monkeypatch.setattr(nolabel_algebra, "transition_two", lambda *args: complex("nan"))
+    assert main(["verify", "--trials", "5"]) == EXIT_VERIFICATION
+    assert _failing_checks(capsys) == {
+        "transition_vs_labeled_oracle",
+        "symmetrized_norm_bunching",
+        "single_bra_projection",
+    }
+
+
+def test_a_nan_closed_form_concurrence_fails_the_splice_and_monotonicity(monkeypatch, capsys):
+    monkeypatch.setattr(entanglement, "concurrence_closed_form", lambda *args: math.nan)
+    assert main(["verify", "--trials", "5"]) == EXIT_VERIFICATION
+    assert {"optical_law_splice", "concurrence_monotonicity"} <= _failing_checks(capsys)
 
 
 def test_random_state_is_normalized():
