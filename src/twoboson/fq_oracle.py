@@ -51,12 +51,15 @@ class LabeledState:
 
 
 def symmetrize(p1: SingleParticleState, p2: SingleParticleState) -> LabeledState:
-    """(|p1>|p2> + |p2>|p1>) / sqrt(2); for p1 = p2 this is sqrt(2)|p><p|."""
+    """(|p1>|p2> + |p2>|p1>) / sqrt(2); for p1 = p2 this is sqrt(2)|p><p|.
+
+    Each product is formed by broadcasting, `v1[:, None] * v2`, which is
+    how `np.outer` defines it, so nothing clever enters here either."""
     if p1.dist.dim != p2.dist.dim:
         raise BasisMismatchError("states must share one distinguishability basis")
     v1 = single_particle_vector(p1)
     v2 = single_particle_vector(p2)
-    return LabeledState((np.outer(v1, v2) + np.outer(v2, v1)) / np.sqrt(2.0), p1.dist.dim)
+    return LabeledState((v1[:, None] * v2 + v2[:, None] * v1) / np.sqrt(2.0), p1.dist.dim)
 
 
 def labeled_inner(x: LabeledState, y: LabeledState) -> complex:

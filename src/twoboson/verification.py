@@ -5,6 +5,12 @@ independent routes, and yields every deviation it measures.  `run_suites`
 alone reduces them: it reports the largest against the suite's tolerance,
 and a deviation above it, or a nan, fails the run.  The labeled-tensor
 oracle (`fq_oracle`) is used here and in the tests only.
+
+The random states are drawn as Python complexes, with the bits the numpy
+route `v / norm(v)` gives: the norm is still summed by `ndarray.dot`,
+because BLAS may fuse its multiply-adds and a Python sum of squares would
+then differ in the last bit, and each part is multiplied by `1/norm`,
+because that is how numpy divides a complex by a real.
 """
 
 from __future__ import annotations
@@ -35,11 +41,15 @@ class SuiteResult:
     passed: bool
 
 
-def _unit_complex(rng: np.random.Generator, n: int) -> np.ndarray:
+def _unit_complex(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
     re, im = rng.normal(size=(2, n))  # the same draws as two size-n calls
-    v = re + 1j * im
-    # the 2-norm as np.linalg.norm computes it for a complex vector
-    return v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    if n == 0:
+        return ()  # for DistVector to refuse, as it refuses any empty vector
+    # the 2-norm as np.linalg.norm computes it for a complex vector, by BLAS
+    # dot, whose fused multiply-adds a Python sum of squares would not match
+    scale = 1.0 / math.sqrt(re.dot(re) + im.dot(im))
+    # numpy divides a complex by a real x as its two parts times 1/x
+    return tuple(complex(a * scale, b * scale) for a, b in zip(re.tolist(), im.tolist()))
 
 
 def random_state(
@@ -48,9 +58,7 @@ def random_state(
     sp = _unit_complex(rng, 2)
     if spin is None:
         spin = Spin.UP if rng.integers(2) == 0 else Spin.DOWN
-    return SingleParticleState(
-        SpatialAmplitudes(sp[0], sp[1]), spin, DistVector(tuple(_unit_complex(rng, d)))
-    )
+    return SingleParticleState(SpatialAmplitudes(*sp), spin, DistVector(_unit_complex(rng, d)))
 
 
 def random_updown_pair(
@@ -216,12 +224,12 @@ def _merge_coincidence_weight(theta_deg: float, dist_a: DistVector, dist_b: Dist
 
 
 def _suite_hom_vs_oracle(rng, trials):
+    orth = optics.dist_vectors_for_overlap(0.0)
     for _ in range(trials):
         theta = rng.uniform(0.0, 45.0)
         ov = rng.uniform(0.0, 1.0)
         phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
         w_at_ov = _merge_coincidence_weight(theta, phi_a, phi_b)
-        orth = optics.dist_vectors_for_overlap(0.0)
         w_at_0 = _merge_coincidence_weight(theta, orth[0], orth[1])
         direct = 1000.0 * w_at_ov / w_at_0
         level = optics.hom_coincidence(optics.hom_visibility(theta), ov**2, 1000.0)

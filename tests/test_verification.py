@@ -7,7 +7,14 @@ import pytest
 
 from twoboson import entanglement, nolabel_algebra, verification
 from twoboson.cli import EXIT_VERIFICATION, main
-from twoboson.core_state import ATOL_EXACT, Spin
+from twoboson.core_state import (
+    ATOL_EXACT,
+    DistVector,
+    SingleParticleState,
+    SpatialAmplitudes,
+    Spin,
+    ValidationError,
+)
 from twoboson.verification import random_state, random_updown_pair, run_suites
 
 
@@ -126,6 +133,59 @@ def _self_inner(state):
     from twoboson.core_state import inner_single
 
     return inner_single(state, state).real
+
+
+def _reference_unit_complex(rng, n):
+    # the draw as numpy arrays, which `_unit_complex` reproduces with Python
+    # complexes
+    re, im = rng.normal(size=(2, n))  # the same draws as two size-n calls
+    v = re + 1j * im
+    # the 2-norm as np.linalg.norm computes it for a complex vector
+    return v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _reference_random_state(rng, d, spin=None):
+    sp = _reference_unit_complex(rng, 2)
+    if spin is None:
+        spin = Spin.UP if rng.integers(2) == 0 else Spin.DOWN
+    return SingleParticleState(
+        SpatialAmplitudes(sp[0], sp[1]), spin, DistVector(tuple(_reference_unit_complex(rng, d)))
+    )
+
+
+def _bits(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unit_complex_draws_the_bits_of_the_array_route(d):
+    # whether the norm's BLAS dot fuses multiply-adds depends on the platform,
+    # so the pin is checked on each platform the tests run on
+    rng, twin = np.random.default_rng([11, d]), np.random.default_rng([11, d])
+    for _ in range(10_000):
+        assert _bits(verification._unit_complex(rng, d)) == _bits(
+            _reference_unit_complex(twin, d)
+        )
+    assert rng.normal() == twin.normal()
+
+
+@pytest.mark.parametrize("spin", [None, Spin.UP, Spin.DOWN])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_random_state_draws_the_state_of_the_array_route(d, spin):
+    rng, twin = np.random.default_rng([12, d]), np.random.default_rng([12, d])
+    for _ in range(1_000):
+        state, reference = random_state(rng, d, spin), _reference_random_state(twin, d, spin)
+        assert state.spin is reference.spin
+        assert _bits((state.spatial.a_l, state.spatial.a_r)) == _bits(
+            (reference.spatial.a_l, reference.spatial.a_r)
+        )
+        assert _bits(state.dist.amplitudes) == _bits(reference.dist.amplitudes)
+    assert rng.normal() == twin.normal()
+
+
+def test_a_random_state_of_dimension_0_is_refused_by_its_dist_vector():
+    with pytest.raises(ValidationError, match=r"^distinguishability vector needs dimension >= 1$"):
+        random_state(np.random.default_rng(0), 0)
 
 
 def test_random_pair_has_opposite_spins():
