@@ -1,64 +1,28 @@
 """Entanglement of two identical bosons from spatial overlap and
 indistinguishability.
 
-The public surface, by layer:
+The package root imports nothing: import each library name from its module,
+as in `from twoboson.entanglement import wootters_concurrence`.
 
-* `core_state`      -- value types and the factorized single-particle inner
-                       product
-* `nolabel_algebra` -- calculus of unordered two-boson kets (expansion over
-                       detectors, post-selection)
+The production layer, which every `twoboson` command loads:
+
+* `core_state`   -- value types, the factorized single-particle inner
+                    product, the detector amplitudes and the (up, down) check
+* `entanglement` -- the direct (1,1) pass, Wootters and closed-form
+                    concurrence, occupation-weighted entanglement
+* `optics`       -- Gaussian wavepackets, Hong-Ou-Mandel dips, Poisson
+                    counts, Gaussian dip fitting, Monte Carlo error bars
+* `cli`          -- `twoboson` command-line front end
+
+The reference layer, which only `twoboson verify` and the tests load:
+
+* `nolabel_algebra` -- unordered two-boson kets (expansion over detectors,
+                       post-selection), traced by the composed route's
+                       `entanglement.trace_out_distinguishability`
 * `fq_oracle`       -- dense two-slot tensors that re-derive everything by
-                       brute force; a reference for `verification` and the
-                       tests, imported by no production route
-* `entanglement`    -- distinguishability trace, Wootters and closed-form
-                       concurrence, occupation-weighted entanglement
-* `optics`          -- Gaussian wavepackets, Hong-Ou-Mandel dips, Poisson
-                       counts, Gaussian dip fitting, Monte Carlo error bars
-* `verification`    -- fifteen randomized cross-check suites that yield
-                       their deviations; `run_suites` reports the largest,
-                       and one above the suite's tolerance, or a nan, fails
-                       `twoboson verify`
-* `cli`             -- `twoboson` command-line front end
+                       brute force
+* `verification`    -- fifteen randomized cross-check suites that yield their
+                       deviations; one above its tolerance, or a nan, fails
 """
 
 __version__ = "0.1.0"
-
-from .core_state import (
-    ATOL_EXACT,
-    ATOL_PIPELINE,
-    BasisMismatchError,
-    DistVector,
-    SingleParticleState,
-    SpatialAmplitudes,
-    Spin,
-    SpinDensityMatrix,
-    ValidationError,
-    inner_single,
-)
-from .nolabel_algebra import (
-    SymmetricTwoBosonState,
-    expand_in_detector_basis,
-    postselect_one_per_detector,
-    project_single,
-    transition_two,
-)
-from .entanglement import (
-    NumberDistribution,
-    concurrence_closed_form,
-    entanglement_of_particles,
-    number_distribution,
-    trace_out_distinguishability,
-    wootters_concurrence,
-)
-from .optics import (
-    FitResult,
-    concurrence_optical,
-    fit_gaussian_dip,
-    gaussian_overlap,
-    hom_coincidence,
-    monte_carlo_errorbars,
-    simulate_counts,
-    spatial_amplitudes_from_theta,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .core_state import DistVector
-from . import entanglement, optics, verification
+from . import entanglement, optics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,6 +102,18 @@ def _seed(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _runs(text: str) -> int:
+    """A Monte Carlo run count: an integer of at least 2, as an error bar
+    needs.  A non-integer gets the message argparse gives a bad `int`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need --runs >= 2 for an error bar, got {value}")
     return value
 
 
@@ -345,6 +357,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification  # the reference layer, which no other command loads
+
     results = verification.run_suites(trials=args.trials, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -399,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap-convention", choices=optics.OVERLAP_CONVENTIONS, default="fitted")
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
     p.add_argument("--shots", type=_positive_float, default=1000.0, help="counts scale per channel")
-    p.add_argument("--runs", type=int, default=100, help="Monte Carlo resamples per row")
+    p.add_argument("--runs", type=_runs, default=100, help="Monte Carlo resamples per row")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -415,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-um", type=_finite_float, default=0.0, help="dip center")
     p.add_argument("--delay-grid", type=_parse_grid, default="-300:300:61")
     p.add_argument("--noisy", action="store_true", help="Poisson counts instead of exact rates")
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_runs, default=100)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="count table path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -432,8 +446,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "runs", 2) < 2:
-            parser.error(f"need --runs >= 2 for an error bar, got {args.runs}")
     except SystemExit as exc:
         return int(exc.code or 0)
     # every command refuses by raising; this is the one place that turns a

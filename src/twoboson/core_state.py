@@ -10,11 +10,15 @@ three parts,
     <x|y> = <spatial_x|spatial_y> * <spin_x|spin_y> * <dist_x|dist_y>,
 
 and everything downstream is built from these pairwise overlaps.  All types
-here are immutable; operations never mutate their inputs.
+here are immutable and refuse a nan or infinite amplitude; operations never
+mutate their inputs.  The detector amplitudes `DETECTOR_L` and `DETECTOR_R`
+and the (up, down) pair check live here, shared by `entanglement` and
+`nolabel_algebra`.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,8 +57,11 @@ class SpatialAmplitudes:
     a_r: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_l", complex(self.a_l))
-        object.__setattr__(self, "a_r", complex(self.a_r))
+        a_l, a_r = complex(self.a_l), complex(self.a_r)
+        if not (cmath.isfinite(a_l) and cmath.isfinite(a_r)):
+            raise ValidationError(f"mode amplitudes must be finite, got ({a_l}, {a_r})")
+        object.__setattr__(self, "a_l", a_l)
+        object.__setattr__(self, "a_r", a_r)
 
     @cached_property
     def detector_mode(self) -> Optional[str]:
@@ -72,6 +79,11 @@ class SpatialAmplitudes:
         return self.a_l.conjugate() * other.a_l + self.a_r.conjugate() * other.a_r
 
 
+#: detector-definite mode amplitudes
+DETECTOR_L = SpatialAmplitudes(1.0, 0.0)
+DETECTOR_R = SpatialAmplitudes(0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class DistVector:
     """Unit vector over a finite orthonormal distinguishability basis.
@@ -87,11 +99,12 @@ class DistVector:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
-        )
-        if len(self.amplitudes) == 0:
+        amplitudes = tuple(complex(a) for a in self.amplitudes)
+        if len(amplitudes) == 0:
             raise ValidationError("distinguishability vector needs dimension >= 1")
+        if not all(map(cmath.isfinite, amplitudes)):
+            raise ValidationError(f"distinguishability amplitudes must be finite, got {amplitudes}")
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     def __getstate__(self) -> dict:
         # a copy or an unpickled vector rebuilds `array` read-only, and
@@ -125,6 +138,21 @@ def _check_dist_dims(a: DistVector, b: DistVector) -> None:
         raise BasisMismatchError(
             f"incompatible distinguishability bases: dimension {a.dim} vs {b.dim}"
         )
+
+
+class SpinConfigError(ValueError):
+    """The spin configuration is outside the supported (up, down) sector."""
+
+
+def _check_updown_pair(p_a: SingleParticleState, p_b: SingleParticleState) -> None:
+    """Refuse a pair outside the (up, down) sector, or one whose dist vectors
+    have different dimensions."""
+    if p_a.spin is not Spin.UP or p_b.spin is not Spin.DOWN:
+        raise SpinConfigError(
+            "detector-basis expansion is defined for the (up, down) spin "
+            f"configuration, got ({p_a.spin.name.lower()}, {p_b.spin.name.lower()})"
+        )
+    _check_dist_dims(p_a.dist, p_b.dist)
 
 
 @dataclass(frozen=True)

@@ -15,24 +15,31 @@ one direct pass over the two states, in the product order of the composed
 route through the unordered-ket algebra of `nolabel_algebra`:
 `expand_in_detector_basis`, `postselect_one_per_detector` and
 `trace_out_distinguishability`.  That composition is the reference route the
-tests and `verify` check the pass against.
+tests and `verify` check the pass against; this module never imports
+`nolabel_algebra`, so no production command loads the ket algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core_state import (
     ATOL_EXACT,
     ATOL_PIPELINE,
+    DETECTOR_L,
+    DETECTOR_R,
     SingleParticleState,
     SpatialAmplitudes,
     Spin,
     SpinDensityMatrix,
+    _check_updown_pair,
 )
-from .nolabel_algebra import DETECTOR_L, DETECTOR_R, SymmetricTwoBosonState, _check_updown_pair
+
+if TYPE_CHECKING:
+    from .nolabel_algebra import SymmetricTwoBosonState
 
 
 #: bound once, so that a spin's index in SPIN_BASIS_LABELS is an identity

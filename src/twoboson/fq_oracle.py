@@ -29,9 +29,9 @@ _SPIN_BASIS = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
 def single_particle_vector(s: SingleParticleState) -> np.ndarray:
     """Dense single-slot vector, index layout (mode, spin, dist) row-major."""
     spatial = np.array([s.spatial.a_l, s.spatial.a_r], dtype=complex)
-    dist = np.asarray(s.dist.amplitudes, dtype=complex)
-    # the products np.kron(np.kron(spatial, spin), dist) forms, by broadcasting
-    return ((spatial[:, None] * _SPIN_BASIS[s.spin.value])[:, :, None] * dist).ravel()
+    # the products np.kron(np.kron(spatial, spin), dist) forms, by
+    # broadcasting, over the dist vector's cached read-only array
+    return ((spatial[:, None] * _SPIN_BASIS[s.spin.value])[:, :, None] * s.dist.array).ravel()
 
 
 @dataclass(frozen=True, eq=False)

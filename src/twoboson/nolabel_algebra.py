@@ -14,7 +14,9 @@ one-particle residual
 
 No slot labels appear anywhere in this module; the dense two-slot tensors in
 `fq_oracle` reproduce every quantity here by brute force and serve as the
-independent cross-check.
+independent cross-check.  Only `verify` and the tests load this module.
+`DETECTOR_L`, `DETECTOR_R`, `SpinConfigError` and the (up, down) pair check
+are the `core_state` objects, which `entanglement` shares.
 """
 
 from __future__ import annotations
@@ -24,23 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_state import (
+    DETECTOR_L,
+    DETECTOR_R,
     SingleParticleState,
-    SpatialAmplitudes,
     Spin,
-    _check_dist_dims,
+    SpinConfigError,
+    _check_updown_pair,
     inner_single,
 )
 
 Pair = tuple[SingleParticleState, SingleParticleState]
 Residual = tuple[tuple[complex, SingleParticleState], ...]
-
-#: detector-definite mode amplitudes
-DETECTOR_L = SpatialAmplitudes(1.0, 0.0)
-DETECTOR_R = SpatialAmplitudes(0.0, 1.0)
-
-
-class SpinConfigError(ValueError):
-    """The spin configuration is outside the supported (up, down) sector."""
 
 
 class NotDetectorBasisError(ValueError):
@@ -90,17 +86,6 @@ def project_single(bra: SingleParticleState, ket: Pair) -> Residual:
 def contract_residual(bra: SingleParticleState, residual: Residual) -> complex:
     """Apply a second single-particle bra to a projection residual."""
     return sum((c * inner_single(bra, st) for c, st in residual), 0j)
-
-
-def _check_updown_pair(p_a: SingleParticleState, p_b: SingleParticleState) -> None:
-    """Refuse a pair outside the (up, down) sector, or one whose dist vectors
-    have different dimensions."""
-    if p_a.spin is not Spin.UP or p_b.spin is not Spin.DOWN:
-        raise SpinConfigError(
-            "detector-basis expansion is defined for the (up, down) spin "
-            f"configuration, got ({p_a.spin.name.lower()}, {p_b.spin.name.lower()})"
-        )
-    _check_dist_dims(p_a.dist, p_b.dist)
 
 
 def expand_in_detector_basis(

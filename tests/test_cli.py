@@ -1,8 +1,9 @@
 """Command-line interface: output formats, grids, exit codes, determinism.
 
 Everything drives `twoboson.cli.main` in-process so coverage and debugging
-stay simple; subprocess tests exercise the installed script and the exit of a
-process whose reader closes stdout early.
+stay simple; subprocess tests exercise the installed script, the exit of a
+process whose reader closes stdout early, and which modules a fresh process
+loads.
 """
 
 import csv
@@ -1191,6 +1192,59 @@ def test_a_process_whose_reader_leaves_early_says_only_its_failure(buffered, arg
     got = proc.stderr.read()
     assert proc.wait(timeout=120) == code
     assert got == err
+
+
+# --- module boundary ---------------------------------------------------------------
+
+_REFERENCE_LAYER = ("twoboson.fq_oracle", "twoboson.nolabel_algebra", "twoboson.verification")
+
+_RUN_EVERY_COMMAND = f"""
+import contextlib, io, json, sys
+from twoboson.cli import main
+
+reference = {_REFERENCE_LAYER!r}
+codes = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["concurrence", "--theta-deg", "22.5"],
+        ["sweep"],
+        ["sweep", "--noisy", "--runs", "5"],
+        ["hom"],
+        ["hom", "--noisy", "--runs", "5"],
+    ):
+        codes[" ".join(argv)] = main(argv)
+    production = sorted(m for m in reference if m in sys.modules)
+    main(["verify", "--trials", "1"])
+    after_verify = sorted(m for m in reference if m in sys.modules)
+print(json.dumps({{"codes": codes, "production": production, "verify": after_verify}}))
+"""
+
+_IMPORT_THE_PACKAGE = """
+import json, sys
+import twoboson
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("twoboson.", "numpy")))))
+"""
+
+
+def _fresh_python(source: str):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", source],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_verify_loads_the_reference_layer_and_the_package_root_loads_nothing():
+    # the ket algebra, the oracle and the suites stay out of every production
+    # command's process, and `verify` alone loads them
+    run = _fresh_python(_RUN_EVERY_COMMAND)
+    assert set(run["codes"].values()) == {EXIT_OK}, run["codes"]
+    assert run["production"] == []
+    assert run["verify"] == sorted(_REFERENCE_LAYER)
+    # importing the package root loads no submodule and not numpy
+    assert _fresh_python(_IMPORT_THE_PACKAGE) == []
 
 
 # --- installed script ----------------------------------------------------------------

@@ -85,6 +85,27 @@ def test_mismatched_dist_dimensions_raise():
         inner_single(a, c)
 
 
+_NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.5))
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_spatial_amplitudes_refuse_a_non_finite_amplitude(bad):
+    # a nan amplitude made number_distribution raise or return nan depending
+    # on a stale errno; it is refused where the value is built instead
+    for amplitudes in ((bad, RT2), (RT2, bad)):
+        with pytest.raises(ValidationError, match="mode amplitudes must be finite"):
+            SpatialAmplitudes(*amplitudes)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_dist_vectors_refuse_a_non_finite_amplitude(bad):
+    # a nan dist amplitude gave a (1,1) weight of nan, which the normalized
+    # Wootters call then reported as "weight = 0"
+    for amplitudes in ((bad,), (RT2, bad), (bad, 0j, RT2)):
+        with pytest.raises(ValidationError, match="distinguishability amplitudes must be finite"):
+            DistVector(amplitudes)
+
+
 def test_spatial_overlap_and_normalization_helpers():
     sp = SpatialAmplitudes(2.0, 0.0)
     assert sp.overlap(sp).real == 4.0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twoboson import core_state
 from twoboson.core_state import (
     ATOL_EXACT,
     BasisMismatchError,
@@ -41,6 +42,12 @@ def _state(a_l, a_r, spin, dist_amps):
 
 
 # --- transition rule -------------------------------------------------------
+
+
+def test_shared_names_are_the_core_state_objects():
+    # the production pass in `entanglement` takes them from `core_state`
+    assert DETECTOR_L is core_state.DETECTOR_L and DETECTOR_R is core_state.DETECTOR_R
+    assert SpinConfigError is core_state.SpinConfigError
 
 
 def test_transition_of_identical_pair_is_two():
