@@ -4,7 +4,16 @@ indistinguishability.
 The package root imports nothing: import each library name from its module,
 as in `from twoboson.entanglement import wootters_concurrence`.
 
-The production layer, which every `twoboson` command loads:
+The front end, which loads no numpy: importing `cli`, building its parser,
+`--help`, `--version`, a bad option value and a missing required option
+load only
+
+* `cli`          -- `twoboson` command-line front end
+* `wavepacket`   -- the default wavepacket width, the overlap conventions'
+                    names and the sigma/delta conversion, which `optics`
+                    imports back
+
+The production layer, which a `twoboson` command loads when it runs:
 
 * `core_state`   -- value types, the factorized single-particle inner
                     product, the detector amplitudes and the (up, down) check
@@ -12,7 +21,6 @@ The production layer, which every `twoboson` command loads:
                     concurrence, occupation-weighted entanglement
 * `optics`       -- Gaussian wavepackets, Hong-Ou-Mandel dips, Poisson
                     counts, Gaussian dip fitting, Monte Carlo error bars
-* `cli`          -- `twoboson` command-line front end
 
 The reference layer, which only `twoboson verify` and the tests load:
 

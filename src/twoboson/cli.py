@@ -15,6 +15,16 @@ out), lengths are micrometers.  Exit codes: 0 success, 1 usage error, 2 numerica
 the failure into one line on stderr and its exit code.  A reader that closes
 stdout early, as `| head` does, changes neither the exit code nor stderr: a
 command settles its failure and its report line before its first byte.
+
+The front end loads no physics module: importing this module, building the
+parser, `--help`, `--version` and every argparse refusal load only `cli` and
+`wavepacket`, which holds the parser's defaults and the `--delta` conversion.
+Nor do they load numpy, unless argparse parses a `start:stop:count` grid,
+which `numpy.linspace` spaces; argparse parses a default grid too before it
+refuses an unknown argument.  `main` loads `optics`, and with it numpy,
+`core_state` and `entanglement`, once the arguments parse; a command imports
+the modules it calls where it calls them, and reads every name through its
+module.
 """
 
 from __future__ import annotations
@@ -25,13 +35,13 @@ import functools
 import json
 import math
 import sys
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .core_state import DistVector
-from . import entanglement, optics
+from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, delta_to_sigma
+
+if TYPE_CHECKING:
+    from .core_state import DistVector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,7 +96,7 @@ def _unit_float(text: str) -> float:
 
 def _delta(text: str) -> float:
     """A spectral width delta, parsed straight to its sigma = 1/(2 delta)."""
-    sigma = optics.delta_to_sigma(_positive_float(text))
+    sigma = delta_to_sigma(_positive_float(text))
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise argparse.ArgumentTypeError(
             f"expected a spectral width whose sigma = 1/(2 delta) is a finite "
@@ -126,6 +136,8 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
             n = int(count)
             if n < 1:
                 raise ValueError
+            import numpy as np
+
             with np.errstate(all="ignore"):  # non-finite ends are rejected below
                 values = tuple(float(v) for v in np.linspace(float(start), float(stop), n))
         else:
@@ -162,6 +174,8 @@ class _DelayValues(NamedTuple):
 
 
 def _delay_values(delay_um: float, sigma_um: float, convention: str) -> _DelayValues:
+    from . import optics
+
     ov = optics.gaussian_overlap(delay_um, convention, sigma_um)
     return _DelayValues(
         delay_um,
@@ -178,6 +192,8 @@ def _point_values(theta_deg: float, delays: Sequence[_DelayValues]):
     spin matrix.  The angle's mode amplitudes and spatial factor are computed
     once, and one stacked Wootters call reads the normalized concurrence of
     every point, from which E_P is computed."""
+    from . import entanglement, optics
+
     alphas, betas = optics.spatial_amplitudes_from_theta(theta_deg)
     spatial_overlap = optics.spatial_overlap_factor(theta_deg)
     nds = [optics.prepared_distribution(alphas, betas, d.phi_a, d.phi_b) for d in delays]
@@ -191,6 +207,8 @@ def _point_values(theta_deg: float, delays: Sequence[_DelayValues]):
 
 
 def cmd_concurrence(args) -> int:
+    from . import optics
+
     ((values, _),) = _point_values(
         args.theta_deg, [_delay_values(args.delay_um, args.sigma_um, args.overlap_convention)]
     )
@@ -245,6 +263,10 @@ def _write_table(
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
+    from . import optics
+
     columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
     # what depends on the delay only is computed once per delay
     delays = [
@@ -295,6 +317,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    from . import optics
+
     if args.format == "json" and args.out in (None, "-"):
         raise ValueError("hom --format json needs --out FILE: the fit lines go to stdout")
     dip = optics.gaussian_dip(args.delay_grid, args.fwhm_um, args.center_um)
@@ -386,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument(
             "--sigma-um",
             type=_positive_float,
-            default=optics.DEFAULT_SIGMA_UM,
+            default=DEFAULT_SIGMA_UM,
             help="Gaussian width of the concurrence-vs-delay curve (um)",
         )
         group.add_argument(
@@ -400,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sigma(p)
     p.add_argument(
         "--overlap-convention",
-        choices=optics.OVERLAP_CONVENTIONS,
+        choices=OVERLAP_CONVENTIONS,
         default="fitted",
         help="delay-to-overlap mapping used for the density-matrix pipeline",
     )
@@ -410,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-grid", type=_parse_grid, default="0:45:19")
     p.add_argument("--delay-grid", type=_parse_grid, default="0,30,60,300")
     add_sigma(p)
-    p.add_argument("--overlap-convention", choices=optics.OVERLAP_CONVENTIONS, default="fitted")
+    p.add_argument("--overlap-convention", choices=OVERLAP_CONVENTIONS, default="fitted")
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
     p.add_argument("--shots", type=_positive_float, default=1000.0, help="counts scale per channel")
     p.add_argument("--runs", type=_runs, default=100, help="Monte Carlo resamples per row")
@@ -448,6 +472,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from . import optics  # every command loads it, and the clauses below name its errors
+
     # every command refuses by raising; this is the one place that turns a
     # failure into its stderr line and exit code
     try:

@@ -35,6 +35,7 @@ from .core_state import (
     SpatialAmplitudes,
     Spin,
     SpinDensityMatrix,
+    ValidationError,
     _check_updown_pair,
 )
 
@@ -133,8 +134,16 @@ def wootters_concurrence(rhos, normalize: bool = False) -> np.ndarray:
     sqrt(eps)-sized noise.  Without `normalize` the value scales linearly
     with the trace, which is what the closed-form comparison below relies on;
     with it, any matrix of zero weight raises `NoPostSelectionSupportError`.
+    A non-finite entry anywhere in the stack raises `ValidationError` first,
+    raw or normalized.
     """
     m = np.array([r.matrix for r in rhos], dtype=complex).reshape(-1, 4, 4)
+    finite = np.isfinite(m)
+    if not finite.all():
+        k, i, j = np.argwhere(~finite)[0].tolist()
+        raise ValidationError(
+            f"spin density matrix {k} has a non-finite entry {m[k, i, j]} at [{i}, {j}]"
+        )
     if normalize:
         weights = np.array([r.weight for r in rhos])
         if not np.all(weights > 0.0):

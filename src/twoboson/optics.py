@@ -19,6 +19,9 @@ wavepackets of width sigma (spectral width delta = 1/(2 sigma)).
 exposed, nothing is silently reconciled.  The optical concurrence law
 C(theta, l) = sin^2(4 theta) exp(-l^2 / (2 sigma^2)) is implemented verbatim;
 the closed-form concurrence fed the 'fitted' overlap reproduces it exactly.
+`DEFAULT_SIGMA_UM`, `OVERLAP_CONVENTIONS`, `sigma_to_delta` and
+`delta_to_sigma` are the `wavepacket` objects, which the command-line parser
+reads without loading numpy.
 
 The experiment is defined here once, and the commands and the `verification`
 suites call the same functions: `prepared_distribution` is the (up, down)
@@ -69,15 +72,10 @@ from .core_state import (
     ATOL_EXACT, DistVector, SingleParticleState, SpatialAmplitudes, Spin, SpinDensityMatrix,
 )
 from . import entanglement
+from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, delta_to_sigma, sigma_to_delta
 
 #: FWHM of a Gaussian exp(-x^2/(2 w^2)) is this factor times w
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
-
-#: width (um) whose 2*sqrt(2 ln 2)*sigma FWHM is 140 um
-DEFAULT_SIGMA_UM = 59.45
-
-#: delay -> |<phi_A|phi_B>| mappings of `gaussian_overlap`
-OVERLAP_CONVENTIONS = ("fitted", "paper", "quadrature")
 
 
 class FitError(RuntimeError):
@@ -94,19 +92,6 @@ class FitConvergenceError(FitError):
 
 class EstimatorError(RuntimeError):
     """More than `MAX_FAILED_FRACTION` of the runs of a Monte Carlo failed."""
-
-
-def sigma_to_delta(sigma_um: float) -> float:
-    """Spectral width from delay-length width, sigma = 1/(2 delta)."""
-    if not sigma_um > 0.0:
-        raise ValueError("sigma must be positive")
-    return 1.0 / (2.0 * sigma_um)
-
-
-def delta_to_sigma(delta: float) -> float:
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    return 1.0 / (2.0 * delta)
 
 
 def gaussian_overlap(l_um: float, convention: str, sigma_um: float) -> float:

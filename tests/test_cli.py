@@ -196,7 +196,7 @@ def test_a_grid_too_large_to_allocate_is_a_usage_error(option, monkeypatch, caps
     def too_large(start, stop, num):
         raise MemoryError(f"Unable to allocate {8 * num} bytes for an array")
 
-    monkeypatch.setattr(cli.np, "linspace", too_large)
+    monkeypatch.setattr(np, "linspace", too_large)
     argv = ["sweep", "--theta-grid", "10", "--delay-grid", "0"]
     argv[argv.index(option) + 1] = "0:45:100000000000"
     assert main(argv) == EXIT_USAGE
@@ -1245,6 +1245,51 @@ def test_only_verify_loads_the_reference_layer_and_the_package_root_loads_nothin
     assert run["verify"] == sorted(_REFERENCE_LAYER)
     # importing the package root loads no submodule and not numpy
     assert _fresh_python(_IMPORT_THE_PACKAGE) == []
+
+
+_START_THE_FRONT_END = """
+import contextlib, io, json, sys
+import twoboson.cli as cli
+
+cli.build_parser()
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (
+        ["--help"],
+        ["--version"],
+        ["sweep", "--help"],
+        ["concurrence"],
+        ["hom", "--visibility", "2"],
+        ["sweep", "--shots", "-1"],
+        ["verify", "--trials", "abc"],
+    ):
+        codes[" ".join(argv)] = cli.main(argv)
+loaded = sorted(m for m in sys.modules if m.startswith(("twoboson.", "numpy")))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_the_front_end_loads_no_physics_and_not_numpy():
+    # importing the CLI, building its parser, help, version and a refusal of
+    # each subcommand load only `cli` and `wavepacket`
+    run = _fresh_python(_START_THE_FRONT_END)
+    assert run["codes"] == {
+        "--help": EXIT_OK,
+        "--version": EXIT_OK,
+        "sweep --help": EXIT_OK,
+        "concurrence": EXIT_USAGE,
+        "hom --visibility 2": EXIT_USAGE,
+        "sweep --shots -1": EXIT_USAGE,
+        "verify --trials abc": EXIT_USAGE,
+    }
+    assert run["loaded"] == ["twoboson.cli", "twoboson.wavepacket"]
+
+
+def test_the_parser_names_in_optics_are_the_wavepacket_objects():
+    from twoboson import wavepacket
+
+    for name in ("DEFAULT_SIGMA_UM", "OVERLAP_CONVENTIONS", "sigma_to_delta", "delta_to_sigma"):
+        assert getattr(optics, name) is getattr(wavepacket, name), name
 
 
 # --- installed script ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from twoboson.core_state import (
     SpatialAmplitudes,
     Spin,
     SpinDensityMatrix,
+    ValidationError,
 )
 from twoboson.entanglement import (
     NoPostSelectionSupportError,
@@ -372,6 +373,26 @@ def test_a_zero_weight_member_fails_the_normalized_stack():
         wootters_concurrence(rhos, normalize=True)
     # the raw reading stays defined
     assert wootters_concurrence(rhos) == pytest.approx([1.0, 0.0, 0.0], abs=ATOL_EXACT)
+
+
+@pytest.mark.parametrize("normalize", (False, True))
+@pytest.mark.parametrize("entry", ((1, 2), (1, 1)), ids=("off-diagonal", "diagonal"))
+def test_a_non_finite_entry_is_refused_raw_and_normalized(entry, normalize):
+    # off the diagonal a nan used to read 0.0; on it, a zero-weight error
+    # (normalized) or an SVD that did not converge (raw)
+    m = np.eye(4, dtype=complex) / 4.0
+    m[entry] = np.nan
+    i, j = entry
+    with pytest.raises(ValidationError, match=rf"matrix 0 has a non-finite entry .* at \[{i}, {j}\]"):
+        wootters_concurrence([SpinDensityMatrix(m)], normalize=normalize)
+
+
+def test_a_non_finite_member_fails_the_stack_by_its_index():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[3, 0] = np.inf
+    rhos = [SpinDensityMatrix(BELL), SpinDensityMatrix(m)]
+    with pytest.raises(ValidationError, match=r"matrix 1 has a non-finite entry .* at \[3, 0\]"):
+        wootters_concurrence(rhos)
 
 
 def _e_p(nd):
