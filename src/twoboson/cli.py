@@ -9,9 +9,14 @@ Subcommands:
 
 The commands decide no physics: the prepared pair, the Hong-Ou-Mandel
 coincidence law and the dip shape are `optics` calls, the same ones that
-`verify` checks.  Angles are degrees at this boundary (radians never leak
-out), lengths are micrometers.  Exit codes: 0 success, 1 usage error, 2 numerical/fit failure,
-3 verification failure.  A command refuses by raising; `main` alone turns
+`verify` checks.  `sweep` and `concurrence` build their exact table in one
+function, `_point_values`, and read each point's normalized concurrence from
+its X-state (1,1) block, `entanglement.NumberDistribution.concurrence`; the
+eigen route `entanglement.wootters_concurrence` is the reference that
+`verify` checks the read against, and only `verify` calls it.  Angles are
+degrees at this boundary (radians never leak out), lengths are micrometers.
+Exit codes: 0 success, 1 usage error, 2 numerical/fit failure, 3
+verification failure.  A command refuses by raising; `main` alone turns
 the failure into one line on stderr and its exit code.  A reader that closes
 stdout early, as `| head` does, changes neither the exit code nor stderr: a
 command settles its failure and its report line before its first byte.
@@ -19,12 +24,12 @@ command settles its failure and its report line before its first byte.
 The front end loads no physics module: importing this module, building the
 parser, `--help`, `--version` and every argparse refusal load only `cli` and
 `wavepacket`, which holds the parser's defaults and the `--delta` conversion.
-Nor do they load numpy, unless argparse parses a `start:stop:count` grid,
-which `numpy.linspace` spaces; argparse parses a default grid too before it
-refuses an unknown argument.  `main` loads `optics`, and with it numpy,
-`core_state` and `entanglement`, once the arguments parse; a command imports
-the modules it calls where it calls them, and reads every name through its
-module.
+Nor do they load numpy, unless argparse parses a `start:stop:count` grid
+given on the command line, which `numpy.linspace` spaces: a grid option's
+default is a `_DefaultGrid` that argparse leaves alone, and the command
+parses it.  `main` loads `optics`, and with it numpy, `core_state` and
+`entanglement`, once the arguments parse; a command imports the modules it
+calls where it calls them, and reads every name through its module.
 """
 
 from __future__ import annotations
@@ -35,13 +40,10 @@ import functools
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, delta_to_sigma
-
-if TYPE_CHECKING:
-    from .core_state import DistVector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,6 +155,20 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"grid {spec!r} is too large to allocate") from None
 
 
+class _DefaultGrid(NamedTuple):
+    """A grid option's default spec, left unparsed by argparse, which
+    converts a string default through the option's type even when it goes on
+    to refuse the command line; `_grid` parses it when the command runs."""
+
+    spec: str
+
+
+def _grid(value) -> tuple[float, ...]:
+    """A grid option's values: a `_DefaultGrid` parsed by the `_parse_grid`
+    call argparse would have made on it, a parsed grid as it is."""
+    return _parse_grid(value.spec) if isinstance(value, _DefaultGrid) else value
+
+
 def _fixed(x: float) -> str:
     """x to 6 decimals, unsigned where it rounds to zero, as the CSV table
     prints -0.0 as 0: a tiny negative rounding residue prints as 0.000000."""
@@ -160,59 +176,53 @@ def _fixed(x: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-class _DelayValues(NamedTuple):
-    """What one delay gives every grid point it meets: the overlap under the
-    chosen convention, which sets the dist vectors, and the two printed
-    overlaps."""
+def _point_values(
+    thetas: Sequence[float], delays: Sequence[float], sigma_um: float, convention: str,
+    keep_states: bool = False,
+):
+    """The exact table of the grid `thetas` x `delays`: one row per point,
+    angles outer and delays inner, each its `SWEEP_COLUMNS` values in column
+    order.  Returns the rows and, with `keep_states`, each point's
+    unnormalized (1,1) spin matrix in row order, from which a noisy sweep
+    draws its counts; an exact table does not hold them.
 
-    delay_um: float
-    overlap: float
-    overlap_paper: float
-    overlap_quadrature: float
-    phi_a: DistVector
-    phi_b: DistVector
-
-
-def _delay_values(delay_um: float, sigma_um: float, convention: str) -> _DelayValues:
-    from . import optics
-
-    ov = optics.gaussian_overlap(delay_um, convention, sigma_um)
-    return _DelayValues(
-        delay_um,
-        ov,
-        optics.gaussian_overlap(delay_um, "paper", sigma_um),
-        optics.gaussian_overlap(delay_um, "quadrature", sigma_um),
-        *optics.dist_vectors_for_overlap(ov),
-    )
-
-
-def _point_values(theta_deg: float, delays: Sequence[_DelayValues]):
-    """The rows of one angle's grid points, in delay order: each its
-    `SWEEP_COLUMNS` values, in column order, with its unnormalized (1,1)
-    spin matrix.  The angle's mode amplitudes and spatial factor are computed
-    once, and one stacked Wootters call reads the normalized concurrence of
-    every point, from which E_P is computed."""
+    A delay's three overlaps and dist vectors are computed once, and an
+    angle's mode amplitudes and spatial factor once.  The normalized
+    concurrence of each point is read from its X-state block
+    (`NumberDistribution.concurrence`), never through the eigen route
+    `wootters_concurrence`, and E_P = P(1,1) C follows per angle."""
     from . import entanglement, optics
 
-    alphas, betas = optics.spatial_amplitudes_from_theta(theta_deg)
-    spatial_overlap = optics.spatial_overlap_factor(theta_deg)
-    nds = [optics.prepared_distribution(alphas, betas, d.phi_a, d.phi_b) for d in delays]
-    concurrence = entanglement.wootters_concurrence([nd.state for nd in nds], normalize=True)
-    e_p = entanglement.entanglement_of_particles(nds, concurrence)
-    return [
-        ([theta_deg, d.delay_um, spatial_overlap, d.overlap_paper, d.overlap_quadrature,
-          entanglement.concurrence_closed_form(alphas, betas, d.overlap), c, e], nd.state)
-        for d, nd, c, e in zip(delays, nds, concurrence.tolist(), e_p.tolist())
-    ]
+    per_delay = []
+    for delay in delays:
+        ov = optics.gaussian_overlap(delay, convention, sigma_um)
+        paper = optics.gaussian_overlap(delay, "paper", sigma_um)
+        quadrature = optics.gaussian_overlap(delay, "quadrature", sigma_um)
+        per_delay.append((delay, ov, paper, quadrature, *optics.dist_vectors_for_overlap(ov)))
+    rows, states = [], []
+    for theta in thetas:
+        alphas, betas = optics.spatial_amplitudes_from_theta(theta)
+        spatial_overlap = optics.spatial_overlap_factor(theta)
+        nds = [
+            optics.prepared_distribution(alphas, betas, phi_a, phi_b)
+            for *_, phi_a, phi_b in per_delay
+        ]
+        concurrence = [nd.concurrence for nd in nds]
+        e_p = entanglement.entanglement_of_particles(nds, concurrence).tolist()
+        for (delay, ov, paper, quadrature, _, _), c, e in zip(per_delay, concurrence, e_p):
+            closed = entanglement.concurrence_closed_form(alphas, betas, ov)
+            rows.append([theta, delay, spatial_overlap, paper, quadrature, closed, c, e])
+        if keep_states:
+            states += [nd.state for nd in nds]
+    return rows, states
 
 
 def cmd_concurrence(args) -> int:
     from . import optics
 
-    ((values, _),) = _point_values(
-        args.theta_deg, [_delay_values(args.delay_um, args.sigma_um, args.overlap_convention)]
+    ((_, _, spatial_overlap, paper, quadrature, _, c_wootters, e_p),), _ = _point_values(
+        [args.theta_deg], [args.delay_um], args.sigma_um, args.overlap_convention
     )
-    _, _, spatial_overlap, paper, quadrature, _, c_wootters, e_p = values
     lines = [
         ("theta_deg", args.theta_deg),
         ("delay_um", args.delay_um),
@@ -267,36 +277,33 @@ def cmd_sweep(args) -> int:
 
     from . import optics
 
+    thetas, delays = _grid(args.theta_grid), _grid(args.delay_grid)
     columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
-    # what depends on the delay only is computed once per delay
-    delays = [
-        _delay_values(delay, args.sigma_um, args.overlap_convention) for delay in args.delay_grid
-    ]
-    rows = []
+    rows, states = _point_values(
+        thetas, delays, args.sigma_um, args.overlap_convention, keep_states=args.noisy
+    )
     no_coincidence = 0  # Monte Carlo runs whose concurrence reads 0 for want of counts
-    for theta in args.theta_grid:
-        for values, rho in _point_values(theta, delays):
-            if args.noisy:
-                rates = optics.xstate_rates(rho, args.shots)
-                try:
-                    # seed [seed, row_index] so row order never couples the draws
-                    counts = optics.simulate_counts(rates, [args.seed, len(rows)], args.runs)
-                except ValueError as exc:
-                    raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
-                no_coincidence += int(np.count_nonzero(optics.xstate_no_coincidence(counts)))
-                # the mean reads the counts pooled over the runs, which the
-                # fold |q| and the clip at 1 bias far less than a mean of
-                # per-run estimates; summed as floats, since the pooled
-                # counts of a large --shots can pass the int64 range
-                pooled = optics.xstate_concurrence(counts.sum(axis=0, keepdims=True, dtype=float))
-                c = optics.xstate_concurrence(counts)
-                values += [float(pooled[0]), float(np.std(c, ddof=1))]
-            rows.append(values)
+    # an exact sweep keeps no states, so only a noisy one enters this loop
+    for index, (values, rho) in enumerate(zip(rows, states)):
+        rates = optics.xstate_rates(rho, args.shots)
+        try:
+            # seed [seed, row_index] so row order never couples the draws
+            counts = optics.simulate_counts(rates, [args.seed, index], args.runs)
+        except ValueError as exc:
+            raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
+        no_coincidence += int(np.count_nonzero(optics.xstate_no_coincidence(counts)))
+        # the mean reads the counts pooled over the runs, which the fold |q|
+        # and the clip at 1 bias far less than a mean of per-run estimates;
+        # summed as floats, since the pooled counts of a large --shots can
+        # pass the int64 range
+        pooled = optics.xstate_concurrence(counts.sum(axis=0, keepdims=True, dtype=float))
+        c = optics.xstate_concurrence(counts)
+        values += [float(pooled[0]), float(np.std(c, ddof=1))]
     metadata = {
         "command": "sweep",
         "version": __version__,
-        "theta_grid": list(args.theta_grid),
-        "delay_grid": list(args.delay_grid),
+        "theta_grid": list(thetas),
+        "delay_grid": list(delays),
         "sigma_um": args.sigma_um,
         "overlap_convention": args.overlap_convention,
         "noisy": args.noisy,
@@ -321,7 +328,8 @@ def cmd_hom(args) -> int:
 
     if args.format == "json" and args.out in (None, "-"):
         raise ValueError("hom --format json needs --out FILE: the fit lines go to stdout")
-    dip = optics.gaussian_dip(args.delay_grid, args.fwhm_um, args.center_um)
+    delays = _grid(args.delay_grid)
+    dip = optics.gaussian_dip(delays, args.fwhm_um, args.center_um)
     rates = optics.hom_coincidence(args.visibility, dip, args.baseline)
     try:
         block = optics.simulate_counts(rates, args.seed, args.runs) if args.noisy else rates[None]
@@ -329,9 +337,9 @@ def cmd_hom(args) -> int:
         raise ValueError(f"--baseline {args.baseline:g} is too large: {exc}") from exc
     # the fit's working arrays grow with the block, so it runs before any
     # output: a block too large to fit leaves no half-written table
-    fits = optics.fit_gaussian_dip(args.delay_grid, block, poisson_weights=args.noisy)
+    fits = optics.fit_gaussian_dip(delays, block, poisson_weights=args.noisy)
 
-    rows = [(l, float(c)) for l, c in zip(args.delay_grid, block[0])]
+    rows = [(l, float(c)) for l, c in zip(delays, block[0])]
     metadata = {
         "command": "hom",
         "version": __version__,
@@ -431,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_concurrence)
 
     p = sub.add_parser("sweep", help="table of concurrence readings over grids")
-    p.add_argument("--theta-grid", type=_parse_grid, default="0:45:19")
-    p.add_argument("--delay-grid", type=_parse_grid, default="0,30,60,300")
+    p.add_argument("--theta-grid", type=_parse_grid, default=_DefaultGrid("0:45:19"))
+    p.add_argument("--delay-grid", type=_parse_grid, default=_DefaultGrid("0,30,60,300"))
     add_sigma(p)
     p.add_argument("--overlap-convention", choices=OVERLAP_CONVENTIONS, default="fitted")
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
@@ -451,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coincidence level far from the dip",
     )
     p.add_argument("--center-um", type=_finite_float, default=0.0, help="dip center")
-    p.add_argument("--delay-grid", type=_parse_grid, default="-300:300:61")
+    p.add_argument("--delay-grid", type=_parse_grid, default=_DefaultGrid("-300:300:61"))
     p.add_argument("--noisy", action="store_true", help="Poisson counts instead of exact rates")
     p.add_argument("--runs", type=_runs, default=100)
     p.add_argument("--seed", type=_seed, default=0)

@@ -17,12 +17,23 @@ route through the unordered-ket algebra of `nolabel_algebra`:
 `trace_out_distinguishability`.  That composition is the reference route the
 tests and `verify` check the pass against; this module never imports
 `nolabel_algebra`, so no production command loads the ket algebra.
+
+The (1,1) matrix of an (up, down) pair lies in the middle block of
+|L-up,R-down> and |L-down,R-up>: an X-state with empty corners, whose
+normalized concurrence is 2 |rho[1,2]| / (rho[1,1] + rho[2,2]) (Yu & Eberly,
+Quantum Inf. Comput. 7, 459, 2007).  `NumberDistribution.concurrence` reads
+it so from the cells the pass sets, and `sweep` and `concurrence` print that
+read.  `wootters_concurrence`, the spin-flipped spectrum of any two-qubit
+matrix, is the general reference that `verify` and the tests check the read
+against.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -179,10 +190,37 @@ class NumberDistribution:
     `probabilities` maps (n_L, n_R) to the sector's probability; `state` is
     the unnormalized post-selected spin matrix of the (1,1) sector, whose
     trace is that sector's weight before the bunching normalization.
+    `coherence` is its cell rho[1,2] where `state` is an X-state whose cells
+    outside the middle block are zero, as `number_distribution` builds it;
+    a distribution built from any other matrix leaves it None.
     """
 
     probabilities: dict[tuple[int, int], float]
     state: SpinDensityMatrix
+    coherence: Optional[complex] = None
+
+    @property
+    def concurrence(self) -> float:
+        """The normalized Wootters concurrence of the (1,1) sector, read from
+        its X-state block as 2 |rho[1,2]| / (rho[1,1] + rho[2,2]).  The
+        denominator is `state.weight`, the trace, whose corner cells are
+        zero.  A non-finite cell raises `ValidationError` and a zero weight
+        `NoPostSelectionSupportError`, as `wootters_concurrence` with
+        `normalize` raises them; a distribution without its `coherence` has
+        no X-state read and raises `ValueError`."""
+        coherence, weight = self.coherence, self.state.weight
+        if coherence is None:
+            raise ValueError(
+                "no X-state coherence: read this state with wootters_concurrence"
+            )
+        if not (cmath.isfinite(coherence) and math.isfinite(weight)):
+            raise ValidationError(
+                f"(1,1) spin matrix has a non-finite cell: rho[1,2] = {coherence}, "
+                f"weight = {weight}"
+            )
+        if not weight > 0.0:
+            raise NoPostSelectionSupportError("no post-selection support (weight = 0)")
+        return 2.0 * abs(coherence) / weight
 
 
 def number_distribution(
@@ -203,8 +241,9 @@ def number_distribution(
     keeps its unnormalized spin matrix: the two coincident terms are the
     trace's row 2 (B at L, A at R) and row 1 (A at L, B at R), and each cell
     is 0j plus the product the trace forms for it, with the overlaps read as
-    the trace reads them.  Tests and `verify` check this pass against the
-    composed route.
+    the trace reads them.  The pass sets no other cell, so the matrix is an
+    X-state, and its cell 6, rho[1,2], is the distribution's `coherence`.
+    Tests and `verify` check this pass against the composed route.
     """
     _check_updown_pair(p_a, p_b)
     al, ar = p_a.spatial.a_l, p_a.spatial.a_r
@@ -236,7 +275,7 @@ def number_distribution(
         cells[6] = 0j + c1 * c2.conjugate() * o_ba * o_ab
     rho = SpinDensityMatrix([cells[0:4], cells[4:8], cells[8:12], cells[12:16]])
     probabilities = {(2, 0): w20 / total, (1, 1): w11 / total, (0, 2): w02 / total}
-    return NumberDistribution(probabilities, rho)
+    return NumberDistribution(probabilities, rho, cells[6])
 
 
 def entanglement_of_particles(nds, concurrence) -> np.ndarray:
@@ -245,8 +284,9 @@ def entanglement_of_particles(nds, concurrence) -> np.ndarray:
 
     Bunched sectors contribute zero (their spin state is not accessible to
     local detectors); the (1,1) sector contributes its normalized Wootters
-    concurrence, `concurrence`, as `wootters_concurrence` of the
-    distributions' states with `normalize` returns it, weighted by its
+    concurrence, `concurrence`, as each distribution's X-state read
+    `NumberDistribution.concurrence` or `wootters_concurrence` of the
+    distributions' states with `normalize` gives it, weighted by its
     probability.  A distribution with P(1,1) = 0 reads 0 whatever its
     concurrence.  Every distribution's probabilities are checked.
     """

@@ -160,16 +160,21 @@ def _suite_density_validity(rng, trials):
 
 
 def _suite_wootters_vs_closed_form(rng, trials):
-    rhos, closed = [], []
+    # the eigen route's raw concurrence against the closed form, and, divided
+    # by the (1,1) weight, against the X-state read that `sweep` and
+    # `concurrence` print
+    nds, closed = [], []
     for _ in range(trials):
         alphas = SpatialAmplitudes(*_unit_complex(rng, 2))
         betas = SpatialAmplitudes(*_unit_complex(rng, 2))
         ov = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
         pair = optics.dist_vectors_for_overlap(ov)
-        rhos.append(optics.prepared_distribution(alphas, betas, *pair).state)
+        nds.append(optics.prepared_distribution(alphas, betas, *pair))
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
-    raw = entanglement.wootters_concurrence(rhos)  # one stacked call
-    return np.abs(np.array(closed) - 2.0 * raw)
+    raw = entanglement.wootters_concurrence([nd.state for nd in nds])  # one stacked call
+    yield from np.abs(np.array(closed) - 2.0 * raw).tolist()
+    for nd, w in zip(nds, raw.tolist()):
+        yield abs(nd.concurrence - w / nd.state.weight)
 
 
 def _suite_balanced_manifold(rng, trials):

@@ -189,6 +189,25 @@ def test_bad_input_is_rejected_before_any_output(argv, reason, monkeypatch, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, grids",
+    [
+        (["sweep", "--format", "json"], ["--theta-grid", "0:45:19", "--delay-grid", "0,30,60,300"]),
+        (["hom"], ["--delay-grid=-300:300:61"]),
+    ],
+    ids=["sweep", "hom"],
+)
+def test_a_default_grid_reads_the_bits_of_its_spec_given_on_the_command_line(
+    command, grids, capsys
+):
+    # the command parses a default grid with the `_parse_grid` call that
+    # argparse makes on the same spec given as an argument
+    assert main(command) == EXIT_OK
+    default = capsys.readouterr()
+    assert main(command + grids) == EXIT_OK
+    assert capsys.readouterr() == default
+
+
 @pytest.mark.parametrize("option", ("--theta-grid", "--delay-grid"))
 def test_a_grid_too_large_to_allocate_is_a_usage_error(option, monkeypatch, capsys):
     # stand in for numpy's allocation failure at a count of 100000000000,
@@ -405,10 +424,11 @@ def _assert_noisy_sweep_row_matches_a_per_run_loop(extra_argv, shots, capsys):
     assert main(argv) == EXIT_OK
     captured = capsys.readouterr()
     table = json.loads(captured.out)
-    delay = cli._delay_values(30.0, DEFAULT_SIGMA_UM, "fitted")
+    _, states = cli._point_values(
+        (10.0, 22.5), (30.0,), DEFAULT_SIGMA_UM, "fitted", keep_states=True
+    )
     empty = 0
-    for k, theta in enumerate((10.0, 22.5)):
-        ((_, rho),) = cli._point_values(theta, [delay])
+    for k, rho in enumerate(states):
         p, r, q = rho.matrix[1, 1].real, rho.matrix[2, 2].real, rho.matrix[1, 2].real
         rates = np.array([p, r, (p + r) / 2.0 + q, (p + r) / 2.0 - q]) * shots
         rng = np.random.default_rng([5, k])
@@ -481,7 +501,9 @@ def test_a_noisy_sweep_that_observes_nothing_says_so_on_stderr(capsys):
     assert captured.err == ""
 
 
-def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
+def test_sweep_and_concurrence_make_no_wootters_call(monkeypatch, capsys):
+    # both read the concurrence from the X-state block; the eigen route is
+    # the reference that verify and the tests use
     calls = []
     original = entanglement.wootters_concurrence
 
@@ -492,8 +514,9 @@ def test_sweep_computes_each_concurrence_once_per_point(monkeypatch, capsys):
     monkeypatch.setattr(entanglement, "wootters_concurrence", counted)
     argv = ["sweep", "--theta-grid", "10,22.5,40", "--delay-grid", "0,60"]
     assert main(argv) == EXIT_OK
-    # one stacked call per angle, over that angle's two delays
-    assert [len(args[0]) for args in calls] == [2, 2, 2]
+    assert main(argv + ["--noisy", "--runs", "3"]) == EXIT_OK
+    assert main(["concurrence", "--theta-deg", "22.5", "--delay-um", "30"]) == EXIT_OK
+    assert calls == []
 
 
 @pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
@@ -517,7 +540,9 @@ def test_sweep_matches_a_per_point_reference_of_single_state_calls(
                 SingleParticleState(alphas, Spin.UP, phi_a),
                 SingleParticleState(betas, Spin.DOWN, phi_b),
             )
-            c = entanglement.wootters_concurrence([nd.state], normalize=True)  # a stack of one
+            # the X-state read of its cells: 2 |rho[1,2]| / (rho[1,1] + rho[2,2])
+            rho = nd.state.matrix
+            c = [2.0 * abs(complex(rho[1, 2])) / float(rho[1, 1].real + rho[2, 2].real)]
             row = (
                 theta,
                 delay,
@@ -1061,7 +1086,7 @@ VERIFY_TRIALS_100_SEED_1 = """\
 [check ] postselected_density_vs_oracle       max_dev=6.661e-16    tol=1e-12  PASS
 [check ] postselect_idempotent                max_dev=0.000e+00    tol=5e-01  PASS
 [check ] density_matrix_validity              max_dev=1.388e-16    tol=1e-12  PASS
-[check ] closed_form_vs_wootters_raw          max_dev=3.331e-16    tol=1e-09  PASS
+[check ] closed_form_vs_wootters_raw          max_dev=4.441e-16    tol=1e-09  PASS
 [check ] balanced_manifold_concurrence        max_dev=6.661e-16    tol=1e-09  PASS
 [check ] optical_law_splice                   max_dev=3.331e-16    tol=1e-12  PASS
 [check ] quadrature_overlap_integral          max_dev=5.516e-16    tol=1e-09  PASS
@@ -1262,6 +1287,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         ["hom", "--visibility", "2"],
         ["sweep", "--shots", "-1"],
         ["verify", "--trials", "abc"],
+        ["sweep", "--bogus"],
+        ["hom", "--bogus"],
     ):
         codes[" ".join(argv)] = cli.main(argv)
 loaded = sorted(m for m in sys.modules if m.startswith(("twoboson.", "numpy")))
@@ -1271,7 +1298,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
 def test_the_front_end_loads_no_physics_and_not_numpy():
     # importing the CLI, building its parser, help, version and a refusal of
-    # each subcommand load only `cli` and `wavepacket`
+    # each subcommand load only `cli` and `wavepacket`; an unknown option is
+    # refused after argparse has set the defaults, which parse no grid
     run = _fresh_python(_START_THE_FRONT_END)
     assert run["codes"] == {
         "--help": EXIT_OK,
@@ -1281,6 +1309,8 @@ def test_the_front_end_loads_no_physics_and_not_numpy():
         "hom --visibility 2": EXIT_USAGE,
         "sweep --shots -1": EXIT_USAGE,
         "verify --trials abc": EXIT_USAGE,
+        "sweep --bogus": EXIT_USAGE,
+        "hom --bogus": EXIT_USAGE,
     }
     assert run["loaded"] == ["twoboson.cli", "twoboson.wavepacket"]
 

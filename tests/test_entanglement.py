@@ -414,6 +414,62 @@ def test_stacked_entanglement_of_particles_is_the_single_call_bit_for_bit():
     assert _bits(entanglement_of_particles(nds, concurrence)) == _bits(stacked[:-1])
 
 
+#: the cells of a 4x4 matrix outside the middle block of |L-up,R-down> and
+#: |L-down,R-up>, as flat indices
+_OUTSIDE_MIDDLE_BLOCK = [k for k in range(16) if not (k // 4 in (1, 2) and k % 4 in (1, 2))]
+
+
+def test_the_x_state_read_is_the_wootters_concurrence_on_generic_pairs():
+    # 10^4 generic (up, down) pairs, their dist vectors of dimension 1 to 3
+    # with complex overlaps: every (1,1) matrix is an X-state with empty
+    # corners, whose read equals the eigen route's normalized concurrence
+    rng = np.random.default_rng(59)
+    nds = [number_distribution(*random_updown_pair(rng, 1 + k % 3)) for k in range(10_000)]
+    for nd in nds:
+        cells = nd.state.matrix.ravel()
+        assert not cells[_OUTSIDE_MIDDLE_BLOCK].any()
+        assert nd.coherence == cells[6]
+    read = np.array([nd.concurrence for nd in nds])
+    reference = wootters_concurrence([nd.state for nd in nds], normalize=True)
+    assert np.max(np.abs(read - reference)) <= ATOL_EXACT
+    assert np.all((read >= 0.0) & (read <= 1.0 + ATOL_EXACT))
+
+
+def test_the_x_state_read_refuses_a_zero_weight_as_the_eigen_route_does():
+    # both particles leave by L: the (1,1) sector has no weight
+    da, db = dist_vectors_for_overlap(0.5)
+    nd = number_distribution(
+        SingleParticleState(SpatialAmplitudes(1.0, 0.0), Spin.UP, da),
+        SingleParticleState(SpatialAmplitudes(1.0, 0.0), Spin.DOWN, db),
+    )
+    assert nd.state.weight == 0.0 and nd.probabilities[(1, 1)] == 0.0
+    with pytest.raises(NoPostSelectionSupportError, match="weight = 0"):
+        nd.concurrence
+    with pytest.raises(NoPostSelectionSupportError, match="weight = 0"):
+        wootters_concurrence([nd.state], normalize=True)
+
+
+def test_the_x_state_read_refuses_an_overflowed_cell_as_the_eigen_route_does():
+    # finite amplitudes whose products overflow leave nan cells and a nan
+    # weight, which must not read as a weight of 0
+    da, db = dist_vectors_for_overlap(0.5)
+    nd = number_distribution(
+        SingleParticleState(SpatialAmplitudes(1e200, 1e200), Spin.UP, da),
+        SingleParticleState(SpatialAmplitudes(1e200, 1e200), Spin.DOWN, db),
+    )
+    with pytest.raises(ValidationError, match="non-finite"):
+        nd.concurrence
+    with pytest.raises(ValidationError, match="non-finite"):
+        wootters_concurrence([nd.state], normalize=True)
+
+
+def test_a_distribution_built_from_a_matrix_alone_has_no_x_state_read():
+    nd = NumberDistribution({(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}, SpinDensityMatrix(BELL))
+    assert nd.coherence is None
+    with pytest.raises(ValueError, match="wootters_concurrence"):
+        nd.concurrence
+
+
 def test_stacked_entanglement_of_particles_checks_every_distribution():
     good = NumberDistribution({(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}, SpinDensityMatrix(BELL))
     bad = NumberDistribution({(2, 0): 0.5, (1, 1): 0.2, (0, 2): 0.5}, SpinDensityMatrix(BELL))
