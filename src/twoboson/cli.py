@@ -21,15 +21,14 @@ the failure into one line on stderr and its exit code.  A reader that closes
 stdout early, as `| head` does, changes neither the exit code nor stderr: a
 command settles its failure and its report line before its first byte.
 
-The front end loads no physics module: importing this module, building the
-parser, `--help`, `--version` and every argparse refusal load only `cli` and
-`wavepacket`, which holds the parser's defaults and the `--delta` conversion.
-Nor do they load numpy, unless argparse parses a `start:stop:count` grid
-given on the command line, which `numpy.linspace` spaces: a grid option's
-default is a `_DefaultGrid` that argparse leaves alone, and the command
-parses it.  `main` loads `optics`, and with it numpy, `core_state` and
-`entanglement`, once the arguments parse; a command imports the modules it
-calls where it calls them, and reads every name through its module.
+The front end loads no physics module and not numpy: importing this
+module, building the parser, `--help`, `--version` and every argparse
+refusal load only `cli` and `wavepacket`, which holds the parser's defaults
+and the `--delta` conversion.  A `start:stop:count` grid, a default or one
+given on the command line, is spaced in Python floats with the bits of
+`numpy.linspace`.  `main` loads `optics`, and with it numpy, `core_state`
+and `entanglement`, once the arguments parse; a command imports the modules
+it calls where it calls them, and reads every name through its module.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import functools
 import json
 import math
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, delta_to_sigma
@@ -129,7 +128,33 @@ def _runs(text: str) -> int:
     return value
 
 
-def _parse_grid(spec: str) -> tuple[float, ...]:
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """`numpy.linspace(start, stop, n)` in Python floats, bit for bit: the
+    same IEEE operations in the same order.  Point i is i * step + start,
+    with step = (stop - start) / (n - 1), and the last point is `stop`; where
+    the step underflows to 0 it is i / (n - 1) * (stop - start) + start, and
+    a single point is 0 * (stop - start) + start.
+
+    The list is allocated whole before any point is computed, so a count too
+    large to hold raises `MemoryError` at once, and one past the index range
+    `OverflowError`."""
+    values = [stop] * n
+    delta = stop - start
+    div = n - 1
+    if div == 0:
+        values[0] = 0.0 * delta + start
+        return values
+    step = delta / div
+    if step == 0.0:
+        for i in range(div):
+            values[i] = i / div * delta + start
+    else:
+        for i in range(div):
+            values[i] = i * step + start
+    return values
+
+
+def _parse_grid(spec: str) -> list[float]:
     """Comma list '0,30,60' or linspace 'start:stop:count' of finite values."""
     spec = spec.strip()
     try:
@@ -138,35 +163,18 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
             n = int(count)
             if n < 1:
                 raise ValueError
-            import numpy as np
-
-            with np.errstate(all="ignore"):  # non-finite ends are rejected below
-                values = tuple(float(v) for v in np.linspace(float(start), float(stop), n))
+            values = _linspace(float(start), float(stop), n)
         else:
-            values = tuple(float(tok) for tok in spec.split(",") if tok.strip())
-        if not values or not all(math.isfinite(v) for v in values):
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        if not values or not all(map(math.isfinite, values)):
             raise ValueError
         return values
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"bad grid {spec!r}; use 'a,b,c' or 'start:stop:count'"
         ) from None
     except MemoryError:
         raise argparse.ArgumentTypeError(f"grid {spec!r} is too large to allocate") from None
-
-
-class _DefaultGrid(NamedTuple):
-    """A grid option's default spec, left unparsed by argparse, which
-    converts a string default through the option's type even when it goes on
-    to refuse the command line; `_grid` parses it when the command runs."""
-
-    spec: str
-
-
-def _grid(value) -> tuple[float, ...]:
-    """A grid option's values: a `_DefaultGrid` parsed by the `_parse_grid`
-    call argparse would have made on it, a parsed grid as it is."""
-    return _parse_grid(value.spec) if isinstance(value, _DefaultGrid) else value
 
 
 def _fixed(x: float) -> str:
@@ -186,9 +194,12 @@ def _point_values(
     unnormalized (1,1) spin matrix in row order, from which a noisy sweep
     draws its counts; an exact table does not hold them.
 
-    A delay's three overlaps and dist vectors are computed once, and an
-    angle's mode amplitudes and spatial factor once.  The normalized
-    concurrence of each point is read from its X-state block
+    Each value is built once on the axis it depends on: a delay's three
+    overlaps once, an angle's mode amplitudes and spatial factor once, and
+    `optics.prepared_distributions` builds each delay's dist pair and
+    <phi_B|phi_A> once and each angle's spin-up particle once, so a point
+    pays only for its spin-down particle and its `number_distribution` pass.
+    The normalized concurrence of each point is read from its X-state block
     (`NumberDistribution.concurrence`), never through the eigen route
     `wootters_concurrence`, and E_P = P(1,1) C follows per angle."""
     from . import entanglement, optics
@@ -198,18 +209,15 @@ def _point_values(
         ov = optics.gaussian_overlap(delay, convention, sigma_um)
         paper = optics.gaussian_overlap(delay, "paper", sigma_um)
         quadrature = optics.gaussian_overlap(delay, "quadrature", sigma_um)
-        per_delay.append((delay, ov, paper, quadrature, *optics.dist_vectors_for_overlap(ov)))
+        per_delay.append((delay, ov, paper, quadrature))
+    modes = [optics.spatial_amplitudes_from_theta(theta) for theta in thetas]
+    grid = optics.prepared_distributions(modes, [ov for _, ov, _, _ in per_delay])
     rows, states = [], []
-    for theta in thetas:
-        alphas, betas = optics.spatial_amplitudes_from_theta(theta)
+    for theta, (alphas, betas), nds in zip(thetas, modes, grid):
         spatial_overlap = optics.spatial_overlap_factor(theta)
-        nds = [
-            optics.prepared_distribution(alphas, betas, phi_a, phi_b)
-            for *_, phi_a, phi_b in per_delay
-        ]
         concurrence = [nd.concurrence for nd in nds]
         e_p = entanglement.entanglement_of_particles(nds, concurrence).tolist()
-        for (delay, ov, paper, quadrature, _, _), c, e in zip(per_delay, concurrence, e_p):
+        for (delay, ov, paper, quadrature), c, e in zip(per_delay, concurrence, e_p):
             closed = entanglement.concurrence_closed_form(alphas, betas, ov)
             rows.append([theta, delay, spatial_overlap, paper, quadrature, closed, c, e])
         if keep_states:
@@ -277,7 +285,7 @@ def cmd_sweep(args) -> int:
 
     from . import optics
 
-    thetas, delays = _grid(args.theta_grid), _grid(args.delay_grid)
+    thetas, delays = args.theta_grid, args.delay_grid
     columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
     rows, states = _point_values(
         thetas, delays, args.sigma_um, args.overlap_convention, keep_states=args.noisy
@@ -302,8 +310,8 @@ def cmd_sweep(args) -> int:
     metadata = {
         "command": "sweep",
         "version": __version__,
-        "theta_grid": list(thetas),
-        "delay_grid": list(delays),
+        "theta_grid": thetas,
+        "delay_grid": delays,
         "sigma_um": args.sigma_um,
         "overlap_convention": args.overlap_convention,
         "noisy": args.noisy,
@@ -328,7 +336,7 @@ def cmd_hom(args) -> int:
 
     if args.format == "json" and args.out in (None, "-"):
         raise ValueError("hom --format json needs --out FILE: the fit lines go to stdout")
-    delays = _grid(args.delay_grid)
+    delays = args.delay_grid
     dip = optics.gaussian_dip(delays, args.fwhm_um, args.center_um)
     rates = optics.hom_coincidence(args.visibility, dip, args.baseline)
     try:
@@ -439,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_concurrence)
 
     p = sub.add_parser("sweep", help="table of concurrence readings over grids")
-    p.add_argument("--theta-grid", type=_parse_grid, default=_DefaultGrid("0:45:19"))
-    p.add_argument("--delay-grid", type=_parse_grid, default=_DefaultGrid("0,30,60,300"))
+    p.add_argument("--theta-grid", type=_parse_grid, default="0:45:19")
+    p.add_argument("--delay-grid", type=_parse_grid, default="0,30,60,300")
     add_sigma(p)
     p.add_argument("--overlap-convention", choices=OVERLAP_CONVENTIONS, default="fitted")
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
@@ -459,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coincidence level far from the dip",
     )
     p.add_argument("--center-um", type=_finite_float, default=0.0, help="dip center")
-    p.add_argument("--delay-grid", type=_parse_grid, default=_DefaultGrid("-300:300:61"))
+    p.add_argument("--delay-grid", type=_parse_grid, default="-300:300:61")
     p.add_argument("--noisy", action="store_true", help="Poisson counts instead of exact rates")
     p.add_argument("--runs", type=_runs, default=100)
     p.add_argument("--seed", type=_seed, default=0)

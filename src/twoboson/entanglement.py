@@ -224,7 +224,7 @@ class NumberDistribution:
 
 
 def number_distribution(
-    p_a: SingleParticleState, p_b: SingleParticleState
+    p_a: SingleParticleState, p_b: SingleParticleState, overlap_ba: Optional[complex] = None
 ) -> NumberDistribution:
     """Occupation-number sectors of the symmetrized (up, down) pair.
 
@@ -243,6 +243,9 @@ def number_distribution(
     is 0j plus the product the trace forms for it, with the overlaps read as
     the trace reads them.  The pass sets no other cell, so the matrix is an
     X-state, and its cell 6, rho[1,2], is the distribution's `coherence`.
+    `overlap_ba` is <phi_B|phi_A> as `p_b.dist.overlap(p_a.dist)` computes
+    it, for a caller that meets one pair of dist vectors with many mode
+    amplitudes and computes it once; without it the pass computes it.
     Tests and `verify` check this pass against the composed route.
     """
     _check_updown_pair(p_a, p_b)
@@ -269,8 +272,11 @@ def number_distribution(
     if rl != 0j and lr != 0j:
         # the trace meets phi_b first: <b|a> is computed, <a|b> its conjugate,
         # and one shared vector is read through its self-overlap alone
-        o_ba = o_bb if phi_a is phi_b else phi_b.overlap(phi_a)
-        o_ab = o_bb if phi_a is phi_b else o_ba.conjugate()
+        if phi_a is phi_b:
+            o_ba = o_ab = o_bb
+        else:
+            o_ba = phi_b.overlap(phi_a) if overlap_ba is None else overlap_ba
+            o_ab = o_ba.conjugate()
         cells[9] = 0j + c2 * c1.conjugate() * o_ab * o_ba
         cells[6] = 0j + c1 * c2.conjugate() * o_ba * o_ab
     rho = SpinDensityMatrix([cells[0:4], cells[4:8], cells[8:12], cells[12:16]])

@@ -24,8 +24,11 @@ the closed-form concurrence fed the 'fitted' overlap reproduces it exactly.
 reads without loading numpy.
 
 The experiment is defined here once, and the commands and the `verification`
-suites call the same functions: `prepared_distribution` is the (up, down)
-pair the interferometer prepares, and `hom_coincidence` the one
+suites call the same functions: `prepared_distributions` gives the (up,
+down) pair the interferometer prepares at every point of a grid of mode
+amplitudes and overlaps, each angle's spin-up particle and each overlap's
+distinguishability pair and <phi_B|phi_A> built once for the whole grid,
+and `hom_coincidence` the one
 Hong-Ou-Mandel coincidence law, baseline * (1 - V x), for a number or an
 array of indistinguishabilities x = |<phi_A|phi_B>|^2.  Its visibility V is
 a free parameter, or `hom_visibility` of the theta merge, in closed form
@@ -135,23 +138,47 @@ def concurrence_optical(theta_deg: float, l_um: float, sigma_um: float) -> float
     return math.sin(4.0 * t) ** 2 * math.exp(-(l_um**2) / (2.0 * sigma_um**2))
 
 
+#: phi_A of every pair `dist_vectors_for_overlap` builds: the first basis
+#: vector, one immutable vector that every overlap's pair shares, as the
+#: detector amplitudes `DETECTOR_L` and `DETECTOR_R` are shared
+PHI_A = DistVector((1.0 + 0j, 0j))
+
+
 def dist_vectors_for_overlap(overlap: complex) -> tuple[DistVector, DistVector]:
     """A concrete pair of two-dimensional unit vectors with
-    <phi_A|phi_B> = overlap."""
+    <phi_A|phi_B> = overlap: the shared `PHI_A` and a new phi_B."""
     mag = abs(overlap)
     if mag > 1.0 + ATOL_EXACT:
         raise ValueError(f"|overlap| = {mag:.12g} exceeds 1")
     rest = math.sqrt(max(0.0, 1.0 - mag**2))
-    return DistVector((1.0 + 0j, 0j)), DistVector((complex(overlap), rest + 0j))
+    return PHI_A, DistVector((complex(overlap), rest + 0j))
 
 
-def prepared_distribution(alphas, betas, phi_a, phi_b) -> entanglement.NumberDistribution:
-    """`entanglement.number_distribution` of the pair the interferometer
-    prepares: spin up in the modes `alphas` with the distinguishability
-    vector `phi_a`, and spin down in the modes `betas` with `phi_b`."""
-    return entanglement.number_distribution(
-        SingleParticleState(alphas, Spin.UP, phi_a), SingleParticleState(betas, Spin.DOWN, phi_b)
-    )
+def prepared_distributions(modes, overlaps):
+    """`entanglement.number_distribution` of every pair the interferometer
+    prepares on the grid `modes` x `overlaps`: spin up in the modes `alphas`
+    with phi_A, and spin down in the modes `betas` with phi_B, where
+    (phi_A, phi_B) is `dist_vectors_for_overlap(overlap)`.
+
+    Yields, for each `(alphas, betas)` in `modes`, the list of the
+    distributions at each overlap in `overlaps`, in order, so that a caller
+    holds one row of the grid at a time.  An overlap's phi_B and its
+    <phi_B|phi_A> are built once for every row, and a row's spin-up particle
+    once for every overlap; a point makes only its spin-down particle and its
+    `number_distribution` pass, which reads the same bits it would compute
+    for that pair alone."""
+    columns = []
+    for overlap in overlaps:
+        phi_a, phi_b = dist_vectors_for_overlap(overlap)
+        columns.append((phi_b, phi_b.overlap(phi_a)))
+    for alphas, betas in modes:
+        spin_up = SingleParticleState(alphas, Spin.UP, PHI_A)
+        yield [
+            entanglement.number_distribution(
+                spin_up, SingleParticleState(betas, Spin.DOWN, phi_b), overlap_ba
+            )
+            for phi_b, overlap_ba in columns
+        ]
 
 
 # ---------------------------------------------------------------------------

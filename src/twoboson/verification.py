@@ -168,8 +168,8 @@ def _suite_wootters_vs_closed_form(rng, trials):
         alphas = SpatialAmplitudes(*_unit_complex(rng, 2))
         betas = SpatialAmplitudes(*_unit_complex(rng, 2))
         ov = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        pair = optics.dist_vectors_for_overlap(ov)
-        nds.append(optics.prepared_distribution(alphas, betas, *pair))
+        (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
+        nds += row
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
     raw = entanglement.wootters_concurrence([nd.state for nd in nds])  # one stacked call
     yield from np.abs(np.array(closed) - 2.0 * raw).tolist()
@@ -185,8 +185,8 @@ def _suite_balanced_manifold(rng, trials):
         alphas = SpatialAmplitudes(inv_sqrt2 * phases[0], inv_sqrt2 * phases[1])
         betas = SpatialAmplitudes(inv_sqrt2 * phases[2], inv_sqrt2 * phases[3])
         ov = rng.uniform(0.0, 1.0)
-        pair = optics.dist_vectors_for_overlap(ov)
-        rhos.append(optics.prepared_distribution(alphas, betas, *pair).state)
+        (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
+        rhos.append(row[0].state)
         expected.append(ov**2)
     normalized = entanglement.wootters_concurrence(rhos, normalize=True)  # one stacked call
     return np.abs(normalized - np.array(expected))
@@ -263,8 +263,8 @@ def _suite_ep_relation(rng, trials):
         theta = rng.uniform(0.0, 45.0)
         ov = rng.uniform(0.0, 1.0)
         alphas, betas = optics.spatial_amplitudes_from_theta(theta)
-        pair = optics.dist_vectors_for_overlap(ov)
-        nds.append(optics.prepared_distribution(alphas, betas, *pair))
+        (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
+        nds += row
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
     # one stacked call each; P(1,1) = s^4 + c^4 >= 1/2 on this family, so
     # every (1,1) sector has weight

@@ -6,6 +6,7 @@ process whose reader closes stdout early, and which modules a fresh process
 loads.
 """
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -200,22 +201,71 @@ def test_bad_input_is_rejected_before_any_output(argv, reason, monkeypatch, tmp_
 def test_a_default_grid_reads_the_bits_of_its_spec_given_on_the_command_line(
     command, grids, capsys
 ):
-    # the command parses a default grid with the `_parse_grid` call that
-    # argparse makes on the same spec given as an argument
+    # argparse parses a grid option's string default with the `_parse_grid`
+    # call it makes on the same spec given as an argument
     assert main(command) == EXIT_OK
     default = capsys.readouterr()
     assert main(command + grids) == EXIT_OK
     assert capsys.readouterr() == default
 
 
+_TINY, _HUGE = 5e-324, sys.float_info.max
+_LINSPACE_EDGES = [
+    # signed zeros, and a count of 1, which numpy spaces as 0 * delta + start
+    (-0.0, 0.0, 3), (0.0, -0.0, 3), (-0.0, -0.0, 4), (-0.0, 5.0, 1), (-0.0, -5.0, 1),
+    (-0.0, 5.0, 3), (5.0, -0.0, 4), (0.0, 0.0, 1), (-3.0, 3.0, 1), (7.25, 7.25, 1),
+    # equal and reversed ends
+    (3.5, 3.5, 7), (-1e-310, -1e-310, 5), (45.0, 0.0, 91), (300.0, -300.0, 61),
+    # subnormal ends, where the step underflows to 0
+    (_TINY, 2 * _TINY, 4), (0.0, _TINY, 7), (-_TINY, _TINY, 9), (0.0, 3 * _TINY, 1001),
+    (-2.2250738585072014e-308, 2.2250738585072014e-308, 1001),
+    # near-overflow ends, some whose span overflows to a non-finite grid
+    (1e308, _HUGE, 3), (-_HUGE, _HUGE, 5), (-1e308, 1e308, 2), (_HUGE, -_HUGE, 1),
+    (-_HUGE, -1e308, 4000),
+    # the CLI's own grids, and counts up to a few thousand
+    (0.0, 45.0, 19), (0.0, 45.0, 91), (0.0, 300.0, 61), (-300.0, 300.0, 61),
+    (0.0, 1.0, 4096), (-123.456, 789.01, 2999), (0.1, 0.3, 3),
+]
+
+
+def _random_linspace_specs(count: int):
+    rng = np.random.default_rng(34)
+    for _ in range(count):
+        ends = []
+        for kind in rng.integers(0, 4, size=2):
+            if kind == 0:
+                ends.append(float(rng.uniform(-1000.0, 1000.0)))
+            elif kind == 1:  # any magnitude, subnormal to near overflow
+                ends.append(float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-323.0, 308.25)))
+            elif kind == 2:
+                ends.append(float(rng.choice([0.0, -0.0, 45.0, -300.0, 1e-300, _HUGE])))
+            else:
+                ends.append(float(rng.integers(-100, 100)))
+        yield ends[0], ends[1], int(np.exp(rng.uniform(0.0, np.log(3000.0))))
+
+
+def test_a_start_stop_count_grid_has_the_bits_of_numpy_linspace():
+    # every spec prints its ends by repr, which reads back to the same float
+    specs = _LINSPACE_EDGES + list(_random_linspace_specs(2000))
+    for start, stop, n in specs:
+        spec = f"{start!r}:{stop!r}:{n}"
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, n)
+        if np.all(np.isfinite(expected)):
+            assert np.array(cli._parse_grid(spec)).tobytes() == expected.tobytes(), spec
+        else:
+            with pytest.raises(argparse.ArgumentTypeError, match="bad grid"):
+                cli._parse_grid(spec)
+
+
 @pytest.mark.parametrize("option", ("--theta-grid", "--delay-grid"))
 def test_a_grid_too_large_to_allocate_is_a_usage_error(option, monkeypatch, capsys):
-    # stand in for numpy's allocation failure at a count of 100000000000,
-    # so that nothing is allocated
-    def too_large(start, stop, num):
-        raise MemoryError(f"Unable to allocate {8 * num} bytes for an array")
+    # stand in for the failed allocation of a list of 100000000000 floats,
+    # so that no test builds one
+    def too_large(start, stop, n):
+        raise MemoryError
 
-    monkeypatch.setattr(np, "linspace", too_large)
+    monkeypatch.setattr(cli, "_linspace", too_large)
     argv = ["sweep", "--theta-grid", "10", "--delay-grid", "0"]
     argv[argv.index(option) + 1] = "0:45:100000000000"
     assert main(argv) == EXIT_USAGE
@@ -225,6 +275,27 @@ def test_a_grid_too_large_to_allocate_is_a_usage_error(option, monkeypatch, caps
     assert captured.err.endswith(
         f"error: argument {option}: grid '0:45:100000000000' is too large to allocate\n"
     )
+
+
+@pytest.mark.parametrize(
+    "count, reason",
+    [
+        # the list's byte count passes the index range, so nothing is
+        # allocated for these
+        (sys.maxsize // 8 + 1, "grid {spec!r} is too large to allocate"),
+        (sys.maxsize, "grid {spec!r} is too large to allocate"),
+        # past the index range no list can have the count as its length
+        (sys.maxsize + 1, "bad grid {spec!r}; use 'a,b,c' or 'start:stop:count'"),
+        (10**40, "bad grid {spec!r}; use 'a,b,c' or 'start:stop:count'"),
+    ],
+    ids=["past-bytes", "maxsize", "past-index", "1e40"],
+)
+def test_a_grid_count_past_the_byte_or_index_range_is_a_usage_error(count, reason, capsys):
+    spec = f"0:45:{count}"
+    assert main(["sweep", "--theta-grid", spec, "--delay-grid", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --theta-grid: {reason.format(spec=spec)}\n")
 
 
 @pytest.mark.parametrize(
@@ -805,10 +876,11 @@ def test_hom_and_the_hom_check_reach_one_coincidence_law(monkeypatch, capsys):
 
 
 def test_sweep_and_the_concurrence_checks_reach_one_prepared_pair(monkeypatch, capsys):
-    calls = _spy(monkeypatch, "prepared_distribution")
+    calls = _spy(monkeypatch, "prepared_distributions")
     assert main(["sweep", "--theta-grid", "10,20", "--delay-grid", "0,30,60"]) == EXIT_OK
     assert main(["concurrence", "--theta-deg", "22.5"]) == EXIT_OK
-    assert len(calls) == 7  # one per grid point
+    # one call per table, over its angles' mode amplitudes and its delays' overlaps
+    assert [(len(modes), len(overlaps)) for modes, overlaps in calls] == [(2, 3), (1, 1)]
     for suite in (
         verification._suite_wootters_vs_closed_form,
         verification._suite_balanced_manifold,
@@ -1289,6 +1361,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         ["verify", "--trials", "abc"],
         ["sweep", "--bogus"],
         ["hom", "--bogus"],
+        ["sweep", "--theta-grid", "0:45:91", "--delay-grid", "0:300:61", "--bogus"],
+        ["hom", "--delay-grid=-300:300:61", "--bogus"],
     ):
         codes[" ".join(argv)] = cli.main(argv)
 loaded = sorted(m for m in sys.modules if m.startswith(("twoboson.", "numpy")))
@@ -1299,7 +1373,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 def test_the_front_end_loads_no_physics_and_not_numpy():
     # importing the CLI, building its parser, help, version and a refusal of
     # each subcommand load only `cli` and `wavepacket`; an unknown option is
-    # refused after argparse has set the defaults, which parse no grid
+    # refused after argparse has parsed every grid, given or a default, and
+    # a start:stop:count grid is spaced without numpy
     run = _fresh_python(_START_THE_FRONT_END)
     assert run["codes"] == {
         "--help": EXIT_OK,
@@ -1311,6 +1386,8 @@ def test_the_front_end_loads_no_physics_and_not_numpy():
         "verify --trials abc": EXIT_USAGE,
         "sweep --bogus": EXIT_USAGE,
         "hom --bogus": EXIT_USAGE,
+        "sweep --theta-grid 0:45:91 --delay-grid 0:300:61 --bogus": EXIT_USAGE,
+        "hom --delay-grid=-300:300:61 --bogus": EXIT_USAGE,
     }
     assert run["loaded"] == ["twoboson.cli", "twoboson.wavepacket"]
 

@@ -1,6 +1,6 @@
-"""Every printed exact digit of `sweep` is a true digit.
+"""Every printed exact digit of `sweep` and `concurrence` is a true digit.
 
-Each exact CSV column of the 91x61 sweep is evaluated in stdlib `decimal` at
+Each exact column of the 91x61 sweep is evaluated in stdlib `decimal` at
 50 digits, from the same float inputs the program starts from: the grid
 values, the width sigma, the mode amplitudes (sin 2t, cos 2t) as
 `optics.spatial_amplitudes_from_theta` gives them, and the overlap of the
@@ -14,14 +14,17 @@ the (1,1) block reads
 the concurrence is 2 s^2 c^2 ov^2 / (s^4 + c^4), P(1,1) is
 (s^4 + c^4) / (s^2 + c^2)^2 and E_P their product.
 
-A cell must equal `%.12g` of its reference.  A reference within
-`BOUNDARY_ULPS` float ulps of a `%.12g` rounding boundary may print either
-neighbour, so such a cell is exempt; the test counts and prints them.
+A CSV cell must equal `%.12g` of its reference, and a `concurrence` line
+`%.6f` of its reference.  A reference within `BOUNDARY_ULPS` float ulps of a
+rounding boundary of its format may print either neighbour, so such a cell
+is exempt; the tests count and print them.  A JSON value, which keeps every
+bit, must lie within its column's `JSON_ULPS` of its reference.
 """
 
 import contextlib
 import csv
 import io
+import json
 import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
@@ -37,12 +40,35 @@ PRECISION = 50
 #: a reference this close to a rounding boundary, in ulps of its float, is
 #: exempt: the concurrence read is within about 6 ulps of its reference
 BOUNDARY_ULPS = 8
+#: the largest distance of a JSON value from its reference, in ulps of the
+#: reference's float, over the 91x61 sweep under every convention.  The
+#: grid values are the inputs themselves.  `paper` and `quadrature` round
+#: delta = 1/(2 sigma) before the exponent amplifies it, and measure 20.04
+#: and 6.71; the others measure 1.21, 2.54, 6.05 and 5.00.
+JSON_ULPS = {
+    "theta_deg": 0,
+    "delay_um": 0,
+    "spatial_overlap": 2,
+    "overlap_paper": 21,
+    "overlap_quadrature": 7,
+    "c_closed_form": 3,
+    "c_wootters_normalized": 7,
+    "e_p": 6,
+}
+#: the points of the `concurrence` test: the product and balanced angles,
+#: generic ones, negative and large values
+CONCURRENCE_POINTS = (
+    (0.0, 0.0), (10.0, 30.0), (22.5, 0.0), (22.5, 70.0), (33.3, 123.4),
+    (45.0, 60.0), (-12.5, -75.0), (67.5, 300.0),
+)
+_SWEEP_GRIDS = (cli._parse_grid(THETA_GRID), cli._parse_grid(DELAY_GRID))
 _HALF = Decimal("0.5")
+_MICRO = Decimal("1e-6")
 
 
-def _references(convention):
-    """The exact columns of every grid point, in row order, as Decimals."""
-    thetas, delays = cli._parse_grid(THETA_GRID), cli._parse_grid(DELAY_GRID)
+def _references(convention, thetas, delays):
+    """The exact columns of every point of the grid `thetas` x `delays`, in
+    row order, as Decimals."""
     sigma = Decimal(DEFAULT_SIGMA_UM)
     per_delay = []
     for delay in delays:
@@ -65,43 +91,107 @@ def _references(convention):
             )
 
 
-def _printed(reference: Decimal) -> Decimal:
-    """`%.12g` of `reference`: rounded half-even to 12 significant digits."""
+def _unit_12g(reference: Decimal) -> Decimal:
+    """The last of the 12 significant digits `%.12g` prints of `reference`."""
+    return Decimal(1).scaleb(reference.adjusted() - 11)
+
+
+def _printed(reference: Decimal, unit: Decimal) -> Decimal:
+    """`reference` rounded half-even to a multiple of `unit`, as `%.12g`
+    with `_unit_12g` and `%.6f` with 1e-6 print it."""
     if not reference:
         return reference
-    return reference.quantize(Decimal(1).scaleb(reference.adjusted() - 11), ROUND_HALF_EVEN)
+    return reference.quantize(unit, ROUND_HALF_EVEN)
 
 
-def _near_a_boundary(reference: Decimal) -> bool:
+def _near_a_boundary(reference: Decimal, unit: Decimal) -> bool:
     """Whether `reference` lies within `BOUNDARY_ULPS` ulps of a midpoint
-    between two 12-digit neighbours."""
+    between two neighbouring multiples of `unit`."""
     if not reference:
         return False
-    unit = Decimal(1).scaleb(reference.adjusted() - 11)
     distance = abs(abs(reference / unit % 1) - _HALF) * unit
     return distance <= BOUNDARY_ULPS * Decimal(math.ulp(float(reference)))
 
 
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue()
+
+
+def _sweep(convention, fmt) -> str:
+    argv = ["sweep", "--theta-grid", THETA_GRID, "--delay-grid", DELAY_GRID]
+    return _run(argv + ["--overlap-convention", convention, "--format", fmt])
+
+
 @pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
 def test_every_printed_exact_digit_of_the_sweep_is_true(convention):
-    out = io.StringIO()
-    argv = ["sweep", "--theta-grid", THETA_GRID, "--delay-grid", DELAY_GRID]
-    with contextlib.redirect_stdout(out):
-        assert main(argv + ["--overlap-convention", convention]) == EXIT_OK
-    header, *rows = csv.reader(io.StringIO(out.getvalue()))
+    header, *rows = csv.reader(io.StringIO(_sweep(convention, "csv")))
     assert tuple(header) == SWEEP_COLUMNS
     wrong = {name: [] for name in SWEEP_COLUMNS}
     exempt = dict.fromkeys(SWEEP_COLUMNS, 0)
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        references = list(_references(convention))
+        references = list(_references(convention, *_SWEEP_GRIDS))
         assert len(rows) == len(references) == 91 * 61
         for row, reference in zip(rows, references):
             for name, cell, ref in zip(SWEEP_COLUMNS, row, reference):
-                if _near_a_boundary(ref):
+                if _near_a_boundary(ref, _unit_12g(ref)):
                     exempt[name] += 1
-                elif Decimal(cell) != _printed(ref):
+                elif Decimal(cell) != _printed(ref, _unit_12g(ref)):
                     wrong[name].append((row[0], row[1], cell, f"{ref:.15e}"))
     print(f"{convention}: cells within {BOUNDARY_ULPS} ulps of a rounding boundary: {exempt}")
     counts = {name: len(cells) for name, cells in wrong.items() if cells}
     assert not counts, (counts, {name: cells[:3] for name, cells in wrong.items() if cells})
+
+
+@pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
+def test_every_exact_json_value_of_the_sweep_is_within_its_ulp_bound(convention):
+    rows = json.loads(_sweep(convention, "json"))["rows"]
+    worst = dict.fromkeys(SWEEP_COLUMNS, Decimal(0))
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        references = list(_references(convention, *_SWEEP_GRIDS))
+        assert len(rows) == len(references) == 91 * 61
+        for row, reference in zip(rows, references):
+            for name, ref in zip(SWEEP_COLUMNS, reference):
+                # Decimal(float) is exact, and an exact zero is 0 ulps from 0.0
+                error = abs(Decimal(row[name]) - ref)
+                if error:
+                    error /= Decimal(math.ulp(float(ref)))
+                worst[name] = max(worst[name], error)
+    print(f"{convention}: largest distance in ulps: { {k: f'{v:.2f}' for k, v in worst.items()} }")
+    over = {name: f"{worst[name]:.2f}" for name in SWEEP_COLUMNS if worst[name] > JSON_ULPS[name]}
+    assert not over, over
+
+
+@pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
+def test_every_printed_digit_of_the_concurrence_command_is_true(convention):
+    wrong, exempt = [], 0
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        for theta, delay in CONCURRENCE_POINTS:
+            argv = ["concurrence", "--theta-deg", repr(theta), f"--delay-um={delay!r}"]
+            out = _run(argv + ["--overlap-convention", convention])
+            printed = [line.split("=") for line in out.splitlines()]
+            (t, l, spatial, paper, quadrature, _, c, e_p), = _references(
+                convention, [theta], [delay]
+            )
+            # the optical law's C is sin^2(4 theta) exp(-l^2 / (2 sigma^2)),
+            # the spatial factor times the paper overlap
+            references = (
+                t, l, Decimal(DEFAULT_SIGMA_UM), spatial, paper, quadrature, spatial * paper,
+                c, e_p,
+            )
+            assert [name.strip() for name, _ in printed] == [
+                "theta_deg", "delay_um", "sigma_um", "spatial_overlap", "overlap_paper",
+                "overlap_quadrature", "C", "C_wootters", "E_P",
+            ]
+            for (name, cell), ref in zip(printed, references):
+                if _near_a_boundary(ref, _MICRO):
+                    exempt += 1
+                elif Decimal(cell.strip()) != _printed(ref, _MICRO):
+                    wrong.append((theta, delay, name.strip(), cell.strip(), f"{ref:.15e}"))
+    print(f"{convention}: lines within {BOUNDARY_ULPS} ulps of a rounding boundary: {exempt}")
+    assert not wrong, wrong

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from twoboson import optics
-from twoboson.core_state import ATOL_EXACT, SpinDensityMatrix
-from twoboson.entanglement import concurrence_closed_form
+from twoboson.core_state import (
+    ATOL_EXACT, DistVector, SingleParticleState, SpatialAmplitudes, Spin, SpinDensityMatrix,
+)
+from twoboson.entanglement import concurrence_closed_form, number_distribution
 from twoboson.optics import (
     DEFAULT_SIGMA_UM,
     GAUSSIAN_FWHM_FACTOR,
@@ -188,6 +190,34 @@ def test_dist_vectors_realize_the_requested_overlap():
         assert db.overlap(db).real == pytest.approx(1.0, abs=ATOL_EXACT)
     with pytest.raises(ValueError):
         dist_vectors_for_overlap(1.5)
+
+
+def test_a_prepared_grid_reads_the_bits_of_each_pair_built_alone():
+    # the grid shares phi_A, each row's spin-up particle and each overlap's
+    # phi_B and <phi_B|phi_A>; a point still reads the bits of its pair built
+    # alone, from a (1, 0) vector of its own
+    rng = np.random.default_rng(34)
+
+    def unit_modes():
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return SpatialAmplitudes(*(v / np.linalg.norm(v)).tolist())
+
+    modes = [spatial_amplitudes_from_theta(theta) for theta in (0.0, 10.0, 22.5)]
+    modes += [(unit_modes(), unit_modes()) for _ in range(4)]
+    overlaps = [0.0, 1.0, 0.3 + 0.4j, -0.5j]
+    overlaps += [rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)) for _ in range(4)]
+    rows = list(optics.prepared_distributions(modes, overlaps))
+    assert [len(row) for row in rows] == [len(overlaps)] * len(modes)
+    for (alphas, betas), row in zip(modes, rows):
+        for overlap, nd in zip(overlaps, row):
+            _, phi_b = dist_vectors_for_overlap(overlap)
+            alone = number_distribution(
+                SingleParticleState(alphas, Spin.UP, DistVector((1.0 + 0j, 0j))),
+                SingleParticleState(betas, Spin.DOWN, phi_b),
+            )
+            assert nd.state.matrix.tobytes() == alone.state.matrix.tobytes()
+            assert np.complex128(nd.coherence).tobytes() == np.complex128(alone.coherence).tobytes()
+            assert list(nd.probabilities.items()) == list(alone.probabilities.items())
 
 
 # --- two-photon interference level --------------------------------------------
