@@ -38,6 +38,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -62,6 +63,15 @@ SWEEP_COLUMNS = (
 SWEEP_NOISY_COLUMNS = SWEEP_COLUMNS + ("c_mc_mean", "c_mc_stddev")
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word that starts with "-" and a digit or ".digit" is a value, as
+        # newer argparse releases read it, so "-300:300:61", "-30,0,30" and
+        # "-1e3" may follow their option after a space; argparse up to 3.13
+        # takes only a plain "-123" or "-1.5" for one, and no option of this
+        # parser looks like a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse defaults to exit code 2 on usage problems; this project
     # reserves 2 for numerical failures
     def error(self, message):

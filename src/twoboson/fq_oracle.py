@@ -12,6 +12,15 @@ transition amplitudes become full contractions, and the occupation weights
 and the post-selected spin density matrix become index filters over the
 tensor reshaped to its (mode, spin, dist) axes, followed by a partial
 trace.  No ket algebra is used; nothing in this module is clever on purpose.
+
+A particle's dense vector holds `a_l * dist` and `a_r * dist` in its spin's
+two blocks and 0 elsewhere.  These are the entries of
+`np.kron(np.kron(spatial, spin), dist)`: where the spin factor is 1.0 an
+entry is `(a * 1.0) * dist_k`, and `a * 1.0` is `a`; every other entry is a
+product with 0.0, which may read -0.0 there.  `to_labeled` builds each
+particle's vector once and adds the terms in order, so it has the bits of
+the per-term `symmetrize` sum.  A tensor built here becomes a
+`LabeledState` read-only and without a copy; the public constructor copies.
 """
 
 from __future__ import annotations
@@ -23,15 +32,17 @@ import numpy as np
 from .core_state import BasisMismatchError, SingleParticleState, SpinDensityMatrix
 from .nolabel_algebra import SymmetricTwoBosonState
 
-_SPIN_BASIS = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-
 
 def single_particle_vector(s: SingleParticleState) -> np.ndarray:
-    """Dense single-slot vector, index layout (mode, spin, dist) row-major."""
-    spatial = np.array([s.spatial.a_l, s.spatial.a_r], dtype=complex)
-    # the products np.kron(np.kron(spatial, spin), dist) forms, by
-    # broadcasting, over the dist vector's cached read-only array
-    return ((spatial[:, None] * _SPIN_BASIS[s.spin.value])[:, :, None] * s.dist.array).ravel()
+    """Dense single-slot vector, index layout (mode, spin, dist) row-major:
+    `a_l * dist` and `a_r * dist` in the spin's two blocks, 0 elsewhere."""
+    dist = s.dist.array  # the dist vector's cached read-only array
+    d = len(dist)
+    v = np.zeros(4 * d, dtype=complex)
+    start = s.spin.value * d
+    v[start : start + d] = s.spatial.a_l * dist
+    v[start + 2 * d : start + 3 * d] = s.spatial.a_r * dist
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,16 +61,32 @@ class LabeledState:
         object.__setattr__(self, "amps", a)
 
 
-def symmetrize(p1: SingleParticleState, p2: SingleParticleState) -> LabeledState:
-    """(|p1>|p2> + |p2>|p1>) / sqrt(2); for p1 = p2 this is sqrt(2)|p><p|.
+def _own(amps: np.ndarray, dist_dim: int) -> LabeledState:
+    """A LabeledState over a (4d, 4d) complex array built in this module,
+    taken read-only without the copy the public constructor makes."""
+    amps.setflags(write=False)
+    x = object.__new__(LabeledState)
+    object.__setattr__(x, "amps", amps)
+    object.__setattr__(x, "dist_dim", dist_dim)
+    return x
 
-    Each product is formed by broadcasting, `v1[:, None] * v2`, which is
-    how `np.outer` defines it, so nothing clever enters here either."""
+
+def _symmetrized(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    # each product formed by broadcasting, `v1[:, None] * v2`, which is how
+    # `np.outer` defines it, so nothing clever enters here either
+    return (v1[:, None] * v2 + v2[:, None] * v1) / np.sqrt(2.0)
+
+
+def _check_same_basis(p1: SingleParticleState, p2: SingleParticleState) -> None:
     if p1.dist.dim != p2.dist.dim:
         raise BasisMismatchError("states must share one distinguishability basis")
-    v1 = single_particle_vector(p1)
-    v2 = single_particle_vector(p2)
-    return LabeledState((v1[:, None] * v2 + v2[:, None] * v1) / np.sqrt(2.0), p1.dist.dim)
+
+
+def symmetrize(p1: SingleParticleState, p2: SingleParticleState) -> LabeledState:
+    """(|p1>|p2> + |p2>|p1>) / sqrt(2); for p1 = p2 this is sqrt(2)|p><p|."""
+    _check_same_basis(p1, p2)
+    amps = _symmetrized(single_particle_vector(p1), single_particle_vector(p2))
+    return _own(amps, p1.dist.dim)
 
 
 def labeled_inner(x: LabeledState, y: LabeledState) -> complex:
@@ -72,13 +99,18 @@ def labeled_inner(x: LabeledState, y: LabeledState) -> complex:
 def to_labeled(state: SymmetricTwoBosonState) -> LabeledState:
     """Linear extension of symmetrize to term sums of unordered kets; the
     state needs at least one term, which fixes the distinguishability
-    dimension."""
+    dimension.  A particle that several terms share has its vector built
+    once."""
     d = state.terms[0][1][0].dist.dim
     n = 4 * d
+    # keyed by identity: the terms hold every particle for the call
+    particles = {id(p): p for _, pair in state.terms for p in pair}
+    vectors = {key: single_particle_vector(p) for key, p in particles.items()}
     total = np.zeros((n, n), dtype=complex)
     for coeff, (a, b) in state.terms:
-        total += coeff * symmetrize(a, b).amps
-    return LabeledState(total, d)
+        _check_same_basis(a, b)
+        total += coeff * _symmetrized(vectors[id(a)], vectors[id(b)])
+    return _own(total, d)
 
 
 def mode_pattern_weights(x: LabeledState) -> dict[tuple[int, int], float]:

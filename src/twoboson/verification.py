@@ -7,10 +7,13 @@ and a deviation above it, or a nan, fails the run.  The labeled-tensor
 oracle (`fq_oracle`) is used here and in the tests only.
 
 The random states are drawn as Python complexes, with the bits the numpy
-route `v / norm(v)` gives: the norm is still summed by `ndarray.dot`,
-because BLAS may fuse its multiply-adds and a Python sum of squares would
-then differ in the last bit, and each part is multiplied by `1/norm`,
-because that is how numpy divides a complex by a real.
+route `v / norm(v)` gives.  One `normal` call of 2n draws gives a vector's
+real parts, then its imaginary parts, the stream a (2, n) draw reads; a
+state whose spin is given draws its mode and dist vectors in one call, as no
+spin draw comes between them.  The norm is still summed by `ndarray.dot`
+over each half, because BLAS may fuse its multiply-adds and a Python sum of
+squares would then differ in the last bit, and every part is multiplied by
+`1/norm` in numpy, because that is how numpy divides a complex by a real.
 """
 
 from __future__ import annotations
@@ -41,24 +44,37 @@ class SuiteResult:
     passed: bool
 
 
-def _unit_complex(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
-    re, im = rng.normal(size=(2, n))  # the same draws as two size-n calls
+def _unit(x: np.ndarray) -> tuple[complex, ...]:
+    """The unit vector whose real parts are the first half of the normal
+    draws `x` and whose imaginary parts are the second half."""
+    n = len(x) // 2
     if n == 0:
         return ()  # for DistVector to refuse, as it refuses any empty vector
+    re, im = x[:n], x[n:]
     # the 2-norm as np.linalg.norm computes it for a complex vector, by BLAS
     # dot, whose fused multiply-adds a Python sum of squares would not match
     scale = 1.0 / math.sqrt(re.dot(re) + im.dot(im))
     # numpy divides a complex by a real x as its two parts times 1/x
-    return tuple(complex(a * scale, b * scale) for a, b in zip(re.tolist(), im.tolist()))
+    parts = (x * scale).tolist()
+    return tuple(map(complex, parts[:n], parts[n:]))
+
+
+def _unit_complex(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
+    return _unit(rng.normal(size=2 * n))  # the same draws as two size-n calls
 
 
 def random_state(
     rng: np.random.Generator, d: int, spin: Optional[Spin] = None
 ) -> SingleParticleState:
-    sp = _unit_complex(rng, 2)
     if spin is None:
+        sp = _unit_complex(rng, 2)
         spin = Spin.UP if rng.integers(2) == 0 else Spin.DOWN
-    return SingleParticleState(SpatialAmplitudes(*sp), spin, DistVector(_unit_complex(rng, d)))
+        dist = _unit_complex(rng, d)
+    else:
+        # no spin draw comes between the two vectors, so one call draws both
+        x = rng.normal(size=4 + 2 * d)
+        sp, dist = _unit(x[:4]), _unit(x[4:])
+    return SingleParticleState(SpatialAmplitudes(*sp), spin, DistVector(dist))
 
 
 def random_updown_pair(
@@ -147,16 +163,27 @@ def _suite_postselect_idempotent(rng, trials):
         yield float(nolabel_algebra.postselect_one_per_detector(once) != once)
 
 
+def _validity_deviations(matrices: list[np.ndarray]) -> np.ndarray:
+    """Each matrix's Hermiticity deviation and the depth of its lowest
+    eigenvalue below 0, in that order, matrix by matrix.
+
+    One stacked call each; LAPACK factors each matrix of a stack alone, so a
+    matrix reads the bits it would read on its own."""
+    m = np.array(matrices)
+    adjoint = m.conj().transpose(0, 2, 1)
+    hermiticity = np.max(np.abs(m - adjoint), axis=(1, 2))
+    # 0.0 - x, not -x, so a zero eigenvalue is a deviation of +0.0
+    depth = 0.0 - np.min(np.linalg.eigvalsh((m + adjoint) / 2), axis=1)
+    return np.stack((hermiticity, depth), axis=1).ravel()
+
+
 def _suite_density_validity(rng, trials):
+    rhos = []
     for k in range(trials):
         d = 1 + k % 3
         p_a, p_b = random_updown_pair(rng, d)
-        rho = entanglement.number_distribution(p_a, p_b).state
-        m = rho.matrix
-        yield float(np.max(np.abs(m - m.conj().T)))
-        # the depth of the lowest eigenvalue below 0; 0.0 - x, not -x, so a
-        # zero eigenvalue is a deviation of +0.0
-        yield 0.0 - float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+        rhos.append(entanglement.number_distribution(p_a, p_b).state.matrix)
+    return _validity_deviations(rhos)
 
 
 def _suite_wootters_vs_closed_form(rng, trials):

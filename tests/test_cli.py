@@ -209,6 +209,36 @@ def test_a_default_grid_reads_the_bits_of_its_spec_given_on_the_command_line(
     assert capsys.readouterr() == default
 
 
+#: a negative value that is not a plain "-123" or "-1.5", after a space and
+#: after "="
+_SPACED_NEGATIVE_VALUES = [
+    (["hom", "--delay-grid", "-300:300:61"], ["hom", "--delay-grid=-300:300:61"]),
+    (["sweep", "--delay-grid", "-30,0,30"], ["sweep", "--delay-grid=-30,0,30"]),
+    (
+        ["concurrence", "--theta-deg", "10", "--delay-um", "-1e3"],
+        ["concurrence", "--theta-deg", "10", "--delay-um=-1e3"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spaced, joined", _SPACED_NEGATIVE_VALUES, ids=["hom", "sweep", "concurrence"]
+)
+def test_a_negative_value_may_follow_its_option_after_a_space(spaced, joined, capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(spaced) == parser.parse_args(joined)
+    # an unknown option after it is still refused, and -h still asks for help
+    assert main(spaced + ["--bogus"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus\n")
+    assert main(spaced + ["-h"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: twoboson {spaced[0]} [-h]")
+
+
+def test_an_option_is_not_read_as_a_negative_value(capsys):
+    assert main(["concurrence", "--theta-deg", "-h"]) == EXIT_USAGE
+    assert "argument --theta-deg: expected one argument" in capsys.readouterr().err
+
+
 _TINY, _HUGE = 5e-324, sys.float_info.max
 _LINSPACE_EDGES = [
     # signed zeros, and a count of 1, which numpy spaces as 0 * delta + start
@@ -1349,8 +1379,8 @@ import contextlib, io, json, sys
 import twoboson.cli as cli
 
 cli.build_parser()
-codes = {}
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+codes, errors = {}, {}
+with contextlib.redirect_stdout(io.StringIO()):
     for argv in (
         ["--help"],
         ["--version"],
@@ -1363,10 +1393,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         ["hom", "--bogus"],
         ["sweep", "--theta-grid", "0:45:91", "--delay-grid", "0:300:61", "--bogus"],
         ["hom", "--delay-grid=-300:300:61", "--bogus"],
+        ["hom", "--delay-grid", "-300:300:61", "--bogus"],
+        ["sweep", "--delay-grid", "-30,0,30", "--bogus"],
+        ["concurrence", "--theta-deg", "10", "--delay-um", "-1e3", "--bogus"],
     ):
-        codes[" ".join(argv)] = cli.main(argv)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            codes[" ".join(argv)] = cli.main(argv)
+        errors[" ".join(argv)] = err.getvalue().splitlines()[-1:]
 loaded = sorted(m for m in sys.modules if m.startswith(("twoboson.", "numpy")))
-print(json.dumps({"codes": codes, "loaded": loaded}))
+print(json.dumps({"codes": codes, "errors": errors, "loaded": loaded}))
 """
 
 
@@ -1388,7 +1423,15 @@ def test_the_front_end_loads_no_physics_and_not_numpy():
         "hom --bogus": EXIT_USAGE,
         "sweep --theta-grid 0:45:91 --delay-grid 0:300:61 --bogus": EXIT_USAGE,
         "hom --delay-grid=-300:300:61 --bogus": EXIT_USAGE,
+        "hom --delay-grid -300:300:61 --bogus": EXIT_USAGE,
+        "sweep --delay-grid -30,0,30 --bogus": EXIT_USAGE,
+        "concurrence --theta-deg 10 --delay-um -1e3 --bogus": EXIT_USAGE,
     }
+    # each --bogus is refused as an unknown option, after every value before
+    # it parsed, negative values after a space included
+    for argv, error in run["errors"].items():
+        if argv.endswith("--bogus"):
+            assert error == ["twoboson: error: unrecognized arguments: --bogus"], argv
     assert run["loaded"] == ["twoboson.cli", "twoboson.wavepacket"]
 
 

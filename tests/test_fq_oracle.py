@@ -22,9 +22,15 @@ from twoboson.fq_oracle import (
     oracle_postselected_density,
     single_particle_vector,
     symmetrize,
+    to_labeled,
+)
+from twoboson.nolabel_algebra import (
+    SymmetricTwoBosonState,
+    expand_in_detector_basis,
+    postselect_one_per_detector,
 )
 from twoboson.optics import dist_vectors_for_overlap, spatial_amplitudes_from_theta
-from twoboson.verification import random_state
+from twoboson.verification import random_state, random_updown_pair
 
 RT2 = math.sqrt(0.5)
 
@@ -171,6 +177,25 @@ def test_labeled_state_shape_checks():
         LabeledState(np.zeros((3, 4), dtype=complex), 1)
 
 
+def test_the_public_constructor_copies_the_callers_array():
+    arr = np.arange(16, dtype=complex).reshape(4, 4)
+    x = LabeledState(arr, 1)
+    assert x.amps is not arr and not np.shares_memory(x.amps, arr)
+    assert arr.flags.writeable and not x.amps.flags.writeable
+    arr[0, 0] = 99.0
+    assert x.amps[0, 0] == 0.0
+
+
+def test_built_states_are_read_only():
+    rng = np.random.default_rng(27)
+    p_a, p_b = random_updown_pair(rng, 2)
+    for x in (symmetrize(p_a, p_b), to_labeled(expand_in_detector_basis(p_a, p_b))):
+        assert x.dist_dim == 2 and x.amps.shape == (8, 8)
+        assert not x.amps.flags.writeable
+        with pytest.raises(ValueError):
+            x.amps[0, 0] = 1.0
+
+
 # --- the cell-by-cell definitions the dense routines must reproduce ----------------
 
 
@@ -242,3 +267,43 @@ def test_dense_oracle_matches_the_cell_by_cell_definitions():
         assert set(weights) == set(cells)
         for key, value in cells.items():
             assert abs(weights[key] - value) <= 1e-15 * value
+
+
+def _per_term_sum(state):
+    # the definition: the per-term symmetrized tensors, summed in term order
+    d = state.terms[0][1][0].dist.dim
+    total = np.zeros((4 * d, 4 * d), dtype=complex)
+    for coeff, (a, b) in state.terms:
+        total += coeff * symmetrize(a, b).amps
+    return total
+
+
+def _expansions():
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 3, 4):
+        for _ in range(50):
+            p_a, p_b = random_updown_pair(rng, d)
+            expansion = expand_in_detector_basis(p_a, p_b)
+            yield expansion
+            yield postselect_one_per_detector(expansion)
+            # generic terms, one particle shared by several and one paired
+            # with itself
+            p, q, r = (random_state(rng, d) for _ in range(3))
+            coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+            pairs = ((p, q), (q, r), (p, p), (r, p))
+            yield SymmetricTwoBosonState(tuple(zip(coeffs.tolist(), pairs)))
+
+
+def test_to_labeled_has_the_bits_of_the_per_term_symmetrized_sum():
+    for state in _expansions():
+        got = to_labeled(state)
+        assert got.dist_dim == state.terms[0][1][0].dist.dim
+        assert got.amps.tobytes() == _per_term_sum(state).tobytes()
+
+
+def test_to_labeled_refuses_a_term_across_two_bases():
+    p = _state(1.0, 0.0, Spin.UP, (1.0,))
+    q = _state(0.0, 1.0, Spin.DOWN, (1.0, 0.0))
+    with pytest.raises(BasisMismatchError):
+        to_labeled(SymmetricTwoBosonState(((1.0 + 0j, (p, q)),)))
+

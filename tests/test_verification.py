@@ -193,3 +193,47 @@ def test_random_pair_has_opposite_spins():
     a, b = random_updown_pair(rng, 2)
     assert a.spin is Spin.UP
     assert b.spin is Spin.DOWN
+
+
+def _reference_density_validity(rng, trials):
+    # the per-trial form the stacked suite reproduces
+    for k in range(trials):
+        d = 1 + k % 3
+        p_a, p_b = random_updown_pair(rng, d)
+        m = entanglement.number_distribution(p_a, p_b).state.matrix
+        yield float(np.max(np.abs(m - m.conj().T)))
+        yield 0.0 - float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 100])
+def test_the_stacked_validity_suite_yields_the_bits_of_each_trial_alone(trials):
+    rng, twin = np.random.default_rng([13, trials]), np.random.default_rng([13, trials])
+    stacked = verification._suite_density_validity(rng, trials)
+    assert _hex(stacked) == _hex(_reference_density_validity(twin, trials))
+    assert rng.normal() == twin.normal()
+
+
+def test_a_zero_lowest_eigenvalue_reads_a_deviation_of_plus_zero():
+    rng = np.random.default_rng(14)
+    matrices = [
+        np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex),  # lowest eigenvalue exactly 0
+        np.zeros((4, 4), dtype=complex),
+        np.diag([-1e-17, 0.25, 0.5, 0.25]).astype(complex),  # a negative one
+    ]
+    for _ in range(20):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        matrices.append(g @ g.conj().T + 1e-16j * rng.normal(size=(4, 4)))  # near-Hermitian
+    reference = []
+    for m in matrices:
+        reference.append(float(np.max(np.abs(m - m.conj().T))))
+        reference.append(0.0 - float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))))
+    deviations = verification._validity_deviations(matrices)
+    assert _hex(deviations) == _hex(reference)
+    # the depth of a zero eigenvalue is +0.0, never -0.0
+    assert _hex(deviations[:4]) == _hex([0.0, 0.0, 0.0, 0.0])
+    assert deviations[5] == 1e-17
+
