@@ -13,7 +13,10 @@ coincidence law and the dip shape are `optics` calls, the same ones that
 function, `_point_values`, and read each point's normalized concurrence from
 its X-state (1,1) block, `entanglement.NumberDistribution.concurrence`; the
 eigen route `entanglement.wootters_concurrence` is the reference that
-`verify` checks the read against, and only `verify` calls it.  Angles are
+`verify` checks the read against, and only `verify` calls it.  A value that
+depends on one axis is built once on it, the closed form is the product of
+its angle and delay factors, and the sweep's CSV formats each axis-only cell
+once per axis (`_sweep_csv_lines`).  Angles are
 degrees at this boundary (radians never leak out), lengths are micrometers.
 Exit codes: 0 success, 1 usage error, 2 numerical/fit failure, 3
 verification failure.  A command refuses by raising; `main` alone turns
@@ -205,11 +208,16 @@ def _point_values(
     draws its counts; an exact table does not hold them.
 
     Each value is built once on the axis it depends on: a delay's three
-    overlaps once, an angle's mode amplitudes and spatial factor once, and
+    overlaps and the square of its convention's overlap once, an angle's
+    mode amplitudes and spatial factor once, and
     `optics.prepared_distributions` builds each delay's dist pair and
     <phi_B|phi_A> once and each angle's spin-up particle once, so a point
     pays only for its spin-down particle and its `number_distribution` pass.
-    The normalized concurrence of each point is read from its X-state block
+    The closed form is the product of its two axis factors, the spatial
+    factor times the overlap squared, which for the non-negative real
+    overlap of `optics.gaussian_overlap` has the bits of
+    `entanglement.concurrence_closed_form`.  The normalized concurrence of
+    each point is read from its X-state block
     (`NumberDistribution.concurrence`), never through the eigen route
     `wootters_concurrence`, and E_P = P(1,1) C follows per angle."""
     from . import entanglement, optics
@@ -219,17 +227,18 @@ def _point_values(
         ov = optics.gaussian_overlap(delay, convention, sigma_um)
         paper = optics.gaussian_overlap(delay, "paper", sigma_um)
         quadrature = optics.gaussian_overlap(delay, "quadrature", sigma_um)
-        per_delay.append((delay, ov, paper, quadrature))
+        per_delay.append((delay, ov, paper, quadrature, ov**2))
     modes = [optics.spatial_amplitudes_from_theta(theta) for theta in thetas]
-    grid = optics.prepared_distributions(modes, [ov for _, ov, _, _ in per_delay])
+    grid = optics.prepared_distributions(modes, [ov for _, ov, *_ in per_delay])
     rows, states = [], []
-    for theta, (alphas, betas), nds in zip(thetas, modes, grid):
+    for theta, nds in zip(thetas, grid):
         spatial_overlap = optics.spatial_overlap_factor(theta)
         concurrence = [nd.concurrence for nd in nds]
         e_p = entanglement.entanglement_of_particles(nds, concurrence).tolist()
-        for (delay, ov, paper, quadrature), c, e in zip(per_delay, concurrence, e_p):
-            closed = entanglement.concurrence_closed_form(alphas, betas, ov)
-            rows.append([theta, delay, spatial_overlap, paper, quadrature, closed, c, e])
+        for (delay, _, paper, quadrature, ov2), c, e in zip(per_delay, concurrence, e_p):
+            rows.append(
+                [theta, delay, spatial_overlap, paper, quadrature, spatial_overlap * ov2, c, e]
+            )
         if keep_states:
             states += [nd.state for nd in nds]
     return rows, states
@@ -257,16 +266,39 @@ def cmd_concurrence(args) -> int:
     return EXIT_OK
 
 
+def _sweep_csv_lines(rows, width: int, delays_per_angle: int):
+    """The CSV lines of a sweep's `rows` of `width` cells, angles outer and
+    `delays_per_angle` delays inner, each cell `%.12g` of its number plus
+    0.0 as `_write_table` prints it.  The first five columns each depend on
+    one axis and are formatted once on it: theta_deg and spatial_overlap
+    once per angle, delay_um, overlap_paper and overlap_quadrature once per
+    delay.  A row formats only its own cells, the ones after them."""
+    delay_cells = [
+        ("%.12g" % (delay + 0.0), "%.12g" % (paper + 0.0), "%.12g" % (quadrature + 0.0))
+        for _, delay, _, paper, quadrature, *_ in rows[:delays_per_angle]
+    ]
+    own = ",%.12g" * (width - 5) + "\n"
+    for start in range(0, len(rows), delays_per_angle):
+        block = rows[start : start + delays_per_angle]
+        theta, _, spatial_overlap = block[0][:3]
+        # the angle's cells are written into the line; %% leaves a slot
+        line = "%.12g,%%s,%.12g,%%s,%%s" % (theta + 0.0, spatial_overlap + 0.0) + own
+        own_cells = zip(*[[row[k] + 0.0 for row in block] for k in range(5, width)])
+        yield from [line % (cells + values) for cells, values in zip(delay_cells, own_cells)]
+
+
 def _write_table(
     path: Optional[str], fmt: str, columns: Sequence[str], rows, metadata: dict,
-    report: Optional[str] = None,
+    report: Optional[str] = None, delays_per_angle: Optional[int] = None,
 ) -> None:
     """Write `rows`, each a sequence of numbers in `columns` order, as CSV or
     JSON to `path`, or to stdout for None or '-'.  A CSV cell is `%.12g` of
-    the number plus 0.0, which prints -0.0 as 0.  A path that cannot be
-    opened raises `ValueError`, a usage error, before any byte is written.
-    A `report` line goes to stderr once the target is open and before its
-    first byte, so a reader of stdout that leaves early cannot lose it."""
+    the number plus 0.0, which prints -0.0 as 0.  With `delays_per_angle`
+    the rows are a sweep's, and the CSV formats each cell of one axis once
+    on that axis (`_sweep_csv_lines`).  A path that cannot be opened raises
+    `ValueError`, a usage error, before any byte is written.  A `report`
+    line goes to stderr once the target is open and before its first byte,
+    so a reader of stdout that leaves early cannot lose it."""
     if path is None or path == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
@@ -279,8 +311,11 @@ def _write_table(
             print(report, file=sys.stderr)
         if fmt == "csv":
             handle.write(",".join(columns) + "\n")
-            line = ",".join(["%.12g"] * len(columns)) + "\n"
-            handle.writelines(line % tuple([x + 0.0 for x in row]) for row in rows)
+            if delays_per_angle is None:
+                line = ",".join(["%.12g"] * len(columns)) + "\n"
+                handle.writelines(line % tuple([x + 0.0 for x in row]) for row in rows)
+            else:
+                handle.writelines(_sweep_csv_lines(rows, len(columns), delays_per_angle))
         else:
             payload = {
                 "metadata": metadata,
@@ -290,25 +325,24 @@ def _write_table(
             handle.write("\n")
 
 
-def cmd_sweep(args) -> int:
+def _monte_carlo_columns(rows, states, shots: float, runs: int, seed: int) -> int:
+    """Append to each exact sweep row its noisy columns, c_mc_mean and
+    c_mc_stddev, from `runs` Poisson draws of the four X-state channels of
+    its point's (1,1) spin matrix in `states`, at `shots` counts per
+    channel.  Returns the number of runs that observed no coincidence, whose
+    concurrence reads 0 for want of counts."""
     import numpy as np
 
     from . import optics
 
-    thetas, delays = args.theta_grid, args.delay_grid
-    columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
-    rows, states = _point_values(
-        thetas, delays, args.sigma_um, args.overlap_convention, keep_states=args.noisy
-    )
-    no_coincidence = 0  # Monte Carlo runs whose concurrence reads 0 for want of counts
-    # an exact sweep keeps no states, so only a noisy one enters this loop
+    no_coincidence = 0
     for index, (values, rho) in enumerate(zip(rows, states)):
-        rates = optics.xstate_rates(rho, args.shots)
+        rates = optics.xstate_rates(rho, shots)
         try:
             # seed [seed, row_index] so row order never couples the draws
-            counts = optics.simulate_counts(rates, [args.seed, index], args.runs)
+            counts = optics.simulate_counts(rates, [seed, index], runs)
         except ValueError as exc:
-            raise ValueError(f"--shots {args.shots:g} is too large: {exc}") from exc
+            raise ValueError(f"--shots {shots:g} is too large: {exc}") from exc
         no_coincidence += int(np.count_nonzero(optics.xstate_no_coincidence(counts)))
         # the mean reads the counts pooled over the runs, which the fold |q|
         # and the clip at 1 bias far less than a mean of per-run estimates;
@@ -317,6 +351,18 @@ def cmd_sweep(args) -> int:
         pooled = optics.xstate_concurrence(counts.sum(axis=0, keepdims=True, dtype=float))
         c = optics.xstate_concurrence(counts)
         values += [float(pooled[0]), float(np.std(c, ddof=1))]
+    return no_coincidence
+
+
+def cmd_sweep(args) -> int:
+    thetas, delays = args.theta_grid, args.delay_grid
+    columns = SWEEP_NOISY_COLUMNS if args.noisy else SWEEP_COLUMNS
+    rows, states = _point_values(
+        thetas, delays, args.sigma_um, args.overlap_convention, keep_states=args.noisy
+    )
+    no_coincidence = 0
+    if args.noisy:
+        no_coincidence = _monte_carlo_columns(rows, states, args.shots, args.runs, args.seed)
     metadata = {
         "command": "sweep",
         "version": __version__,
@@ -337,7 +383,7 @@ def cmd_sweep(args) -> int:
             f"monte carlo: {no_coincidence} of {len(rows) * args.runs} runs observed "
             "no coincidence and read a concurrence of 0"
         )
-    _write_table(args.out, args.format, columns, rows, metadata, report)
+    _write_table(args.out, args.format, columns, rows, metadata, report, len(delays))
     return EXIT_OK
 
 

@@ -97,21 +97,26 @@ class EstimatorError(RuntimeError):
     """More than `MAX_FAILED_FRACTION` of the runs of a Monte Carlo failed."""
 
 
+#: each convention's overlap is exp(-l^2 / (scale sigma^2)): 'paper'
+#: exp(-2 delta^2 l^2) and 'quadrature' exp(-delta^2 l^2 / 2) with
+#: delta^2 = 1/(4 sigma^2)
+_OVERLAP_SCALE = {"fitted": 4.0, "paper": 2.0, "quadrature": 8.0}
+
+
 def gaussian_overlap(l_um: float, convention: str, sigma_um: float) -> float:
     """Scalar overlap of two identical Gaussian wavepackets delayed by l.
 
     See the module docstring for the three conventions.  All equal 1 at
-    l = 0 and decay monotonically.
+    l = 0 and decay monotonically.  Each is computed from sigma directly,
+    delta^2 = 1/(4 sigma^2) written into the exponent, since a rounded
+    delta = 1/(2 sigma) is an error that the exponent amplifies.
     """
     if convention not in OVERLAP_CONVENTIONS:
         raise ValueError(
             f"unknown overlap convention {convention!r}; pick one of {OVERLAP_CONVENTIONS}"
         )
-    delta = sigma_to_delta(sigma_um)  # also rejects a non-positive sigma
-    if convention == "fitted":
-        return math.exp(-(l_um**2) / (4.0 * sigma_um**2))
-    x = (delta * l_um) ** 2
-    return math.exp(-2.0 * x) if convention == "paper" else math.exp(-0.5 * x)
+    sigma_to_delta(sigma_um)  # rejects a non-positive sigma
+    return math.exp(-(l_um**2) / (_OVERLAP_SCALE[convention] * sigma_um**2))
 
 
 def spatial_amplitudes_from_theta(

@@ -747,6 +747,47 @@ def test_csv_cells_read_as_the_csv_module_writes_each_twelve_digit_number(tmp_pa
     assert path.read_bytes() == reference.getvalue().encode()
 
 
+#: grids whose axis-only cells a per-axis CSV could misplace or misformat
+EDGE_SWEEP_GRIDS = (
+    ["--theta-grid", "22.5", "--delay-grid", "70"],
+    ["--theta-grid", "40,10,10,-5", "--delay-grid", "300,0,30,0,120"],
+    ["--theta-grid=-0,0,45", "--delay-grid=-0,0,-0"],
+    ["--theta-grid", "0:45:4", "--delay-grid", "-300:300:7"],
+    ["--theta-grid", "5,33.3", "--delay-grid", "-20,0,20", "--delta", "0.004"],
+)
+
+
+@pytest.mark.parametrize("noisy", ([], ["--noisy", "--runs", "5", "--seed", "2"]), ids=("exact", "noisy"))
+@pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
+@pytest.mark.parametrize("grids", EDGE_SWEEP_GRIDS, ids=" ".join)
+def test_every_sweep_csv_cell_is_its_json_value_to_twelve_digits(grids, convention, noisy, capsys):
+    # the CSV formats each axis-only cell once per axis, and must print what
+    # a per-cell %.12g of x + 0.0 prints of every value the JSON keeps
+    argv = ["sweep", *grids, "--overlap-convention", convention, *noisy]
+    assert main(argv) == EXIT_OK
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    columns = header.split(",")
+    assert columns == list(cli.SWEEP_NOISY_COLUMNS if noisy else cli.SWEEP_COLUMNS)
+    assert lines == [",".join("%.12g" % (row[name] + 0.0) for name in columns) for row in rows]
+
+
+@pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
+def test_the_sweep_closed_form_has_the_bits_of_the_one_point_definition(convention, capsys):
+    # the sweep multiplies its two axis factors; the one-point definition,
+    # which verify and the tests call, must give every bit of each product
+    argv = ["sweep", "--theta-grid", "0:45:91", "--delay-grid", "0:300:61", "--format", "json"]
+    assert main(argv + ["--overlap-convention", convention]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 91 * 61
+    for row in rows:
+        alphas, betas = optics.spatial_amplitudes_from_theta(row["theta_deg"])
+        ov = optics.gaussian_overlap(row["delay_um"], convention, DEFAULT_SIGMA_UM)
+        closed = entanglement.concurrence_closed_form(alphas, betas, ov)
+        assert row["c_closed_form"].hex() == closed.hex(), row
+
+
 @pytest.mark.parametrize("convention", optics.OVERLAP_CONVENTIONS)
 @pytest.mark.parametrize("theta, delay", (("22.5", "0"), ("10", "-30"), ("40", "70"), ("0", "300")))
 def test_concurrence_prints_the_row_of_a_one_point_sweep(theta, delay, convention, capsys):
@@ -1191,7 +1232,7 @@ VERIFY_TRIALS_100_SEED_1 = """\
 [check ] closed_form_vs_wootters_raw          max_dev=4.441e-16    tol=1e-09  PASS
 [check ] balanced_manifold_concurrence        max_dev=6.661e-16    tol=1e-09  PASS
 [check ] optical_law_splice                   max_dev=3.331e-16    tol=1e-12  PASS
-[check ] quadrature_overlap_integral          max_dev=5.516e-16    tol=1e-09  PASS
+[check ] quadrature_overlap_integral          max_dev=5.473e-16    tol=1e-09  PASS
 [check ] hom_level_vs_oracle                  max_dev=4.547e-13    tol=1e-12  PASS
 [check ] concurrence_monotonicity             max_dev=0.000e+00    tol=5e-01  PASS
 [check ] occupation_weighted_vs_half_closed_form max_dev=2.220e-16    tol=1e-09  PASS

@@ -42,15 +42,15 @@ PRECISION = 50
 BOUNDARY_ULPS = 8
 #: the largest distance of a JSON value from its reference, in ulps of the
 #: reference's float, over the 91x61 sweep under every convention.  The
-#: grid values are the inputs themselves.  `paper` and `quadrature` round
-#: delta = 1/(2 sigma) before the exponent amplifies it, and measure 20.04
-#: and 6.71; the others measure 1.21, 2.54, 6.05 and 5.00.
+#: grid values are the inputs themselves.  `paper` and `quadrature`, whose
+#: exponents are computed from sigma directly, measure 4.10 and 1.37; the
+#: others measure 1.21, 2.54, 5.32 and 5.00.
 JSON_ULPS = {
     "theta_deg": 0,
     "delay_um": 0,
     "spatial_overlap": 2,
-    "overlap_paper": 21,
-    "overlap_quadrature": 7,
+    "overlap_paper": 5,
+    "overlap_quadrature": 2,
     "c_closed_form": 3,
     "c_wootters_normalized": 7,
     "e_p": 6,
