@@ -262,7 +262,7 @@ def cmd_concurrence(args) -> int:
         ("E_P", e_p),
     ]
     for name, val in lines:
-        print(f"{name:<20} = {val:.6f}")
+        print(f"{name:<20} = {_fixed(val)}")
     return EXIT_OK
 
 
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sigma(p):
+    def add_overlap(p):
         group = p.add_mutually_exclusive_group()
         group.add_argument(
             "--sigma-um",
@@ -489,24 +489,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--delta", type=_delta, dest="sigma_um", metavar="DELTA", default=argparse.SUPPRESS,
             help="spectral width (1/um); sigma = 1/(2 delta)",
         )
+        p.add_argument(
+            "--overlap-convention",
+            choices=OVERLAP_CONVENTIONS,
+            default="fitted",
+            help="delay-to-overlap mapping used for the density-matrix pipeline",
+        )
 
     p = sub.add_parser("concurrence", help="all concurrence readings at one point")
     p.add_argument("--theta-deg", type=_finite_float, required=True, help="half-wave-plate angle")
     p.add_argument("--delay-um", type=_finite_float, default=0.0, help="path delay (um)")
-    add_sigma(p)
-    p.add_argument(
-        "--overlap-convention",
-        choices=OVERLAP_CONVENTIONS,
-        default="fitted",
-        help="delay-to-overlap mapping used for the density-matrix pipeline",
-    )
+    add_overlap(p)
     p.set_defaults(func=cmd_concurrence)
 
     p = sub.add_parser("sweep", help="table of concurrence readings over grids")
     p.add_argument("--theta-grid", type=_parse_grid, default="0:45:19")
     p.add_argument("--delay-grid", type=_parse_grid, default="0,30,60,300")
-    add_sigma(p)
-    p.add_argument("--overlap-convention", choices=OVERLAP_CONVENTIONS, default="fitted")
+    add_overlap(p)
     p.add_argument("--noisy", action="store_true", help="add Monte Carlo columns")
     p.add_argument("--shots", type=_positive_float, default=1000.0, help="counts scale per channel")
     p.add_argument("--runs", type=_runs, default=100, help="Monte Carlo resamples per row")

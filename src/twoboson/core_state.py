@@ -11,9 +11,11 @@ three parts,
 
 and everything downstream is built from these pairwise overlaps.  All types
 here are immutable and refuse a nan or infinite amplitude; operations never
-mutate their inputs.  The detector amplitudes `DETECTOR_L` and `DETECTOR_R`
-and the (up, down) pair check live here, shared by `entanglement` and
-`nolabel_algebra`.
+mutate their inputs.  Each stores what defines it once: `SpatialAmplitudes`
+its two amplitudes, `DistVector` its amplitude tuple and `SpinDensityMatrix`
+its read-only matrix, with the `weight` that every point reads.  The
+detector amplitudes `DETECTOR_L` and `DETECTOR_R` and the (up, down) pair
+check live here, shared by `entanglement` and `nolabel_algebra`.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ class SpatialAmplitudes:
         object.__setattr__(self, "a_l", a_l)
         object.__setattr__(self, "a_r", a_r)
 
-    @cached_property
+    @property
     def detector_mode(self) -> Optional[str]:
         """'L' or 'R' if the amplitudes occupy exactly one detector mode
-        within `ATOL_EXACT`, else None."""
+        within `ATOL_EXACT`, else None; computed on each read."""
         wl = abs(self.a_l) ** 2
         wr = abs(self.a_r) ** 2
         if abs(wl - 1.0) <= ATOL_EXACT and wr <= ATOL_EXACT:
@@ -90,10 +92,11 @@ class DistVector:
 
     Only pairwise overlaps <phi_A|phi_B> ever enter the formulas downstream,
     so the basis itself stays anonymous; the dimension just has to agree
-    between states that meet in an inner product.  A vector's overlap with
-    itself, `self_overlap`, is computed once, on first use, by the same call
-    `overlap` makes, so a vector that meets many states (a sweep's delay
-    meets every angle) pays for it once.
+    between states that meet in an inner product.  `overlap` is `np.vdot` of
+    two amplitude tuples, and a vector's overlap with itself,
+    `self_overlap`, is computed once, on first use, by that same call, so a
+    vector that meets many states (a sweep's delay meets every angle) pays
+    for it once.
     """
 
     amplitudes: tuple[complex, ...]
@@ -107,17 +110,8 @@ class DistVector:
         object.__setattr__(self, "amplitudes", amplitudes)
 
     def __getstate__(self) -> dict:
-        # a copy or an unpickled vector rebuilds `array` read-only, and
-        # `self_overlap`, on first use
+        # a copy or an unpickled vector computes `self_overlap` on first use
         return {"amplitudes": self.amplitudes}
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The amplitudes as a read-only complex ndarray, built on first use
-        so that `overlap` converts no tuple per call."""
-        a = np.array(self.amplitudes, dtype=complex)
-        a.setflags(write=False)
-        return a
 
     @property
     def dim(self) -> int:
@@ -125,7 +119,7 @@ class DistVector:
 
     def overlap(self, other: "DistVector") -> complex:
         _check_dist_dims(self, other)
-        return complex(np.vdot(self.array, other.array))
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     @cached_property
     def self_overlap(self) -> complex:

@@ -306,15 +306,3 @@ def entanglement_of_particles(nds, concurrence) -> np.ndarray:
     p11 = np.array([n.probabilities[(1, 1)] for n in nds])
     return np.where(p11 > 0.0, p11 * np.asarray(concurrence), 0.0)
 
-
-__all__ = [
-    "NoPostSelectionSupportError",
-    "NotPostSelectedError",
-    "NumberDistribution",
-    "SpinDensityMatrix",
-    "concurrence_closed_form",
-    "entanglement_of_particles",
-    "number_distribution",
-    "trace_out_distinguishability",
-    "wootters_concurrence",
-]

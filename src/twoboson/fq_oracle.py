@@ -17,10 +17,12 @@ A particle's dense vector holds `a_l * dist` and `a_r * dist` in its spin's
 two blocks and 0 elsewhere.  These are the entries of
 `np.kron(np.kron(spatial, spin), dist)`: where the spin factor is 1.0 an
 entry is `(a * 1.0) * dist_k`, and `a * 1.0` is `a`; every other entry is a
-product with 0.0, which may read -0.0 there.  `to_labeled` builds each
-particle's vector once and adds the terms in order, so it has the bits of
-the per-term `symmetrize` sum.  A tensor built here becomes a
-`LabeledState` read-only and without a copy; the public constructor copies.
+product with 0.0, which may read -0.0 there; the block is built from the
+dist vector's amplitude tuple.  `to_labeled` builds each particle's vector
+once and adds the terms in order, so it has the bits of the per-term
+`symmetrize` sum.  A `LabeledState` stores its (4d, 4d) tensor alone and
+reads d from its shape.  A tensor built here becomes one read-only and
+without a copy; the public constructor copies.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_state import BasisMismatchError, SingleParticleState, SpinDensityMatrix
+from .core_state import BasisMismatchError, SingleParticleState, SpinDensityMatrix, _check_dist_dims
 from .nolabel_algebra import SymmetricTwoBosonState
 
 
 def single_particle_vector(s: SingleParticleState) -> np.ndarray:
     """Dense single-slot vector, index layout (mode, spin, dist) row-major:
     `a_l * dist` and `a_r * dist` in the spin's two blocks, 0 elsewhere."""
-    dist = s.dist.array  # the dist vector's cached read-only array
+    dist = np.array(s.dist.amplitudes, dtype=complex)
     d = len(dist)
     v = np.zeros(4 * d, dtype=complex)
     start = s.spin.value * d
@@ -50,24 +52,27 @@ class LabeledState:
     """Two-slot tensor, stored as a (4d, 4d) array indexed (slot1, slot2)."""
 
     amps: np.ndarray
-    dist_dim: int
 
     def __post_init__(self) -> None:
         a = np.array(self.amps, dtype=complex)
-        n = 4 * self.dist_dim
-        if a.shape != (n, n):
-            raise ValueError(f"expected a ({n}, {n}) amplitude array, got {a.shape}")
+        n = a.shape[0] if a.ndim else 0
+        if n == 0 or n % 4 or a.shape != (n, n):
+            raise ValueError(f"expected a (4d, 4d) amplitude array, got {a.shape}")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
+    @property
+    def dist_dim(self) -> int:
+        """d, the distinguishability dimension of each slot."""
+        return len(self.amps) // 4
 
-def _own(amps: np.ndarray, dist_dim: int) -> LabeledState:
+
+def _own(amps: np.ndarray) -> LabeledState:
     """A LabeledState over a (4d, 4d) complex array built in this module,
     taken read-only without the copy the public constructor makes."""
     amps.setflags(write=False)
     x = object.__new__(LabeledState)
     object.__setattr__(x, "amps", amps)
-    object.__setattr__(x, "dist_dim", dist_dim)
     return x
 
 
@@ -77,16 +82,10 @@ def _symmetrized(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return (v1[:, None] * v2 + v2[:, None] * v1) / np.sqrt(2.0)
 
 
-def _check_same_basis(p1: SingleParticleState, p2: SingleParticleState) -> None:
-    if p1.dist.dim != p2.dist.dim:
-        raise BasisMismatchError("states must share one distinguishability basis")
-
-
 def symmetrize(p1: SingleParticleState, p2: SingleParticleState) -> LabeledState:
     """(|p1>|p2> + |p2>|p1>) / sqrt(2); for p1 = p2 this is sqrt(2)|p><p|."""
-    _check_same_basis(p1, p2)
-    amps = _symmetrized(single_particle_vector(p1), single_particle_vector(p2))
-    return _own(amps, p1.dist.dim)
+    _check_dist_dims(p1.dist, p2.dist)
+    return _own(_symmetrized(single_particle_vector(p1), single_particle_vector(p2)))
 
 
 def labeled_inner(x: LabeledState, y: LabeledState) -> complex:
@@ -101,16 +100,15 @@ def to_labeled(state: SymmetricTwoBosonState) -> LabeledState:
     state needs at least one term, which fixes the distinguishability
     dimension.  A particle that several terms share has its vector built
     once."""
-    d = state.terms[0][1][0].dist.dim
-    n = 4 * d
+    n = 4 * state.terms[0][1][0].dist.dim
     # keyed by identity: the terms hold every particle for the call
     particles = {id(p): p for _, pair in state.terms for p in pair}
     vectors = {key: single_particle_vector(p) for key, p in particles.items()}
     total = np.zeros((n, n), dtype=complex)
     for coeff, (a, b) in state.terms:
-        _check_same_basis(a, b)
+        _check_dist_dims(a.dist, b.dist)
         total += coeff * _symmetrized(vectors[id(a)], vectors[id(b)])
-    return _own(total, d)
+    return _own(total)
 
 
 def mode_pattern_weights(x: LabeledState) -> dict[tuple[int, int], float]:

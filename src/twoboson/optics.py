@@ -21,7 +21,8 @@ C(theta, l) = sin^2(4 theta) exp(-l^2 / (2 sigma^2)) is implemented verbatim;
 the closed-form concurrence fed the 'fitted' overlap reproduces it exactly.
 `DEFAULT_SIGMA_UM`, `OVERLAP_CONVENTIONS`, `sigma_to_delta` and
 `delta_to_sigma` are the `wavepacket` objects, which the command-line parser
-reads without loading numpy.
+reads without loading numpy; each convention's exponent scale and the width
+check are `wavepacket`'s too.
 
 The experiment is defined here once, and the commands and the `verification`
 suites call the same functions: `prepared_distributions` gives the (up,
@@ -75,7 +76,8 @@ from .core_state import (
     ATOL_EXACT, DistVector, SingleParticleState, SpatialAmplitudes, Spin, SpinDensityMatrix,
 )
 from . import entanglement
-from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, delta_to_sigma, sigma_to_delta
+from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, OVERLAP_SCALE, check_sigma
+from .wavepacket import delta_to_sigma, sigma_to_delta
 
 #: FWHM of a Gaussian exp(-x^2/(2 w^2)) is this factor times w
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -97,12 +99,6 @@ class EstimatorError(RuntimeError):
     """More than `MAX_FAILED_FRACTION` of the runs of a Monte Carlo failed."""
 
 
-#: each convention's overlap is exp(-l^2 / (scale sigma^2)): 'paper'
-#: exp(-2 delta^2 l^2) and 'quadrature' exp(-delta^2 l^2 / 2) with
-#: delta^2 = 1/(4 sigma^2)
-_OVERLAP_SCALE = {"fitted": 4.0, "paper": 2.0, "quadrature": 8.0}
-
-
 def gaussian_overlap(l_um: float, convention: str, sigma_um: float) -> float:
     """Scalar overlap of two identical Gaussian wavepackets delayed by l.
 
@@ -111,12 +107,13 @@ def gaussian_overlap(l_um: float, convention: str, sigma_um: float) -> float:
     delta^2 = 1/(4 sigma^2) written into the exponent, since a rounded
     delta = 1/(2 sigma) is an error that the exponent amplifies.
     """
-    if convention not in OVERLAP_CONVENTIONS:
+    scale = OVERLAP_SCALE.get(convention)
+    if scale is None:
         raise ValueError(
             f"unknown overlap convention {convention!r}; pick one of {OVERLAP_CONVENTIONS}"
         )
-    sigma_to_delta(sigma_um)  # rejects a non-positive sigma
-    return math.exp(-(l_um**2) / (_OVERLAP_SCALE[convention] * sigma_um**2))
+    check_sigma(sigma_um)
+    return math.exp(-(l_um**2) / (scale * sigma_um**2))
 
 
 def spatial_amplitudes_from_theta(
@@ -137,8 +134,7 @@ def spatial_overlap_factor(theta_deg: float) -> float:
 
 def concurrence_optical(theta_deg: float, l_um: float, sigma_um: float) -> float:
     """C = sin^2(4 theta) exp(-l^2 / (2 sigma^2))."""
-    if not sigma_um > 0.0:
-        raise ValueError("sigma must be positive")
+    check_sigma(sigma_um)
     t = math.radians(theta_deg)
     return math.sin(4.0 * t) ** 2 * math.exp(-(l_um**2) / (2.0 * sigma_um**2))
 

@@ -60,6 +60,19 @@ def test_zero_angle_prints_zero_concurrence(capsys):
     assert _report_value(capsys.readouterr().out, "C") == 0.0
 
 
+def test_a_concurrence_line_that_rounds_to_zero_prints_unsigned(capsys):
+    # a signed zero or a tiny negative input prints as the sweep's CSV
+    # prints it, with no sign; a value that rounds away from zero keeps it
+    argv = ["concurrence", "--theta-deg", "-0.0", "--delay-um", "-1e-9"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "-0.000000" not in out
+    assert out.startswith("theta_deg            = 0.000000\ndelay_um             = 0.000000\n")
+    assert main(["concurrence", "--theta-deg", "-12.5", "--delay-um", "-75"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("theta_deg            = -12.500000\ndelay_um             = -75.000000\n")
+
+
 def test_seventy_micron_delay(capsys):
     assert main(["concurrence", "--theta-deg", "22.5", "--delay-um", "70"]) == EXIT_OK
     got = _report_value(capsys.readouterr().out, "C")

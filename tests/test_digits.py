@@ -1,4 +1,5 @@
-"""Every printed exact digit of `sweep` and `concurrence` is a true digit.
+"""Every printed exact digit of `sweep`, `concurrence` and the exact `hom`
+table is a true digit.
 
 Each exact column of the 91x61 sweep is evaluated in stdlib `decimal` at
 50 digits, from the same float inputs the program starts from: the grid
@@ -12,7 +13,9 @@ the (1,1) block reads
     rho[1,1] = s^4,  rho[2,2] = c^4,  |rho[1,2]| = s^2 c^2 ov^2,
 
 the concurrence is 2 s^2 c^2 ov^2 / (s^4 + c^4), P(1,1) is
-(s^4 + c^4) / (s^2 + c^2)^2 and E_P their product.
+(s^4 + c^4) / (s^2 + c^2)^2 and E_P their product.  An exact `hom` count
+is B (1 - V exp(-(l - c)^2 / (2 w^2))), from the parsed options and the
+program's float width w = fwhm / `GAUSSIAN_FWHM_FACTOR`.
 
 A CSV cell must equal `%.12g` of its reference, and a `concurrence` line
 `%.6f` of its reference.  A reference within `BOUNDARY_ULPS` float ulps of a
@@ -32,7 +35,7 @@ import pytest
 
 from twoboson import cli, optics
 from twoboson.cli import EXIT_OK, SWEEP_COLUMNS, main
-from twoboson.optics import DEFAULT_SIGMA_UM
+from twoboson.optics import DEFAULT_SIGMA_UM, GAUSSIAN_FWHM_FACTOR
 
 THETA_GRID, DELAY_GRID = "0:45:91", "0:300:61"
 #: working precision of the reference, in decimal digits
@@ -60,6 +63,17 @@ JSON_ULPS = {
 CONCURRENCE_POINTS = (
     (0.0, 0.0), (10.0, 30.0), (22.5, 0.0), (22.5, 70.0), (33.3, 123.4),
     (45.0, 60.0), (-12.5, -75.0), (67.5, 300.0),
+)
+#: the option sets of the `hom` test: the default scan, a shallower and
+#: wider dip, the baselines at which CI recovers the exact dip, a dip off
+#: center on another grid, and every dip parameter moved at once
+HOM_OPTIONS = (
+    (),
+    ("--visibility", "0.91", "--fwhm-um", "137"),
+    ("--baseline", "1e-20"),
+    ("--baseline", "1e100"),
+    ("--center-um", "-20", "--delay-grid", "-200:200:41"),
+    ("--visibility", "0.5", "--fwhm-um", "15", "--baseline", "37.5", "--center-um", "3"),
 )
 _SWEEP_GRIDS = (cli._parse_grid(THETA_GRID), cli._parse_grid(DELAY_GRID))
 _HALF = Decimal("0.5")
@@ -194,4 +208,29 @@ def test_every_printed_digit_of_the_concurrence_command_is_true(convention):
                 elif Decimal(cell.strip()) != _printed(ref, _MICRO):
                     wrong.append((theta, delay, name.strip(), cell.strip(), f"{ref:.15e}"))
     print(f"{convention}: lines within {BOUNDARY_ULPS} ulps of a rounding boundary: {exempt}")
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("options", HOM_OPTIONS, ids=lambda options: " ".join(options) or "default")
+def test_every_printed_digit_of_the_exact_hom_table_is_true(options):
+    args = cli.build_parser().parse_args(["hom", *options])
+    out = _run(["hom", *options])
+    header, *rows = csv.reader(line for line in out.splitlines() if not line.startswith("fit:"))
+    assert header == ["delay_um", "counts"]
+    assert len(rows) == len(args.delay_grid)
+    wrong, exempt = [], 0
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        baseline, visibility = Decimal(args.baseline), Decimal(args.visibility)
+        center = Decimal(args.center_um)
+        w = Decimal(args.fwhm_um / GAUSSIAN_FWHM_FACTOR)  # the program's float width
+        for row, delay in zip(rows, args.delay_grid):
+            l = Decimal(delay)
+            counts = baseline * (1 - visibility * (-((l - center) ** 2) / (2 * w * w)).exp())
+            for cell, ref in zip(row, (l, counts)):
+                if _near_a_boundary(ref, _unit_12g(ref)):
+                    exempt += 1
+                elif Decimal(cell) != _printed(ref, _unit_12g(ref)):
+                    wrong.append((row[0], cell, f"{ref:.15e}"))
+    print(f"hom {options}: cells within {BOUNDARY_ULPS} ulps of a rounding boundary: {exempt}")
     assert not wrong, wrong

@@ -173,13 +173,17 @@ def test_postselected_density_is_hermitian_psd_for_random_input():
 
 
 def test_labeled_state_shape_checks():
-    with pytest.raises(ValueError):
-        LabeledState(np.zeros((3, 4), dtype=complex), 1)
+    for shape in ((3, 4), (8, 4), (6, 6), (0, 0), (8,), (4, 4, 1), ()):
+        with pytest.raises(ValueError):
+            LabeledState(np.zeros(shape, dtype=complex))
+    for d in (1, 2, 3):
+        assert LabeledState(np.zeros((4 * d, 4 * d))).dist_dim == d
 
 
 def test_the_public_constructor_copies_the_callers_array():
     arr = np.arange(16, dtype=complex).reshape(4, 4)
-    x = LabeledState(arr, 1)
+    x = LabeledState(arr)
+    assert x.dist_dim == 1
     assert x.amps is not arr and not np.shares_memory(x.amps, arr)
     assert arr.flags.writeable and not x.amps.flags.writeable
     arr[0, 0] = 99.0
