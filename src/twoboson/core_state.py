@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -32,6 +33,8 @@ import numpy as np
 ATOL_EXACT = 1e-12
 #: absolute tolerance for end-to-end pipeline comparisons
 ATOL_PIPELINE = 1e-9
+#: sqrt(2), the double `np.sqrt(2.0)` returns, for the symmetrization factors
+SQRT2 = math.sqrt(2.0)
 
 
 class ValidationError(ValueError):
@@ -125,6 +128,15 @@ class DistVector:
     def self_overlap(self) -> complex:
         """<self|self>, as `overlap` computes it."""
         return self.overlap(self)
+
+
+def overlap_magnitude(overlap: complex) -> float:
+    """|overlap|, refused with ValueError if it exceeds 1 by more than
+    `ATOL_EXACT`, which no overlap of two unit vectors does."""
+    mag = abs(overlap)
+    if mag > 1.0 + ATOL_EXACT:
+        raise ValueError(f"|overlap| = {mag:.12g} exceeds 1")
+    return mag
 
 
 def _check_dist_dims(a: DistVector, b: DistVector) -> None:

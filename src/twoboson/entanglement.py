@@ -48,6 +48,7 @@ from .core_state import (
     SpinDensityMatrix,
     ValidationError,
     _check_updown_pair,
+    overlap_magnitude,
 )
 
 if TYPE_CHECKING:
@@ -177,9 +178,7 @@ def concurrence_closed_form(
     matrix, and coincides with the normalized one exactly on the balanced
     manifold |alpha_l beta_r| = |alpha_r beta_l|.
     """
-    mag = abs(overlap)
-    if mag > 1.0 + ATOL_EXACT:
-        raise ValueError(f"|overlap| = {mag:.12g} exceeds 1")
+    mag = overlap_magnitude(overlap)
     return 4.0 * abs(alphas.a_l * alphas.a_r * betas.a_l * betas.a_r) * mag**2
 
 

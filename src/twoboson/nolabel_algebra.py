@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core_state import (
     DETECTOR_L,
     DETECTOR_R,
+    SQRT2,
     SingleParticleState,
     Spin,
     SpinConfigError,
@@ -79,7 +78,7 @@ def project_single(bra: SingleParticleState, ket: Pair) -> Residual:
     out = []
     for coeff, rest in ((inner_single(bra, a), b), (inner_single(bra, b), a)):
         if coeff != 0j:
-            out.append((coeff / np.sqrt(2.0), rest))
+            out.append((coeff / SQRT2, rest))
     return tuple(out)
 
 

@@ -74,6 +74,7 @@ import numpy as np
 
 from .core_state import (
     ATOL_EXACT, DistVector, SingleParticleState, SpatialAmplitudes, Spin, SpinDensityMatrix,
+    overlap_magnitude,
 )
 from . import entanglement
 from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, OVERLAP_SCALE, check_sigma
@@ -148,9 +149,7 @@ PHI_A = DistVector((1.0 + 0j, 0j))
 def dist_vectors_for_overlap(overlap: complex) -> tuple[DistVector, DistVector]:
     """A concrete pair of two-dimensional unit vectors with
     <phi_A|phi_B> = overlap: the shared `PHI_A` and a new phi_B."""
-    mag = abs(overlap)
-    if mag > 1.0 + ATOL_EXACT:
-        raise ValueError(f"|overlap| = {mag:.12g} exceeds 1")
+    mag = overlap_magnitude(overlap)
     rest = math.sqrt(max(0.0, 1.0 - mag**2))
     return PHI_A, DistVector((complex(overlap), rest + 0j))
 

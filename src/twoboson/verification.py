@@ -6,31 +6,57 @@ alone reduces them: it reports the largest against the suite's tolerance,
 and a deviation above it, or a nan, fails the run.  The labeled-tensor
 oracle (`fq_oracle`) is used here and in the tests only.
 
-The random states are drawn as Python complexes, with the bits the numpy
-route `v / norm(v)` gives.  One `normal` call of 2n draws gives a vector's
-real parts, then its imaginary parts, the stream a (2, n) draw reads; a
-state whose spin is given draws its mode and dist vectors in one call, as no
-spin draw comes between them.  The norm is still summed by `ndarray.dot`
-over each half, because BLAS may fuse its multiply-adds and a Python sum of
-squares would then differ in the last bit, and every part is multiplied by
-`1/norm` in numpy, because that is how numpy divides a complex by a real.
+The random states are drawn as Python complexes.  One `normal` call of 2n
+draws gives a vector's real parts, then its imaginary parts, the stream a
+(2, n) draw reads.  Its norm is summed by one BLAS `dot` per contiguous
+half, because BLAS may fuse its multiply-adds and a Python sum of squares
+would then differ in the last bit, and every part is multiplied by
+`1/norm`, which is how numpy divides a complex by a real.  For n <= 3, the
+dimensions the suites draw, these are the bits of `v / np.linalg.norm(v)`.
+
+A suite makes all its draws first and normalizes them after, as no
+normalization reads the generator.  The draws of one length are normalized
+as one stack, whose norms come from one stacked matmul,
+`(m, 1, n) @ (m, n, 1)`: matmul's vector-vector path is the BLAS `dot` of
+a vector alone.  A state whose spin is drawn takes three calls, as an
+`integers` draw comes between its two vectors, so
+`transition_vs_labeled_oracle`, `symmetrized_norm_bunching` and
+`single_bra_projection` keep one call per draw.  States whose spins are
+given draw in one call, however many: `random_updown_pairs` draws the
+(up, down) pairs of a pair suite's block (`detector_expansion_completeness`,
+`postselected_density_vs_oracle`, `postselect_idempotent` and
+`density_matrix_validity`) at once, each state's 4 + 2d draws in the order
+that one call per state reads, and `random_updown_pair` is its one-pair
+case.
+
+Trial k of a random-state suite has dimension 1 + k % 3.  The oracle reads
+the trials of each dimension as one `fq_oracle` stack, whose tensors have
+the bits they have alone.  The ket-algebra routes under test
+(`nolabel_algebra`, `number_distribution` and
+`trace_out_distinguishability`) run per trial.  These seven suites run on
+blocks of at most 150 trials in turn, which bounds the memory a suite holds
+at once; the blocks draw in trial order, so they read the stream that one
+block of every trial reads, and a pair suite at the default 100 trials
+draws in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core_state import (
     ATOL_EXACT,
     ATOL_PIPELINE,
+    SQRT2,
     DistVector,
     SingleParticleState,
     SpatialAmplitudes,
     Spin,
+    SpinDensityMatrix,
     inner_single,
 )
 from . import entanglement, fq_oracle, nolabel_algebra, optics
@@ -48,43 +74,93 @@ class SuiteResult:
         return self.max_deviation <= self.tolerance
 
 
-def _unit(x: np.ndarray) -> tuple[complex, ...]:
-    """The unit vector whose real parts are the first half of the normal
-    draws `x` and whose imaginary parts are the second half."""
-    n = len(x) // 2
+def _unit_rows(x: np.ndarray) -> list[tuple[complex, ...]]:
+    """The unit vector of each row of the (m, 2n) normal draws `x`, whose
+    first half gives the real parts and whose second half the imaginary
+    parts, with the bits a row normalized alone has."""
+    n = x.shape[1] // 2
     if n == 0:
-        return ()  # for DistVector to refuse, as it refuses any empty vector
-    re, im = x[:n], x[n:]
-    # the 2-norm as np.linalg.norm computes it for a complex vector, by BLAS
-    # dot, whose fused multiply-adds a Python sum of squares would not match
-    scale = 1.0 / math.sqrt(re.dot(re) + im.dot(im))
+        return [()] * len(x)  # for DistVector to refuse, as it refuses any empty vector
+    re, im = x[:, None, :n], x[:, None, n:]
+    # the 2-norm as np.linalg.norm sums it for a complex vector, by BLAS dot,
+    # whose fused multiply-adds a Python sum of squares would not match:
+    # (m, 1, n) @ (m, n, 1) takes matmul's vector-vector path, that dot,
+    # over the unit strides of a contiguous half
+    squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
     # numpy divides a complex by a real x as its two parts times 1/x
-    parts = (x * scale).tolist()
-    return tuple(map(complex, parts[:n], parts[n:]))
+    parts = x * (1.0 / np.sqrt(squares.reshape(-1, 1)))
+    z = np.empty((len(x), n), dtype=complex)
+    z.real, z.imag = parts[:, :n], parts[:, n:]  # copies, bit for bit
+    return list(map(tuple, z.tolist()))
 
 
-def _unit_complex(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
-    return _unit(rng.normal(size=2 * n))  # the same draws as two size-n calls
+def _units(draws: Sequence[np.ndarray]) -> list[tuple[complex, ...]]:
+    """`_unit_rows` of each 1-D normal draw, the draws of one length
+    normalized as one stack."""
+    rows: dict[int, list[int]] = {}  # draw length -> indices of the draws
+    for i, x in enumerate(draws):
+        rows.setdefault(len(x), []).append(i)
+    units = [()] * len(draws)
+    for size, indices in rows.items():
+        stack = np.array([draws[i] for i in indices]).reshape(len(indices), size)
+        for i, unit in zip(indices, _unit_rows(stack)):
+            units[i] = unit
+    return units
+
+
+def _states(draws: Sequence[tuple[np.ndarray, Spin, np.ndarray]]) -> list[SingleParticleState]:
+    """The state of each (mode draws, spin, dist draws) triple."""
+    units = _units([x for modes, _, dist in draws for x in (modes, dist)])
+    return [
+        SingleParticleState(SpatialAmplitudes(*modes), spin, DistVector(dist))
+        for modes, (_, spin, _), dist in zip(units[0::2], draws, units[1::2])
+    ]
+
+
+def _spin_drawn(rng: np.random.Generator, d: int) -> tuple[np.ndarray, Spin, np.ndarray]:
+    # a vector of n amplitudes is one normal(size=2 n) call, the stream of a
+    # (2, n) draw; the spin draw comes between the two vectors
+    modes = rng.normal(size=4)
+    spin = Spin.UP if rng.integers(2) == 0 else Spin.DOWN
+    return modes, spin, rng.normal(size=2 * d)
+
+
+def random_states(rng: np.random.Generator, dims: Sequence[int]) -> list[SingleParticleState]:
+    """A state of each dimension of `dims`, its spin drawn too: the states of
+    one `random_state(rng, d)` call per dimension, in order."""
+    return _states([_spin_drawn(rng, d) for d in dims])
+
+
+def random_updown_pairs(
+    rng: np.random.Generator, dims: Sequence[int]
+) -> list[tuple[SingleParticleState, SingleParticleState]]:
+    """An (up, down) pair of each dimension of `dims`, from one `normal`
+    call: each state's 4 + 2d draws, its modes' then its dist vector's, are
+    the stream of one `random_state(rng, d, spin)` call per state."""
+    x = rng.normal(size=sum(8 + 4 * d for d in dims))
+    draws, at = [], 0
+    for d in dims:
+        for spin in (Spin.UP, Spin.DOWN):
+            draws.append((x[at : at + 4], spin, x[at + 4 : at + 4 + 2 * d]))
+            at += 4 + 2 * d
+    states = _states(draws)
+    return list(zip(states[0::2], states[1::2]))
 
 
 def random_state(
     rng: np.random.Generator, d: int, spin: Optional[Spin] = None
 ) -> SingleParticleState:
     if spin is None:
-        sp = _unit_complex(rng, 2)
-        spin = Spin.UP if rng.integers(2) == 0 else Spin.DOWN
-        dist = _unit_complex(rng, d)
-    else:
-        # no spin draw comes between the two vectors, so one call draws both
-        x = rng.normal(size=4 + 2 * d)
-        sp, dist = _unit(x[:4]), _unit(x[4:])
-    return SingleParticleState(SpatialAmplitudes(*sp), spin, DistVector(dist))
+        return random_states(rng, [d])[0]
+    # no spin draw comes between the two vectors, so one call draws both
+    x = rng.normal(size=4 + 2 * d)
+    return _states([(x[:4], spin, x[4:])])[0]
 
 
 def random_updown_pair(
     rng: np.random.Generator, d: int
 ) -> tuple[SingleParticleState, SingleParticleState]:
-    return random_state(rng, d, Spin.UP), random_state(rng, d, Spin.DOWN)
+    return random_updown_pairs(rng, [d])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,75 +168,137 @@ def random_updown_pair(
 # ---------------------------------------------------------------------------
 
 
+#: trials per block of a stacked suite: it bounds the memory a suite holds at
+#: once, which otherwise grows with `--trials`, and is a multiple of 3, so a
+#: block's trial j has the dimension 1 + j % 3 of the suite's trial it is
+_BLOCK = 150
+
+
+def _in_blocks(suite: Callable) -> Callable:
+    """`suite` run on blocks of at most `_BLOCK` trials in turn.  Each block
+    draws after the one before it, so the blocks read the generator's stream
+    as one run of every trial does, and each deviation keeps its bits."""
+
+    def run(rng: np.random.Generator, trials: int):
+        for start in range(0, trials, _BLOCK):
+            yield from suite(rng, min(_BLOCK, trials - start))
+
+    return run
+
+
+def _per_dimension(trials: Sequence, stacked: Callable[[Sequence], Sequence]) -> list:
+    """`stacked` of the trials of each dimension, one result per trial, read
+    back in trial order; trial k has dimension 1 + k % 3."""
+    out = [None] * len(trials)
+    for first in range(min(3, len(trials))):
+        out[first::3] = stacked(trials[first::3])
+    return out
+
+
+def _state_trials(rng, trials, size):
+    # `size` states of dimension 1 + k % 3 for each trial k, each drawn with
+    # its spin, in trial order
+    states = random_states(rng, [1 + k % 3 for k in range(trials) for _ in range(size)])
+    return [states[at : at + size] for at in range(0, len(states), size)]
+
+
+def _pair_trials(rng, trials):
+    return random_updown_pairs(rng, [1 + k % 3 for k in range(trials)])
+
+
+def _labeled_transitions(trials):
+    # trial (bra, ket) -> <sym(bra)|sym(ket)>, the two stacked in one
+    tensors = fq_oracle.symmetrize_stack([pair for trial in trials for pair in trial])
+    return fq_oracle.labeled_inner_stack(tensors[0::2], tensors[1::2])
+
+
 def _suite_transition_vs_labeled(rng, trials):
-    for k in range(trials):
-        d = 1 + k % 3
-        a, b, c, e = (random_state(rng, d) for _ in range(4))
-        algebraic = nolabel_algebra.transition_two((c, e), (a, b))
-        brute = fq_oracle.labeled_inner(
-            fq_oracle.symmetrize(c, e), fq_oracle.symmetrize(a, b)
-        )
-        yield abs(algebraic - brute)
+    pairs = [((c, e), (a, b)) for a, b, c, e in _state_trials(rng, trials, 4)]  # (bra, ket)
+    brute = _per_dimension(pairs, _labeled_transitions)
+    for (bra, ket), labeled in zip(pairs, brute):
+        yield abs(nolabel_algebra.transition_two(bra, ket) - labeled)
+
+
+def _labeled_norms(pairs):
+    tensors = fq_oracle.symmetrize_stack(pairs)
+    return fq_oracle.labeled_inner_stack(tensors, tensors)
 
 
 def _suite_symmetrized_norm(rng, trials):
-    for k in range(trials):
-        d = 1 + k % 3
-        p1, p2 = random_state(rng, d), random_state(rng, d)
+    pairs = _state_trials(rng, trials, 2)
+    for (p1, p2), labeled in zip(pairs, _per_dimension(pairs, _labeled_norms)):
         expected = 1.0 + abs(inner_single(p1, p2)) ** 2
-        sym = fq_oracle.symmetrize(p1, p2)
-        yield abs(fq_oracle.labeled_inner(sym, sym).real - expected)
+        yield abs(labeled.real - expected)
         yield abs(nolabel_algebra.transition_two((p1, p2), (p1, p2)) - expected)
 
 
 def _suite_single_projection(rng, trials):
-    for k in range(trials):
-        d = 1 + k % 3
-        a, b, c, e = (random_state(rng, d) for _ in range(4))
+    for a, b, c, e in _state_trials(rng, trials, 4):
         residual = nolabel_algebra.project_single(c, (a, b))
-        contracted = nolabel_algebra.contract_residual(e, residual) * np.sqrt(2.0)
+        contracted = nolabel_algebra.contract_residual(e, residual) * SQRT2
         yield abs(contracted - nolabel_algebra.transition_two((c, e), (a, b)))
 
 
+def _embedding_gaps(trials):
+    # trial (pair, its expansion) -> the largest gap between the expansion
+    # re-embedded and the pair's symmetrized tensor
+    labeled = fq_oracle.to_labeled_stack([expansion for _, expansion in trials])
+    symmetrized = fq_oracle.symmetrize_stack([pair for pair, _ in trials])
+    return np.max(np.abs(labeled - symmetrized), axis=(1, 2)).tolist()
+
+
 def _suite_expansion_completeness(rng, trials):
-    for k in range(trials):
-        d = 1 + k % 3
-        p_a, p_b = random_updown_pair(rng, d)
-        expansion = nolabel_algebra.expand_in_detector_basis(p_a, p_b)
+    pairs = _pair_trials(rng, trials)
+    expansions = [nolabel_algebra.expand_in_detector_basis(*pair) for pair in pairs]
+    # re-embedding the expansion must reproduce the symmetrized tensor
+    gaps = _per_dimension(list(zip(pairs, expansions)), _embedding_gaps)
+    for expansion, gap in zip(expansions, gaps):
         total = sum(abs(c) ** 2 for c, _ in expansion.terms)
         yield abs(total - 1.0)
-        # re-embedding the expansion must reproduce the symmetrized tensor
-        diff = fq_oracle.to_labeled(expansion).amps - fq_oracle.symmetrize(p_a, p_b).amps
-        yield float(np.max(np.abs(diff)))
+        yield gap
+
+
+def _oracle_reads(pairs):
+    # pair -> (oracle_postselected_density, mode_pattern_weights) of its
+    # symmetrized tensor
+    tensors = fq_oracle.symmetrize_stack(pairs)
+    densities = fq_oracle.postselected_density_stack(tensors)
+    weights = fq_oracle.mode_pattern_weight_stack(tensors)
+    return [(SpinDensityMatrix(m), w) for m, w in zip(densities, weights)]
 
 
 def _suite_density_vs_oracle(rng, trials):
-    for k in range(trials):
-        d = 1 + k % 3
-        p_a, p_b = random_updown_pair(rng, d)
-        nd = entanglement.number_distribution(p_a, p_b)
-        rho = nd.state
-        # the direct pass against the composed route it reproduces
-        composed = entanglement.trace_out_distinguishability(
+    pairs = _pair_trials(rng, trials)
+    nds = [entanglement.number_distribution(*pair) for pair in pairs]
+    # the direct pass against the composed route it reproduces, and both
+    # against the oracle
+    composed = [
+        entanglement.trace_out_distinguishability(
             nolabel_algebra.postselect_one_per_detector(
-                nolabel_algebra.expand_in_detector_basis(p_a, p_b)
+                nolabel_algebra.expand_in_detector_basis(*pair)
             )
-        )
-        yield float(np.max(np.abs(rho.matrix - composed.matrix)))
-        labeled = fq_oracle.symmetrize(p_a, p_b)
-        oracle = fq_oracle.oracle_postselected_density(labeled)
-        yield float(np.max(np.abs(rho.matrix - oracle.matrix)))
-        yield abs(rho.weight - oracle.weight)
-        weights = fq_oracle.mode_pattern_weights(labeled)
+        ).matrix
+        for pair in pairs
+    ]
+    oracle = _per_dimension(pairs, _oracle_reads)
+    rhos = np.array([nd.state.matrix for nd in nds])
+    composed_gaps, oracle_gaps = (
+        np.max(np.abs(rhos - np.array(others)), axis=(1, 2)).tolist()
+        for others in (composed, [density.matrix for density, _ in oracle])
+    )
+    for nd, composed_gap, oracle_gap, (density, weights) in zip(
+        nds, composed_gaps, oracle_gaps, oracle
+    ):
+        yield composed_gap
+        yield oracle_gap
+        yield abs(nd.state.weight - density.weight)
         total = sum(weights.values())
         for key, probability in nd.probabilities.items():
             yield abs(probability - weights[key] / total)
 
 
 def _suite_postselect_idempotent(rng, trials):
-    for k in range(trials):
-        d = 1 + k % 3
-        p_a, p_b = random_updown_pair(rng, d)
+    for p_a, p_b in _pair_trials(rng, trials):
         once = nolabel_algebra.postselect_one_per_detector(
             nolabel_algebra.expand_in_detector_basis(p_a, p_b)
         )
@@ -182,23 +320,25 @@ def _validity_deviations(matrices: list[np.ndarray]) -> np.ndarray:
 
 
 def _suite_density_validity(rng, trials):
-    rhos = []
-    for k in range(trials):
-        d = 1 + k % 3
-        p_a, p_b = random_updown_pair(rng, d)
-        rhos.append(entanglement.number_distribution(p_a, p_b).state.matrix)
-    return _validity_deviations(rhos)
+    return _validity_deviations(
+        [
+            entanglement.number_distribution(p_a, p_b).state.matrix
+            for p_a, p_b in _pair_trials(rng, trials)
+        ]
+    )
 
 
 def _suite_wootters_vs_closed_form(rng, trials):
     # the eigen route's raw concurrence against the closed form, and, divided
     # by the (1,1) weight, against the X-state read that `sweep` and
     # `concurrence` print
-    nds, closed = [], []
+    draws, overlaps = [], []
     for _ in range(trials):
-        alphas = SpatialAmplitudes(*_unit_complex(rng, 2))
-        betas = SpatialAmplitudes(*_unit_complex(rng, 2))
-        ov = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        draws += (rng.normal(size=4), rng.normal(size=4))
+        overlaps.append(rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+    modes = [SpatialAmplitudes(*unit) for unit in _units(draws)]
+    nds, closed = [], []
+    for alphas, betas, ov in zip(modes[0::2], modes[1::2], overlaps):
         (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
         nds += row
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
@@ -209,7 +349,7 @@ def _suite_wootters_vs_closed_form(rng, trials):
 
 
 def _suite_balanced_manifold(rng, trials):
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    inv_sqrt2 = 1.0 / SQRT2
     rhos, expected = [], []
     for _ in range(trials):
         phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=4))
@@ -317,13 +457,13 @@ def _suite_exponent_relation(rng, trials):
 
 
 _CHECK_SUITES = (
-    ("transition_vs_labeled_oracle", _suite_transition_vs_labeled, ATOL_EXACT),
-    ("symmetrized_norm_bunching", _suite_symmetrized_norm, ATOL_EXACT),
-    ("single_bra_projection", _suite_single_projection, ATOL_EXACT),
-    ("detector_expansion_completeness", _suite_expansion_completeness, ATOL_EXACT),
-    ("postselected_density_vs_oracle", _suite_density_vs_oracle, ATOL_EXACT),
-    ("postselect_idempotent", _suite_postselect_idempotent, 0.5),
-    ("density_matrix_validity", _suite_density_validity, ATOL_EXACT),
+    ("transition_vs_labeled_oracle", _in_blocks(_suite_transition_vs_labeled), ATOL_EXACT),
+    ("symmetrized_norm_bunching", _in_blocks(_suite_symmetrized_norm), ATOL_EXACT),
+    ("single_bra_projection", _in_blocks(_suite_single_projection), ATOL_EXACT),
+    ("detector_expansion_completeness", _in_blocks(_suite_expansion_completeness), ATOL_EXACT),
+    ("postselected_density_vs_oracle", _in_blocks(_suite_density_vs_oracle), ATOL_EXACT),
+    ("postselect_idempotent", _in_blocks(_suite_postselect_idempotent), 0.5),
+    ("density_matrix_validity", _in_blocks(_suite_density_validity), ATOL_EXACT),
     ("closed_form_vs_wootters_raw", _suite_wootters_vs_closed_form, ATOL_PIPELINE),
     ("balanced_manifold_concurrence", _suite_balanced_manifold, ATOL_PIPELINE),
     ("optical_law_splice", _suite_optical_splice, ATOL_EXACT),

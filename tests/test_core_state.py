@@ -16,10 +16,13 @@ from twoboson.core_state import (
     SpinDensityMatrix,
     ValidationError,
     inner_single,
+    overlap_magnitude,
     spin_overlap,
 )
+from twoboson.entanglement import concurrence_closed_form
 from twoboson.fq_oracle import single_particle_vector
 from twoboson.nolabel_algebra import DETECTOR_L, DETECTOR_R, expand_in_detector_basis
+from twoboson.optics import dist_vectors_for_overlap
 from twoboson.verification import random_state, random_updown_pair
 
 RT2 = math.sqrt(0.5)
@@ -233,3 +236,25 @@ def test_dist_vector_amplitudes_are_a_tuple_of_complexes_copied_on_construction(
         assert all(type(a) is complex for a in t.amplitudes)
         assert t.dim == 3
     assert DistVector((1, 1j, 0.5)) == d and hash(DistVector((1, 1j, 0.5))) == hash(d)
+
+
+def test_both_overlap_callers_refuse_an_overlap_past_one_by_one_rule():
+    amps = SpatialAmplitudes(RT2, RT2)
+    callers = (
+        overlap_magnitude,
+        lambda ov: concurrence_closed_form(amps, amps, ov),
+        dist_vectors_for_overlap,
+    )
+    for call in callers:
+        for overlap in (1.0 + 2e-12, -1.0 - 2e-12, complex(0.0, 1.0 + 2e-12)):
+            with pytest.raises(ValueError, match=r"^\|overlap\| = 1 exceeds 1$"):
+                call(overlap)
+        with pytest.raises(ValueError, match=r"^\|overlap\| = 1\.5 exceeds 1$"):
+            call(1.5)
+        call(1.0 + 5e-13)  # within ATOL_EXACT of 1
+        call(complex(0.0, -1.0 - 5e-13))
+    assert overlap_magnitude(1.0 + 5e-13) == 1.0 + 5e-13
+    assert overlap_magnitude(-0.25 + 0j) == 0.25
+    phi_a, phi_b = dist_vectors_for_overlap(1.0 + 5e-13)
+    assert phi_b.amplitudes == (1.0 + 5e-13 + 0j, 0j)
+    assert concurrence_closed_form(amps, amps, 1.0 + 5e-13) == pytest.approx((1.0 + 5e-13) ** 2)

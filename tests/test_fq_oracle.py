@@ -18,11 +18,16 @@ from twoboson.core_state import inner_single
 from twoboson.fq_oracle import (
     LabeledState,
     labeled_inner,
+    labeled_inner_stack,
+    mode_pattern_weight_stack,
     mode_pattern_weights,
     oracle_postselected_density,
+    postselected_density_stack,
     single_particle_vector,
     symmetrize,
+    symmetrize_stack,
     to_labeled,
+    to_labeled_stack,
 )
 from twoboson.nolabel_algebra import (
     SymmetricTwoBosonState,
@@ -30,7 +35,7 @@ from twoboson.nolabel_algebra import (
     postselect_one_per_detector,
 )
 from twoboson.optics import dist_vectors_for_overlap, spatial_amplitudes_from_theta
-from twoboson.verification import random_state, random_updown_pair
+from twoboson.verification import random_state, random_updown_pair, random_updown_pairs
 
 RT2 = math.sqrt(0.5)
 
@@ -311,3 +316,97 @@ def test_to_labeled_refuses_a_term_across_two_bases():
     with pytest.raises(BasisMismatchError):
         to_labeled(SymmetricTwoBosonState(((1.0 + 0j, (p, q)),)))
 
+
+# --- stacks: each tensor of a stack has the bits it has alone ----------------------
+
+
+def _one_at_a_time_vector(s):
+    # a state's dense vector built alone, block by block
+    dist = np.array(s.dist.amplitudes, dtype=complex)
+    d = len(dist)
+    v = np.zeros(4 * d, dtype=complex)
+    start = s.spin.value * d
+    v[start : start + d] = s.spatial.a_l * dist
+    v[start + 2 * d : start + 3 * d] = s.spatial.a_r * dist
+    return v
+
+
+def _one_at_a_time_symmetrized(p1, p2):
+    v1, v2 = _one_at_a_time_vector(p1), _one_at_a_time_vector(p2)
+    return (v1[:, None] * v2 + v2[:, None] * v1) / np.sqrt(2.0)
+
+
+def _one_at_a_time_density(amps):
+    d = len(amps) // 4
+    a = amps.reshape(2, 2, d, 2, 2, d)
+    w = np.zeros((2, 2, d, d), dtype=complex)
+    w += a[0, :, :, 1].transpose(0, 2, 1, 3)
+    w += a[1, :, :, 0].transpose(2, 0, 3, 1)
+    coeffs = w.reshape(4, d * d) / np.sqrt(2.0)
+    return coeffs @ coeffs.conj().T
+
+
+def _one_at_a_time_weights(amps):
+    d = len(amps) // 4
+    sums = (np.abs(amps.reshape(2, 2 * d, 2, 2 * d)) ** 2).sum(axis=(1, 3))
+    return {
+        (2, 0): float(sums[0, 0]),
+        (1, 1): float(sums[0, 1] + sums[1, 0]),
+        (0, 2): float(sums[1, 1]),
+    }
+
+
+def _weight_bits(weights):
+    return {key: value.hex() for key, value in weights.items()}
+
+
+def _stack_pairs(rng, d, k):
+    pairs = []
+    for _ in range(k):
+        p, q = random_state(rng, d), random_state(rng, d)
+        pairs += [(p, q), (p, p)]
+    return pairs[:k] + random_updown_pairs(rng, [d] * k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 50])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_each_stacked_oracle_routine_gives_each_tensor_the_bits_it_has_alone(d, k):
+    rng = np.random.default_rng([30, d, k])
+    pairs = _stack_pairs(rng, d, k)
+    stack = symmetrize_stack(pairs)
+    densities = postselected_density_stack(stack)
+    weights = mode_pattern_weight_stack(stack)
+    inners = labeled_inner_stack(stack, stack[::-1])
+    assert stack.shape == (len(pairs), 4 * d, 4 * d) and densities.shape == (len(pairs), 4, 4)
+    for i, (p1, p2) in enumerate(pairs):
+        for s in (p1, p2):
+            assert single_particle_vector(s).tobytes() == _one_at_a_time_vector(s).tobytes()
+        alone = symmetrize(p1, p2)
+        assert stack[i].tobytes() == alone.amps.tobytes()
+        assert alone.amps.tobytes() == _one_at_a_time_symmetrized(p1, p2).tobytes()
+        density = oracle_postselected_density(alone).matrix
+        assert densities[i].tobytes() == density.tobytes()
+        assert density.tobytes() == _one_at_a_time_density(alone.amps).tobytes()
+        assert _weight_bits(weights[i]) == _weight_bits(mode_pattern_weights(alone))
+        assert _weight_bits(weights[i]) == _weight_bits(_one_at_a_time_weights(alone.amps))
+        other = symmetrize(*pairs[len(pairs) - 1 - i])
+        assert inners[i] == labeled_inner(alone, other) == complex(np.vdot(alone.amps, other.amps))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_the_stacked_embedding_gives_each_state_the_bits_it_has_alone(d):
+    states = [s for s in _expansions() if s.terms[0][1][0].dist.dim == d]
+    stack = to_labeled_stack(states)
+    for x, state in zip(stack, states):
+        assert x.tobytes() == to_labeled(state).amps.tobytes() == _per_term_sum(state).tobytes()
+
+
+def test_a_stack_refuses_states_of_two_dimensions():
+    p = _state(1.0, 0.0, Spin.UP, (1.0,))
+    q = _state(0.0, 1.0, Spin.DOWN, (1.0, 0.0))
+    message = r"^incompatible distinguishability bases: dimension 1 vs 2$"
+    with pytest.raises(BasisMismatchError, match=message):
+        symmetrize_stack([(p, p), (q, q)])
+    states = [SymmetricTwoBosonState(((1.0 + 0j, (x, x)),)) for x in (p, q)]
+    with pytest.raises(BasisMismatchError, match=message):
+        to_labeled_stack(states)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twoboson import entanglement, nolabel_algebra, verification
+from twoboson import entanglement, fq_oracle, nolabel_algebra, optics, verification
 from twoboson.cli import EXIT_VERIFICATION, main
 from twoboson.core_state import (
     ATOL_EXACT,
@@ -14,8 +14,15 @@ from twoboson.core_state import (
     SpatialAmplitudes,
     Spin,
     ValidationError,
+    inner_single,
 )
-from twoboson.verification import random_state, random_updown_pair, run_suites
+from twoboson.verification import (
+    random_state,
+    random_states,
+    random_updown_pair,
+    random_updown_pairs,
+    run_suites,
+)
 
 
 def test_all_checks_pass_on_random_draws():
@@ -136,12 +143,12 @@ def _self_inner(state):
 
 
 def _reference_unit_complex(rng, n):
-    # the draw as numpy arrays, which `_unit_complex` reproduces with Python
-    # complexes
+    # the draw as numpy arrays, one vector at a time, which the stacked
+    # draws reproduce with Python complexes
     re, im = rng.normal(size=(2, n))  # the same draws as two size-n calls
-    v = re + 1j * im
-    # the 2-norm as np.linalg.norm computes it for a complex vector
-    return v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    # the 2-norm as np.linalg.norm sums it for a complex vector, by one BLAS
+    # dot per half, here over the contiguous halves
+    return (re + 1j * im) / math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _reference_random_state(rng, d, spin=None):
@@ -153,20 +160,44 @@ def _reference_random_state(rng, d, spin=None):
     )
 
 
+def _reference_pair(rng, d):
+    return _reference_random_state(rng, d, Spin.UP), _reference_random_state(rng, d, Spin.DOWN)
+
+
 def _bits(values):
     return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_unit_complex_draws_the_bits_of_the_array_route(d):
+def _state_bits(state):
+    return (
+        state.spin,
+        _bits((state.spatial.a_l, state.spatial.a_r)),
+        _bits(state.dist.amplitudes),
+    )
+
+
+@pytest.mark.parametrize("lengths", [[1], [2], [3], [4], [2, 1, 2, 3, 2, 4, 2, 2]])
+def test_unit_vectors_normalized_in_stacks_have_the_bits_of_the_array_route(lengths):
     # whether the norm's BLAS dot fuses multiply-adds depends on the platform,
     # so the pin is checked on each platform the tests run on
-    rng, twin = np.random.default_rng([11, d]), np.random.default_rng([11, d])
-    for _ in range(10_000):
-        assert _bits(verification._unit_complex(rng, d)) == _bits(
-            _reference_unit_complex(twin, d)
-        )
+    rng, twin = np.random.default_rng([11, *lengths]), np.random.default_rng([11, *lengths])
+    sizes = [lengths[k % len(lengths)] for k in range(10_000)]
+    units = verification._units([rng.normal(size=2 * n) for n in sizes])
+    for n, unit in zip(sizes, units):
+        reference = _reference_unit_complex(twin, n)
+        assert _bits(unit) == _bits(reference)
     assert rng.normal() == twin.normal()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_unit_vector_of_up_to_three_amplitudes_is_v_over_its_numpy_norm(n):
+    # np.linalg.norm sums the strided real and imaginary parts, which
+    # OpenBLAS adds in the order of a contiguous half only below 4 entries;
+    # the suites draw dimensions 1 to 3
+    rng, twin = np.random.default_rng([18, n]), np.random.default_rng([18, n])
+    for _ in range(10_000):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert _bits(v / np.linalg.norm(v)) == _bits(_reference_unit_complex(twin, n))
 
 
 @pytest.mark.parametrize("spin", [None, Spin.UP, Spin.DOWN])
@@ -175,17 +206,49 @@ def test_random_state_draws_the_state_of_the_array_route(d, spin):
     rng, twin = np.random.default_rng([12, d]), np.random.default_rng([12, d])
     for _ in range(1_000):
         state, reference = random_state(rng, d, spin), _reference_random_state(twin, d, spin)
-        assert state.spin is reference.spin
-        assert _bits((state.spatial.a_l, state.spatial.a_r)) == _bits(
-            (reference.spatial.a_l, reference.spatial.a_r)
-        )
-        assert _bits(state.dist.amplitudes) == _bits(reference.dist.amplitudes)
+        assert _state_bits(state) == _state_bits(reference)
+    assert rng.normal() == twin.normal()
+
+
+@pytest.mark.parametrize("dims", [[1], [2, 2], [1, 2, 3] * 40, [4, 1, 3, 3, 2, 4] * 20])
+def test_random_states_draw_the_states_of_one_call_per_state(dims):
+    rng, twin = np.random.default_rng([15, *dims]), np.random.default_rng([15, *dims])
+    states = random_states(rng, dims)
+    assert [_state_bits(s) for s in states] == [
+        _state_bits(_reference_random_state(twin, d)) for d in dims
+    ]
+    assert rng.normal() == twin.normal()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_random_updown_pair_is_one_pair_of_the_stacked_draw(d):
+    rng, twin = np.random.default_rng([16, d]), np.random.default_rng([16, d])
+    for _ in range(300):
+        pair, reference = random_updown_pair(rng, d), _reference_pair(twin, d)
+        assert [_state_bits(s) for s in pair] == [_state_bits(s) for s in reference]
+    assert rng.normal() == twin.normal()
+
+
+@pytest.mark.parametrize("dims", [[1], [3, 1], [1, 2, 3] * 34, [4, 4, 2, 1, 3, 2] * 10])
+def test_random_updown_pairs_draw_the_pairs_of_one_call_per_pair(dims):
+    rng, twin = np.random.default_rng([17, *dims]), np.random.default_rng([17, *dims])
+    pairs = random_updown_pairs(rng, dims)
+    assert [[_state_bits(s) for s in pair] for pair in pairs] == [
+        [_state_bits(s) for s in _reference_pair(twin, d)] for d in dims
+    ]
     assert rng.normal() == twin.normal()
 
 
 def test_a_random_state_of_dimension_0_is_refused_by_its_dist_vector():
-    with pytest.raises(ValidationError, match=r"^distinguishability vector needs dimension >= 1$"):
-        random_state(np.random.default_rng(0), 0)
+    message = r"^distinguishability vector needs dimension >= 1$"
+    for draw in (
+        lambda rng: random_state(rng, 0),
+        lambda rng: random_state(rng, 0, Spin.UP),
+        lambda rng: random_states(rng, [2, 0]),
+        lambda rng: random_updown_pairs(rng, [1, 0]),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            draw(np.random.default_rng(0))
 
 
 def test_random_pair_has_opposite_spins():
@@ -195,26 +258,146 @@ def test_random_pair_has_opposite_spins():
     assert b.spin is Spin.DOWN
 
 
-def _reference_density_validity(rng, trials):
-    # the per-trial form the stacked suite reproduces
+# --- the per-trial routes the stacked suites reproduce, bit for bit ---------------
+# each draws its states one at a time through the array route and calls the
+# oracle one state at a time
+
+
+def _reference_transition_vs_labeled(rng, trials):
     for k in range(trials):
         d = 1 + k % 3
-        p_a, p_b = random_updown_pair(rng, d)
+        a, b, c, e = (_reference_random_state(rng, d) for _ in range(4))
+        algebraic = nolabel_algebra.transition_two((c, e), (a, b))
+        brute = fq_oracle.labeled_inner(fq_oracle.symmetrize(c, e), fq_oracle.symmetrize(a, b))
+        yield abs(algebraic - brute)
+
+
+def _reference_symmetrized_norm(rng, trials):
+    for k in range(trials):
+        d = 1 + k % 3
+        p1, p2 = _reference_random_state(rng, d), _reference_random_state(rng, d)
+        expected = 1.0 + abs(inner_single(p1, p2)) ** 2
+        sym = fq_oracle.symmetrize(p1, p2)
+        yield abs(fq_oracle.labeled_inner(sym, sym).real - expected)
+        yield abs(nolabel_algebra.transition_two((p1, p2), (p1, p2)) - expected)
+
+
+def _reference_single_projection(rng, trials):
+    for k in range(trials):
+        d = 1 + k % 3
+        a, b, c, e = (_reference_random_state(rng, d) for _ in range(4))
+        residual = nolabel_algebra.project_single(c, (a, b))
+        contracted = nolabel_algebra.contract_residual(e, residual) * np.sqrt(2.0)
+        yield abs(contracted - nolabel_algebra.transition_two((c, e), (a, b)))
+
+
+def _reference_expansion_completeness(rng, trials):
+    for k in range(trials):
+        p_a, p_b = _reference_pair(rng, 1 + k % 3)
+        expansion = nolabel_algebra.expand_in_detector_basis(p_a, p_b)
+        yield abs(sum(abs(c) ** 2 for c, _ in expansion.terms) - 1.0)
+        diff = fq_oracle.to_labeled(expansion).amps - fq_oracle.symmetrize(p_a, p_b).amps
+        yield float(np.max(np.abs(diff)))
+
+
+def _reference_density_vs_oracle(rng, trials):
+    for k in range(trials):
+        p_a, p_b = _reference_pair(rng, 1 + k % 3)
+        nd = entanglement.number_distribution(p_a, p_b)
+        rho = nd.state
+        composed = entanglement.trace_out_distinguishability(
+            nolabel_algebra.postselect_one_per_detector(
+                nolabel_algebra.expand_in_detector_basis(p_a, p_b)
+            )
+        )
+        yield float(np.max(np.abs(rho.matrix - composed.matrix)))
+        labeled = fq_oracle.symmetrize(p_a, p_b)
+        oracle = fq_oracle.oracle_postselected_density(labeled)
+        yield float(np.max(np.abs(rho.matrix - oracle.matrix)))
+        yield abs(rho.weight - oracle.weight)
+        weights = fq_oracle.mode_pattern_weights(labeled)
+        total = sum(weights.values())
+        for key, probability in nd.probabilities.items():
+            yield abs(probability - weights[key] / total)
+
+
+def _reference_postselect_idempotent(rng, trials):
+    for k in range(trials):
+        p_a, p_b = _reference_pair(rng, 1 + k % 3)
+        once = nolabel_algebra.postselect_one_per_detector(
+            nolabel_algebra.expand_in_detector_basis(p_a, p_b)
+        )
+        yield float(nolabel_algebra.postselect_one_per_detector(once) != once)
+
+
+def _reference_density_validity(rng, trials):
+    for k in range(trials):
+        p_a, p_b = _reference_pair(rng, 1 + k % 3)
         m = entanglement.number_distribution(p_a, p_b).state.matrix
         yield float(np.max(np.abs(m - m.conj().T)))
         yield 0.0 - float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+
+
+def _reference_wootters_vs_closed_form(rng, trials):
+    nds, closed = [], []
+    for _ in range(trials):
+        alphas = SpatialAmplitudes(*_reference_unit_complex(rng, 2))
+        betas = SpatialAmplitudes(*_reference_unit_complex(rng, 2))
+        ov = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
+        nds += row
+        closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
+    raw = entanglement.wootters_concurrence([nd.state for nd in nds])
+    yield from np.abs(np.array(closed) - 2.0 * raw).tolist()
+    for nd, w in zip(nds, raw.tolist()):
+        yield abs(nd.concurrence - w / nd.state.weight)
+
+
+def _reference_balanced_manifold(rng, trials):
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    rhos, expected = [], []
+    for _ in range(trials):
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=4))
+        alphas = SpatialAmplitudes(inv_sqrt2 * phases[0], inv_sqrt2 * phases[1])
+        betas = SpatialAmplitudes(inv_sqrt2 * phases[2], inv_sqrt2 * phases[3])
+        ov = rng.uniform(0.0, 1.0)
+        (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
+        rhos.append(row[0].state)
+        expected.append(ov**2)
+    normalized = entanglement.wootters_concurrence(rhos, normalize=True)
+    return np.abs(normalized - np.array(expected))
+
+
+_PER_TRIAL_ROUTES = {
+    "transition_vs_labeled_oracle": _reference_transition_vs_labeled,
+    "symmetrized_norm_bunching": _reference_symmetrized_norm,
+    "single_bra_projection": _reference_single_projection,
+    "detector_expansion_completeness": _reference_expansion_completeness,
+    "postselected_density_vs_oracle": _reference_density_vs_oracle,
+    "postselect_idempotent": _reference_postselect_idempotent,
+    "density_matrix_validity": _reference_density_validity,
+    "closed_form_vs_wootters_raw": _reference_wootters_vs_closed_form,
+    "balanced_manifold_concurrence": _reference_balanced_manifold,
+}
 
 
 def _hex(values):
     return [float(x).hex() for x in values]
 
 
-@pytest.mark.parametrize("trials", [1, 2, 100])
-def test_the_stacked_validity_suite_yields_the_bits_of_each_trial_alone(trials):
-    rng, twin = np.random.default_rng([13, trials]), np.random.default_rng([13, trials])
-    stacked = verification._suite_density_validity(rng, trials)
-    assert _hex(stacked) == _hex(_reference_density_validity(twin, trials))
-    assert rng.normal() == twin.normal()
+@pytest.mark.parametrize("block", [None, 6])
+@pytest.mark.parametrize("trials", [1, 2, 3, 7, 100])
+@pytest.mark.parametrize("name", sorted(_PER_TRIAL_ROUTES))
+def test_each_stacked_suite_yields_the_bits_of_each_trial_alone(name, trials, block, monkeypatch):
+    if block is not None:  # blocks of 6 trials, so 7 and 100 trials span several
+        monkeypatch.setattr(verification, "_BLOCK", block)
+    (suite,) = (fn for suite_name, fn, _ in verification._CHECK_SUITES if suite_name == name)
+    for seed in (0, 13, 29):
+        rng, twin = np.random.default_rng([seed, trials]), np.random.default_rng([seed, trials])
+        stacked = np.fromiter(suite(rng, trials), float)
+        reference = list(_PER_TRIAL_ROUTES[name](twin, trials))
+        assert _hex(stacked) == _hex(reference)
+        assert rng.normal() == twin.normal()
 
 
 def test_a_zero_lowest_eigenvalue_reads_a_deviation_of_plus_zero():
