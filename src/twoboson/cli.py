@@ -27,11 +27,12 @@ command settles its failure and its report line before its first byte.
 The front end loads no physics module and not numpy: importing this
 module, building the parser, `--help`, `--version` and every argparse
 refusal load only `cli` and `wavepacket`, which holds the parser's defaults
-and the `--delta` conversion.  A `start:stop:count` grid, a default or one
-given on the command line, is spaced in Python floats with the bits of
-`numpy.linspace`.  `main` loads `optics`, and with it numpy, `core_state`
-and `entanglement`, once the arguments parse; a command imports the modules
-it calls where it calls them, and reads every name through its module.
+and the width rule of `--sigma-um` and `--delta`.  A `start:stop:count`
+grid, a default or one given on the command line, is spaced in Python
+floats with the bits of `numpy.linspace`.  `main` loads `optics`, and with
+it numpy, `core_state` and `entanglement`, once the arguments parse; a
+command imports the modules it calls where it calls them, and reads every
+name through its module.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ import json
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, delta_to_sigma
+from .wavepacket import DEFAULT_SIGMA_UM, OVERLAP_CONVENTIONS, check_sigma, delta_to_sigma
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,15 +109,19 @@ def _unit_float(text: str) -> float:
     return value
 
 
+def _sigma(text: str, to_sigma: Callable[[float], float] = check_sigma) -> float:
+    """The width sigma = `to_sigma(x)` of a positive number x; `to_sigma`
+    ends in `wavepacket.check_sigma`, whose refusal names the value."""
+    value = _positive_float(text)
+    try:
+        return to_sigma(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+
+
 def _delta(text: str) -> float:
     """A spectral width delta, parsed straight to its sigma = 1/(2 delta)."""
-    sigma = delta_to_sigma(_positive_float(text))
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"expected a spectral width whose sigma = 1/(2 delta) is a finite "
-            f"positive number, got {text!r}"
-        )
-    return sigma
+    return _sigma(text, delta_to_sigma)
 
 
 def _seed(text: str) -> int:
@@ -481,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument(
             "--sigma-um",
-            type=_positive_float,
+            type=_sigma,
             default=DEFAULT_SIGMA_UM,
             help="Gaussian width of the concurrence-vs-delay curve (um)",
         )

@@ -10,8 +10,11 @@ three parts,
     <x|y> = <spatial_x|spatial_y> * <spin_x|spin_y> * <dist_x|dist_y>,
 
 and everything downstream is built from these pairwise overlaps.  All types
-here are immutable and refuse a nan or infinite amplitude; operations never
-mutate their inputs.  Each stores what defines it once: `SpatialAmplitudes`
+here are immutable, and operations never mutate their inputs.  The
+amplitude types refuse a nan or infinite amplitude; `SpinDensityMatrix`
+takes non-finite entries, such as an overflowed pair leaves, and its
+readers, `entanglement.wootters_concurrence` and
+`entanglement.NumberDistribution.concurrence`, refuse them.  Each stores what defines it once: `SpatialAmplitudes`
 its two amplitudes, `DistVector` its amplitude tuple and `SpinDensityMatrix`
 its read-only matrix, with the `weight` that every point reads.  The
 detector amplitudes `DETECTOR_L` and `DETECTOR_R` and the (up, down) pair

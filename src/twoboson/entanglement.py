@@ -293,14 +293,16 @@ def entanglement_of_particles(nds, concurrence) -> np.ndarray:
     `NumberDistribution.concurrence` or `wootters_concurrence` of the
     distributions' states with `normalize` gives it, weighted by its
     probability.  A distribution with P(1,1) = 0 reads 0 whatever its
-    concurrence.  Every distribution's probabilities are checked.
+    concurrence.  Every distribution's probabilities are checked, and a nan
+    fails the check.
     """
     for n in nds:
         probabilities = n.probabilities.values()
         total = sum(probabilities)
-        if abs(total - 1.0) > ATOL_PIPELINE:
+        # written so that a nan fails each check
+        if not abs(total - 1.0) <= ATOL_PIPELINE:
             raise ValueError(f"sector probabilities sum to {total:.12g}, not 1")
-        if any(p < -ATOL_EXACT for p in probabilities):
+        if not all(p >= -ATOL_EXACT for p in probabilities):
             raise ValueError("sector probabilities must be nonnegative")
     p11 = np.array([n.probabilities[(1, 1)] for n in nds])
     return np.where(p11 > 0.0, p11 * np.asarray(concurrence), 0.0)

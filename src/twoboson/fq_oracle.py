@@ -28,13 +28,12 @@ The dense routines work on a leading stack axis, one stack per dimension
 d: `symmetrize_stack` and `to_labeled_stack` build k tensors as one
 (k, 4d, 4d) array, and `labeled_inner_stack`, `postselected_density_stack`
 and `mode_pattern_weight_stack` read k tensors at once.
-`single_particle_vector`, `symmetrize`, `to_labeled`, `labeled_inner`,
-`oracle_postselected_density` and `mode_pattern_weights` are their k = 1
-cases, and a tensor of a stack has the bits it has alone: broadcasting
-runs the same element loop over each vector and tensor, the (1,1) density
-is one matmul per matrix of the stack, which BLAS computes for each matrix
-alone, and the weights reduce each tensor's cells in the order a stack of
-one does.
+`symmetrize`, `to_labeled`, `labeled_inner`, `oracle_postselected_density`
+and `mode_pattern_weights` are their k = 1 cases, and a tensor of a stack
+has the bits it has alone: broadcasting runs the same element loop over
+each vector and tensor, the (1,1) density is one matmul per matrix of the
+stack, which BLAS computes for each matrix alone, and the weights reduce
+each tensor's cells in the order a stack of one does.
 """
 
 from __future__ import annotations
@@ -55,8 +54,9 @@ from .nolabel_algebra import Pair, SymmetricTwoBosonState
 
 
 def _particle_vectors(states: Sequence[SingleParticleState]) -> np.ndarray:
-    """The (k, 4d) dense vectors of k states of one dimension d; a state of
-    another dimension is refused."""
+    """The (k, 4d) dense vectors of k states of one dimension d, index layout
+    (mode, spin, dist) row-major: `a_l * dist` and `a_r * dist` in the spin's
+    two blocks, 0 elsewhere; a state of another dimension is refused."""
     first = states[0].dist
     rows, parts = [], []  # each state's (mode L, spin) and (mode R, spin) rows
     for i, s in enumerate(states):
@@ -68,12 +68,6 @@ def _particle_vectors(states: Sequence[SingleParticleState]) -> np.ndarray:
     # a_l * dist and a_r * dist, one product per entry
     v[rows] = (parts[:, :2, None] * parts[:, None, 2:]).reshape(len(rows), first.dim)
     return v.reshape(len(states), 4 * first.dim)
-
-
-def single_particle_vector(s: SingleParticleState) -> np.ndarray:
-    """Dense single-slot vector, index layout (mode, spin, dist) row-major:
-    `a_l * dist` and `a_r * dist` in the spin's two blocks, 0 elsewhere."""
-    return _particle_vectors([s])[0]
 
 
 @dataclass(frozen=True, eq=False)

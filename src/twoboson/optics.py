@@ -17,12 +17,13 @@ wavepackets of width sigma (spectral width delta = 1/(2 sigma)).
 
 'paper' and 'quadrature' disagree by a factor of 4 in the exponent; all are
 exposed, nothing is silently reconciled.  The optical concurrence law
-C(theta, l) = sin^2(4 theta) exp(-l^2 / (2 sigma^2)) is implemented verbatim;
-the closed-form concurrence fed the 'fitted' overlap reproduces it exactly.
+C(theta, l) = sin^2(4 theta) exp(-l^2 / (2 sigma^2)) is sin^2(4 theta) times
+the 'paper' overlap; the closed-form concurrence fed the 'fitted' overlap
+reproduces it exactly.
 `DEFAULT_SIGMA_UM`, `OVERLAP_CONVENTIONS`, `sigma_to_delta` and
 `delta_to_sigma` are the `wavepacket` objects, which the command-line parser
 reads without loading numpy; each convention's exponent scale and the width
-check are `wavepacket`'s too.
+rule, `check_sigma`, are `wavepacket`'s too.
 
 The experiment is defined here once, and the commands and the `verification`
 suites call the same functions: `prepared_distributions` gives the (up,
@@ -134,10 +135,9 @@ def spatial_overlap_factor(theta_deg: float) -> float:
 
 
 def concurrence_optical(theta_deg: float, l_um: float, sigma_um: float) -> float:
-    """C = sin^2(4 theta) exp(-l^2 / (2 sigma^2))."""
-    check_sigma(sigma_um)
-    t = math.radians(theta_deg)
-    return math.sin(4.0 * t) ** 2 * math.exp(-(l_um**2) / (2.0 * sigma_um**2))
+    """C = sin^2(4 theta) exp(-l^2 / (2 sigma^2)), whose Gaussian is the
+    `paper` overlap."""
+    return math.sin(4.0 * math.radians(theta_deg)) ** 2 * gaussian_overlap(l_um, "paper", sigma_um)
 
 
 #: phi_A of every pair `dist_vectors_for_overlap` builds: the first basis

@@ -14,9 +14,10 @@ would then differ in the last bit, and every part is multiplied by
 `1/norm`, which is how numpy divides a complex by a real.  For n <= 3, the
 dimensions the suites draw, these are the bits of `v / np.linalg.norm(v)`.
 
-A suite makes all its draws first and normalizes them after, as no
-normalization reads the generator.  The draws of one length are normalized
-as one stack, whose norms come from one stacked matmul,
+Every random state comes from one draw, `random_states(rng, dims,
+spins=None)`.  A suite makes all its draws first and normalizes them
+after, as no normalization reads the generator.  The draws of one length
+are normalized as one stack, whose norms come from one stacked matmul,
 `(m, 1, n) @ (m, n, 1)`: matmul's vector-vector path is the BLAS `dot` of
 a vector alone.  A state whose spin is drawn takes three calls, as an
 `integers` draw comes between its two vectors, so
@@ -26,8 +27,7 @@ given draw in one call, however many: `random_updown_pairs` draws the
 (up, down) pairs of a pair suite's block (`detector_expansion_completeness`,
 `postselected_density_vs_oracle`, `postselect_idempotent` and
 `density_matrix_validity`) at once, each state's 4 + 2d draws in the order
-that one call per state reads, and `random_updown_pair` is its one-pair
-case.
+that one call per state reads.
 
 Trial k of a random-state suite has dimension 1 + k % 3.  The oracle reads
 the trials of each dimension as one `fq_oracle` stack, whose tensors have
@@ -108,59 +108,41 @@ def _units(draws: Sequence[np.ndarray]) -> list[tuple[complex, ...]]:
     return units
 
 
-def _states(draws: Sequence[tuple[np.ndarray, Spin, np.ndarray]]) -> list[SingleParticleState]:
-    """The state of each (mode draws, spin, dist draws) triple."""
-    units = _units([x for modes, _, dist in draws for x in (modes, dist)])
+def random_states(
+    rng: np.random.Generator, dims: Sequence[int], spins: Optional[Sequence[Spin]] = None
+) -> list[SingleParticleState]:
+    """A random state of each dimension of `dims`: 4 normal draws for its
+    modes, then 2d for its dist vector.  With `spins` given, state i has spin
+    `spins[i]` and every state's draws come from one `normal` call; without,
+    each state draws its modes, its spin (one `integers(2)` draw) and its dist
+    vector in turn, so the states of one call per dimension and of one call
+    for all read the same stream."""
+    draws = []
+    if spins is None:
+        spins = []
+        for d in dims:
+            draws.append(rng.normal(size=4))
+            spins.append(Spin.UP if rng.integers(2) == 0 else Spin.DOWN)
+            draws.append(rng.normal(size=2 * d))
+    else:
+        x, at = rng.normal(size=sum(4 + 2 * d for d in dims)), 0
+        for d in dims:
+            draws += (x[at : at + 4], x[at + 4 : at + 4 + 2 * d])
+            at += 4 + 2 * d
+    units = _units(draws)
     return [
         SingleParticleState(SpatialAmplitudes(*modes), spin, DistVector(dist))
-        for modes, (_, spin, _), dist in zip(units[0::2], draws, units[1::2])
+        for modes, spin, dist in zip(units[0::2], spins, units[1::2], strict=True)
     ]
-
-
-def _spin_drawn(rng: np.random.Generator, d: int) -> tuple[np.ndarray, Spin, np.ndarray]:
-    # a vector of n amplitudes is one normal(size=2 n) call, the stream of a
-    # (2, n) draw; the spin draw comes between the two vectors
-    modes = rng.normal(size=4)
-    spin = Spin.UP if rng.integers(2) == 0 else Spin.DOWN
-    return modes, spin, rng.normal(size=2 * d)
-
-
-def random_states(rng: np.random.Generator, dims: Sequence[int]) -> list[SingleParticleState]:
-    """A state of each dimension of `dims`, its spin drawn too: the states of
-    one `random_state(rng, d)` call per dimension, in order."""
-    return _states([_spin_drawn(rng, d) for d in dims])
 
 
 def random_updown_pairs(
     rng: np.random.Generator, dims: Sequence[int]
 ) -> list[tuple[SingleParticleState, SingleParticleState]]:
-    """An (up, down) pair of each dimension of `dims`, from one `normal`
-    call: each state's 4 + 2d draws, its modes' then its dist vector's, are
-    the stream of one `random_state(rng, d, spin)` call per state."""
-    x = rng.normal(size=sum(8 + 4 * d for d in dims))
-    draws, at = [], 0
-    for d in dims:
-        for spin in (Spin.UP, Spin.DOWN):
-            draws.append((x[at : at + 4], spin, x[at + 4 : at + 4 + 2 * d]))
-            at += 4 + 2 * d
-    states = _states(draws)
+    """An (up, down) pair of each dimension of `dims`, from one `normal` call."""
+    spins = [Spin.UP, Spin.DOWN] * len(dims)
+    states = random_states(rng, [d for d in dims for _ in range(2)], spins)
     return list(zip(states[0::2], states[1::2]))
-
-
-def random_state(
-    rng: np.random.Generator, d: int, spin: Optional[Spin] = None
-) -> SingleParticleState:
-    if spin is None:
-        return random_states(rng, [d])[0]
-    # no spin draw comes between the two vectors, so one call draws both
-    x = rng.normal(size=4 + 2 * d)
-    return _states([(x[:4], spin, x[4:])])[0]
-
-
-def random_updown_pair(
-    rng: np.random.Generator, d: int
-) -> tuple[SingleParticleState, SingleParticleState]:
-    return random_updown_pairs(rng, [d])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A wavepacket of delay-length width sigma has spectral width
 delta = 1/(2 sigma).  This module holds the default width, the one table
 from overlap convention to exponent scale, whose keys are the convention
-names, and the width check.  It imports nothing, so the `twoboson` front end
-parses its defaults, choices and `--delta` before any physics module loads.
+names, and the width rule, `check_sigma`, which every width passes through:
+`--sigma-um`, `--delta` and each overlap.  It imports nothing, so the
+`twoboson` front end parses its defaults, choices and widths before any
+physics module loads.
 `optics` imports these names back, as the same objects.
 """
 
@@ -19,20 +21,24 @@ OVERLAP_SCALE = {"fitted": 4.0, "paper": 2.0, "quadrature": 8.0}
 #: the convention names, in the table's order
 OVERLAP_CONVENTIONS = tuple(OVERLAP_SCALE)
 
+_INF = float("inf")
 
-def check_sigma(sigma_um: float) -> None:
-    """Refuse a delay-length width that is not positive, nan included."""
-    if not sigma_um > 0.0:
-        raise ValueError("sigma must be positive")
+
+def check_sigma(sigma_um: float) -> float:
+    """`sigma_um`, refused unless it is positive and its square is a positive
+    finite float, about 1.6e-162 to 1.34e154 um: the widths whose square
+    the overlap arithmetic can form.  A nan is refused too."""
+    if not (sigma_um > 0.0 and 0.0 < sigma_um * sigma_um < _INF):
+        raise ValueError("sigma must be positive and its square a positive finite float")
+    return sigma_um
 
 
 def sigma_to_delta(sigma_um: float) -> float:
     """Spectral width from delay-length width, sigma = 1/(2 delta)."""
-    check_sigma(sigma_um)
-    return 1.0 / (2.0 * sigma_um)
+    return 1.0 / (2.0 * check_sigma(sigma_um))
 
 
 def delta_to_sigma(delta: float) -> float:
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    return 1.0 / (2.0 * delta)
+    """Delay-length width from spectral width, refused by `check_sigma`; a
+    zero delta raises ZeroDivisionError."""
+    return check_sigma(1.0 / (2.0 * delta))

@@ -18,7 +18,7 @@ from twoboson.nolabel_algebra import (
     transition_two,
 )
 from twoboson.optics import GAUSSIAN_FWHM_FACTOR
-from twoboson.verification import random_state, random_updown_pair
+from twoboson.verification import random_states, random_updown_pairs
 
 TOL_MAXIMAL = 1e-9          # criterion 1: |C - 1| at the maximal point
 TOL_ORACLE = 1e-12          # criterion 2: algebra vs labeled-tensor oracle
@@ -86,7 +86,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     for draw in range(N_ORACLE_DRAWS):
         d = int(rng.integers(1, 4))
         # unordered transition amplitudes vs labeled tensor inner products
-        states = [random_state(rng, d) for _ in range(4)]
+        states = random_states(rng, [d] * 4)
         got = transition_two((states[0], states[1]), (states[2], states[3]))
         want = fq_oracle.labeled_inner(
             fq_oracle.symmetrize(states[0], states[1]),
@@ -94,7 +94,7 @@ def test_criterion_2_oracle_equivalence(capsys):
         )
         worst_transition = max(worst_transition, abs(got - want))
         # post-selected spin density matrix vs oracle index enumeration
-        p_a, p_b = random_updown_pair(rng, d)
+        p_a, p_b = random_updown_pairs(rng, [d])[0]
         rho = _pipeline_from_states(p_a, p_b)
         oracle = fq_oracle.oracle_postselected_density(
             fq_oracle.symmetrize(p_a, p_b)

@@ -125,16 +125,38 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         (["sweep", "--sigma-um", "nan"], "finite"),
         (["concurrence", "--theta-deg", "22.5", "--delta", "-0.01"], "positive"),
         (["sweep", "--delta", "inf"], "finite"),
-        # sigma = 1/(2 delta) overflows to inf, or underflows to 0
+        # a width whose square is not a positive finite float: sigma = 1/(2 delta)
+        # overflows to inf or underflows to 0, or its square does
         (
             ["sweep", "--delta", "1e-320", "--format", "json"],
-            "argument --delta: expected a spectral width whose sigma = 1/(2 delta) "
-            "is a finite positive number, got '1e-320'",
+            "argument --delta: sigma must be positive and its square a positive finite "
+            "float, got '1e-320'",
         ),
         (
             ["concurrence", "--theta-deg", "22.5", "--delta", "1e308"],
-            "argument --delta: expected a spectral width whose sigma = 1/(2 delta) "
-            "is a finite positive number, got '1e308'",
+            "argument --delta: sigma must be positive and its square a positive finite "
+            "float, got '1e308'",
+        ),
+        (
+            ["concurrence", "--theta-deg", "22.5", "--sigma-um", "1e-200"],
+            "argument --sigma-um: sigma must be positive and its square a positive finite "
+            "float, got '1e-200'",
+        ),
+        (
+            ["concurrence", "--theta-deg", "22.5", "--delta", "1e200"],
+            "argument --delta: sigma must be positive and its square a positive finite "
+            "float, got '1e200'",
+        ),
+        (
+            ["sweep", "--sigma-um", "1e200", "--format", "json", "--out", "t.json"],
+            "argument --sigma-um: sigma must be positive and its square a positive finite "
+            "float, got '1e200'",
+        ),
+        (
+            ["sweep", "--delta", "1e-200", "--theta-grid", "10", "--delay-grid", "0",
+             "--out", "t.csv"],
+            "argument --delta: sigma must be positive and its square a positive finite "
+            "float, got '1e-200'",
         ),
         (["hom", "--fwhm-um", "0"], "positive"),
         (["hom", "--fwhm-um", "nan"], "finite"),
@@ -345,8 +367,6 @@ def test_a_grid_count_past_the_byte_or_index_range_is_a_usage_error(count, reaso
     "argv",
     [
         ["concurrence", "--theta-deg", "22.5", "--delay-um", "1e200"],
-        ["concurrence", "--theta-deg", "22.5", "--sigma-um", "1e-200"],
-        ["concurrence", "--theta-deg", "22.5", "--delta", "1e200"],
         ["sweep", "--theta-grid", "10", "--delay-grid", "0,1e200"],
         ["hom", "--fwhm-um", "1e-200"],
         ["hom", "--center-um", "1e200"],
@@ -364,6 +384,30 @@ def test_finite_input_that_overflows_is_a_numerical_error(argv, tmp_path, capsys
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not table.exists()
+
+
+@pytest.mark.parametrize(
+    "sigma, far",
+    [
+        # the overlaps at a 30 um delay are 1 and 0 to every printed digit
+        ("1e154", "0.413175911167,1,1,0.413175911167,0.260379152342,0.206587955583"),
+        ("1e-160", "0.413175911167,0,0,0,0,0"),
+    ],
+)
+def test_a_width_whose_square_is_a_positive_finite_float_is_accepted(sigma, far, capsys):
+    argv = ["sweep", "--theta-grid", "10", "--delay-grid", "0,30", "--sigma-um", sigma]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1:] == [
+        "10,0,0.413175911167,1,1,0.413175911167,0.260379152342,0.206587955583",
+        f"10,30,{far}",
+    ]
+    assert main(["concurrence", "--theta-deg", "10", "--sigma-um", sigma]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _report_value(captured.out, "sigma_um") == round(float(sigma), 6)
+    assert _report_value(captured.out, "overlap_paper") == 1.0
 
 
 @pytest.mark.parametrize(

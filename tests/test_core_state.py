@@ -20,10 +20,10 @@ from twoboson.core_state import (
     spin_overlap,
 )
 from twoboson.entanglement import concurrence_closed_form
-from twoboson.fq_oracle import single_particle_vector
+from twoboson.fq_oracle import _particle_vectors
 from twoboson.nolabel_algebra import DETECTOR_L, DETECTOR_R, expand_in_detector_basis
 from twoboson.optics import dist_vectors_for_overlap
-from twoboson.verification import random_state, random_updown_pair
+from twoboson.verification import random_states, random_updown_pairs
 
 RT2 = math.sqrt(0.5)
 
@@ -37,7 +37,7 @@ def test_spin_overlaps():
 def test_inner_with_itself_is_one():
     rng = np.random.default_rng(10)
     for d in (1, 2, 3):
-        s = random_state(rng, d)
+        (s,) = random_states(rng, [d])
         assert inner_single(s, s) == pytest.approx(1.0 + 0.0j, abs=ATOL_EXACT)
 
 
@@ -54,16 +54,15 @@ def test_inner_matches_single_slot_tensor_contraction():
     # vector and contract component-wise
     rng = np.random.default_rng(11)
     for _ in range(60):
-        x = random_state(rng, 3)
-        y = random_state(rng, 3)
-        direct = complex(np.vdot(single_particle_vector(x), single_particle_vector(y)))
+        x, y = random_states(rng, [3, 3])
+        direct = complex(np.vdot(*_particle_vectors([x, y])))
         assert inner_single(x, y) == pytest.approx(direct, abs=1e-12)
 
 
 def test_inner_is_conjugate_symmetric():
     rng = np.random.default_rng(12)
     for _ in range(30):
-        x, y = random_state(rng, 2), random_state(rng, 2)
+        x, y = random_states(rng, [2, 2])
         assert inner_single(x, y) == pytest.approx(
             inner_single(y, x).conjugate(), abs=ATOL_EXACT
         )
@@ -72,7 +71,7 @@ def test_inner_is_conjugate_symmetric():
 def test_inner_magnitude_bounded_by_one():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        x, y = random_state(rng, 3), random_state(rng, 3)
+        x, y = random_states(rng, [3, 3])
         assert abs(inner_single(x, y)) <= 1.0 + 1e-12
 
 
@@ -165,9 +164,9 @@ def _fresh_mode(s):
 def _states_with_keys():
     """Random states, and the detector-definite states of their expansions."""
     rng = np.random.default_rng(14)
-    out = [random_state(rng, d) for d in (1, 2, 3) for _ in range(10)]
+    out = random_states(rng, [d for d in (1, 2, 3) for _ in range(10)])
     for _ in range(10):
-        for _, pair in expand_in_detector_basis(*random_updown_pair(rng, 2)).terms:
+        for _, pair in expand_in_detector_basis(*random_updown_pairs(rng, [2])[0]).terms:
             out.extend(pair)
     return out
 
@@ -216,7 +215,7 @@ def _complex_bits(z) -> bytes:
 
 def test_dist_vector_self_overlap_is_its_overlap_with_itself_and_is_rebuilt_by_copies():
     rng = np.random.default_rng(24)
-    vectors = [random_state(rng, d).dist for d in (1, 2, 3) for _ in range(10)]
+    vectors = [s.dist for s in random_states(rng, [d for d in (1, 2, 3) for _ in range(10)])]
     vectors += [DistVector((1.0, 0j)), DistVector((-0.0, complex(0.6, -0.0), 0.8j))]
     for d in vectors:
         assert _complex_bits(d.self_overlap) == _complex_bits(d.overlap(d))

@@ -42,7 +42,7 @@ from twoboson.optics import (
     gaussian_overlap,
     spatial_amplitudes_from_theta,
 )
-from twoboson.verification import random_state, random_updown_pair
+from twoboson.verification import random_states, random_updown_pairs
 
 RT2 = math.sqrt(0.5)
 
@@ -84,7 +84,7 @@ def test_trace_matches_oracle_on_random_draws():
     rng = np.random.default_rng(51)
     for d in (1, 2, 3):
         for _ in range(25):
-            pa, pb = random_updown_pair(rng, d)
+            pa, pb = random_updown_pairs(rng, [d])[0]
             rho = trace_out_distinguishability(
                 postselect_one_per_detector(expand_in_detector_basis(pa, pb))
             )
@@ -95,7 +95,7 @@ def test_trace_matches_oracle_on_random_draws():
 
 def test_trace_rejects_double_occupancy_terms():
     rng = np.random.default_rng(52)
-    pa, pb = random_updown_pair(rng, 2)
+    pa, pb = random_updown_pairs(rng, [2])[0]
     with pytest.raises(NotPostSelectedError, match="post"):
         trace_out_distinguishability(expand_in_detector_basis(pa, pb))
 
@@ -115,7 +115,7 @@ def _dense_reference_pairs():
     each delay's dist vectors shared by every angle, as `sweep` shares
     them."""
     rng = np.random.default_rng(24)
-    pairs = [random_updown_pair(rng, 1 + k % 3) for k in range(60)]
+    pairs = random_updown_pairs(rng, [1 + k % 3 for k in range(60)])
     shared = DistVector((1.0, 0j))
     for a, b in (
         ((1.0, 0.0), (0.0, 1.0)),
@@ -259,8 +259,7 @@ def test_closed_form_balanced_fully_indistinguishable_is_one():
 def test_closed_form_vanishes_with_the_overlap():
     rng = np.random.default_rng(54)
     for _ in range(10):
-        a = random_state(rng, 2).spatial
-        b = random_state(rng, 2).spatial
+        a, b = (s.spatial for s in random_states(rng, [2, 2]))
         assert concurrence_closed_form(a, b, 0.0) == 0.0
 
 
@@ -336,7 +335,7 @@ def _stack_densities():
     rng = np.random.default_rng(57)
     rhos = []
     for k in range(60):
-        expansion = expand_in_detector_basis(*random_updown_pair(rng, 1 + k % 3))
+        expansion = expand_in_detector_basis(*random_updown_pairs(rng, [1 + k % 3])[0])
         rhos.append(trace_out_distinguishability(postselect_one_per_detector(expansion)))
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rhos.append(SpinDensityMatrix(rng.uniform(0.1, 3.0) * a @ a.conj().T))
@@ -402,7 +401,8 @@ def _e_p(nd):
 
 def test_stacked_entanglement_of_particles_is_the_single_call_bit_for_bit():
     rng = np.random.default_rng(58)
-    nds = [number_distribution(*random_updown_pair(rng, 1 + k % 3)) for k in range(40)]
+    pairs = random_updown_pairs(rng, [1 + k % 3 for k in range(40)])
+    nds = [number_distribution(*pair) for pair in pairs]
     bunched = NumberDistribution(
         {(2, 0): 0.5, (1, 1): 0.0, (0, 2): 0.5}, SpinDensityMatrix(np.zeros((4, 4)))
     )
@@ -424,7 +424,8 @@ def test_the_x_state_read_is_the_wootters_concurrence_on_generic_pairs():
     # with complex overlaps: every (1,1) matrix is an X-state with empty
     # corners, whose read equals the eigen route's normalized concurrence
     rng = np.random.default_rng(59)
-    nds = [number_distribution(*random_updown_pair(rng, 1 + k % 3)) for k in range(10_000)]
+    pairs = random_updown_pairs(rng, [1 + k % 3 for k in range(10_000)])
+    nds = [number_distribution(*pair) for pair in pairs]
     for nd in nds:
         cells = nd.state.matrix.ravel()
         assert not cells[_OUTSIDE_MIDDLE_BLOCK].any()
@@ -461,6 +462,22 @@ def test_the_x_state_read_refuses_an_overflowed_cell_as_the_eigen_route_does():
         nd.concurrence
     with pytest.raises(ValidationError, match="non-finite"):
         wootters_concurrence([nd.state], normalize=True)
+
+
+def test_entanglement_of_particles_refuses_nan_probabilities():
+    # the overflowed pair above has nan sector probabilities, which must not
+    # read as an E_P of 0
+    da, db = dist_vectors_for_overlap(0.5)
+    nd = number_distribution(
+        SingleParticleState(SpatialAmplitudes(1e200, 1e200), Spin.UP, da),
+        SingleParticleState(SpatialAmplitudes(1e200, 1e200), Spin.DOWN, db),
+    )
+    assert all(math.isnan(p) for p in nd.probabilities.values())
+    with pytest.raises(ValueError, match="sum to nan, not 1"):
+        entanglement_of_particles([nd], [0.5])
+    nan_sector = {(2, 0): math.nan, (1, 1): 1.0, (0, 2): 0.0}
+    with pytest.raises(ValueError, match="sum to nan"):
+        entanglement_of_particles([NumberDistribution(nan_sector, SpinDensityMatrix(BELL))], [1.0])
 
 
 def test_a_distribution_built_from_a_matrix_alone_has_no_x_state_read():
@@ -547,7 +564,7 @@ def test_occupation_average_is_zero_for_distinguishable_particles():
 def test_probabilities_are_plain_floats():
     # keeps downstream JSON serialization honest
     rng = np.random.default_rng(56)
-    pa, pb = random_updown_pair(rng, 2)
+    pa, pb = random_updown_pairs(rng, [2])[0]
     nd = number_distribution(pa, pb)
     assert all(type(p) is float for p in nd.probabilities.values())
     assert all(type(e) is float for e in _e_p(nd).tolist())

@@ -17,13 +17,13 @@ from twoboson.core_state import (
 from twoboson.core_state import inner_single
 from twoboson.fq_oracle import (
     LabeledState,
+    _particle_vectors,
     labeled_inner,
     labeled_inner_stack,
     mode_pattern_weight_stack,
     mode_pattern_weights,
     oracle_postselected_density,
     postselected_density_stack,
-    single_particle_vector,
     symmetrize,
     symmetrize_stack,
     to_labeled,
@@ -35,7 +35,7 @@ from twoboson.nolabel_algebra import (
     postselect_one_per_detector,
 )
 from twoboson.optics import dist_vectors_for_overlap, spatial_amplitudes_from_theta
-from twoboson.verification import random_state, random_updown_pair, random_updown_pairs
+from twoboson.verification import random_states, random_updown_pairs
 
 RT2 = math.sqrt(0.5)
 
@@ -46,6 +46,11 @@ def _assert_hermitian_psd(rho):
     assert np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) >= -ATOL_EXACT
 
 
+def _vector(s):
+    # a state's dense single-slot vector, as the oracle builds it
+    return _particle_vectors([s])[0]
+
+
 def _state(a_l, a_r, spin, dist_amps):
     return SingleParticleState(
         SpatialAmplitudes(a_l, a_r), spin, DistVector(tuple(dist_amps))
@@ -54,7 +59,7 @@ def _state(a_l, a_r, spin, dist_amps):
 
 def test_identical_inputs_bunch_with_sqrt2():
     s = _state(RT2, RT2, Spin.UP, (1.0,))
-    v = single_particle_vector(s)
+    v = _vector(s)
     got = symmetrize(s, s).amps
     assert np.allclose(got, math.sqrt(2.0) * np.outer(v, v), atol=ATOL_EXACT)
 
@@ -70,7 +75,7 @@ def test_symmetrized_norm_from_pair_overlap():
     rng = np.random.default_rng(21)
     for d in (1, 2, 3):
         for _ in range(20):
-            p1, p2 = random_state(rng, d), random_state(rng, d)
+            p1, p2 = random_states(rng, [d, d])
             expected = 1.0 + abs(inner_single(p1, p2)) ** 2
             s = symmetrize(p1, p2)
             assert labeled_inner(s, s).real == pytest.approx(expected, abs=ATOL_EXACT)
@@ -78,7 +83,7 @@ def test_symmetrized_norm_from_pair_overlap():
 
 def test_swap_invariance_is_exact():
     rng = np.random.default_rng(22)
-    p1, p2 = random_state(rng, 2), random_state(rng, 2)
+    p1, p2 = random_states(rng, [2, 2])
     s12 = symmetrize(p1, p2)
     s21 = symmetrize(p2, p1)
     assert np.array_equal(s12.amps, s21.amps)
@@ -108,7 +113,7 @@ def test_labeled_inner_rejects_dimension_mismatch():
 def test_mode_pattern_weights_split_the_norm():
     rng = np.random.default_rng(23)
     for _ in range(25):
-        p1, p2 = random_state(rng, 2), random_state(rng, 2)
+        p1, p2 = random_states(rng, [2, 2])
         s = symmetrize(p1, p2)
         w = mode_pattern_weights(s)
         assert set(w) == {(2, 0), (1, 1), (0, 2)}
@@ -172,7 +177,7 @@ def test_postselected_density_diagonal_when_fully_distinguishable():
 def test_postselected_density_is_hermitian_psd_for_random_input():
     rng = np.random.default_rng(25)
     for d in (1, 2, 3):
-        p1, p2 = random_state(rng, d), random_state(rng, d)
+        p1, p2 = random_states(rng, [d, d])
         rho = oracle_postselected_density(symmetrize(p1, p2))
         _assert_hermitian_psd(rho)
 
@@ -197,7 +202,7 @@ def test_the_public_constructor_copies_the_callers_array():
 
 def test_built_states_are_read_only():
     rng = np.random.default_rng(27)
-    p_a, p_b = random_updown_pair(rng, 2)
+    p_a, p_b = random_updown_pairs(rng, [2])[0]
     for x in (symmetrize(p_a, p_b), to_labeled(expand_in_detector_basis(p_a, p_b))):
         assert x.dist_dim == 2 and x.amps.shape == (8, 8)
         assert not x.amps.flags.writeable
@@ -251,7 +256,7 @@ def _oracle_pairs():
     rng = np.random.default_rng(26)
     for d in (1, 2, 3, 4):
         for _ in range(10):
-            p1, p2 = random_state(rng, d), random_state(rng, d)
+            p1, p2 = random_states(rng, [d, d])
             yield p1, p2
             yield p1, p1
         ortho = np.eye(d)
@@ -265,7 +270,7 @@ def _oracle_pairs():
 def test_dense_oracle_matches_the_cell_by_cell_definitions():
     for p1, p2 in _oracle_pairs():
         for s in (p1, p2):
-            assert np.array_equal(single_particle_vector(s), _kron_vector(s))
+            assert np.array_equal(_vector(s), _kron_vector(s))
         x = symmetrize(p1, p2)
         rho = oracle_postselected_density(x)
         want = _cell_density(x)
@@ -291,13 +296,13 @@ def _expansions():
     rng = np.random.default_rng(29)
     for d in (1, 2, 3, 4):
         for _ in range(50):
-            p_a, p_b = random_updown_pair(rng, d)
+            p_a, p_b = random_updown_pairs(rng, [d])[0]
             expansion = expand_in_detector_basis(p_a, p_b)
             yield expansion
             yield postselect_one_per_detector(expansion)
             # generic terms, one particle shared by several and one paired
             # with itself
-            p, q, r = (random_state(rng, d) for _ in range(3))
+            p, q, r = random_states(rng, [d] * 3)
             coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
             pairs = ((p, q), (q, r), (p, p), (r, p))
             yield SymmetricTwoBosonState(tuple(zip(coeffs.tolist(), pairs)))
@@ -363,7 +368,7 @@ def _weight_bits(weights):
 def _stack_pairs(rng, d, k):
     pairs = []
     for _ in range(k):
-        p, q = random_state(rng, d), random_state(rng, d)
+        p, q = random_states(rng, [d, d])
         pairs += [(p, q), (p, p)]
     return pairs[:k] + random_updown_pairs(rng, [d] * k)
 
@@ -380,7 +385,7 @@ def test_each_stacked_oracle_routine_gives_each_tensor_the_bits_it_has_alone(d, 
     assert stack.shape == (len(pairs), 4 * d, 4 * d) and densities.shape == (len(pairs), 4, 4)
     for i, (p1, p2) in enumerate(pairs):
         for s in (p1, p2):
-            assert single_particle_vector(s).tobytes() == _one_at_a_time_vector(s).tobytes()
+            assert _vector(s).tobytes() == _one_at_a_time_vector(s).tobytes()
         alone = symmetrize(p1, p2)
         assert stack[i].tobytes() == alone.amps.tobytes()
         assert alone.amps.tobytes() == _one_at_a_time_symmetrized(p1, p2).tobytes()

@@ -30,7 +30,7 @@ from twoboson.nolabel_algebra import (
     transition_two,
 )
 from twoboson.optics import dist_vectors_for_overlap, spatial_amplitudes_from_theta
-from twoboson.verification import random_state, random_updown_pair
+from twoboson.verification import random_states, random_updown_pairs
 
 RT2 = math.sqrt(0.5)
 
@@ -66,14 +66,14 @@ def test_transition_matches_labeled_oracle_on_random_quadruples():
     rng = np.random.default_rng(31)
     for d in (1, 2, 3):
         for _ in range(40):
-            a, b, c, e = (random_state(rng, d) for _ in range(4))
+            a, b, c, e = random_states(rng, [d] * 4)
             direct = labeled_inner(symmetrize(c, e), symmetrize(a, b))
             assert transition_two((c, e), (a, b)) == pytest.approx(direct, abs=1e-12)
 
 
 def test_transition_is_symmetric_within_bra_and_ket():
     rng = np.random.default_rng(32)
-    a, b, c, e = (random_state(rng, 2) for _ in range(4))
+    a, b, c, e = random_states(rng, [2] * 4)
     assert transition_two((c, e), (a, b)) == pytest.approx(
         transition_two((e, c), (a, b)), abs=ATOL_EXACT
     )
@@ -105,7 +105,7 @@ def test_projection_with_orthogonal_bra_is_empty():
 def test_projection_then_contraction_reproduces_the_transition_rule():
     rng = np.random.default_rng(33)
     for _ in range(40):
-        a, b, c, e = (random_state(rng, 3) for _ in range(4))
+        a, b, c, e = random_states(rng, [3] * 4)
         via_residual = contract_residual(e, project_single(c, (a, b)))
         expected = transition_two((c, e), (a, b)) / math.sqrt(2.0)
         assert via_residual == pytest.approx(expected, abs=1e-12)
@@ -116,7 +116,7 @@ def test_projection_then_contraction_reproduces_the_transition_rule():
 
 def test_unordered_pairs_merge_structurally(symmetric_state):
     rng = np.random.default_rng(34)
-    a, b = random_state(rng, 2), random_state(rng, 2)
+    a, b = random_states(rng, [2, 2])
     s = symmetric_state([(0.25 + 0j, (a, b)), (0.5 + 0j, (b, a))])
     assert s.num_terms == 1
     assert s.terms[0][0] == pytest.approx(0.75 + 0j)
@@ -124,7 +124,7 @@ def test_unordered_pairs_merge_structurally(symmetric_state):
 
 def test_exact_zero_terms_are_dropped(symmetric_state):
     rng = np.random.default_rng(35)
-    a, b = random_state(rng, 2), random_state(rng, 2)
+    a, b = random_states(rng, [2, 2])
     s = symmetric_state([(0.5 + 0j, (a, b)), (-0.5 + 0j, (b, a))])
     assert s.num_terms == 0
 
@@ -173,7 +173,7 @@ def test_expansion_equals_symmetrized_tensor():
     rng = np.random.default_rng(36)
     for d in (1, 2, 3):
         for _ in range(20):
-            pa, pb = random_updown_pair(rng, d)
+            pa, pb = random_updown_pairs(rng, [d])[0]
             expansion = expand_in_detector_basis(pa, pb)
             dev = np.max(
                 np.abs(to_labeled(expansion).amps - symmetrize(pa, pb).amps)
@@ -208,7 +208,7 @@ def _updown(alphas, betas, da, db):
 
 def test_expansion_is_the_canonical_state_of_its_raw_terms(symmetric_state, sort_key):
     rng = np.random.default_rng(41)
-    pairs = [random_updown_pair(rng, d) for d in (1, 2, 3, 4) for _ in range(15)]
+    pairs = random_updown_pairs(rng, [d for d in (1, 2, 3, 4) for _ in range(15)])
     da, db = dist_vectors_for_overlap(0.4)
     for theta in (0.0, 45.0, 22.5, -10.0, 100.0):
         pairs.append(_updown(*spatial_amplitudes_from_theta(theta), da, db))
@@ -239,8 +239,8 @@ def test_expansion_is_the_canonical_state_of_its_raw_terms(symmetric_state, sort
 
 def test_expansion_rejects_mixed_dimensions_as_the_merge_does(symmetric_state):
     rng = np.random.default_rng(42)
-    pa, _ = random_updown_pair(rng, 2)
-    _, pb = random_updown_pair(rng, 3)
+    pa, _ = random_updown_pairs(rng, [2])[0]
+    _, pb = random_updown_pairs(rng, [3])[0]
     with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as merged:
         symmetric_state(_raw_terms(pa, pb))
     with pytest.raises(BasisMismatchError, match="dimension 2 vs 3") as direct:
@@ -252,7 +252,7 @@ def test_dist_vector_rides_with_its_spin():
     # the up-spin component must carry the first particle's internal state
     # on both detectors
     rng = np.random.default_rng(37)
-    pa, pb = random_updown_pair(rng, 3)
+    pa, pb = random_updown_pairs(rng, [3])[0]
     for _, (x, y) in expand_in_detector_basis(pa, pb).terms:
         for st in (x, y):
             if st.spin is Spin.UP:
@@ -266,7 +266,7 @@ def test_dist_vector_rides_with_its_spin():
 
 def test_postselection_keeps_the_two_split_terms():
     rng = np.random.default_rng(38)
-    pa, pb = random_updown_pair(rng, 2)
+    pa, pb = random_updown_pairs(rng, [2])[0]
     al, ar = pa.spatial.a_l, pa.spatial.a_r
     bl, br = pb.spatial.a_l, pb.spatial.a_r
     kept = postselect_one_per_detector(expand_in_detector_basis(pa, pb))
@@ -297,7 +297,7 @@ def test_postselection_is_idempotent(theta):
 
 def test_postselection_rejects_unexpanded_states(symmetric_state):
     rng = np.random.default_rng(39)
-    a, b = random_state(rng, 2), random_state(rng, 2)
+    a, b = random_states(rng, [2, 2])
     with pytest.raises(NotDetectorBasisError):
         postselect_one_per_detector(symmetric_state([(1.0 + 0j, (a, b))]))
 
@@ -306,7 +306,7 @@ def test_expansion_coefficients_complete_for_orthogonal_product_inputs():
     # whenever <Psi_A|Psi_B> = 0 the four squared coefficients sum to one
     rng = np.random.default_rng(40)
     for _ in range(30):
-        pa, pb = random_updown_pair(rng, 2)  # orthogonal spins force it
+        pa, pb = random_updown_pairs(rng, [2])[0]  # orthogonal spins force it
         assert inner_single(pa, pb) == 0j
         total = sum(abs(c) ** 2 for c, _ in expand_in_detector_basis(pa, pb).terms)
         assert total == pytest.approx(1.0, abs=1e-12)

@@ -41,6 +41,7 @@ from twoboson.optics import (
     xstate_rates,
 )
 from twoboson.optics import _dip_jac, _dip_terms, _gn_steps
+from twoboson.wavepacket import check_sigma
 
 RT2 = math.sqrt(0.5)
 
@@ -126,6 +127,28 @@ def test_overlap_rejects_a_non_positive_width():
             gaussian_overlap(10.0, convention, 0.0)
 
 
+#: the smallest and largest widths whose square is a positive finite float
+_SIGMA_ENDS = (1.5717277847026288e-162, 1.3407807929942596e154)
+
+
+def test_the_width_rule_admits_the_widths_whose_square_is_a_positive_finite_float():
+    smallest, largest = _SIGMA_ENDS
+    for sigma in (smallest, 1e-160, 1.0, 1e154, largest):
+        assert check_sigma(sigma) == sigma
+        for convention in OVERLAP_CONVENTIONS:
+            assert gaussian_overlap(0.0, convention, sigma) == 1.0
+    refused = (math.nextafter(smallest, 0.0), math.nextafter(largest, math.inf), 1e-200, 1e200)
+    for sigma in refused + (0.0, -0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^sigma must be positive and its square a positive"):
+            check_sigma(sigma)
+        for convention in OVERLAP_CONVENTIONS:
+            with pytest.raises(ValueError, match="^sigma must be positive"):
+                gaussian_overlap(0.0, convention, sigma)
+    for delta in (1e-200, 1e200, 1e308, -1.0):
+        with pytest.raises(ValueError, match="^sigma must be positive"):
+            delta_to_sigma(delta)
+
+
 def test_sigma_delta_conversion_round_trip():
     assert delta_to_sigma(sigma_to_delta(59.45)) == pytest.approx(59.45, abs=1e-12)
     assert sigma_to_delta(50.0) == pytest.approx(0.01, abs=1e-15)
@@ -168,6 +191,28 @@ def test_optical_law_equals_the_closed_form_splice(theta, l):
     alphas, betas = spatial_amplitudes_from_theta(theta)
     spliced = concurrence_closed_form(alphas, betas, gaussian_overlap(l, "fitted", sigma))
     assert concurrence_optical(theta, l, sigma) == pytest.approx(spliced, abs=1e-12)
+
+
+def _optical_law_by_its_own_expression(theta_deg, l_um, sigma_um):
+    # the law as it was written before it read the 'paper' overlap
+    t = math.radians(theta_deg)
+    return math.sin(4.0 * t) ** 2 * math.exp(-(l_um**2) / (2.0 * sigma_um**2))
+
+
+def test_the_optical_law_has_the_bits_of_its_own_expression():
+    rng = np.random.default_rng(39)
+    thetas = [0.0, 22.5, 45.0] + rng.uniform(-90.0, 90.0, 17).tolist()
+    delays = [0.0, -0.0, 1e-300, 70.0, 1e150] + rng.uniform(-500.0, 500.0, 15).tolist()
+    sigmas = (
+        list(_SIGMA_ENDS) + [1e-160, 1e154, DEFAULT_SIGMA_UM]
+        + (10.0 ** rng.uniform(-161.5, 154.0, 40)).tolist()
+        + rng.uniform(20.0, 200.0, 40).tolist()
+    )
+    for theta in thetas:
+        for l in delays:
+            for sigma in sigmas:
+                got = concurrence_optical(theta, l, sigma)
+                assert got.hex() == _optical_law_by_its_own_expression(theta, l, sigma).hex()
 
 
 @given(l=st.floats(min_value=0.0, max_value=400.0))

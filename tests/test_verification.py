@@ -16,13 +16,7 @@ from twoboson.core_state import (
     ValidationError,
     inner_single,
 )
-from twoboson.verification import (
-    random_state,
-    random_states,
-    random_updown_pair,
-    random_updown_pairs,
-    run_suites,
-)
+from twoboson.verification import random_states, random_updown_pairs, run_suites
 
 
 def test_all_checks_pass_on_random_draws():
@@ -131,8 +125,7 @@ def test_a_nan_closed_form_concurrence_fails_the_splice_and_monotonicity(monkeyp
 
 def test_random_state_is_normalized():
     rng = np.random.default_rng(5)
-    for d in (1, 2, 3):
-        st = random_state(rng, d)
+    for st in random_states(rng, [1, 2, 3]):
         assert abs(inner := _self_inner(st) - 1.0) < 1e-12, inner
 
 
@@ -203,19 +196,24 @@ def test_a_unit_vector_of_up_to_three_amplitudes_is_v_over_its_numpy_norm(n):
 @pytest.mark.parametrize("spin", [None, Spin.UP, Spin.DOWN])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_random_state_draws_the_state_of_the_array_route(d, spin):
+    # one state per call, its spin drawn or given
     rng, twin = np.random.default_rng([12, d]), np.random.default_rng([12, d])
+    spins = None if spin is None else [spin]
     for _ in range(1_000):
-        state, reference = random_state(rng, d, spin), _reference_random_state(twin, d, spin)
-        assert _state_bits(state) == _state_bits(reference)
+        (state,) = random_states(rng, [d], spins)
+        assert _state_bits(state) == _state_bits(_reference_random_state(twin, d, spin))
     assert rng.normal() == twin.normal()
 
 
+@pytest.mark.parametrize("given", [False, True], ids=["spins-drawn", "spins-given"])
 @pytest.mark.parametrize("dims", [[1], [2, 2], [1, 2, 3] * 40, [4, 1, 3, 3, 2, 4] * 20])
-def test_random_states_draw_the_states_of_one_call_per_state(dims):
+def test_random_states_draw_the_states_of_one_call_per_state(dims, given):
     rng, twin = np.random.default_rng([15, *dims]), np.random.default_rng([15, *dims])
-    states = random_states(rng, dims)
+    spins = [Spin.DOWN if k % 3 else Spin.UP for k in range(len(dims))] if given else None
+    states = random_states(rng, dims, spins)
     assert [_state_bits(s) for s in states] == [
-        _state_bits(_reference_random_state(twin, d)) for d in dims
+        _state_bits(_reference_random_state(twin, d, spin))
+        for d, spin in zip(dims, spins or [None] * len(dims))
     ]
     assert rng.normal() == twin.normal()
 
@@ -224,7 +222,7 @@ def test_random_states_draw_the_states_of_one_call_per_state(dims):
 def test_random_updown_pair_is_one_pair_of_the_stacked_draw(d):
     rng, twin = np.random.default_rng([16, d]), np.random.default_rng([16, d])
     for _ in range(300):
-        pair, reference = random_updown_pair(rng, d), _reference_pair(twin, d)
+        (pair,), reference = random_updown_pairs(rng, [d]), _reference_pair(twin, d)
         assert [_state_bits(s) for s in pair] == [_state_bits(s) for s in reference]
     assert rng.normal() == twin.normal()
 
@@ -242,18 +240,25 @@ def test_random_updown_pairs_draw_the_pairs_of_one_call_per_pair(dims):
 def test_a_random_state_of_dimension_0_is_refused_by_its_dist_vector():
     message = r"^distinguishability vector needs dimension >= 1$"
     for draw in (
-        lambda rng: random_state(rng, 0),
-        lambda rng: random_state(rng, 0, Spin.UP),
+        lambda rng: random_states(rng, [0]),
+        lambda rng: random_states(rng, [0], [Spin.UP]),
         lambda rng: random_states(rng, [2, 0]),
+        lambda rng: random_states(rng, [2, 0], [Spin.DOWN, Spin.UP]),
         lambda rng: random_updown_pairs(rng, [1, 0]),
     ):
         with pytest.raises(ValidationError, match=message):
             draw(np.random.default_rng(0))
 
 
+def test_random_states_refuse_a_spin_count_other_than_the_state_count():
+    for spins in ([Spin.UP], [Spin.UP, Spin.DOWN, Spin.UP]):
+        with pytest.raises(ValueError, match="zip"):
+            random_states(np.random.default_rng(0), [1, 2], spins)
+
+
 def test_random_pair_has_opposite_spins():
     rng = np.random.default_rng(6)
-    a, b = random_updown_pair(rng, 2)
+    ((a, b),) = random_updown_pairs(rng, [2])
     assert a.spin is Spin.UP
     assert b.spin is Spin.DOWN
 
