@@ -6,38 +6,36 @@ alone reduces them: it reports the largest against the suite's tolerance,
 and a deviation above it, or a nan, fails the run.  The labeled-tensor
 oracle (`fq_oracle`) is used here and in the tests only.
 
-The random states are drawn as Python complexes.  One `normal` call of 2n
-draws gives a vector's real parts, then its imaginary parts, the stream a
-(2, n) draw reads.  Its norm is summed by one BLAS `dot` per contiguous
-half, because BLAS may fuse its multiply-adds and a Python sum of squares
-would then differ in the last bit, and every part is multiplied by
-`1/norm`, which is how numpy divides a complex by a real.  For n <= 3, the
-dimensions the suites draw, these are the bits of `v / np.linalg.norm(v)`.
+A random vector of n amplitudes is one `normal` call of 2n draws, real
+parts then imaginary parts.  Its norm is summed by one BLAS `dot` per
+contiguous half, and each part is multiplied by `1/norm`, as numpy divides
+a complex by a real; for n <= 3 these are the bits of
+`v / np.linalg.norm(v)`.  A suite draws first and normalizes after, one
+stack per vector length, whose norms come from one stacked matmul,
+`(m, 1, n) @ (m, n, 1)`: its vector-vector path is that BLAS `dot`.  Every
+state comes from `random_states(rng, dims, spins=None)`: with `spins`
+given, all the states' normals come from one call, as `random_updown_pairs`
+draws a pair suite's (up, down) pairs; without, each state takes three
+calls, as an `integers` draw comes between its two vectors.
 
-Every random state comes from one draw, `random_states(rng, dims,
-spins=None)`.  A suite makes all its draws first and normalizes them
-after, as no normalization reads the generator.  The draws of one length
-are normalized as one stack, whose norms come from one stacked matmul,
-`(m, 1, n) @ (m, n, 1)`: matmul's vector-vector path is the BLAS `dot` of
-a vector alone.  A state whose spin is drawn takes three calls, as an
-`integers` draw comes between its two vectors, so
-`transition_vs_labeled_oracle`, `symmetrized_norm_bunching` and
-`single_bra_projection` keep one call per draw.  States whose spins are
-given draw in one call, however many: `random_updown_pairs` draws the
-(up, down) pairs of a pair suite's block (`detector_expansion_completeness`,
-`postselected_density_vs_oracle`, `postselect_idempotent` and
-`density_matrix_validity`) at once, each state's 4 + 2d draws in the order
-that one call per state reads.
-
-Trial k of a random-state suite has dimension 1 + k % 3.  The oracle reads
-the trials of each dimension as one `fq_oracle` stack, whose tensors have
-the bits they have alone.  The ket-algebra routes under test
-(`nolabel_algebra`, `number_distribution` and
-`trace_out_distinguishability`) run per trial.  These seven suites run on
-blocks of at most 150 trials in turn, which bounds the memory a suite holds
-at once; the blocks draw in trial order, so they read the stream that one
-block of every trial reads, and a pair suite at the default 100 trials
-draws in one call.
+Every suite but `concurrence_monotonicity`, which draws nothing, runs on
+blocks of at most 150 trials in turn, so the memory it holds does not grow
+with `--trials`.  The blocks draw in trial order and read the stream one
+block of every trial reads; at the default 100 trials a block is the whole
+suite.  A block draws its scalars in one `uniform` call whose cells have
+the bits of one scalar call each (`closed_form_vs_wootters_raw`, whose
+normal and uniform draws alternate, makes one of each per trial), and does
+its numpy arithmetic on arrays.
+Trial k of a random-state suite has dimension 1 + k % 3, and the oracle
+reads the trials of each dimension as one `fq_oracle` stack, whose tensors
+have the bits they have alone; `hom_level_vs_oracle` stacks both merge
+pairs of every trial.  Three things stay per trial.  The routes under test
+(`nolabel_algebra`, `number_distribution`, `prepared_distributions`, the
+closed forms and `optics`' scalar laws) take one trial per call.
+`overlap_exponent_relation` calls `np.exp` on one scalar per trial, since
+an array `exp` takes numpy's SIMD path on some CPUs and moves the last bit.
+`quadrature_overlap_integral` computes `hermgauss(128)` once per block,
+once per pass at the default trials, and keeps nothing across passes.
 """
 
 from __future__ import annotations
@@ -310,14 +308,21 @@ def _suite_density_validity(rng, trials):
     )
 
 
-def _suite_wootters_vs_closed_form(rng, trials):
-    # the eigen route's raw concurrence against the closed form, and, divided
-    # by the (1,1) weight, against the X-state read that `sweep` and
-    # `concurrence` print
-    draws, overlaps = [], []
+def _uniform_rows(rng, trials, *bounds):
+    # (trials, len(bounds)) draws, column j on bounds[j] = (low, high): row by
+    # row, each cell has the bits of one scalar `uniform(low, high)` call
+    low, high = zip(*bounds)
+    return rng.uniform(low, high, size=(trials, len(bounds)))
+
+
+def _wootters_vs_closed_form(rng, trials):
+    draws, uniforms = [], []
     for _ in range(trials):
-        draws += (rng.normal(size=4), rng.normal(size=4))
-        overlaps.append(rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+        x = rng.normal(size=8)
+        draws += (x[:4], x[4:])
+        uniforms.append(rng.uniform(0.0, (1.0, 2 * np.pi)))
+    magnitudes, phases = np.array(uniforms).T
+    overlaps = magnitudes * np.exp(1j * phases)
     modes = [SpatialAmplitudes(*unit) for unit in _units(draws)]
     nds, closed = [], []
     for alphas, betas, ov in zip(modes[0::2], modes[1::2], overlaps):
@@ -325,31 +330,36 @@ def _suite_wootters_vs_closed_form(rng, trials):
         nds += row
         closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
     raw = entanglement.wootters_concurrence([nd.state for nd in nds])  # one stacked call
-    yield from np.abs(np.array(closed) - 2.0 * raw).tolist()
-    for nd, w in zip(nds, raw.tolist()):
-        yield abs(nd.concurrence - w / nd.state.weight)
+    gaps = np.abs(np.array(closed) - 2.0 * raw).tolist()
+    for nd, gap, w in zip(nds, gaps, raw.tolist()):
+        yield gap, abs(nd.concurrence - w / nd.state.weight)
+
+
+def _suite_wootters_vs_closed_form(rng, trials):
+    # the eigen route's raw concurrence against the closed form, every trial's,
+    # then, divided by the (1,1) weight, against the X-state read that `sweep`
+    # and `concurrence` print; a block leaves only these floats behind
+    gaps, reads = zip(*_in_blocks(_wootters_vs_closed_form)(rng, trials))
+    return gaps + reads
 
 
 def _suite_balanced_manifold(rng, trials):
-    inv_sqrt2 = 1.0 / SQRT2
-    rhos, expected = [], []
-    for _ in range(trials):
-        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=4))
-        alphas = SpatialAmplitudes(inv_sqrt2 * phases[0], inv_sqrt2 * phases[1])
-        betas = SpatialAmplitudes(inv_sqrt2 * phases[2], inv_sqrt2 * phases[3])
-        ov = rng.uniform(0.0, 1.0)
-        (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
+    u = _uniform_rows(rng, trials, *[(0.0, 2 * np.pi)] * 4, (0.0, 1.0))
+    amplitudes = (1.0 / SQRT2) * np.exp(1j * u[:, :4])
+    overlaps = u[:, 4].tolist()
+    rhos = []
+    for (a_l, a_r, b_l, b_r), ov in zip(amplitudes, overlaps):
+        modes = (SpatialAmplitudes(a_l, a_r), SpatialAmplitudes(b_l, b_r))
+        (row,) = optics.prepared_distributions([modes], [ov])
         rhos.append(row[0].state)
-        expected.append(ov**2)
     normalized = entanglement.wootters_concurrence(rhos, normalize=True)  # one stacked call
-    return np.abs(normalized - np.array(expected))
+    return np.abs(normalized - np.array([ov**2 for ov in overlaps]))
 
 
 def _suite_optical_splice(rng, trials):
-    for _ in range(trials):
-        theta = rng.uniform(0.0, 45.0)
-        sigma = rng.uniform(20.0, 200.0)
-        l = rng.uniform(0.0, 400.0)
+    for theta, sigma, l in _uniform_rows(
+        rng, trials, (0.0, 45.0), (20.0, 200.0), (0.0, 400.0)
+    ).tolist():
         alphas, betas = optics.spatial_amplitudes_from_theta(theta)
         closed = entanglement.concurrence_closed_form(
             alphas, betas, optics.gaussian_overlap(l, "fitted", sigma)
@@ -358,37 +368,32 @@ def _suite_optical_splice(rng, trials):
 
 
 def _suite_quadrature_overlap(rng, trials):
-    # Gauss-Hermite nodes make an independent evaluation of the overlap
-    # integral of the two Gaussian spectral amplitudes
+    # Gauss-Hermite nodes make an independent evaluation of the overlap integral
+    # of the two Gaussian spectral amplitudes, one row of 128 nodes per trial
     nodes, weights = np.polynomial.hermite.hermgauss(128)
-    for _ in range(trials):
-        delta = rng.uniform(0.002, 0.05)
-        l = rng.uniform(0.0, 300.0)
-        integral = float(
-            np.sum(weights * np.cos(np.sqrt(2.0) * delta * l * nodes)) / np.sqrt(np.pi)
-        )
-        quad = optics.gaussian_overlap(l, "quadrature", optics.delta_to_sigma(delta))
+    delta, l = _uniform_rows(rng, trials, (0.002, 0.05), (0.0, 300.0)).T
+    cosines = np.cos((np.sqrt(2.0) * delta * l)[:, None] * nodes)
+    integrals = np.sum(weights * cosines, axis=1) / np.sqrt(np.pi)
+    for d, dl, integral in zip(delta.tolist(), l.tolist(), integrals.tolist()):
+        quad = optics.gaussian_overlap(dl, "quadrature", optics.delta_to_sigma(d))
         yield abs(quad - integral)
 
 
-def _merge_coincidence_weight(theta_deg: float, dist_a: DistVector, dist_b: DistVector) -> float:
-    """(1,1) weight after the theta-parameterized two-mode merge, by oracle."""
-    t = math.radians(theta_deg)
-    s, c = math.sin(2.0 * t), math.cos(2.0 * t)
-    p_a = SingleParticleState(SpatialAmplitudes(s, c), Spin.UP, dist_a)
-    p_b = SingleParticleState(SpatialAmplitudes(c, -s), Spin.UP, dist_b)
-    labeled = fq_oracle.symmetrize(p_a, p_b)
-    return fq_oracle.mode_pattern_weights(labeled)[(1, 1)]
-
-
 def _suite_hom_vs_oracle(rng, trials):
+    # the oracle's (1,1) weight after the theta-parameterized two-mode merge,
+    # at the trial's overlap and at the orthogonal pair, all in one stack
     orth = optics.dist_vectors_for_overlap(0.0)
-    for _ in range(trials):
-        theta = rng.uniform(0.0, 45.0)
-        ov = rng.uniform(0.0, 1.0)
-        phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
-        w_at_ov = _merge_coincidence_weight(theta, phi_a, phi_b)
-        w_at_0 = _merge_coincidence_weight(theta, orth[0], orth[1])
+    draws = _uniform_rows(rng, trials, (0.0, 45.0), (0.0, 1.0)).tolist()
+    pairs = []
+    for theta, ov in draws:
+        t = math.radians(theta)
+        s, c = math.sin(2.0 * t), math.cos(2.0 * t)
+        a, b = SpatialAmplitudes(s, c), SpatialAmplitudes(c, -s)
+        for dists in (optics.dist_vectors_for_overlap(ov), orth):
+            pairs.append(tuple(SingleParticleState(m, Spin.UP, x) for m, x in zip((a, b), dists)))
+    tensors = fq_oracle.symmetrize_stack(pairs)
+    weights = [w[(1, 1)] for w in fq_oracle.mode_pattern_weight_stack(tensors)]
+    for (theta, ov), w_at_ov, w_at_0 in zip(draws, weights[0::2], weights[1::2]):
         direct = 1000.0 * w_at_ov / w_at_0
         level = optics.hom_coincidence(optics.hom_visibility(theta), ov**2, 1000.0)
         yield abs(level - direct)
@@ -412,9 +417,7 @@ def _suite_monotonicity(rng, trials):
 
 def _suite_ep_relation(rng, trials):
     nds, closed = [], []
-    for _ in range(trials):
-        theta = rng.uniform(0.0, 45.0)
-        ov = rng.uniform(0.0, 1.0)
+    for theta, ov in _uniform_rows(rng, trials, (0.0, 45.0), (0.0, 1.0)).tolist():
         alphas, betas = optics.spatial_amplitudes_from_theta(theta)
         (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
         nds += row
@@ -428,10 +431,9 @@ def _suite_ep_relation(rng, trials):
 
 def _suite_exponent_relation(rng, trials):
     # optical Gaussian factor = paper overlap = quadrature overlap^4
-    for _ in range(trials):
-        sigma = rng.uniform(20.0, 200.0)
-        l = rng.uniform(0.0, 300.0)
-        factor = np.exp(-(l**2) / (2.0 * sigma**2))  # optical law's Gaussian
+    for sigma, l in _uniform_rows(rng, trials, (20.0, 200.0), (0.0, 300.0)).tolist():
+        # the optical law's Gaussian, by a scalar np.exp (see the module docstring)
+        factor = np.exp(-(l**2) / (2.0 * sigma**2))
         paper = optics.gaussian_overlap(l, "paper", sigma)
         quad = optics.gaussian_overlap(l, "quadrature", sigma)
         yield abs(paper - factor)
@@ -447,13 +449,13 @@ _CHECK_SUITES = (
     ("postselect_idempotent", _in_blocks(_suite_postselect_idempotent), 0.5),
     ("density_matrix_validity", _in_blocks(_suite_density_validity), ATOL_EXACT),
     ("closed_form_vs_wootters_raw", _suite_wootters_vs_closed_form, ATOL_PIPELINE),
-    ("balanced_manifold_concurrence", _suite_balanced_manifold, ATOL_PIPELINE),
-    ("optical_law_splice", _suite_optical_splice, ATOL_EXACT),
-    ("quadrature_overlap_integral", _suite_quadrature_overlap, ATOL_PIPELINE),
-    ("hom_level_vs_oracle", _suite_hom_vs_oracle, ATOL_EXACT),
+    ("balanced_manifold_concurrence", _in_blocks(_suite_balanced_manifold), ATOL_PIPELINE),
+    ("optical_law_splice", _in_blocks(_suite_optical_splice), ATOL_EXACT),
+    ("quadrature_overlap_integral", _in_blocks(_suite_quadrature_overlap), ATOL_PIPELINE),
+    ("hom_level_vs_oracle", _in_blocks(_suite_hom_vs_oracle), ATOL_EXACT),
     ("concurrence_monotonicity", _suite_monotonicity, 0.5),
-    ("occupation_weighted_vs_half_closed_form", _suite_ep_relation, ATOL_PIPELINE),
-    ("overlap_exponent_relation", _suite_exponent_relation, ATOL_EXACT),
+    ("occupation_weighted_vs_half_closed_form", _in_blocks(_suite_ep_relation), ATOL_PIPELINE),
+    ("overlap_exponent_relation", _in_blocks(_suite_exponent_relation), ATOL_EXACT),
 )
 
 

@@ -1,10 +1,14 @@
 """Self-check suites: randomized cross-layer consistency checks."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twoboson
 from twoboson import entanglement, fq_oracle, nolabel_algebra, optics, verification
 from twoboson.cli import EXIT_VERIFICATION, main
 from twoboson.core_state import (
@@ -373,6 +377,77 @@ def _reference_balanced_manifold(rng, trials):
     return np.abs(normalized - np.array(expected))
 
 
+def _reference_optical_splice(rng, trials):
+    for _ in range(trials):
+        theta = rng.uniform(0.0, 45.0)
+        sigma = rng.uniform(20.0, 200.0)
+        l = rng.uniform(0.0, 400.0)
+        alphas, betas = optics.spatial_amplitudes_from_theta(theta)
+        closed = entanglement.concurrence_closed_form(
+            alphas, betas, optics.gaussian_overlap(l, "fitted", sigma)
+        )
+        yield abs(closed - optics.concurrence_optical(theta, l, sigma))
+
+
+def _reference_quadrature_overlap(rng, trials):
+    nodes, weights = np.polynomial.hermite.hermgauss(128)
+    for _ in range(trials):
+        delta = rng.uniform(0.002, 0.05)
+        l = rng.uniform(0.0, 300.0)
+        integral = float(
+            np.sum(weights * np.cos(np.sqrt(2.0) * delta * l * nodes)) / np.sqrt(np.pi)
+        )
+        quad = optics.gaussian_overlap(l, "quadrature", optics.delta_to_sigma(delta))
+        yield abs(quad - integral)
+
+
+def _merge_coincidence_weight(theta_deg, dist_a, dist_b):
+    # (1,1) weight after the theta-parameterized two-mode merge, by oracle
+    t = math.radians(theta_deg)
+    s, c = math.sin(2.0 * t), math.cos(2.0 * t)
+    p_a = SingleParticleState(SpatialAmplitudes(s, c), Spin.UP, dist_a)
+    p_b = SingleParticleState(SpatialAmplitudes(c, -s), Spin.UP, dist_b)
+    return fq_oracle.mode_pattern_weights(fq_oracle.symmetrize(p_a, p_b))[(1, 1)]
+
+
+def _reference_hom_vs_oracle(rng, trials):
+    orth = optics.dist_vectors_for_overlap(0.0)
+    for _ in range(trials):
+        theta = rng.uniform(0.0, 45.0)
+        ov = rng.uniform(0.0, 1.0)
+        phi_a, phi_b = optics.dist_vectors_for_overlap(ov)
+        w_at_ov = _merge_coincidence_weight(theta, phi_a, phi_b)
+        w_at_0 = _merge_coincidence_weight(theta, orth[0], orth[1])
+        direct = 1000.0 * w_at_ov / w_at_0
+        level = optics.hom_coincidence(optics.hom_visibility(theta), ov**2, 1000.0)
+        yield abs(level - direct)
+
+
+def _reference_ep_relation(rng, trials):
+    nds, closed = [], []
+    for _ in range(trials):
+        theta = rng.uniform(0.0, 45.0)
+        ov = rng.uniform(0.0, 1.0)
+        alphas, betas = optics.spatial_amplitudes_from_theta(theta)
+        (row,) = optics.prepared_distributions([(alphas, betas)], [ov])
+        nds += row
+        closed.append(entanglement.concurrence_closed_form(alphas, betas, ov))
+    concurrence = entanglement.wootters_concurrence([nd.state for nd in nds], normalize=True)
+    e_p = entanglement.entanglement_of_particles(nds, concurrence)
+    return np.abs(e_p - np.array(closed) / 2.0)
+
+
+def _reference_exponent_relation(rng, trials):
+    for _ in range(trials):
+        sigma = rng.uniform(20.0, 200.0)
+        l = rng.uniform(0.0, 300.0)
+        factor = np.exp(-(l**2) / (2.0 * sigma**2))
+        paper = optics.gaussian_overlap(l, "paper", sigma)
+        quad = optics.gaussian_overlap(l, "quadrature", sigma)
+        yield abs(paper - factor)
+        yield abs(quad**4 - factor)
+
+
 _PER_TRIAL_ROUTES = {
     "transition_vs_labeled_oracle": _reference_transition_vs_labeled,
     "symmetrized_norm_bunching": _reference_symmetrized_norm,
@@ -383,6 +458,11 @@ _PER_TRIAL_ROUTES = {
     "density_matrix_validity": _reference_density_validity,
     "closed_form_vs_wootters_raw": _reference_wootters_vs_closed_form,
     "balanced_manifold_concurrence": _reference_balanced_manifold,
+    "optical_law_splice": _reference_optical_splice,
+    "quadrature_overlap_integral": _reference_quadrature_overlap,
+    "hom_level_vs_oracle": _reference_hom_vs_oracle,
+    "occupation_weighted_vs_half_closed_form": _reference_ep_relation,
+    "overlap_exponent_relation": _reference_exponent_relation,
 }
 
 
@@ -403,6 +483,44 @@ def test_each_stacked_suite_yields_the_bits_of_each_trial_alone(name, trials, bl
         reference = list(_PER_TRIAL_ROUTES[name](twin, trials))
         assert _hex(stacked) == _hex(reference)
         assert rng.normal() == twin.normal()
+
+
+def test_every_suite_that_draws_has_a_per_trial_route():
+    names = [name for name, _, _ in verification._CHECK_SUITES]
+    assert sorted(_PER_TRIAL_ROUTES) == sorted(set(names) - {"concurrence_monotonicity"})
+
+
+#: how far `verify --trials 3000`'s peak RSS may lie above `--trials 150`'s;
+#: on Linux x86-64 with Python 3.11 and numpy 2.4 the suites in blocks read
+#: -0.02 to +0.17 MiB, and the suites held whole read +7.8 MiB
+_RSS_MARGIN_KIB = 2048
+
+_PEAK_RSS_OF_VERIFY = """
+import resource, subprocess, sys
+argv = [sys.executable, "-m", "twoboson.cli", "verify", "--trials", sys.argv[1]]
+subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def _peak_rss_kib_of_verify(trials: int) -> int:
+    # a fresh parent per run: RUSAGE_CHILDREN holds the largest peak of every
+    # child a process has waited for, and this one waits for one
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twoboson.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_OF_VERIFY, str(trials)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_verify_peak_memory_does_not_grow_with_the_trials():
+    # every suite that draws runs on blocks of at most 150 trials, so 20
+    # blocks hold no more at once than one
+    growth = _peak_rss_kib_of_verify(3000) - _peak_rss_kib_of_verify(150)
+    assert growth <= _RSS_MARGIN_KIB, f"peak RSS grew by {growth} KiB"
 
 
 def test_a_zero_lowest_eigenvalue_reads_a_deviation_of_plus_zero():
