@@ -101,6 +101,16 @@ class EstimatorError(RuntimeError):
     """More than `MAX_FAILED_FRACTION` of the runs of a Monte Carlo failed."""
 
 
+def _square(x: float) -> float:
+    """x * x, the correctly rounded square, which `x**2` through libm's `pow`
+    is not always; a finite x whose square overflows raises OverflowError,
+    as `x**2` does."""
+    square = x * x
+    if math.isinf(square) and math.isfinite(x):
+        raise OverflowError(f"the square of {x!r} overflows")
+    return square
+
+
 def gaussian_overlap(l_um: float, convention: str, sigma_um: float) -> float:
     """Scalar overlap of two identical Gaussian wavepackets delayed by l.
 
@@ -114,8 +124,8 @@ def gaussian_overlap(l_um: float, convention: str, sigma_um: float) -> float:
         raise ValueError(
             f"unknown overlap convention {convention!r}; pick one of {OVERLAP_CONVENTIONS}"
         )
-    check_sigma(sigma_um)
-    return math.exp(-(l_um**2) / (scale * sigma_um**2))
+    check_sigma(sigma_um)  # so sigma_um * sigma_um is a positive finite float
+    return math.exp(-_square(l_um) / (scale * (sigma_um * sigma_um)))
 
 
 def spatial_amplitudes_from_theta(
@@ -225,7 +235,7 @@ def gaussian_dip(delays, fwhm_um: float, center_um: float) -> np.ndarray:
     square that overflows or a zero width raises `ArithmeticError`; np.exp
     takes them at once."""
     w = fwhm_um / GAUSSIAN_FWHM_FACTOR
-    return np.exp([-((l - center_um) ** 2) / (2.0 * w**2) for l in delays])
+    return np.exp([-_square(l - center_um) / (2.0 * _square(w)) for l in delays])
 
 
 # ---------------------------------------------------------------------------

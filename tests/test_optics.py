@@ -41,7 +41,7 @@ from twoboson.optics import (
     xstate_rates,
 )
 from twoboson.optics import _dip_jac, _dip_terms, _gn_steps
-from twoboson.wavepacket import check_sigma
+from twoboson.wavepacket import OVERLAP_SCALE, check_sigma
 
 RT2 = math.sqrt(0.5)
 
@@ -194,9 +194,10 @@ def test_optical_law_equals_the_closed_form_splice(theta, l):
 
 
 def _optical_law_by_its_own_expression(theta_deg, l_um, sigma_um):
-    # the law as it was written before it read the 'paper' overlap
+    # the law as it was written before it read the 'paper' overlap, each
+    # square of a width or delay by multiplication
     t = math.radians(theta_deg)
-    return math.sin(4.0 * t) ** 2 * math.exp(-(l_um**2) / (2.0 * sigma_um**2))
+    return math.sin(4.0 * t) ** 2 * math.exp(-(l_um * l_um) / (2.0 * (sigma_um * sigma_um)))
 
 
 def test_the_optical_law_has_the_bits_of_its_own_expression():
@@ -342,6 +343,32 @@ def test_gaussian_dip_raises_for_a_zero_width_or_an_overflowing_square(delays, f
     # the CLI turns either into exit code 2
     with pytest.raises(exc):
         optics.gaussian_dip(delays, fwhm_um, 0.0)
+
+
+#: delays drawn by `default_rng(40).uniform(-500, 500)` whose square glibc
+#: 2.36's `pow`, behind `l**2`, does not round correctly, so that `l**2` and
+#: `l * l` give overlaps and dips that differ in the last bit; a `pow` that
+#: rounds correctly leaves the check below true as well
+_POW_MISSES = (
+    231.2945150404522, 398.8471416354864, -466.40556410230727,
+    76.63235859558586, 375.37907724651336, 377.461667984869,
+)
+
+
+def test_the_overlap_and_the_dip_square_by_multiplication():
+    sigma, fwhm = DEFAULT_SIGMA_UM, 140.0
+    w = fwhm / GAUSSIAN_FWHM_FACTOR
+    for l in _POW_MISSES:
+        for convention, scale in OVERLAP_SCALE.items():
+            expected = math.exp(-(l * l) / (scale * (sigma * sigma)))
+            assert gaussian_overlap(l, convention, sigma).hex() == expected.hex()
+    for center in (0.0, 12.5):
+        dip = optics.gaussian_dip(_POW_MISSES, fwhm, center)
+        squares = [(l - center) * (l - center) for l in _POW_MISSES]
+        assert dip.tolist() == np.exp([-x / (2.0 * (w * w)) for x in squares]).tolist()
+    # a finite delay whose square overflows is refused as `l**2` refused it
+    with pytest.raises(OverflowError, match=r"^the square of 1e\+200 overflows$"):
+        gaussian_overlap(1e200, "paper", sigma)
 
 
 # --- count simulation ----------------------------------------------------------
