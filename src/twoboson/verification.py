@@ -25,11 +25,12 @@ block of every trial reads; at the default 100 trials a block is the whole
 suite.  A block draws its scalars in one `uniform` call whose cells have
 the bits of one scalar call each (`closed_form_vs_wootters_raw`, whose
 normal and uniform draws alternate, makes one of each per trial), and does
-its numpy arithmetic on arrays.
-Trial k of a random-state suite has dimension 1 + k % 3, and the oracle
-reads the trials of each dimension as one `fq_oracle` stack, whose tensors
-have the bits they have alone; `hom_level_vs_oracle` stacks both merge
-pairs of every trial.  Three things stay per trial.  The routes under test
+its numpy arithmetic on arrays.  Trial k of a random-state suite has
+dimension 1 + k % 3, and the oracle reads the trials of each dimension as
+one `fq_oracle` stack, whose tensors have the bits they have alone;
+`hom_level_vs_oracle` stacks both merge pairs of every trial.
+
+Three things are not stacked.  The routes under test
 (`nolabel_algebra`, `number_distribution`, `prepared_distributions`, the
 closed forms and `optics`' scalar laws) take one trial per call.
 `overlap_exponent_relation` calls `np.exp` on one scalar per trial, since
